@@ -15,16 +15,14 @@ import numpy as np
 
 from . import nifti
 from .fusion import FusionConfig, RegisteredAtlas, fuse, majority_vote
-from .metrics import (EvalRow, asd, dice, render_report_csv,
-                      render_report_text, report, volume_and_density)
+from .metrics import (evaluate_labels, render_report_csv,
+                      render_report_text, report)
 from .phantom import PhantomSpec, deform_phantom, make_phantom
 from .pipeline import load_manifest, run_pipeline
-from .postprocess import (instance_from_mask, levelset_refine, morph_cleanup,
-                          resolve_collisions)
-from .registration import (RegistrationConfig, register_affine, register_ffd,
-                           warp_atlas)
+from .postprocess import refine_labels, separate_labels
+from .registration import RegistrationConfig, register_affine, register_ffd
 from .transform import save_transform
-from .volume import LabelVolume, ScalarVolume
+from .volume import ScalarVolume
 
 
 def _add_registration_args(p):
@@ -114,16 +112,9 @@ def cmd_fuse(args):
 def cmd_refine(args):
     lbl = nifti.read_volume(args.labels, "label")
     intensity = nifti.read_volume(args.intensity, "scalar")
-    cleaned = morph_cleanup(lbl, args.min_island_voxels)
-    masks, instances = [], []
-    for lv in cleaned.labels():
-        binary = LabelVolume(cleaned.geometry,
-                             (cleaned.data == lv).astype(np.int32))
-        refined = levelset_refine(binary, intensity, iters=args.iters,
-                                  step=args.step)
-        masks.append(refined)
-        instances.append(instance_from_mask(lv, refined.data != 0, intensity))
-    final = resolve_collisions(masks, intensity, instances)
+    masks = refine_labels(lbl, intensity, args.min_island_voxels,
+                          iters=args.iters, step=args.step)
+    final = separate_labels(masks.items(), intensity)
     nifti.write_volume(args.output, final)
     print(f"refined labels written to {args.output}")
 
@@ -137,21 +128,11 @@ def cmd_evaluate(args):
     if args.tags:
         with open(args.tags) as f:
             tags_by_label = {int(k): v for k, v in json.load(f).items()}
-    rows = []
-    for lv in sorted(set(gt.labels()) | set(seg.labels())):
-        g = gt.data == lv
-        s = seg.data == lv
-        vol_cm3, den = 0.0, 0.0
-        if intensity is not None and s.any():
-            vol_cm3, den = volume_and_density(s, intensity)
-        rows.append(EvalRow(
-            case_id=args.case_id, vertebra_id=str(lv),
-            tags=tags_by_label.get(lv, {}),
-            volume_cm3=vol_cm3, density_hu=den,
-            dice_pct=dice(g, s),
-            asd_mm=(asd(g, s, gt.geometry, symmetric=args.symmetric)
-                    if g.any() and s.any() else float("nan")),
-        ))
+    labels = sorted(set(gt.labels()) | set(seg.labels()))
+    rows = evaluate_labels(
+        gt, seg, intensity,
+        [(lv, lv, tags_by_label.get(lv, {})) for lv in labels],
+        args.case_id, symmetric=args.symmetric)
     summaries = report(rows, args.group_by)
     prefix = args.output_prefix
     with open(prefix + ".csv", "w") as f:
@@ -260,7 +241,6 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--output", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_run)
 
     return parser

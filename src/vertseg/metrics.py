@@ -96,6 +96,28 @@ class EvalRow:
     asd_mm: float = 0.0
 
 
+def evaluate_labels(gt, seg, intensity, vertebrae, case_id,
+                    symmetric=False):
+    """One EvalRow per (vertebra id, label value, tags) in `vertebrae`,
+    in that order. Volume and density are 0 without an intensity volume
+    or for an empty segmentation; ASD is NaN when either mask is empty."""
+    rows = []
+    for vid, lv, tags in vertebrae:
+        g = gt.data == lv
+        s = seg.data == lv
+        vol_cm3, den = 0.0, 0.0
+        if intensity is not None and s.any():
+            vol_cm3, den = volume_and_density(s, intensity)
+        rows.append(EvalRow(
+            case_id=case_id, vertebra_id=str(vid), tags=dict(tags),
+            volume_cm3=vol_cm3, density_hu=den,
+            dice_pct=dice(g, s),
+            asd_mm=(asd(g, s, gt.geometry, symmetric=symmetric)
+                    if g.any() and s.any() else float("nan")),
+        ))
+    return rows
+
+
 _NUMERIC_COLUMNS = [("volume_cm3", "Vol(cm3)"), ("density_hu", "Den(HU)"),
                     ("dice_pct", "DC(%)"), ("asd_mm", "ASD(mm)")]
 

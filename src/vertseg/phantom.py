@@ -4,7 +4,7 @@ ground truth. Shapes are deliberately crude; they exercise the pipeline
 math, not anatomy.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,7 +4,6 @@ across vertebrae, and (optionally) evaluate against ground truth.
 """
 
 import json
-import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -14,16 +13,12 @@ import numpy as np
 
 from . import nifti
 from .fusion import FusionConfig, RegisteredAtlas, fuse
-from .metrics import EvalRow, asd, dice, report, volume_and_density
-from .postprocess import (CollisionPolicy, instance_from_mask, levelset_refine,
-                          morph_cleanup, resolve_collisions)
+from .metrics import evaluate_labels, report
+from .postprocess import CollisionPolicy, refine_labels, separate_labels
 from .registration import (RegistrationConfig, register_affine, register_ffd,
                            warp_atlas)
 from .similarity import IntensityWindow
 from .volume import BoundingBox, LabelVolume, bounding_box_of, crop
-
-log = logging.getLogger(__name__)
-
 
 @dataclass
 class VertebraEntry:
@@ -127,11 +122,8 @@ class VertebraResult:
     vertebra_id: str
     crop_geometry: "GridGeometry"
     transforms: list  # (atlas case_id, ComposedTransform)
-    warped: list  # RegisteredAtlas per eligible atlas
     fusion_probability: np.ndarray
-    fused_mask: LabelVolume
     refined_mask: LabelVolume
-    contested_before_collisions: int = 0
 
 
 @dataclass
@@ -207,6 +199,14 @@ def _register_one(tcrop, atlas_entry, bundle_ids, center_label_value,
 
 
 def bundle_ids_center(ids):
+    """Bundle vertebra whose warped label is kept: the middle one.
+
+    The atlas crop spans the whole bundle and registration starts from
+    intensity-centroid alignment, so the bundle's middle vertebra is the
+    one that lands on the target crop. At a column end the target
+    vertebra is not the middle one, and its atlas label would sit beside
+    the target crop: on the 3-vertebra test phantom in bundle3 mode,
+    keeping it gives Dice 0 on V1 and V3, against 98% for the middle."""
     return ids[len(ids) // 2] if len(ids) == 3 else ids[0]
 
 
@@ -228,7 +228,6 @@ def run_pipeline(manifest):
     timing = []
     per_vertebra = {}
     full_masks = []
-    instances = []
 
     for vert in manifest.vertebrae:
         eligible = _eligible_atlases(manifest, vert)
@@ -262,13 +261,12 @@ def run_pipeline(manifest):
             raise RuntimeError(f"[fusion] vertebra {vert.vertebra_id}: {exc}")
 
         try:
-            cleaned = morph_cleanup(fused.consensus,
-                                    manifest.min_island_voxels)
-            binary = LabelVolume(cleaned.geometry,
-                                 (cleaned.data == vert.label).astype(np.int32))
-            refined = levelset_refine(binary, tcrop,
-                                      iters=manifest.levelset_iters,
-                                      step=manifest.levelset_step)
+            refined = refine_labels(
+                fused.consensus, tcrop, manifest.min_island_voxels,
+                iters=manifest.levelset_iters,
+                step=manifest.levelset_step).get(vert.label)
+            if refined is None or not refined.data.any():
+                raise ValueError("empty mask after cleanup and level set")
         except Exception as exc:
             raise RuntimeError(
                 f"[postprocess] vertebra {vert.vertebra_id}: {exc}")
@@ -277,9 +275,7 @@ def run_pipeline(manifest):
             vertebra_id=vert.vertebra_id,
             crop_geometry=tcrop.geometry,
             transforms=transforms,
-            warped=registered,
             fusion_probability=fused.probability,
-            fused_mask=fused.consensus,
             refined_mask=refined,
         )
 
@@ -290,37 +286,17 @@ def run_pipeline(manifest):
         sl = tuple(slice(off[a], off[a] + refined.geometry.dims[a])
                    for a in range(3))
         full[sl] = np.where(refined.data != 0, vert.label, 0)
-        mask_vol = LabelVolume(target_img.geometry, full)
-        full_masks.append(mask_vol)
-        instances.append(instance_from_mask(vert.label, full != 0,
-                                            target_img))
+        full_masks.append((vert.label, LabelVolume(target_img.geometry,
+                                                   full)))
 
-    contested = np.zeros(target_img.geometry.dims, dtype=np.int32)
-    for m in full_masks:
-        contested += (m.data != 0)
-    n_contested = int((contested >= 2).sum())
-    for vert, res in zip(manifest.vertebrae, per_vertebra.values()):
-        res.contested_before_collisions = n_contested
-
-    final = resolve_collisions(full_masks, target_img, instances,
-                               manifest.collision)
+    final = separate_labels(full_masks, target_img, manifest.collision)
 
     rows = summaries = None
     if target_lbl is not None:
-        rows = []
-        for vert in manifest.vertebrae:
-            gt = target_lbl.data == vert.label
-            seg = final.data == vert.label
-            vol_cm3, den = volume_and_density(seg, target_img)
-            rows.append(EvalRow(
-                case_id=manifest.target_case_id,
-                vertebra_id=vert.vertebra_id,
-                tags=dict(vert.tags),
-                volume_cm3=vol_cm3,
-                density_hu=den,
-                dice_pct=dice(gt, seg),
-                asd_mm=asd(gt, seg, target_img.geometry),
-            ))
+        rows = evaluate_labels(
+            target_lbl, final, target_img,
+            [(v.vertebra_id, v.label, v.tags) for v in manifest.vertebrae],
+            manifest.target_case_id)
         summaries = report(rows, manifest.group_by)
 
     return PipelineRun(final_labels=final, per_vertebra=per_vertebra,

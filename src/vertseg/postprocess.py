@@ -1,6 +1,9 @@
 """Morphological label correction: island removal and hole closing,
 collision resolution between vertebrae by a linear score, and level-set
 boundary refinement driven by the intensity Laplacian.
+
+`refine_labels` and `separate_labels` chain these steps; `vertseg
+refine` and the pipeline both post-process through them.
 """
 
 from dataclasses import dataclass
@@ -199,3 +202,27 @@ def levelset_refine(mask, intensity, iters=10, step=0.25,
     refined = phi < 0.0
     out = np.where(band, refined, m).astype(np.int32)
     return LabelVolume(geom, out) if geom is not None else out
+
+
+def refine_labels(lbl, intensity, min_island_voxels=50, iters=10,
+                  step=0.25):
+    """Clean up a label volume, then refine each label's binary mask by
+    the level set. Returns {label: refined 0/1 LabelVolume}, in label
+    order; a label that cleanup removes entirely is absent."""
+    cleaned = morph_cleanup(lbl, min_island_voxels)
+    return {lv: levelset_refine(
+                LabelVolume(cleaned.geometry,
+                            (cleaned.data == lv).astype(np.int32)),
+                intensity, iters=iters, step=step)
+            for lv in cleaned.labels()}
+
+
+def separate_labels(masks, intensity, policy=None):
+    """One label volume from (label, mask) pairs on the intensity grid:
+    each label becomes an instance (centroid, mean intensity) and voxels
+    claimed by several masks go to the best-scoring instance."""
+    masks = list(masks)
+    instances = [instance_from_mask(lv, m.data != 0, intensity)
+                 for lv, m in masks]
+    return resolve_collisions([m for _, m in masks], intensity, instances,
+                              policy)

@@ -7,6 +7,7 @@ by gradient ascent with monotone step acceptance. Deterministic: no
 randomness, fixed reduction order.
 """
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -14,8 +15,8 @@ import numpy as np
 
 from .similarity import IntensityWindow, NmiObjective
 from .transform import (AffineTransform, ComposedTransform, FFDTransform,
-                        affine_apply, bending_energy, lattice_covering,
-                        refine_ffd)
+                        affine_apply, bending_energy, compose_apply,
+                        lattice_covering, refine_ffd)
 from .volume import GridGeometry, downsample, resample
 
 log = logging.getLogger(__name__)
@@ -82,6 +83,42 @@ def _intensity_centroid(vol):
     return np.array(vol.geometry.origin) + com * np.array(vol.geometry.spacing)
 
 
+def _ascend(x, current, direction, evaluate, new_direction, step, max_step,
+            cfg, accepted=None):
+    """Monotone line-search ascent from x; returns (x, current).
+
+    evaluate(x) gives a tuple led by the objective (ValueError: -inf) and
+    current = evaluate(x). Each iteration halves step from its last value
+    until x + step * direction improves, then grows it 1.5x up to
+    max_step and reports accepted(iteration, result). It stops on a None
+    direction, no improving step, a gain below cfg.objective_tolerance or
+    cfg.max_iters_per_level iterations, and asks new_direction(x) only
+    when another iteration will run."""
+    for it in range(1, cfg.max_iters_per_level + 1):
+        if direction is None:
+            break
+        while step >= cfg.step_tolerance:
+            cand = x + step * direction
+            try:
+                result = evaluate(cand)
+            except ValueError:
+                result = (-np.inf,)
+            if result[0] > current[0]:
+                break
+            step *= 0.5
+        else:
+            break
+        gain = result[0] - current[0]
+        x, current = cand, result
+        step = min(step * 1.5, max_step)
+        if accepted is not None:
+            accepted(it, result)
+        if gain < cfg.objective_tolerance or it == cfg.max_iters_per_level:
+            break
+        direction = new_direction(x)
+    return x, current
+
+
 def register_affine(target, floating, cfg=None):
     """Estimate the 12-parameter affine maximizing NMI, coarse to fine.
 
@@ -99,9 +136,13 @@ def register_affine(target, floating, cfg=None):
     center = corners.mean(axis=0)
     radius = max(float(np.abs(corners - center).max()), 1.0)
 
-    matrix = np.eye(3)
-    # translation in the centered parameterization, seeded by centroids
-    shift = _intensity_centroid(floating) - _intensity_centroid(target)
+    def affine_of(x):  # x = (matrix row-major, centered translation)
+        m = x[:9].reshape(3, 3)
+        return AffineTransform(m, center - m @ center + x[9:])
+
+    # identity matrix, translation seeded by the intensity centroids
+    x = np.concatenate([np.eye(3).ravel(), _intensity_centroid(floating)
+                        - _intensity_centroid(target)])
 
     tgt_pyr = _pyramid(target, cfg.pyramid_levels)
     flt_pyr = _pyramid(floating, cfg.pyramid_levels)
@@ -111,55 +152,33 @@ def register_affine(target, floating, cfg=None):
         obj = NmiObjective(tgt, flt, cfg.window, max_points=cap)
         pts_c = obj.points - center
 
-        def make_affine(m, t):
-            return AffineTransform(m, center - m @ center + t)
+        def value(x):
+            return (obj.value(ComposedTransform(affine_of(x), None)),)
 
-        def value(m, t):
-            return obj.value(ComposedTransform(make_affine(m, t), None))
+        def direction(x, translation_only):
+            _, pg, _ = obj.value_and_point_gradient(
+                ComposedTransform(affine_of(x), None))
+            g_t = pg.sum(axis=0)
+            g_m = np.zeros((3, 3)) if translation_only else pg.T @ pts_c
+            # scale the matrix block so the update norm is point motion
+            # in mm
+            norm = np.linalg.norm(np.concatenate([(g_m * radius).ravel(),
+                                                  g_t]))
+            if norm < 1e-15:
+                return None
+            return np.concatenate([g_m.ravel(), g_t]) / norm
 
-        current = value(matrix, shift)
-        for phase in ("translation", "full"):
-            step = 2.0 * max(tgt.geometry.spacing)
-            for it in range(cfg.max_iters_per_level):
-                _, pg, _, _ = obj.value_and_point_gradient(
-                    ComposedTransform(make_affine(matrix, shift), None))
-                g_t = pg.sum(axis=0)
-                if phase == "translation":
-                    g_m = np.zeros((3, 3))
-                else:
-                    g_m = pg.T @ pts_c
-                # scale the matrix block so the update norm is point
-                # motion in mm
-                g_scaled = np.concatenate([(g_m * radius).ravel(), g_t])
-                norm = np.linalg.norm(g_scaled)
-                if norm < 1e-15:
-                    break
-                d_m = g_m / norm
-                d_t = g_t / norm
-                improved = False
-                while step >= cfg.step_tolerance:
-                    cand_m = matrix + step * d_m
-                    cand_t = shift + step * d_t
-                    try:
-                        cand_val = value(cand_m, cand_t)
-                    except ValueError:
-                        cand_val = -np.inf
-                    if cand_val > current:
-                        gain = cand_val - current
-                        matrix, shift, current = cand_m, cand_t, cand_val
-                        step = min(step * 1.5,
-                                   4.0 * max(tgt.geometry.spacing))
-                        improved = True
-                        if gain < cfg.objective_tolerance:
-                            improved = False
-                        break
-                    step *= 0.5
-                if not improved:
-                    break
-        log.debug("affine level %d: NMI=%.5f", level, current)
+        current = value(x)
+        for translation_only in (True, False):
+            phase = functools.partial(direction,
+                                      translation_only=translation_only)
+            x, current = _ascend(x, current, phase(x), value, phase,
+                                 step=2.0 * max(tgt.geometry.spacing),
+                                 max_step=4.0 * max(tgt.geometry.spacing),
+                                 cfg=cfg)
+        log.debug("affine level %d: NMI=%.5f", level, current[0])
 
-    translation = center - matrix @ center + shift
-    return AffineTransform(matrix, translation)
+    return affine_of(x)
 
 
 def _penalty_grid(affine, target_geom, pad_mm, min_spacing_mm=0.0):
@@ -200,7 +219,6 @@ def register_ffd(target, floating, affine, cfg=None):
     ffd = FFDTransform.zeros(lattice_covering(dom_lo, dom_hi, coarse_spacing))
 
     trace = []
-    final_c = None
     for level, (tgt, flt) in enumerate(zip(tgt_pyr, flt_pyr)):
         if level > 0:
             ffd = refine_ffd(ffd)
@@ -210,63 +228,42 @@ def register_ffd(target, floating, affine, cfg=None):
             affine, tgt.geometry, 0.0,
             min_spacing_mm=min(ffd.control_geom.spacing) / 4.0)
 
-        def evaluate(f, with_gradient):
-            comp = ComposedTransform(affine, f)
-            if with_gradient:
-                nmi_val, g_nmi = obj.value_and_ffd_gradient(comp)
-                p_val, g_p = bending_energy(f, pen_geom, with_gradient=True)
-                c = (1.0 - alpha) * nmi_val - alpha * p_val
-                return c, nmi_val, p_val, (1.0 - alpha) * g_nmi - alpha * g_p
-            nmi_val = obj.value(comp)
+        def evaluate(coef):
+            f = FFDTransform(ffd.control_geom, coef)
+            nmi_val = obj.value(ComposedTransform(affine, f))
             p_val, _ = bending_energy(f, pen_geom, with_gradient=False)
-            return (1.0 - alpha) * nmi_val - alpha * p_val, nmi_val, p_val, None
+            return (1.0 - alpha) * nmi_val - alpha * p_val, nmi_val, p_val
 
-        current, nmi_val, p_val, grad = evaluate(ffd, True)
-        trace.append((0, level, current, nmi_val, p_val))
-        step = 1.0 * max(tgt.geometry.spacing)
-        for it in range(1, cfg.max_iters_per_level + 1):
+        def evaluate_with_direction(coef):
+            f = FFDTransform(ffd.control_geom, coef)
+            nmi_val, g_nmi = obj.value_and_ffd_gradient(
+                ComposedTransform(affine, f))
+            p_val, g_p = bending_energy(f, pen_geom, with_gradient=True)
+            c = (1.0 - alpha) * nmi_val - alpha * p_val
+            grad = (1.0 - alpha) * g_nmi - alpha * g_p
             gnorm = np.abs(grad).max()
-            if gnorm < 1e-15:
-                break
-            direction = grad / gnorm  # max control-point motion = step mm
-            improved = False
-            while step >= cfg.step_tolerance:
-                cand = FFDTransform(ffd.control_geom,
-                                    ffd.coefficients + step * direction)
-                try:
-                    cand_c, cand_nmi, cand_p, _ = evaluate(cand, False)
-                except ValueError:
-                    cand_c = -np.inf
-                if cand_c > current:
-                    gain = cand_c - current
-                    ffd = cand
-                    current, nmi_val, p_val = cand_c, cand_nmi, cand_p
-                    trace.append((it, level, current, nmi_val, p_val))
-                    step = min(step * 1.5, 2.0 * max(tgt.geometry.spacing))
-                    improved = True
-                    if gain >= cfg.objective_tolerance:
-                        _, _, _, grad = evaluate(ffd, True)
-                    else:
-                        improved = False
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        final_c = current
+            # max control-point motion = step mm
+            return (c, nmi_val, p_val), (None if gnorm < 1e-15
+                                         else grad / gnorm)
+
+        start, direction = evaluate_with_direction(ffd.coefficients)
+        trace.append((0, level) + start)
+        coef, (current, nmi_val, p_val) = _ascend(
+            ffd.coefficients, start, direction, evaluate,
+            lambda coef: evaluate_with_direction(coef)[1],
+            step=1.0 * max(tgt.geometry.spacing),
+            max_step=2.0 * max(tgt.geometry.spacing), cfg=cfg,
+            accepted=lambda it, result: trace.append((it, level) + result))
+        ffd = FFDTransform(ffd.control_geom, coef)
         log.debug("ffd level %d: C=%.6f NMI=%.5f P=%.6f", level,
                   current, nmi_val, p_val)
 
-    return RegistrationResult(ComposedTransform(affine, ffd), final_c, trace)
+    return RegistrationResult(ComposedTransform(affine, ffd), current, trace)
 
 
 def warp_atlas(atlas_img, atlas_lbl, comp, target_geom):
     """Pull atlas image (trilinear) and labels (nearest) onto the target
     grid through the composed transform."""
-    from .transform import compose_apply
-
-    def total(pts):
-        return compose_apply(comp, pts)
-
-    warped_img = resample(atlas_img, target_geom, total)
-    warped_lbl = resample(atlas_lbl, target_geom, total)
-    return warped_img, warped_lbl
+    total = functools.partial(compose_apply, comp)
+    return (resample(atlas_img, target_geom, total),
+            resample(atlas_lbl, target_geom, total))

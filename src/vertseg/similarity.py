@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .bspline import bspline3, bspline3_d1, support_weights
-from .transform import affine_apply, ffd_displace
-from .volume import BoundingBox
+from .bspline import support_weights
+from .transform import ComposedTransform, affine_apply, ffd_displace
 
 
 @dataclass(frozen=True)
@@ -89,14 +88,21 @@ def joint_histogram(img1, img2, window=IntensityWindow(), mask=None,
         b = np.round(window.bin_coord(v2)).astype(np.int64)
         counts = np.bincount(a * nb + b, minlength=nb * nb).astype(np.float64)
     else:
-        c2 = window.bin_coord(v2)
-        i0, w = support_weights(c2)
-        counts = np.zeros(nb * nb)
-        for o in range(4):
-            b = np.clip(i0 + o, 0, nb - 1)
-            counts += np.bincount(a * nb + b, weights=w[:, o],
-                                  minlength=nb * nb)
+        counts, _ = _parzen_counts(a, window.bin_coord(v2), nb)
     return JointHistogram(counts.reshape(nb, nb))
+
+
+def _parzen_counts(a, c2, nb):
+    """Flat joint counts of target bins a and floating bin coordinates c2,
+    each spread by the cubic B-spline over its 4 (edge-clamped) floating
+    bins, and those bins, (V, 4)."""
+    i0, w = support_weights(c2)
+    bcols = np.clip(i0[:, None] + np.arange(4), 0, nb - 1)
+    counts = np.zeros(nb * nb)
+    for o in range(4):
+        counts += np.bincount(a * nb + bcols[:, o], weights=w[:, o],
+                              minlength=nb * nb)
+    return counts, bcols
 
 
 def entropies(hist):
@@ -259,25 +265,15 @@ class NmiObjective:
         # all warped points contribute (clamped sampling keeps the value
         # continuous as points cross the floating-image boundary), but the
         # overlap must not vanish entirely
-        inb = self.spline.inside(y)
-        if not np.any(inb):
+        if not np.any(self.spline.inside(y)):
             raise ValueError("no warped sample falls inside the floating image")
         v, g = self.spline.sample(y, with_gradient=need_gradient)
         w = self.window
         raw = (v - w.lo) * w.scale
         clipped = (raw <= 0.0) | (raw >= w.bins - 1)
         c2 = np.clip(raw, 0.0, w.bins - 1)
-        a = self.bin1
-        i0, wk = support_weights(c2)
-        counts = np.zeros(w.bins * w.bins)
-        bcols = np.empty((c2.size, 4), dtype=np.int64)
-        for o in range(4):
-            b = np.clip(i0 + o, 0, w.bins - 1)
-            bcols[:, o] = b
-            counts += np.bincount(a * w.bins + b, weights=wk[:, o],
-                                  minlength=counts.size)
-        return inb, v, g, c2, clipped, a, i0, bcols, \
-            counts.reshape(w.bins, w.bins)
+        counts, bcols = _parzen_counts(self.bin1, c2, w.bins)
+        return g, c2, clipped, bcols, counts.reshape(w.bins, w.bins)
 
     def value(self, comp):
         _, y = self._warp(comp)
@@ -285,15 +281,15 @@ class NmiObjective:
         return nmi_of_histogram(JointHistogram(counts))
 
     def value_and_point_gradient(self, comp):
-        """NMI and its derivative with respect to each warped point (mm)."""
+        """NMI, its derivative with respect to each warped point (mm), and
+        the affinely mapped points."""
         z, y = self._warp(comp)
-        inb, v, g, c2, clipped, a, i0, bcols, counts = \
-            self._histogram_terms(y)
+        g, c2, clipped, bcols, counts = self._histogram_terms(y)
         hist = JointHistogram(counts)
         n = hist.total
         h1v, h2v, h12v = entropies(hist)
         if h12v == 0.0:
-            return 2.0, np.zeros_like(self.points), z, inb
+            return 2.0, np.zeros_like(self.points), z
         nmi_val = (h1v + h2v) / h12v
 
         p1 = hist.marginal_target() / n
@@ -310,15 +306,15 @@ class NmiObjective:
         _, dwk = support_weights(c2, deriv=1)
         dnmi_dc2 = np.zeros(c2.size)
         for o in range(4):
-            dnmi_dc2 += dnmi_dh[a, bcols[:, o]] * (-dwk[:, o])
+            dnmi_dc2 += dnmi_dh[self.bin1, bcols[:, o]] * (-dwk[:, o])
         dnmi_dc2[clipped] = 0.0
 
         point_grad = (dnmi_dc2 * self.window.scale)[:, None] * g
-        return nmi_val, point_grad, z, inb
+        return nmi_val, point_grad, z
 
     def value_and_ffd_gradient(self, comp):
         """NMI and its analytic gradient over the FFD coefficients."""
-        nmi_val, point_grad, z, _ = self.value_and_point_gradient(comp)
+        nmi_val, point_grad, z = self.value_and_point_gradient(comp)
         ffd = comp.ffd
         nx, ny, nz = ffd.control_geom.dims
         u = ffd.control_geom.world_to_voxel(z)
@@ -345,9 +341,8 @@ class NmiObjective:
 
     def value_and_affine_gradient(self, affine):
         """NMI and its gradient over the 12 affine parameters."""
-        from .transform import ComposedTransform
         comp = ComposedTransform(affine, None)
-        nmi_val, point_grad, _, _ = self.value_and_point_gradient(comp)
+        nmi_val, point_grad, _ = self.value_and_point_gradient(comp)
         grad_matrix = point_grad.T @ self.points
         grad_translation = point_grad.sum(axis=0)
         return nmi_val, grad_matrix, grad_translation

@@ -4,7 +4,7 @@ Geometry is axis-aligned: world = origin + index * spacing. Arrays are
 indexed (i, j, k) matching world axes (x, y, z).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage

@@ -9,9 +9,9 @@ a double loop.
 import numpy as np
 import pytest
 
-from vertseg.metrics import (EvalRow, asd, dice, render_report_csv,
-                             render_report_text, report, surface_voxels,
-                             volume_and_density)
+from vertseg.metrics import (EvalRow, asd, dice, evaluate_labels,
+                             render_report_csv, render_report_text, report,
+                             surface_voxels, volume_and_density)
 from vertseg.volume import GridGeometry, LabelVolume, ScalarVolume
 
 
@@ -208,3 +208,46 @@ def test_render_csv_and_text():
     txt = render_report_text(summary)
     assert "normal" in txt and "fractured" in txt
     assert "92.00 (2.83)" in txt
+
+
+def _two_label_case():
+    g = _geom((6, 6, 6), spacing=(1.0, 1.0, 2.0))
+    gt = np.zeros((6, 6, 6), dtype=np.int32)
+    gt[1:3, 1:3, 1:3] = 1
+    gt[3:5, 3:5, 3:5] = 2
+    seg = np.where(gt == 2, 0, gt)  # label 2 missing from the segmentation
+    intensity = ScalarVolume(g, np.full((6, 6, 6), 150.0))
+    return LabelVolume(g, gt), LabelVolume(g, seg), intensity
+
+
+def test_evaluate_labels_empty_segmentation_label():
+    gt, seg, intensity = _two_label_case()
+    (row,) = evaluate_labels(gt, seg, intensity, [("L2", 2, {"s": "x"})],
+                             "c0")
+    assert row.case_id == "c0" and row.vertebra_id == "L2"
+    assert row.tags == {"s": "x"}
+    assert row.dice_pct == 0.0
+    assert row.volume_cm3 == 0.0 and row.density_hu == 0.0
+    assert np.isnan(row.asd_mm)
+
+
+def test_evaluate_labels_rows_follow_request_order():
+    gt, seg, intensity = _two_label_case()
+    rows = evaluate_labels(gt, seg, intensity,
+                           [("L2", 2, {}), ("L1", 1, {}), ("L9", 9, {})],
+                           "c0", symmetric=True)
+    assert [r.vertebra_id for r in rows] == ["L2", "L1", "L9"]
+    l1 = rows[1]
+    assert l1.dice_pct == 100.0 and l1.asd_mm == 0.0
+    assert l1.volume_cm3 == pytest.approx(8 * 2.0 / 1000.0)
+    assert l1.density_hu == pytest.approx(150.0)
+    # a label in neither volume: Dice of two empty masks, no surface
+    assert rows[2].dice_pct == 100.0 and np.isnan(rows[2].asd_mm)
+
+
+def test_evaluate_labels_without_intensity():
+    gt, seg, _ = _two_label_case()
+    (row,) = evaluate_labels(gt, seg, None, [(1, 1, {})], "c0")
+    assert row.vertebra_id == "1"
+    assert row.volume_cm3 == 0.0 and row.density_hu == 0.0
+    assert row.dice_pct == 100.0

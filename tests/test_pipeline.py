@@ -9,10 +9,11 @@ import pytest
 
 from vertseg import nifti
 from vertseg.cli import main
+from vertseg.fusion import FusionOutput
 from vertseg.phantom import PhantomSpec, deform_phantom, make_phantom
 from vertseg.pipeline import (AtlasEntry, VertebraEntry, _bundle_ids,
                               _eligible_atlases, load_manifest, run_pipeline)
-from vertseg.volume import BoundingBox
+from vertseg.volume import BoundingBox, LabelVolume
 
 SMALL = dict(dims=(48, 48, 72), spacing=(0.8, 0.8, 1.0),
              body_radii_mm=(7.0, 5.0, 7.0), n_vertebrae=3)
@@ -162,6 +163,24 @@ def test_run_pipeline_end_to_end(tmp_path):
     assert len(res.transforms) == 2
     assert res.fusion_probability.shape == res.crop_geometry.dims
     assert set(np.unique(res.refined_mask.data)).issubset({0, 1})
+
+
+def test_run_pipeline_names_stage_and_vertebra_on_empty_fusion(
+        tmp_path, monkeypatch):
+    reg = dict(FAST_REG, pyramid_levels=1, max_iters_per_level=1,
+               max_sample_voxels=2000)
+    path, _ = _write_manifest(tmp_path, n_atlases=1,
+                              extra={"registration": reg})
+
+    def empty_fuse(target, atlases, cfg):
+        dims = target.geometry.dims
+        return FusionOutput(
+            LabelVolume(target.geometry, np.zeros(dims, dtype=np.int32)),
+            np.zeros(dims))
+
+    monkeypatch.setattr("vertseg.pipeline.fuse", empty_fuse)
+    with pytest.raises(RuntimeError, match=r"\[postprocess\] vertebra V1"):
+        run_pipeline(load_manifest(path))
 
 
 # ------------------------------------------------------------------ CLI

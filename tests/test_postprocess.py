@@ -7,7 +7,8 @@ from scipy import ndimage
 from vertseg.metrics import dice
 from vertseg.postprocess import (CollisionPolicy, VertebraInstance,
                                  instance_from_mask, levelset_refine,
-                                 morph_cleanup, resolve_collisions)
+                                 morph_cleanup, refine_labels,
+                                 resolve_collisions, separate_labels)
 from vertseg.volume import GridGeometry, LabelVolume, ScalarVolume
 
 
@@ -175,3 +176,38 @@ def test_levelset_improves_offset_cylinder():
                           intensity, iters=10)
     after = dice(truth.astype(int), out.data)
     assert after > before
+
+
+def test_refine_and_separate_labels_chain_the_steps():
+    data = np.zeros((14, 12, 12), dtype=np.int32)
+    data[2:7, 2:10, 2:10] = 1
+    data[7:12, 2:10, 2:10] = 2
+    data[0, 11, 11] = 2  # island of label 2: dropped by cleanup
+    data[13, 0, 0] = 3  # label 3 below the minimum size: gone entirely
+    lbl = _lbl(data)
+    rng = np.random.default_rng(5)
+    intensity = ScalarVolume(lbl.geometry, ndimage.gaussian_filter(
+        np.where(data > 0, 100.0 * data, 0.0)
+        + rng.normal(0.0, 5.0, data.shape), 1.0))
+
+    masks = refine_labels(lbl, intensity, min_island_voxels=5, iters=3)
+    assert list(masks) == [1, 2]
+    cleaned = morph_cleanup(lbl, 5)
+    for lv, mask in masks.items():
+        expect = levelset_refine(
+            LabelVolume(lbl.geometry, (cleaned.data == lv).astype(np.int32)),
+            intensity, iters=3)
+        assert np.array_equal(mask.data, expect.data)
+
+    final = separate_labels(masks.items(), intensity)
+    instances = [instance_from_mask(lv, m.data != 0, intensity)
+                 for lv, m in masks.items()]
+    expect = resolve_collisions(list(masks.values()), intensity, instances)
+    assert np.array_equal(final.data, expect.data)
+
+
+def test_separate_labels_rejects_empty_mask():
+    empty = _lbl(np.zeros((4, 4, 4), dtype=np.int32))
+    intensity = ScalarVolume(empty.geometry, np.ones((4, 4, 4)))
+    with pytest.raises(ValueError, match="label 7"):
+        separate_labels([(7, empty)], intensity)
