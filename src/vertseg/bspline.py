@@ -6,6 +6,10 @@ coordinate are combined across axes over a 4-point support.
 
 import numpy as np
 
+# points per block in the per-point kernels (FFD basis rows, spline image
+# sampling): bounds their (block, 4, 4, 4) temporaries to a few MB
+BLOCK_POINTS = 8192
+
 
 def bspline3(t):
     """Cubic B-spline kernel value at offset t (support |t| < 2)."""

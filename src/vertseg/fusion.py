@@ -89,23 +89,29 @@ def _searched_errors(target_data, atlas_images, cfg):
 
     The search picks, per voxel, the integer shift minimizing the local
     SSD within the patch window; the error map is then taken against the
-    shifted atlas values. Patch products are still accumulated with a
-    single box filter afterwards, so the offset is treated as locally
-    constant within a patch.
+    shifted atlas values. Shifts read the atlas edge-clamped: a shift
+    past a face repeats the face voxel and never wraps to the opposite
+    face. Patch products are still accumulated with a single box filter
+    afterwards, so the offset is treated as locally constant within a
+    patch.
     """
     size = 2 * cfg.patch_radius + 1
+    nx, ny, nz = target_data.shape
     errs = []
     for img in atlas_images:
         if cfg.search_radius == 0:
             errs.append(np.abs(target_data - img))
             continue
         r = cfg.search_radius
+        padded = np.pad(img, r, mode="edge")
         best_ssd = None
         best_err = None
         for dx in range(-r, r + 1):
             for dy in range(-r, r + 1):
                 for dz in range(-r, r + 1):
-                    shifted = np.roll(img, (dx, dy, dz), axis=(0, 1, 2))
+                    # shifted[x] = img[clamp(x - d)], as a view
+                    shifted = padded[r - dx:r - dx + nx, r - dy:r - dy + ny,
+                                     r - dz:r - dz + nz]
                     diff = target_data - shifted
                     ssd = ndimage.uniform_filter(diff * diff, size=size,
                                                  mode="constant")

@@ -29,8 +29,8 @@ _DTYPE_CODES = {np.dtype(np.uint8): 2, np.dtype(np.int16): 4,
 
 
 def _open_read(path):
-    path = str(path)
-    raw = open(path, "rb").read()
+    with open(path, "rb") as f:
+        raw = f.read()
     if raw[:2] == b"\x1f\x8b":
         raw = gzip.decompress(raw)
     return raw
@@ -49,6 +49,8 @@ def read_volume(path, kind="scalar"):
     if ndim < 3 or any(d > 1 for d in dim[4:4 + max(0, ndim - 3)]):
         raise ValueError(f"{path}: only 3D volumes are supported")
     dims = (dim[1], dim[2], dim[3])
+    if any(d < 1 for d in dims):
+        raise ValueError(f"{path}: dims must be >= 1, got {dims}")
     datatype, bitpix = struct.unpack_from("<2h", raw, 70)
     if datatype not in _DTYPES:
         raise ValueError(f"{path}: unsupported datatype code {datatype}")
@@ -77,10 +79,22 @@ def read_volume(path, kind="scalar"):
             raise ValueError(f"{path}: non-axis-aligned orientation rejected")
         origin = tuple(float(v) for v in quat[3:6])
 
+    # a single-file NIfTI-1 keeps its image after the 348-byte header and
+    # the 4-byte extension flag (NaN fails this test too)
+    if not HDR_SIZE + 4 <= vox_offset <= len(raw):
+        raise ValueError(f"{path}: vox_offset {vox_offset} outside "
+                         f"[{HDR_SIZE + 4}, {len(raw)}]: the image must "
+                         f"start after the header and inside the file")
+    offset = int(vox_offset)
     dt = np.dtype(_DTYPES[datatype]).newbyteorder("<")
     count = dims[0] * dims[1] * dims[2]
+    if len(raw) - offset < count * dt.itemsize:
+        raise ValueError(
+            f"{path}: image data truncated: {max(len(raw) - offset, 0)} "
+            f"bytes after vox_offset {offset}, {count * dt.itemsize} needed "
+            f"for {dims} voxels of {dt.name}")
     data = np.frombuffer(raw, dtype=dt, count=count,
-                         offset=int(vox_offset)).astype(np.float64)
+                         offset=offset).astype(np.float64)
     if scl_slope not in (0.0, 1.0) or scl_inter != 0.0:
         slope = scl_slope if scl_slope != 0.0 else 1.0
         data = data * slope + scl_inter

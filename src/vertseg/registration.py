@@ -15,8 +15,8 @@ import numpy as np
 
 from .similarity import IntensityWindow, NmiObjective
 from .transform import (AffineTransform, ComposedTransform, FFDTransform,
-                        affine_apply, bending_energy, compose_apply,
-                        lattice_covering, refine_ffd)
+                        affine_apply, bending_operator, compose_apply,
+                        ffd_basis, lattice_covering, refine_ffd)
 from .volume import GridGeometry, downsample, resample
 
 log = logging.getLogger(__name__)
@@ -206,7 +206,6 @@ def register_ffd(target, floating, affine, cfg=None):
     cfg = cfg or RegistrationConfig()
     _check_nonconstant(target, "target")
     _check_nonconstant(floating, "floating")
-    alpha = cfg.alpha
 
     tgt_pyr = _pyramid(target, cfg.pyramid_levels)
     flt_pyr = _pyramid(floating, cfg.pyramid_levels)
@@ -227,38 +226,56 @@ def register_ffd(target, floating, affine, cfg=None):
         pen_geom, _, _ = _penalty_grid(
             affine, tgt.geometry, 0.0,
             min_spacing_mm=min(ffd.control_geom.spacing) / 4.0)
-
-        def evaluate(coef):
-            f = FFDTransform(ffd.control_geom, coef)
-            nmi_val = obj.value(ComposedTransform(affine, f))
-            p_val, _ = bending_energy(f, pen_geom, with_gradient=False)
-            return (1.0 - alpha) * nmi_val - alpha * p_val, nmi_val, p_val
-
-        def evaluate_with_direction(coef):
-            f = FFDTransform(ffd.control_geom, coef)
-            nmi_val, g_nmi = obj.value_and_ffd_gradient(
-                ComposedTransform(affine, f))
-            p_val, g_p = bending_energy(f, pen_geom, with_gradient=True)
-            c = (1.0 - alpha) * nmi_val - alpha * p_val
-            grad = (1.0 - alpha) * g_nmi - alpha * g_p
-            gnorm = np.abs(grad).max()
-            # max control-point motion = step mm
-            return (c, nmi_val, p_val), (None if gnorm < 1e-15
-                                         else grad / gnorm)
-
-        start, direction = evaluate_with_direction(ffd.coefficients)
-        trace.append((0, level) + start)
-        coef, (current, nmi_val, p_val) = _ascend(
-            ffd.coefficients, start, direction, evaluate,
-            lambda coef: evaluate_with_direction(coef)[1],
+        coef, (current, nmi_val, p_val) = _ffd_level(
+            obj, affine, ffd, pen_geom, cfg,
             step=1.0 * max(tgt.geometry.spacing),
-            max_step=2.0 * max(tgt.geometry.spacing), cfg=cfg,
-            accepted=lambda it, result: trace.append((it, level) + result))
+            record=lambda it, result: trace.append((it, level) + result))
         ffd = FFDTransform(ffd.control_geom, coef)
         log.debug("ffd level %d: C=%.6f NMI=%.5f P=%.6f", level,
                   current, nmi_val, p_val)
 
     return RegistrationResult(ComposedTransform(affine, ffd), current, trace)
+
+
+def _ffd_level(obj, affine, ffd, pen_geom, cfg, step, record):
+    """Ascend (1-alpha)*NMI - alpha*P over ffd's coefficients on one
+    pyramid level; returns (coefficients, (C, NMI, P)) and passes the
+    start (iteration 0) and every accepted step to record.
+
+    The affinely mapped samples z are fixed within a level, so the FFD
+    is the linear map y = z + W c and the penalty the quadratic form
+    P = sum_d c_d^T Q c_d: both operators are built once here, and freed
+    on return, before the next level builds its own.
+    """
+    alpha = cfg.alpha
+    z = affine_apply(affine, obj.points)
+    basis = ffd_basis(ffd.control_geom, z)
+    bend = bending_operator(ffd.control_geom, pen_geom)
+
+    def evaluate(coef):
+        c = coef.reshape(-1, 3)
+        nmi_val = obj.value_at(z + basis @ c)
+        p_val = float(np.sum(c * (bend @ c)))
+        return (1.0 - alpha) * nmi_val - alpha * p_val, nmi_val, p_val
+
+    def evaluate_with_direction(coef):
+        c = coef.reshape(-1, 3)
+        nmi_val, point_grad = obj.point_gradient_at(z + basis @ c)
+        qc = bend @ c
+        p_val = float(np.sum(c * qc))
+        grad = ((1.0 - alpha) * (basis.T @ point_grad)
+                - alpha * (2.0 * qc)).reshape(coef.shape)
+        c_val = (1.0 - alpha) * nmi_val - alpha * p_val
+        gnorm = np.abs(grad).max()
+        # max control-point motion = step mm
+        return (c_val, nmi_val, p_val), (None if gnorm < 1e-15
+                                         else grad / gnorm)
+
+    start, direction = evaluate_with_direction(ffd.coefficients)
+    record(0, start)
+    return _ascend(ffd.coefficients, start, direction, evaluate,
+                   lambda coef: evaluate_with_direction(coef)[1],
+                   step=step, max_step=2.0 * step, cfg=cfg, accepted=record)
 
 
 def warp_atlas(atlas_img, atlas_lbl, comp, target_geom):

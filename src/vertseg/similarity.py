@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .bspline import support_weights
-from .transform import ComposedTransform, affine_apply, ffd_displace
+from .bspline import BLOCK_POINTS, support_weights
+from .transform import (ComposedTransform, affine_apply, ffd_basis,
+                        ffd_displace)
 
 
 @dataclass(frozen=True)
@@ -185,6 +186,19 @@ class SplineImage:
             val = ndimage.map_coordinates(self.coef, u.T, order=3,
                                           prefilter=False, mode="mirror")
             return val, None
+        # BLOCK_POINTS at a time: each point's (4, 4, 4) coefficient
+        # neighborhood is gathered, so the temporaries grow with the block
+        val = np.empty(u.shape[0])
+        grad = np.empty(u.shape)
+        for start in range(0, u.shape[0], BLOCK_POINTS):
+            blk = slice(start, start + BLOCK_POINTS)
+            val[blk], grad[blk] = self._value_and_gradient(u[blk])
+        grad[(u_raw < 0.0) | (u_raw > self._dims - 1.0)] = 0.0
+        return val, grad
+
+    def _value_and_gradient(self, u):
+        """Spline value and gradient (HU/mm) at in-domain voxel
+        coordinates u (V, 3)."""
         nx, ny, nz = self.geometry.dims
         w0, w1, idx_ax = [], [], []
         for a, n in zip(range(3), (nx, ny, nz)):
@@ -207,9 +221,7 @@ class SplineImage:
                        np.einsum("vij,vj->vi", cz, w1[1]), w0[0])
         gz = np.einsum("vi,vi->v", np.einsum(
             "vij,vj->vi", np.einsum("vijk,vk->vij", c, w1[2]), w0[1]), w0[0])
-        grad = np.stack([gx, gy, gz], axis=-1) / self._spacing
-        grad[(u_raw < 0.0) | (u_raw > self._dims - 1.0)] = 0.0
-        return val, grad
+        return val, np.stack([gx, gy, gz], axis=-1) / self._spacing
 
 
 def _mirror(i, n):
@@ -277,6 +289,11 @@ class NmiObjective:
 
     def value(self, comp):
         _, y = self._warp(comp)
+        return self.value_at(y)
+
+    def value_at(self, y):
+        """NMI with the floating image sampled at warped points y (V, 3),
+        one per target sample."""
         *_, counts = self._histogram_terms(y, need_gradient=False)
         return nmi_of_histogram(JointHistogram(counts))
 
@@ -284,12 +301,18 @@ class NmiObjective:
         """NMI, its derivative with respect to each warped point (mm), and
         the affinely mapped points."""
         z, y = self._warp(comp)
+        nmi_val, point_grad = self.point_gradient_at(y)
+        return nmi_val, point_grad, z
+
+    def point_gradient_at(self, y):
+        """NMI at warped points y (V, 3) and its derivative with respect
+        to each of them (mm)."""
         g, c2, clipped, bcols, counts = self._histogram_terms(y)
         hist = JointHistogram(counts)
         n = hist.total
         h1v, h2v, h12v = entropies(hist)
         if h12v == 0.0:
-            return 2.0, np.zeros_like(self.points), z
+            return 2.0, np.zeros_like(self.points)
         nmi_val = (h1v + h2v) / h12v
 
         p1 = hist.marginal_target() / n
@@ -309,35 +332,17 @@ class NmiObjective:
             dnmi_dc2 += dnmi_dh[self.bin1, bcols[:, o]] * (-dwk[:, o])
         dnmi_dc2[clipped] = 0.0
 
-        point_grad = (dnmi_dc2 * self.window.scale)[:, None] * g
-        return nmi_val, point_grad, z
+        return nmi_val, (dnmi_dc2 * self.window.scale)[:, None] * g
 
     def value_and_ffd_gradient(self, comp):
-        """NMI and its analytic gradient over the FFD coefficients."""
-        nmi_val, point_grad, z = self.value_and_point_gradient(comp)
-        ffd = comp.ffd
-        nx, ny, nz = ffd.control_geom.dims
-        u = ffd.control_geom.world_to_voxel(z)
-        grad = np.zeros((nx * ny * nz, 3))
-        i0s, ws = [], []
-        for axis, nax in zip(range(3), (nx, ny, nz)):
-            i0, w = support_weights(u[:, axis])
-            if np.any(i0 < 0) or np.any(i0 + 3 > nax - 1):
-                raise ValueError("warped point outside FFD lattice support")
-            i0s.append(i0)
-            ws.append(w)
-        for i in range(4):
-            for j in range(4):
-                wij = ws[0][:, i] * ws[1][:, j]
-                base = ((i0s[0] + i) * ny + (i0s[1] + j)) * nz + i0s[2]
-                for k in range(4):
-                    wt = wij * ws[2][:, k]
-                    idx = base + k
-                    for c in range(3):
-                        grad[:, c] += np.bincount(
-                            idx, weights=wt * point_grad[:, c],
-                            minlength=grad.shape[0])
-        return nmi_val, grad.reshape(ffd.coefficients.shape)
+        """NMI and its analytic gradient over the FFD coefficients: the
+        point gradient pulled back through the transposed FFD basis."""
+        coef = comp.ffd.coefficients
+        z = affine_apply(comp.affine, self.points)
+        basis = ffd_basis(comp.ffd.control_geom, z)
+        nmi_val, point_grad = self.point_gradient_at(
+            z + basis @ coef.reshape(-1, 3))
+        return nmi_val, (basis.T @ point_grad).reshape(coef.shape)
 
     def value_and_affine_gradient(self, affine):
         """NMI and its gradient over the 12 affine parameters."""

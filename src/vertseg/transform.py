@@ -5,15 +5,26 @@ lattice: T(x) = x + sum over the 4x4x4 neighboring control points of
 (tensor B-spline weight * coefficient). Coefficients are stored in mm.
 The smoothness penalty is the mean squared second derivative of the
 displacement field (cross terms doubled), summed over the three
-displacement components, with an analytic gradient.
+displacement components.
+
+The displacement is linear and the penalty quadratic in the
+coefficients c (flattened to (n_nodes, 3)), so each has one operator
+that depends only on the lattice and the sample points. `ffd_basis` is
+the sparse (V, n_nodes) matrix W of B-spline weights: the displacement
+is W c (forward, for warping) and W^T pulls per-point gradients back
+onto the lattice. `bending_operator` is the sparse symmetric Q with
+penalty P = sum_d c_d^T Q c_d and gradient 2 Q c. A registration level
+whose sample points stay fixed builds each once and reuses it on every
+objective evaluation.
 """
 
 import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .bspline import refine_coefficients_1d, support_weights
+from .bspline import BLOCK_POINTS, refine_coefficients_1d, support_weights
 from .volume import GridGeometry
 
 
@@ -82,21 +93,57 @@ def lattice_covering(domain_lo, domain_hi, spacing_mm):
                         origin=tuple(lo - s))
 
 
-def ffd_displace(ffd, x):
-    """Displacement (mm) of the FFD at world point(s) x (..., 3)."""
-    from scipy import ndimage
+def ffd_basis(control_geom, x):
+    """Sparse (V, n_nodes) matrix W of the lattice's tensor B-spline
+    weights at world points x (..., 3), nodes in C order.
 
+    Row v holds the 64 weights of point v's 4x4x4 support nodes, so the
+    displacement at the points is W @ coefficients.reshape(-1, 3). Memory
+    is 12 bytes per nonzero: 768 bytes per point.
+    """
+    u = control_geom.world_to_voxel(x).reshape(-1, 3)
+    ny, nz = control_geom.dims[1:]
+    # flat index of support node (i0 + i, j0 + j, k0 + k) minus that of
+    # (i0, j0, k0), for the 64 (i, j, k) in C order
+    o = np.arange(4)
+    offsets = ((o[:, None, None] * ny + o[None, :, None]) * nz
+               + o[None, None, :]).ravel().astype(np.int32)
+    n_pts = u.shape[0]
+    data = np.empty((n_pts, 16, 4))
+    indices = np.empty((n_pts, 64), dtype=np.int32)
+    for start in range(0, n_pts, BLOCK_POINTS):
+        blk = slice(start, start + BLOCK_POINTS)
+        i0s, ws = [], []
+        for a, n in enumerate(control_geom.dims):
+            i0, w = support_weights(u[blk, a])
+            if np.any(i0 < 0) or np.any(i0 + 3 > n - 1):
+                raise ValueError("point outside FFD lattice support")
+            i0s.append(i0)
+            ws.append(w)
+        base = ((i0s[0] * ny + i0s[1]) * nz + i0s[2]).astype(np.int32)
+        np.add(base[:, None], offsets, out=indices[blk])
+        wxy = (ws[0][:, :, None] * ws[1][:, None, :]).reshape(-1, 16)
+        for k in range(4):  # one z node at a time: long inner loops
+            np.multiply(wxy, ws[2][:, k, None], out=data[blk, :, k])
+    indptr = 64 * np.arange(n_pts + 1, dtype=np.int64)
+    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr),
+                             shape=(n_pts, int(np.prod(control_geom.dims))))
+
+
+def ffd_displace(ffd, x):
+    """Displacement (mm) of the FFD at world point(s) x (..., 3).
+
+    Evaluated BLOCK_POINTS points at a time, so the basis rows never take
+    more than one block's memory; each row's sum is independent of the
+    blocking."""
     x = np.asarray(x, dtype=np.float64)
-    u = ffd.control_geom.world_to_voxel(x).reshape(-1, 3)
-    for a, n in enumerate(ffd.control_geom.dims):
-        i0 = np.floor(u[:, a]) - 1
-        if np.any(i0 < 0) or np.any(i0 + 3 > n - 1):
-            raise ValueError("point outside FFD lattice support")
-    out = np.stack([
-        ndimage.map_coordinates(ffd.coefficients[..., c], u.T,
-                                order=3, prefilter=False, mode="nearest")
-        for c in range(3)], axis=-1)
-    return out.reshape(x.shape[:-1] + (3,))
+    pts = x.reshape(-1, 3)
+    coef = ffd.coefficients.reshape(-1, 3)
+    out = np.empty_like(pts)
+    for start in range(0, pts.shape[0], BLOCK_POINTS):
+        blk = slice(start, start + BLOCK_POINTS)
+        out[blk] = ffd_basis(ffd.control_geom, pts[blk]) @ coef
+    return out.reshape(x.shape)
 
 
 @dataclass
@@ -138,23 +185,24 @@ def _axis_weight_matrix(u, n, deriv):
     return mat
 
 
-def bending_energy(ffd, sample_geom, with_gradient=True):
-    """Mean squared second derivative of the displacement field.
+def bending_operator(control_geom, sample_geom):
+    """Sparse symmetric (n_nodes, n_nodes) Q of the bending energy.
 
-    Sampled at the voxel centers of sample_geom; derivatives are with
-    respect to world mm, so the value is spacing-consistent. The sample
-    grid is axis-aligned, so the tensor-product evaluation is separable.
-    Returns (P, gradient) with gradient shaped like the coefficients, or
-    (P, None) when with_gradient is False.
+    The energy is the mean, over the voxel centers of sample_geom, of the
+    squared second derivatives of the displacement (world mm, cross terms
+    doubled): P = sum_d c_d^T Q c_d over the displacement components c_d.
+    The sample grid is axis-aligned, so each derivative term is a
+    Kronecker product of 1-D Gram matrices G = W^T W of the per-axis
+    B-spline (derivative) weights, and Q is their weighted sum.
     """
-    dims = ffd.control_geom.dims
-    sp = np.array(ffd.control_geom.spacing)
+    dims = control_geom.dims
+    sp = np.array(control_geom.spacing)
     n_samples = 1
     axis_u = []
     for a in range(3):
         idx = np.arange(sample_geom.dims[a], dtype=np.float64)
         world = sample_geom.origin[a] + idx * sample_geom.spacing[a]
-        u = (world - ffd.control_geom.origin[a]) / ffd.control_geom.spacing[a]
+        u = (world - control_geom.origin[a]) / control_geom.spacing[a]
         i0 = np.floor(u) - 1
         if np.any(i0 < 0) or np.any(i0 + 3 > dims[a] - 1):
             raise ValueError("penalty sample outside lattice support")
@@ -163,25 +211,35 @@ def bending_energy(ffd, sample_geom, with_gradient=True):
     if n_samples == 0:
         raise ValueError("empty penalty sample grid")
 
-    weight = [[_axis_weight_matrix(axis_u[a], dims[a], deriv)
-               for a in range(3)] for deriv in range(3)]
+    gram = []
+    for deriv in range(3):
+        gram.append([])
+        for a in range(3):
+            w = _axis_weight_matrix(axis_u[a], dims[a], deriv)
+            gram[deriv].append(sparse.csr_matrix(w.T @ w))
 
-    value = 0.0
-    grad = np.zeros(ffd.coefficients.shape) if with_gradient else None
+    q = sparse.csr_matrix((int(np.prod(dims)),) * 2)
     for orders, lam in _DERIV_PAIRS:
-        wa = weight[orders[0]][0]
-        wb = weight[orders[1]][1]
-        wc = weight[orders[2]][2]
         axes = _axes_of(orders)
         scale = 1.0 / (sp[axes[0]] * sp[axes[1]])
-        f = scale * np.einsum("ai,bj,ck,ijkd->abcd", wa, wb, wc,
-                              ffd.coefficients, optimize=True)
-        value += lam * float(np.sum(f * f))
-        if with_gradient:
-            grad += (2.0 * lam * scale / n_samples) * np.einsum(
-                "ai,bj,ck,abcd->ijkd", wa, wb, wc, f, optimize=True)
-    value /= n_samples
-    return value, grad
+        q = q + (lam * scale * scale / n_samples) * sparse.kron(
+            gram[orders[0]][0],
+            sparse.kron(gram[orders[1]][1], gram[orders[2]][2]),
+            format="csr")
+    return q
+
+
+def bending_energy(ffd, sample_geom, with_gradient=True):
+    """Bending energy P of the FFD on the voxel centers of sample_geom
+    (see bending_operator). Returns (P, gradient) with gradient shaped
+    like the coefficients, or (P, None) when with_gradient is False.
+    """
+    c = ffd.coefficients.reshape(-1, 3)
+    qc = bending_operator(ffd.control_geom, sample_geom) @ c
+    value = float(np.sum(c * qc))
+    if not with_gradient:
+        return value, None
+    return value, (2.0 * qc).reshape(ffd.coefficients.shape)
 
 
 def _axes_of(orders):

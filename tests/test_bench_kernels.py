@@ -1,0 +1,30 @@
+"""Smoke test of the kernel benchmark script at a tiny size."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+KERNELS = {"ffd_basis_build", "ffd_forward_Wc", "ffd_adjoint_WTp",
+           "bending_operator_build", "bending_apply_Qc",
+           "spline_sample_value", "spline_sample_gradient", "parzen_counts"}
+
+
+def test_bench_kernels_writes_medians_and_environment(tmp_path):
+    out = tmp_path / "BENCH_kernels.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "bench_kernels.py"),
+         "--points", "300", "--repeats", "2", "--out", str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert json.loads(proc.stdout.splitlines()[-1]) == record
+    assert set(record["median_s"]) == KERNELS
+    assert all(t >= 0.0 for t in record["median_s"].values())
+    assert record["sizes"]["points"] == 300
+    assert record["sizes"]["lattice_dims"] == [11, 12, 11]
+    assert record["sizes"]["basis_nnz"] == 300 * 64
+    env = record["environment"]
+    assert env["nproc"] >= 1
+    assert {"python", "numpy", "scipy"} <= set(env)

@@ -5,11 +5,14 @@ patch loops and solves the weight system with an independent formula
 (matrix inverse instead of solve), then votes with the same tie-break.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from vertseg.fusion import (FusionConfig, RegisteredAtlas, dependency_matrix,
-                            fuse, jlf_weights, majority_vote)
+from vertseg.fusion import (FusionConfig, RegisteredAtlas, _searched_errors,
+                            dependency_matrix, fuse, jlf_weights,
+                            majority_vote)
 from vertseg.volume import GridGeometry, LabelVolume, ScalarVolume
 
 
@@ -185,3 +188,54 @@ def test_majority_vote_counts_and_ties():
     assert np.all(out.consensus.data == 2)
     out = majority_vote([atlas(3), atlas(1)])  # tie -> lower label
     assert np.all(out.consensus.data == 1)
+
+
+# ----------------------------------------------------------- patch search
+
+def _oracle_searched_error(target, atlas, x, patch_radius, search_radius):
+    """Error at voxel x after the patch search, by explicit loops: shifts
+    in (dx, dy, dz) order, first strict SSD minimum wins, patch voxels
+    outside the volume contribute 0, shifted reads clamp to the faces."""
+    dims = target.shape
+    best = None
+    for d in itertools.product(range(-search_radius, search_radius + 1),
+                               repeat=3):
+        ssd = 0.0
+        for p in itertools.product(*(range(x[a] - patch_radius,
+                                           x[a] + patch_radius + 1)
+                                     for a in range(3))):
+            if all(0 <= p[a] < dims[a] for a in range(3)):
+                q = tuple(min(max(p[a] - d[a], 0), dims[a] - 1)
+                          for a in range(3))
+                ssd += (target[p] - atlas[q]) ** 2
+        ssd /= (2 * patch_radius + 1) ** 3
+        if best is None or ssd < best[0]:
+            q = tuple(min(max(x[a] - d[a], 0), dims[a] - 1)
+                      for a in range(3))
+            best = (ssd, abs(target[x] - atlas[q]))
+    return best[1]
+
+
+def test_patch_search_does_not_wrap_across_faces():
+    # the only atlas content matching the x=0 face voxel sits at x=7: a
+    # wrapping search reads it there with error 0
+    target = np.zeros((8, 8, 8))
+    target[0, 4, 4] = 100.0
+    atlas = np.zeros((8, 8, 8))
+    atlas[7, 4, 4] = 100.0
+    (err,) = _searched_errors(target, [atlas],
+                              FusionConfig(patch_radius=0, search_radius=1))
+    assert err[0, 4, 4] == 100.0
+
+
+def test_patch_search_matches_oracle_on_every_voxel():
+    rng = np.random.default_rng(40)
+    dims = (5, 6, 7)
+    target = rng.normal(100, 40, dims)
+    atlas = target + rng.normal(0, 30, dims)
+    (err,) = _searched_errors(target, [atlas],
+                              FusionConfig(patch_radius=1, search_radius=1))
+    oracle = np.empty(dims)
+    for x in np.ndindex(dims):
+        oracle[x] = _oracle_searched_error(target, atlas, x, 1, 1)
+    assert np.allclose(err, oracle, rtol=0, atol=1e-9)

@@ -1,7 +1,9 @@
 """Single-file NIfTI reader/writer round-trip and validation tests."""
 
 import gzip
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -130,3 +132,49 @@ def test_axis_order_is_x_fastest(tmp_path):
     back = read_volume(path)
     assert back.data[1, 2, 3] == 77.0
     assert back.data.sum() == 77.0
+
+
+def test_read_closes_file(tmp_path):
+    path = tmp_path / "img.nii"
+    write_volume(path, _scalar())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        read_volume(path)
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("offset", [0.0, 100.0, 351.0, 1e9, float("inf"),
+                                    float("nan")])
+def test_read_rejects_vox_offset_outside_file(tmp_path, offset):
+    path = tmp_path / "img.nii"
+    write_volume(path, _scalar())
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, 108, offset)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError,
+                       match=re.escape(str(path)) + ".*vox_offset"):
+        read_volume(path)
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_read_rejects_truncated_payload(tmp_path, suffix):
+    path = tmp_path / f"img{suffix}"
+    write_volume(path, _scalar())
+    raw = path.read_bytes()
+    if suffix.endswith(".gz"):
+        raw = gzip.decompress(raw)
+    raw = raw[:-2]  # one int16 voxel short
+    path.write_bytes(gzip.compress(raw) if suffix.endswith(".gz") else raw)
+    with pytest.raises(ValueError,
+                       match=re.escape(str(path)) + ".*truncated"):
+        read_volume(path)
+
+
+def test_read_rejects_nonpositive_dims(tmp_path):
+    path = tmp_path / "img.nii"
+    write_volume(path, _scalar())
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<8h", raw, 40, 3, -7, -6, 5, 1, 1, 1, 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*dims"):
+        read_volume(path)

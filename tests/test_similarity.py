@@ -7,12 +7,17 @@ in-range warped samples stays fixed.
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from vertseg.bspline import BLOCK_POINTS
+from vertseg.registration import (RegistrationConfig, _penalty_grid,
+                                  register_ffd)
 from vertseg.similarity import (IntensityWindow, JointHistogram, NmiObjective,
                                 SplineImage, entropies, joint_histogram, lncc,
                                 nmi, nmi_gradient, nmi_of_histogram)
 from vertseg.transform import (AffineTransform, ComposedTransform,
-                               FFDTransform, lattice_covering)
+                               FFDTransform, affine_apply, bending_energy,
+                               compose_apply, lattice_covering)
 from vertseg.volume import BoundingBox, GridGeometry, ScalarVolume
 
 
@@ -255,3 +260,58 @@ def test_objective_rejects_disjoint_domains():
     obj = NmiObjective(target, floating)
     with pytest.raises(ValueError):
         obj.value(ComposedTransform.identity())
+
+
+# ------------------------------------------------------ blocked operators
+
+def test_spline_image_blocked_sample_is_bit_identical():
+    rng = np.random.default_rng(30)
+    vol = _vol(rng.normal(0, 100, (14, 12, 10)), spacing=(0.8, 1.0, 1.2))
+    sp = SplineImage(vol)
+    # a few points beyond the faces exercise the clamped gradient
+    pts = vol.geometry.voxel_to_world(
+        rng.uniform(-1.0, 13.0, (2 * BLOCK_POINTS + 17, 3)))
+    val, grad = sp.sample(pts)
+    for chunk in (BLOCK_POINTS, 1000):
+        parts = [sp.sample(pts[s:s + chunk])
+                 for s in range(0, len(pts), chunk)]
+        assert np.array_equal(val, np.concatenate([v for v, _ in parts]))
+        assert np.array_equal(grad, np.concatenate([g for _, g in parts]))
+
+
+def test_objective_at_points_matches_transform_entry_points():
+    target, floating, window, mask, rng = _objective_fixture(31)
+    obj = NmiObjective(target, floating, window, mask)
+    geom = lattice_covering((-4.0, -4.0, -4.0), (19.0, 19.0, 19.0), 5.0)
+    comp = ComposedTransform(
+        AffineTransform(np.eye(3) * 1.01, np.array([0.2, -0.1, 0.3])),
+        FFDTransform(geom, rng.normal(0, 0.3, geom.dims + (3,))))
+    y = compose_apply(comp, obj.points)
+    assert obj.value_at(y) == obj.value(comp)
+    nmi_val, point_grad = obj.point_gradient_at(y)
+    ref_val, ref_grad, z = obj.value_and_point_gradient(comp)
+    assert nmi_val == ref_val
+    assert np.array_equal(point_grad, ref_grad)
+    assert np.array_equal(z, affine_apply(comp.affine, obj.points))
+
+
+def test_register_ffd_final_objective_matches_public_wrappers():
+    rng = np.random.default_rng(32)
+    data = ndimage.gaussian_filter(rng.normal(size=(20, 18, 16)), 2.0)
+    target = _vol(400.0 * data / np.abs(data).max(), spacing=(1.5,) * 3)
+    floating = _vol(np.roll(target.data, 1, axis=0), spacing=(1.5,) * 3)
+    cfg = RegistrationConfig(pyramid_levels=2, control_spacing_mm=9.0,
+                             max_iters_per_level=4, max_sample_voxels=3000,
+                             window=IntensityWindow(-500, 500, 32))
+    affine = AffineTransform(np.eye(3), np.array([0.3, 0.0, 0.0]))
+    res = register_ffd(target, floating, affine, cfg)
+    ffd = res.transform.ffd
+    obj = NmiObjective(target, floating, cfg.window,
+                       max_points=cfg.max_sample_voxels)
+    pen_geom, _, _ = _penalty_grid(
+        affine, target.geometry, 0.0,
+        min_spacing_mm=min(ffd.control_geom.spacing) / 4.0)
+    p_val, _ = bending_energy(ffd, pen_geom, with_gradient=False)
+    c = (1.0 - cfg.alpha) * obj.value(res.transform) - cfg.alpha * p_val
+    assert res.per_level_trace[-1][2] == pytest.approx(c, rel=1e-12, abs=0)
+    assert res.final_objective == res.per_level_trace[-1][2]

@@ -8,12 +8,15 @@ evaluation of the same integrand.
 import numpy as np
 import pytest
 
-from vertseg.bspline import (REFINE_MASK, bspline3, bspline3_d1, bspline3_d2,
-                             refine_coefficients_1d, support_weights)
+from vertseg.bspline import (BLOCK_POINTS, REFINE_MASK, bspline3, bspline3_d1,
+                             bspline3_d2, refine_coefficients_1d,
+                             support_weights)
 from vertseg.transform import (AffineTransform, ComposedTransform,
                                FFDTransform, affine_apply, bending_energy,
-                               compose_apply, ffd_displace, lattice_covering,
-                               load_transform, refine_ffd, save_transform)
+                               bending_operator, compose_apply, ffd_basis,
+                               ffd_displace, lattice_covering, load_transform,
+                               refine_ffd, save_transform)
+from vertseg.transform import _DERIV_PAIRS, _axes_of, _axis_weight_matrix
 from vertseg.volume import GridGeometry
 
 
@@ -276,3 +279,127 @@ def test_load_rejects_other_formats(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         load_transform(path)
+
+
+# ------------------------------------------------------------- operators
+
+def _dense_basis(geom, pts):
+    """(V, n_nodes) tensor B-spline weights from the kernel at every node
+    offset, nodes in C order."""
+    u = geom.world_to_voxel(pts)
+    rows = []
+    for v in range(len(pts)):
+        w = [bspline3(np.arange(n) - u[v, a])
+             for a, n in enumerate(geom.dims)]
+        rows.append((w[0][:, None, None] * w[1][None, :, None]
+                     * w[2][None, None, :]).ravel())
+    return np.array(rows)
+
+
+def _operator_fixture(seed):
+    rng = np.random.default_rng(seed)
+    geom = lattice_covering((0, 0, 0), (20, 14, 17), 4.0)
+    pts = rng.uniform((0, 0, 0), (20, 14, 17), (150, 3))
+    return rng, geom, pts
+
+
+def test_ffd_basis_matches_dense_kernel_reference():
+    _, geom, pts = _operator_fixture(20)
+    w = ffd_basis(geom, pts)
+    assert w.shape == (150, int(np.prod(geom.dims)))
+    assert w.indices.dtype == np.int32
+    assert np.all(np.diff(w.indptr) == 64)
+    assert np.abs(w.toarray() - _dense_basis(geom, pts)).max() <= 1e-12
+
+
+def test_ffd_basis_rows_are_partitions_of_unity():
+    _, geom, pts = _operator_fixture(21)
+    sums = np.asarray(ffd_basis(geom, pts).sum(axis=1)).ravel()
+    assert np.allclose(sums, 1.0, rtol=0, atol=1e-12)
+
+
+def test_ffd_basis_adjoint_identity():
+    rng, geom, pts = _operator_fixture(22)
+    w = ffd_basis(geom, pts)
+    c = rng.normal(size=(w.shape[1], 3))
+    p = rng.normal(size=(len(pts), 3))
+    lhs = float(np.sum((w @ c) * p))
+    rhs = float(np.sum(c * (w.T @ p)))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_ffd_basis_outside_support_errors():
+    _, geom, _ = _operator_fixture(23)
+    for bad in ([[500.0, 5.0, 5.0]], [[5.0, -50.0, 5.0]]):
+        with pytest.raises(ValueError, match="outside FFD lattice support"):
+            ffd_basis(geom, np.array(bad))
+
+
+def test_ffd_displace_across_block_boundaries():
+    rng, geom, _ = _operator_fixture(24)
+    ffd = FFDTransform(geom, rng.normal(size=geom.dims + (3,)))
+    pts = rng.uniform((0, 0, 0), (20, 14, 17), (2 * BLOCK_POINTS + 17, 3))
+    disp = ffd_displace(ffd, pts)
+    # each row sums on its own, so blocking changes no bit
+    whole = ffd_basis(geom, pts) @ ffd.coefficients.reshape(-1, 3)
+    assert np.array_equal(disp, whole)
+    edges = np.r_[0, BLOCK_POINTS - 1, BLOCK_POINTS, 2 * BLOCK_POINTS - 1,
+                  2 * BLOCK_POINTS, len(pts) - 1]
+    ref = _dense_basis(geom, pts[edges]) @ ffd.coefficients.reshape(-1, 3)
+    assert np.abs(disp[edges] - ref).max() <= 1e-12
+    # leading axes are kept
+    assert ffd_displace(ffd, pts[:12].reshape(3, 4, 3)).shape == (3, 4, 3)
+
+
+def _einsum_bending(ffd, sample_geom):
+    """Bending energy and gradient by separable per-term contractions
+    (the derivative weights applied axis by axis)."""
+    geom = ffd.control_geom
+    u = [(sample_geom.origin[a] + np.arange(sample_geom.dims[a])
+          * sample_geom.spacing[a] - geom.origin[a]) / geom.spacing[a]
+         for a in range(3)]
+    n = np.prod(sample_geom.dims)
+    value, grad = 0.0, np.zeros(ffd.coefficients.shape)
+    for orders, lam in _DERIV_PAIRS:
+        wa, wb, wc = (_axis_weight_matrix(u[a], geom.dims[a], orders[a])
+                      for a in range(3))
+        axes = _axes_of(orders)
+        scale = 1.0 / (geom.spacing[axes[0]] * geom.spacing[axes[1]])
+        f = scale * np.einsum("ai,bj,ck,ijkd->abcd", wa, wb, wc,
+                              ffd.coefficients)
+        value += lam * float(np.sum(f * f)) / n
+        grad += (2.0 * lam * scale / n) * np.einsum(
+            "ai,bj,ck,abcd->ijkd", wa, wb, wc, f)
+    return value, grad
+
+
+def test_bending_operator_symmetric_psd():
+    geom = lattice_covering((0, 0, 0), (14, 10, 12), 4.0)
+    q = bending_operator(geom, _sample_grid((1, 1, 1), (13, 9, 11), 6))
+    dense = q.toarray()
+    assert np.allclose(dense, dense.T, rtol=0,
+                       atol=1e-15 * np.abs(dense).max())
+    eig = np.linalg.eigvalsh(dense)
+    assert eig.min() >= -1e-12 * eig.max()
+
+
+def test_bending_operator_zero_on_affine_fields():
+    rng = np.random.default_rng(25)
+    geom = lattice_covering((0, 0, 0), (30, 30, 30), 6.0)
+    q = bending_operator(geom, _sample_grid((2, 2, 2), (28, 28, 28), 9))
+    nodes = geom.grid_world_points().reshape(-1, 3)
+    c = nodes @ rng.normal(0.0, 0.05, (3, 3)).T + rng.normal(0.0, 2.0, 3)
+    scale = np.abs(q).sum(axis=1).max() * np.abs(c).max()
+    assert np.abs(q @ c).max() <= 1e-12 * scale
+
+
+def test_bending_energy_matches_separable_contraction():
+    rng = np.random.default_rng(26)
+    geom = lattice_covering((0, 0, 0), (21, 15, 18), 3.0)
+    geom = GridGeometry(geom.dims, (3.0, 2.5, 2.0), geom.origin)
+    ffd = FFDTransform(geom, rng.normal(0.0, 1.0, geom.dims + (3,)))
+    sample = GridGeometry((9, 7, 8), (2.1, 1.9, 1.7), (1.0, 0.5, 0.8))
+    p, grad = bending_energy(ffd, sample)
+    p_ref, grad_ref = _einsum_bending(ffd, sample)
+    assert p == pytest.approx(p_ref, rel=1e-12)
+    assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()

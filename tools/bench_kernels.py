@@ -1,0 +1,136 @@
+"""Per-kernel timings of the B-spline registration kernels at fixed sizes.
+
+    python3 tools/bench_kernels.py [--points 80000] [--repeats 11] [--out PATH]
+
+Run from anywhere in a source checkout: the package is imported from
+`src/`. Times each kernel `--repeats` times, one call at a time, and
+writes the medians (seconds), the sizes and the environment (CPU count,
+Python/NumPy/SciPy versions, BLAS/OpenMP thread variables) to
+`.bench_out/BENCH_kernels.json`, or to `--out`.
+
+Sizes follow the benchmark's `register_fine` workload: `--points` sample
+points on an 11x12x11 control lattice at 5 mm, a penalty grid at a
+quarter of the lattice spacing, and an 82x88x32 floating image.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+OUT = os.path.join(ROOT, ".bench_out", "BENCH_kernels.json")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+LATTICE_SPACING_MM = 5.0
+IMAGE_DIMS = (82, 88, 32)
+IMAGE_SPACING_MM = (0.4, 0.4, 1.0)
+BINS = 64
+
+
+def cap_threads():
+    """One BLAS/OpenMP thread, as in the benchmark; must run before NumPy
+    is imported."""
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
+
+
+def environment():
+    import numpy
+    import scipy
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__,
+            "machine": platform.machine(),
+            **{var: os.environ.get(var, "") for var in THREAD_VARS}}
+
+
+def median_seconds(fn, repeats):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def run(n_points, repeats):
+    import numpy as np
+    from scipy import ndimage
+
+    from vertseg.similarity import SplineImage, _parzen_counts
+    from vertseg.transform import (bending_operator, ffd_basis,
+                                   lattice_covering)
+    from vertseg.volume import GridGeometry, ScalarVolume
+
+    rng = np.random.default_rng(0)
+    image_geom = GridGeometry(IMAGE_DIMS, IMAGE_SPACING_MM, (0.0, 0.0, 0.0))
+    hi = (np.array(IMAGE_DIMS) - 1) * np.array(IMAGE_SPACING_MM)
+    data = ndimage.gaussian_filter(rng.normal(0, 1, IMAGE_DIMS), 3.0)
+    image = ScalarVolume(image_geom, 1500.0 * data / np.abs(data).max())
+
+    # the lattice domain holds the image; this extent gives 11 x 12 x 11
+    extent = np.array([35.0, 40.0, 35.0])
+    lo = hi / 2 - extent / 2
+    lattice = lattice_covering(lo, lo + extent, LATTICE_SPACING_MM)
+    pen_spacing = LATTICE_SPACING_MM / 4.0
+    pen_geom = GridGeometry(
+        tuple(np.floor(extent / pen_spacing).astype(int) + 1),
+        (pen_spacing,) * 3, tuple(lo))
+
+    pts = rng.uniform(np.zeros(3), hi, (n_points, 3))
+    target_bins = rng.integers(0, BINS, n_points)
+    floating_coords = rng.uniform(0, BINS - 1, n_points)
+    coef = rng.normal(0, 1, (int(np.prod(lattice.dims)), 3))
+    point_grad = rng.normal(0, 1, (n_points, 3))
+
+    basis = ffd_basis(lattice, pts)
+    bend = bending_operator(lattice, pen_geom)
+    spline = SplineImage(image)
+    kernels = {
+        "ffd_basis_build": lambda: ffd_basis(lattice, pts),
+        "ffd_forward_Wc": lambda: basis @ coef,
+        "ffd_adjoint_WTp": lambda: basis.T @ point_grad,
+        "bending_operator_build": lambda: bending_operator(lattice,
+                                                           pen_geom),
+        "bending_apply_Qc": lambda: bend @ coef,
+        "spline_sample_value": lambda: spline.sample(pts,
+                                                     with_gradient=False),
+        "spline_sample_gradient": lambda: spline.sample(pts),
+        "parzen_counts": lambda: _parzen_counts(target_bins,
+                                                floating_coords, BINS),
+    }
+    sizes = {"points": n_points, "lattice_dims": list(lattice.dims),
+             "lattice_spacing_mm": LATTICE_SPACING_MM,
+             "penalty_dims": list(pen_geom.dims),
+             "image_dims": list(IMAGE_DIMS), "bins": BINS,
+             "basis_nnz": int(basis.nnz),
+             "basis_mb": (basis.data.nbytes + basis.indices.nbytes
+                          + basis.indptr.nbytes) / 2 ** 20,
+             "bending_nnz": int(bend.nnz)}
+    return sizes, {name: median_seconds(fn, repeats)
+                   for name, fn in kernels.items()}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--points", type=int, default=80_000)
+    ap.add_argument("--repeats", type=int, default=11)
+    ap.add_argument("--out", default=OUT)
+    args = ap.parse_args(argv)
+    if args.points < 1 or args.repeats < 1:
+        ap.error("--points and --repeats must be >= 1")
+    cap_threads()
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    sizes, medians = run(args.points, args.repeats)
+    record = {"environment": environment(), "repeats": args.repeats,
+              "sizes": sizes, "median_s": medians}
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    with open(args.out, "w") as f:
+        json.dump(record, f, indent=1)
+    print(json.dumps(record))
+
+
+if __name__ == "__main__":
+    main()
