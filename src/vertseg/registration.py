@@ -17,7 +17,7 @@ from .similarity import IntensityWindow, NmiObjective
 from .transform import (AffineTransform, ComposedTransform, FFDTransform,
                         affine_apply, bending_operator, compose_apply,
                         ffd_basis, lattice_covering, refine_ffd)
-from .volume import GridGeometry, downsample, resample
+from .volume import GridGeometry, downsample, pull_back
 
 log = logging.getLogger(__name__)
 
@@ -280,7 +280,9 @@ def _ffd_level(obj, affine, ffd, pen_geom, cfg, step, record):
 
 def warp_atlas(atlas_img, atlas_lbl, comp, target_geom):
     """Pull atlas image (trilinear) and labels (nearest) onto the target
-    grid through the composed transform."""
-    total = functools.partial(compose_apply, comp)
-    return (resample(atlas_img, target_geom, total),
-            resample(atlas_lbl, target_geom, total))
+    grid through the composed transform, which is evaluated once for
+    both."""
+    pts = target_geom.grid_world_points()
+    pts = compose_apply(comp, pts.reshape(-1, 3)).reshape(pts.shape)
+    return (pull_back(atlas_img, target_geom, pts),
+            pull_back(atlas_lbl, target_geom, pts))

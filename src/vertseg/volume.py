@@ -195,10 +195,17 @@ def resample(src, target_geom, total_transform=None):
     pts = target_geom.grid_world_points()
     if total_transform is not None:
         pts = total_transform(pts.reshape(-1, 3)).reshape(pts.shape)
+    return pull_back(src, target_geom, pts)
+
+
+def pull_back(src, target_geom, points):
+    """Volume on target_geom whose voxels take src's values at the world
+    points (target dims + (3,)): trilinear for scalars, nearest neighbor
+    for labels."""
     if isinstance(src, LabelVolume):
-        data = nearest_sample(src, pts).astype(np.int32)
+        data = nearest_sample(src, points).astype(np.int32)
     else:
-        data = trilinear_sample(src, pts)
+        data = trilinear_sample(src, points)
     return type(src)(target_geom, data)
 
 

@@ -8,7 +8,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 KERNELS = {"ffd_basis_build", "ffd_forward_Wc", "ffd_adjoint_WTp",
            "bending_operator_build", "bending_apply_Qc",
-           "spline_sample_value", "spline_sample_gradient", "parzen_counts"}
+           "spline_sample_value", "spline_sample_gradient", "parzen_counts",
+           "refine_labels"}
 
 
 def test_bench_kernels_writes_medians_and_environment(tmp_path):
@@ -25,6 +26,9 @@ def test_bench_kernels_writes_medians_and_environment(tmp_path):
     assert record["sizes"]["points"] == 300
     assert record["sizes"]["lattice_dims"] == [11, 12, 11]
     assert record["sizes"]["basis_nnz"] == 300 * 64
+    assert record["sizes"]["levelset_dims"] == [96, 96, 160]
+    assert record["sizes"]["levelset_labels"] == 5
+    assert record["sizes"]["levelset_iters"] == 10
     env = record["environment"]
     assert env["nproc"] >= 1
     assert {"python", "numpy", "scipy"} <= set(env)

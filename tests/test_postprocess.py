@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from vertseg.metrics import dice
@@ -211,3 +213,147 @@ def test_separate_labels_rejects_empty_mask():
     intensity = ScalarVolume(empty.geometry, np.ones((4, 4, 4)))
     with pytest.raises(ValueError, match="label 7"):
         separate_labels([(7, empty)], intensity)
+
+
+def _full_grid_curvature(phi):
+    gx, gy, gz = np.gradient(phi)
+    gxx = np.gradient(gx, axis=0)
+    gyy = np.gradient(gy, axis=1)
+    gzz = np.gradient(gz, axis=2)
+    gxy = np.gradient(gx, axis=1)
+    gxz = np.gradient(gx, axis=2)
+    gyz = np.gradient(gy, axis=2)
+    num = (gx * gx * (gyy + gzz) + gy * gy * (gxx + gzz)
+           + gz * gz * (gxx + gyy)
+           - 2.0 * (gx * gy * gxy + gy * gz * gyz + gx * gz * gxz))
+    mag = np.sqrt(gx * gx + gy * gy + gz * gz)
+    return np.clip(num / (mag ** 3 + 1e-8), -1.0, 1.0), mag
+
+
+def _full_grid_levelset(m, intensity, iters, step, curvature_weight=0.2,
+                        smooth_sigma=1.0):
+    """Oracle: the level set evolved on the whole grid, without a crop."""
+    inside = ndimage.distance_transform_edt(m)
+    outside = ndimage.distance_transform_edt(~m)
+    phi = outside - inside
+    smoothed = ndimage.gaussian_filter(intensity.data, smooth_sigma)
+    lap = ndimage.laplace(smoothed)
+    scale = np.abs(lap).max()
+    g = lap / scale if scale > 0 else np.zeros_like(lap)
+    band = np.abs(phi) <= iters * step + 1.0
+    for _ in range(iters):
+        kappa, mag = _full_grid_curvature(phi)
+        dphi = step * (g + curvature_weight * kappa) * mag
+        phi[band] += dphi[band]
+    return np.where(band, phi < 0.0, m).astype(np.int32)
+
+
+def _noise_intensity(geom, seed):
+    rng = np.random.default_rng(seed)
+    return ScalarVolume(geom, 100.0 * ndimage.gaussian_filter(
+        rng.normal(size=geom.dims), 1.2))
+
+
+def _assert_matches_oracle(m, intensity, iters, step=0.25, **kw):
+    geom = intensity.geometry
+    out = levelset_refine(LabelVolume(geom, m.astype(np.int32)), intensity,
+                          iters=iters, step=step, **kw)
+    expect = _full_grid_levelset(m, intensity, iters, step, **kw)
+    assert out.data.dtype == np.int32
+    assert np.array_equal(out.data, expect)
+
+
+@pytest.mark.parametrize("iters", [1, 3, 10, 20])
+def test_levelset_crop_matches_full_grid_at_every_face(iters):
+    # anisotropic spacing: the level set works in voxel units regardless
+    g = _geom((22, 19, 17), spacing=(0.8, 1.3, 2.5))
+    intensity = _noise_intensity(g, 20 + iters)
+    for axis in range(3):
+        for side in (0, 1):
+            m = np.zeros(g.dims, dtype=bool)
+            box = [slice(5, 12), slice(4, 11), slice(6, 12)]
+            n = g.dims[axis]
+            box[axis] = slice(0, 4) if side == 0 else slice(n - 4, n)
+            m[tuple(box)] = True
+            _assert_matches_oracle(m, intensity, iters)
+            _assert_matches_oracle(m, intensity, iters, step=0.6,
+                                   curvature_weight=0.5, smooth_sigma=2.0)
+
+
+@pytest.mark.parametrize("iters", [1, 3, 10, 20])
+def test_levelset_crop_matches_full_grid_on_random_masks(iters):
+    g = _geom((18, 21, 16), spacing=(1.0, 0.6, 1.7))
+    intensity = _noise_intensity(g, iters)
+    rng = np.random.default_rng(100 + iters)
+    for density in (0.02, 0.3, 0.9):
+        _assert_matches_oracle(rng.random(g.dims) < density, intensity,
+                               iters)
+    # a small blob far from every face: the crop is strictly inside
+    blob = np.zeros(g.dims, dtype=bool)
+    blob[8:11, 9:12, 7:10] = True
+    blob &= rng.random(g.dims) < 0.8
+    _assert_matches_oracle(blob, intensity, iters)
+    _assert_matches_oracle(blob, intensity, iters, step=0.9,
+                           curvature_weight=5.0)
+    _assert_matches_oracle(np.ones(g.dims, dtype=bool), intensity, iters)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(*[st.integers(3, 20)] * 3),
+       corners=st.tuples(*[st.floats(0.0, 1.0)] * 6),
+       fill=st.floats(0.3, 1.0),
+       step=st.floats(0.05, 1.2),
+       iters=st.integers(1, 20),
+       curvature_weight=st.sampled_from([0.2, 1.0, 5.0]),
+       seed=st.integers(0, 2 ** 16))
+def test_levelset_crop_matches_full_grid_on_random_boxes(
+        dims, corners, fill, step, iters, curvature_weight, seed):
+    # a strong curvature term carries any difference at the band's edge
+    # inward to the zero level, where it shows in the mask
+    lo = [int(c * (n - 1)) for c, n in zip(corners[:3], dims)]
+    hi = [lo[a] + 1 + int(c * (n - lo[a] - 1))
+          for a, (c, n) in enumerate(zip(corners[3:], dims))]
+    rng = np.random.default_rng(seed)
+    m = np.zeros(dims, dtype=bool)
+    box = (slice(lo[0], hi[0]), slice(lo[1], hi[1]), slice(lo[2], hi[2]))
+    m[box] = rng.random(m[box].shape) < fill
+    assume(m.any())  # an empty mask stays empty; the oracle grows one
+    _assert_matches_oracle(m, _noise_intensity(_geom(dims), seed), iters,
+                           step=step, curvature_weight=curvature_weight)
+
+
+def test_levelset_empty_mask_stays_empty():
+    g = _geom((20, 18, 16))
+    rng = np.random.default_rng(3)
+    intensity = ScalarVolume(g, rng.normal(0.0, 100.0, g.dims))
+    empty = LabelVolume(g, np.zeros(g.dims, dtype=np.int32))
+    for iters in (0, 1, 20):
+        out = levelset_refine(empty, intensity, iters=iters)
+        assert out.data.dtype == np.int32
+        assert not out.data.any()
+    out = levelset_refine(np.zeros(g.dims, dtype=np.int32), intensity,
+                          iters=20)
+    assert isinstance(out, np.ndarray) and not out.any()
+
+
+def test_refine_labels_equals_per_label_levelset_refine():
+    g = _geom((30, 20, 18), spacing=(1.0, 0.7, 1.4))
+    data = np.zeros(g.dims, dtype=np.int32)
+    data[0:8, 3:15, 2:14] = 1     # touches the x=0 face
+    data[9:17, 4:16, 3:15] = 2
+    data[18:24, 2:18, 0:18] = 3   # spans the whole z axis
+    data[25:30, 6:12, 5:11] = 4   # touches the x=end face
+    lbl = LabelVolume(g, data)
+    intensity = ScalarVolume(g, ndimage.gaussian_filter(
+        np.where(data > 0, 80.0 * data, 0.0), 1.0))
+    masks = refine_labels(lbl, intensity, min_island_voxels=5, iters=10)
+    assert list(masks) == [1, 2, 3, 4]
+    for lv, mask in masks.items():
+        single = LabelVolume(g, (data == lv).astype(np.int32))
+        expect = levelset_refine(single, intensity, iters=10)
+        assert mask.geometry == g
+        assert np.array_equal(mask.data, expect.data)
+        assert np.array_equal(
+            mask.data, _full_grid_levelset(data == lv, intensity, 10, 0.25))
+    with pytest.raises(ValueError):
+        refine_labels(lbl, intensity, iters=-1)

@@ -1,4 +1,5 @@
-"""Per-kernel timings of the B-spline registration kernels at fixed sizes.
+"""Per-kernel timings of the registration and level-set kernels at fixed
+sizes.
 
     python3 tools/bench_kernels.py [--points 80000] [--repeats 11] [--out PATH]
 
@@ -10,7 +11,10 @@ Python/NumPy/SciPy versions, BLAS/OpenMP thread variables) to
 
 Sizes follow the benchmark's `register_fine` workload: `--points` sample
 points on an 11x12x11 control lattice at 5 mm, a penalty grid at a
-quarter of the lattice spacing, and an 82x88x32 floating image.
+quarter of the lattice spacing, and an 82x88x32 floating image. The
+level set follows the `refuse` workload: `refine_labels` (cleanup, then
+10 iterations per label) on the default 96x96x160 phantom with its 5
+vertebra labels, whatever `--points` is.
 """
 
 import argparse
@@ -28,6 +32,7 @@ LATTICE_SPACING_MM = 5.0
 IMAGE_DIMS = (82, 88, 32)
 IMAGE_SPACING_MM = (0.4, 0.4, 1.0)
 BINS = 64
+LEVELSET_ITERS = 10
 
 
 def cap_threads():
@@ -59,6 +64,8 @@ def run(n_points, repeats):
     import numpy as np
     from scipy import ndimage
 
+    from vertseg.phantom import PhantomSpec, make_phantom
+    from vertseg.postprocess import refine_labels
     from vertseg.similarity import SplineImage, _parzen_counts
     from vertseg.transform import (bending_operator, ffd_basis,
                                    lattice_covering)
@@ -88,6 +95,7 @@ def run(n_points, repeats):
     basis = ffd_basis(lattice, pts)
     bend = bending_operator(lattice, pen_geom)
     spline = SplineImage(image)
+    ct, labels, _ = make_phantom(PhantomSpec(noise_sd=20.0, seed=0))
     kernels = {
         "ffd_basis_build": lambda: ffd_basis(lattice, pts),
         "ffd_forward_Wc": lambda: basis @ coef,
@@ -100,6 +108,8 @@ def run(n_points, repeats):
         "spline_sample_gradient": lambda: spline.sample(pts),
         "parzen_counts": lambda: _parzen_counts(target_bins,
                                                 floating_coords, BINS),
+        "refine_labels": lambda: refine_labels(labels, ct,
+                                               iters=LEVELSET_ITERS),
     }
     sizes = {"points": n_points, "lattice_dims": list(lattice.dims),
              "lattice_spacing_mm": LATTICE_SPACING_MM,
@@ -108,7 +118,10 @@ def run(n_points, repeats):
              "basis_nnz": int(basis.nnz),
              "basis_mb": (basis.data.nbytes + basis.indices.nbytes
                           + basis.indptr.nbytes) / 2 ** 20,
-             "bending_nnz": int(bend.nnz)}
+             "bending_nnz": int(bend.nnz),
+             "levelset_dims": list(ct.geometry.dims),
+             "levelset_labels": len(labels.labels()),
+             "levelset_iters": LEVELSET_ITERS}
     return sizes, {name: median_seconds(fn, repeats)
                    for name, fn in kernels.items()}
 
