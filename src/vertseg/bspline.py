@@ -81,6 +81,15 @@ def support_weights(u, deriv=0):
     return i0, w
 
 
+def support_offsets(dims):
+    """Flat offsets, in a C-order array of shape dims, of the 64 nodes of
+    a 4x4x4 support from its first node (i0, j0, k0), in C order."""
+    ny, nz = dims[1:]
+    o = np.arange(4)
+    return ((o[:, None, None] * ny + o[None, :, None]) * nz
+            + o[None, None, :]).ravel()
+
+
 # Two-scale (dyadic subdivision) mask for cubic B-splines: coefficients at
 # half spacing that reproduce the coarse spline exactly.
 REFINE_MASK = np.array([0.125, 0.5, 0.75, 0.5, 0.125])

@@ -146,9 +146,6 @@ def cmd_run(args):
     manifest = load_manifest(args.manifest)
     if args.workers is not None:
         manifest.workers = args.workers
-    env_workers = os.environ.get("VERTSEG_WORKERS")
-    if args.workers is None and env_workers:
-        manifest.workers = int(env_workers)
     outdir = args.output or manifest.output_dir or "."
     os.makedirs(outdir, exist_ok=True)
 

@@ -97,12 +97,9 @@ def _searched_errors(target_data, atlas_images, cfg):
     """
     size = 2 * cfg.patch_radius + 1
     nx, ny, nz = target_data.shape
+    r = cfg.search_radius
     errs = []
     for img in atlas_images:
-        if cfg.search_radius == 0:
-            errs.append(np.abs(target_data - img))
-            continue
-        r = cfg.search_radius
         padded = np.pad(img, r, mode="edge")
         best_ssd = None
         best_err = None
@@ -126,17 +123,32 @@ def _searched_errors(target_data, atlas_images, cfg):
     return errs
 
 
-def _vote(labels_stack, weights):
-    """Accumulate per-label scores and take the tie-broken argmax."""
-    label_values = np.unique(labels_stack)
-    best_label = np.zeros(weights.shape[0], dtype=np.int32)
-    best_score = np.full(weights.shape[0], -np.inf)
-    for lv in sorted(int(v) for v in label_values):
-        score = np.sum(weights * (labels_stack == lv), axis=1)
-        better = score > best_score  # strict: first (lowest) label wins ties
-        best_score[better] = score[better]
-        best_label[better] = lv
-    return best_label, best_score
+def _weighted_vote(atlases, weights_at):
+    """Consensus of the atlases' warped labels, which the caller has
+    checked share one geometry.
+
+    weights_at(active) gives the (n_active, n_atlases) voting weights at
+    the voxels where some atlas has a nonzero label; elsewhere the label
+    is 0 with probability 1. Per-label scores are accumulated in label
+    order, and the strict argmax breaks ties toward the lower label."""
+    geom = atlases[0].warped_labels.geometry
+    labels_data = np.stack([a.warped_labels.data for a in atlases], axis=-1)
+    active = np.any(labels_data != 0, axis=-1)
+    out = np.zeros(geom.dims, dtype=np.int32)
+    prob = np.ones(geom.dims)
+    if np.any(active):
+        labels_stack = labels_data[active]
+        weights = weights_at(active)
+        best_label = np.zeros(weights.shape[0], dtype=np.int32)
+        best_score = np.full(weights.shape[0], -np.inf)
+        for lv in sorted(int(v) for v in np.unique(labels_stack)):
+            score = np.sum(weights * (labels_stack == lv), axis=1)
+            better = score > best_score
+            best_score[better] = score[better]
+            best_label[better] = lv
+        out[active] = best_label
+        prob[active] = np.clip(best_score, 0.0, 1.0)
+    return FusionOutput(LabelVolume(geom, out), prob)
 
 
 def fuse(target_image, atlases, cfg=None):
@@ -148,48 +160,28 @@ def fuse(target_image, atlases, cfg=None):
     n = len(atlases)
     size = 2 * cfg.patch_radius + 1
 
-    errs = _searched_errors(target_image.data,
-                            [a.warped_image.data for a in atlases], cfg)
+    def jlf_weights_at(active):
+        errs = _searched_errors(target_image.data,
+                                [a.warped_image.data for a in atlases], cfg)
+        # patch-mean error products via box filtering, gathered at active
+        # voxels
+        m = np.empty((int(active.sum()), n, n))
+        for i in range(n):
+            for j in range(i, n):
+                prod = ndimage.uniform_filter(errs[i] * errs[j], size=size,
+                                              mode="constant")
+                m[:, i, j] = m[:, j, i] = prod[active]
+        m = np.abs(m) ** cfg.beta
+        m += cfg.epsilon * np.eye(n)
+        x = np.linalg.solve(m, np.ones(n))
+        return x / x.sum(axis=1, keepdims=True)
 
-    labels_data = np.stack([a.warped_labels.data for a in atlases], axis=-1)
-    active = np.any(labels_data != 0, axis=-1)
-    out = np.zeros(geom.dims, dtype=np.int32)
-    prob = np.ones(geom.dims)
-    if not np.any(active):
-        return FusionOutput(LabelVolume(geom, out), prob)
-
-    # patch-mean error products via box filtering, gathered at active voxels
-    m = np.empty((int(active.sum()), n, n))
-    for i in range(n):
-        for j in range(i, n):
-            prod = ndimage.uniform_filter(errs[i] * errs[j], size=size,
-                                          mode="constant")
-            m[:, i, j] = m[:, j, i] = prod[active]
-    m = np.abs(m) ** cfg.beta
-    m += cfg.epsilon * np.eye(n)
-
-    x = np.linalg.solve(m, np.ones(n))
-    weights = x / x.sum(axis=1, keepdims=True)
-
-    labels_stack = labels_data[active]
-    best_label, best_score = _vote(labels_stack, weights)
-    out[active] = best_label
-    prob[active] = np.clip(best_score, 0.0, 1.0)
-    return FusionOutput(LabelVolume(geom, out), prob)
+    return _weighted_vote(atlases, jlf_weights_at)
 
 
 def majority_vote(atlases):
     """Uniform-weight voting with the same tie-break as fuse."""
-    geom = _check_shared_geometry(atlases)
+    _check_shared_geometry(atlases)
     n = len(atlases)
-    labels_data = np.stack([a.warped_labels.data for a in atlases], axis=-1)
-    active = np.any(labels_data != 0, axis=-1)
-    out = np.zeros(geom.dims, dtype=np.int32)
-    prob = np.ones(geom.dims)
-    if np.any(active):
-        labels_stack = labels_data[active]
-        weights = np.full((labels_stack.shape[0], n), 1.0 / n)
-        best_label, best_score = _vote(labels_stack, weights)
-        out[active] = best_label
-        prob[active] = np.clip(best_score, 0.0, 1.0)
-    return FusionOutput(LabelVolume(geom, out), prob)
+    return _weighted_vote(
+        atlases, lambda active: np.full((int(active.sum()), n), 1.0 / n))

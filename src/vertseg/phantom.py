@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .transform import (AffineTransform, ComposedTransform, FFDTransform,
-                        compose_apply, lattice_covering)
+                        compose_apply, ffd_displace, lattice_covering)
 from .volume import (BoundingBox, GridGeometry, LabelVolume, ScalarVolume,
                      resample)
 
@@ -115,7 +115,6 @@ def _random_smooth_ffd(geom, magnitude_mm, rng, control_spacing_mm=20.0):
 
 
 def _dense_displacement(ffd, geom):
-    from .transform import ffd_displace
     pts = geom.grid_world_points().reshape(-1, 3)
     return ffd_displace(ffd, pts).reshape(geom.dims + (3,))
 

@@ -35,7 +35,6 @@ class AtlasEntry:
     labels_path: str
     vertebra_labels: dict  # vertebra id -> label value
     order: list  # column order of vertebra ids, superior to inferior
-    cohort: str = ""
 
 
 @dataclass
@@ -86,7 +85,6 @@ def load_manifest(path):
         labels_path=resolve(a["labels"]),
         vertebra_labels={k: int(v) for k, v in a["vertebra_labels"].items()},
         order=list(a.get("order", list(a["vertebra_labels"]))),
-        cohort=a.get("cohort", ""),
     ) for a in doc["atlases"]]
 
     reg_kwargs = dict(doc.get("registration", {}))
@@ -240,8 +238,13 @@ def run_pipeline(manifest):
 
         def work(item):
             atlas_entry, ids = item
-            return _register_one(tcrop, atlas_entry, ids, vert.label,
-                                 manifest, atlas_cache)
+            try:
+                return _register_one(tcrop, atlas_entry, ids, vert.label,
+                                     manifest, atlas_cache)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"[registration] vertebra {vert.vertebra_id}, atlas "
+                    f"{atlas_entry.case_id}: {exc}") from exc
 
         if manifest.workers > 1 and len(eligible) > 1:
             with ThreadPoolExecutor(max_workers=manifest.workers) as pool:

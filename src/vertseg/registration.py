@@ -153,11 +153,11 @@ def register_affine(target, floating, cfg=None):
         pts_c = obj.points - center
 
         def value(x):
-            return (obj.value(ComposedTransform(affine_of(x), None)),)
+            return (obj.value_at(affine_apply(affine_of(x), obj.points)),)
 
         def direction(x, translation_only):
-            _, pg, _ = obj.value_and_point_gradient(
-                ComposedTransform(affine_of(x), None))
+            _, pg = obj.point_gradient_at(
+                affine_apply(affine_of(x), obj.points))
             g_t = pg.sum(axis=0)
             g_m = np.zeros((3, 3)) if translation_only else pg.T @ pts_c
             # scale the matrix block so the update norm is point motion

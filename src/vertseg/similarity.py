@@ -7,6 +7,12 @@ Two histogram flavors coexist:
 * a Parzen variant (cubic B-spline kernel along the floating-intensity
   axis) backs the differentiable objective used by the optimizer, where
   smoothness in the warp matters more than exact diagonal structure.
+
+The objective has one evaluation path: `NmiObjective.value_at` and
+`point_gradient_at` take warped sample points, and the transform-level
+methods only map the samples (`compose_apply`/`affine_apply`, or the FFD
+basis) before calling them. Both bin intensities with
+`IntensityWindow.bin_coord`.
 """
 
 from dataclasses import dataclass
@@ -14,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .bspline import BLOCK_POINTS, support_weights
-from .transform import (ComposedTransform, affine_apply, ffd_basis,
-                        ffd_displace)
+from .bspline import BLOCK_POINTS, support_offsets, support_weights
+from .transform import affine_apply, compose_apply, ffd_basis
 
 
 @dataclass(frozen=True)
@@ -161,11 +166,22 @@ def lncc(img1, img2, radius_voxels=3, mask=None):
 
 class SplineImage:
     """Cubic-spline interpolating view of a ScalarVolume with analytic
-    spatial gradients (used by the differentiable similarity path)."""
+    spatial gradients (used by the differentiable similarity path).
+
+    The prefiltered coefficients are mirror-extended once, by 1 node
+    below and 2 above each axis, which covers the 4x4x4 support of every
+    in-domain coordinate; `coef` is the interior view of that one array.
+    A point's support is read at its first node plus the fixed
+    `support_offsets`, the same gather as `transform.ffd_basis`.
+    """
 
     def __init__(self, vol):
         self.geometry = vol.geometry
-        self.coef = ndimage.spline_filter(vol.data, order=3, mode="mirror")
+        self._padded = np.pad(
+            ndimage.spline_filter(vol.data, order=3, mode="mirror"),
+            ((1, 2),) * 3, mode="reflect")
+        self.coef = self._padded[1:-2, 1:-2, 1:-2]
+        self._offsets = support_offsets(self._padded.shape)
         self._dims = np.array(vol.geometry.dims)
         self._spacing = np.array(vol.geometry.spacing)
 
@@ -199,20 +215,18 @@ class SplineImage:
     def _value_and_gradient(self, u):
         """Spline value and gradient (HU/mm) at in-domain voxel
         coordinates u (V, 3)."""
-        nx, ny, nz = self.geometry.dims
-        w0, w1, idx_ax = [], [], []
-        for a, n in zip(range(3), (nx, ny, nz)):
+        w0, w1, first = [], [], []
+        for a in range(3):
             i0, w = support_weights(u[:, a])
             _, dw = support_weights(u[:, a], deriv=1)
             w0.append(w)
             w1.append(-dw)  # kernel argument is node - u
-            idx_ax.append(np.stack([_mirror(i0 + o, n) for o in range(4)],
-                                   axis=1))
+            first.append(i0 + 1)  # the padding shifts node i to i + 1
+        _, ny, nz = self._padded.shape
+        base = (first[0] * ny + first[1]) * nz + first[2]
         # gather the 4x4x4 coefficient neighborhoods once, then contract
-        flat = ((idx_ax[0][:, :, None, None] * ny
-                 + idx_ax[1][:, None, :, None]) * nz
-                + idx_ax[2][:, None, None, :])
-        c = self.coef.ravel()[flat]
+        c = self._padded.ravel()[base[:, None] + self._offsets].reshape(
+            -1, 4, 4, 4)
         cz = np.einsum("vijk,vk->vij", c, w0[2])
         cy = np.einsum("vij,vj->vi", cz, w0[1])
         val = np.einsum("vi,vi->v", cy, w0[0])
@@ -222,15 +236,6 @@ class SplineImage:
         gz = np.einsum("vi,vi->v", np.einsum(
             "vij,vj->vi", np.einsum("vijk,vk->vij", c, w1[2]), w0[1]), w0[0])
         return val, np.stack([gx, gy, gz], axis=-1) / self._spacing
-
-
-def _mirror(i, n):
-    """Reflect out-of-range indices into [0, n-1] (period 2n-2)."""
-    if n == 1:
-        return np.zeros_like(i)
-    period = 2 * (n - 1)
-    i = np.abs(i) % period
-    return np.where(i >= n, period - i, i)
 
 
 class NmiObjective:
@@ -259,19 +264,8 @@ class NmiObjective:
         self.window = window
         self.bin1 = np.round(window.bin_coord(t)).astype(np.int64)
         self.spline = SplineImage(floating)
-        # clamp indicator: samples whose target value was clipped still
-        # deposit, matching the histogram definition
-        self.n_points = self.points.shape[0]
-        if self.n_points == 0:
+        if self.points.shape[0] == 0:
             raise ValueError("empty objective mask")
-
-    def _warp(self, comp):
-        z = affine_apply(comp.affine, self.points)
-        if comp.ffd is not None:
-            y = z + ffd_displace(comp.ffd, z)
-        else:
-            y = z
-        return z, y
 
     def _histogram_terms(self, y, need_gradient=True):
         # all warped points contribute (clamped sampling keeps the value
@@ -280,16 +274,15 @@ class NmiObjective:
         if not np.any(self.spline.inside(y)):
             raise ValueError("no warped sample falls inside the floating image")
         v, g = self.spline.sample(y, with_gradient=need_gradient)
-        w = self.window
-        raw = (v - w.lo) * w.scale
-        clipped = (raw <= 0.0) | (raw >= w.bins - 1)
-        c2 = np.clip(raw, 0.0, w.bins - 1)
-        counts, bcols = _parzen_counts(self.bin1, c2, w.bins)
-        return g, c2, clipped, bcols, counts.reshape(w.bins, w.bins)
+        nb = self.window.bins
+        c2 = self.window.bin_coord(v)
+        # where the window clamps, the bin coordinate does not move with v
+        clipped = (c2 <= 0.0) | (c2 >= nb - 1)
+        counts, bcols = _parzen_counts(self.bin1, c2, nb)
+        return g, c2, clipped, bcols, counts.reshape(nb, nb)
 
     def value(self, comp):
-        _, y = self._warp(comp)
-        return self.value_at(y)
+        return self.value_at(compose_apply(comp, self.points))
 
     def value_at(self, y):
         """NMI with the floating image sampled at warped points y (V, 3),
@@ -300,9 +293,9 @@ class NmiObjective:
     def value_and_point_gradient(self, comp):
         """NMI, its derivative with respect to each warped point (mm), and
         the affinely mapped points."""
-        z, y = self._warp(comp)
-        nmi_val, point_grad = self.point_gradient_at(y)
-        return nmi_val, point_grad, z
+        nmi_val, point_grad = self.point_gradient_at(
+            compose_apply(comp, self.points))
+        return nmi_val, point_grad, affine_apply(comp.affine, self.points)
 
     def point_gradient_at(self, y):
         """NMI at warped points y (V, 3) and its derivative with respect
@@ -346,11 +339,9 @@ class NmiObjective:
 
     def value_and_affine_gradient(self, affine):
         """NMI and its gradient over the 12 affine parameters."""
-        comp = ComposedTransform(affine, None)
-        nmi_val, point_grad, _ = self.value_and_point_gradient(comp)
-        grad_matrix = point_grad.T @ self.points
-        grad_translation = point_grad.sum(axis=0)
-        return nmi_val, grad_matrix, grad_translation
+        nmi_val, point_grad = self.point_gradient_at(
+            affine_apply(affine, self.points))
+        return nmi_val, point_grad.T @ self.points, point_grad.sum(axis=0)
 
 
 def nmi_gradient(target, floating, comp, window=IntensityWindow(), mask=None):

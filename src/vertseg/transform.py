@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .bspline import BLOCK_POINTS, refine_coefficients_1d, support_weights
+from .bspline import (BLOCK_POINTS, refine_coefficients_1d, support_offsets,
+                      support_weights)
 from .volume import GridGeometry
 
 
@@ -103,11 +104,7 @@ def ffd_basis(control_geom, x):
     """
     u = control_geom.world_to_voxel(x).reshape(-1, 3)
     ny, nz = control_geom.dims[1:]
-    # flat index of support node (i0 + i, j0 + j, k0 + k) minus that of
-    # (i0, j0, k0), for the 64 (i, j, k) in C order
-    o = np.arange(4)
-    offsets = ((o[:, None, None] * ny + o[None, :, None]) * nz
-               + o[None, None, :]).ravel().astype(np.int32)
+    offsets = support_offsets(control_geom.dims).astype(np.int32)
     n_pts = u.shape[0]
     data = np.empty((n_pts, 16, 4))
     indices = np.empty((n_pts, 64), dtype=np.int32)

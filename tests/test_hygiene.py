@@ -33,3 +33,28 @@ def test_unused_import_is_reported():
     tree = ast.parse("import os\nimport sys\nfrom math import pi, tau\n"
                      "print(sys.argv, tau)\n")
     assert _unused_imports(tree) == [(1, "os"), (3, "pi")]
+
+
+def _function_local_imports(tree):
+    return sorted({(node.lineno, func.name)
+                   for func in ast.walk(tree)
+                   if isinstance(func, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))
+                   for node in ast.walk(func)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_functions_do_not_import(path):
+    local = _function_local_imports(ast.parse(path.read_text()))
+    assert not local, (f"{path.name}: imports inside functions "
+                       f"(line, function) {local}")
+
+
+def test_function_local_import_is_reported():
+    tree = ast.parse("import os\n"
+                     "def f():\n    from math import pi\n    return pi\n"
+                     "class C:\n    def m(self):\n"
+                     "        def g():\n            import sys\n")
+    assert _function_local_imports(tree) == [(3, "f"), (8, "g"), (8, "m")]

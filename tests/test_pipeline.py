@@ -261,3 +261,55 @@ def test_cli_usage_error_exit_code():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main([])  # no subcommand
+
+
+# ------------------------------------------------ registration failures
+
+def _quick_manifest(tmp_path, n_atlases):
+    reg = dict(FAST_REG, pyramid_levels=1, max_iters_per_level=2,
+               max_sample_voxels=2000)
+    path, _ = _write_manifest(tmp_path, n_atlases=n_atlases,
+                              extra={"registration": reg})
+    return path
+
+
+def test_run_pipeline_names_stage_vertebra_and_atlas_on_registration_error(
+        tmp_path, monkeypatch):
+    path = _quick_manifest(tmp_path, n_atlases=1)
+
+    def failing_affine(target, floating, cfg):
+        raise ValueError("no warped sample falls inside the floating image")
+
+    monkeypatch.setattr("vertseg.pipeline.register_affine", failing_affine)
+    with pytest.raises(RuntimeError,
+                       match=r"^\[registration\] vertebra V1, atlas atlas0: "
+                             r"no warped sample falls inside"):
+        run_pipeline(load_manifest(path))
+
+
+def test_run_pipeline_results_do_not_depend_on_worker_count(tmp_path):
+    path = _quick_manifest(tmp_path, n_atlases=2)
+    runs = []
+    for workers in (1, 2):
+        m = load_manifest(path)
+        m.workers = workers
+        runs.append(run_pipeline(m))
+    one, two = runs
+    assert np.array_equal(one.final_labels.data, two.final_labels.data)
+    assert list(one.per_vertebra) == list(two.per_vertebra)
+    for vid, res in one.per_vertebra.items():
+        other = two.per_vertebra[vid].transforms
+        assert [c for c, _ in res.transforms] == [c for c, _ in other]
+        for (_, a), (_, b) in zip(res.transforms, other):
+            assert np.array_equal(a.affine.matrix, b.affine.matrix)
+            assert np.array_equal(a.affine.translation, b.affine.translation)
+            assert np.array_equal(a.ffd.coefficients, b.ffd.coefficients)
+
+
+def test_load_manifest_ignores_atlas_cohort_tag(tmp_path):
+    path, _ = _write_manifest(tmp_path, n_atlases=1)
+    doc = json.loads(path.read_text())
+    doc["atlases"][0]["cohort"] = "osteoporotic"
+    path.write_text(json.dumps(doc))
+    m = load_manifest(path)
+    assert [a.case_id for a in m.atlases] == ["atlas0"]

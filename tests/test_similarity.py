@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from vertseg.bspline import BLOCK_POINTS
+from vertseg.bspline import BLOCK_POINTS, support_weights
 from vertseg.registration import (RegistrationConfig, _penalty_grid,
                                   register_ffd)
 from vertseg.similarity import (IntensityWindow, JointHistogram, NmiObjective,
@@ -315,3 +315,81 @@ def test_register_ffd_final_objective_matches_public_wrappers():
     c = (1.0 - cfg.alpha) * obj.value(res.transform) - cfg.alpha * p_val
     assert res.per_level_trace[-1][2] == pytest.approx(c, rel=1e-12, abs=0)
     assert res.final_objective == res.per_level_trace[-1][2]
+
+
+# ------------------------------------------- padded spline-image gather
+
+def _mirror_reference(i, n):
+    """Reflect out-of-range indices into [0, n-1] (period 2n-2)."""
+    if n == 1:
+        return np.zeros_like(i)
+    period = 2 * (n - 1)
+    i = np.abs(i) % period
+    return np.where(i >= n, period - i, i)
+
+
+def _mirror_gather_sample(vol, pts):
+    """Spline value and gradient (HU/mm) at world points, gathering each
+    point's 4x4x4 support from the unpadded coefficients through
+    per-axis mirrored indices; clamped like SplineImage.sample."""
+    coef = ndimage.spline_filter(vol.data, order=3, mode="mirror")
+    dims = np.array(vol.geometry.dims)
+    _, ny, nz = vol.geometry.dims
+    u_raw = vol.geometry.world_to_voxel(pts)
+    u = np.clip(u_raw, 0.0, dims - 1.0)
+    w0, w1, idx = [], [], []
+    for a in range(3):
+        i0, w = support_weights(u[:, a])
+        _, dw = support_weights(u[:, a], deriv=1)
+        w0.append(w)
+        w1.append(-dw)
+        idx.append(np.stack([_mirror_reference(i0 + o, dims[a])
+                             for o in range(4)], axis=1))
+    flat = ((idx[0][:, :, None, None] * ny + idx[1][:, None, :, None]) * nz
+            + idx[2][:, None, None, :])
+    c = coef.ravel()[flat]
+    cz = np.einsum("vijk,vk->vij", c, w0[2])
+    cy = np.einsum("vij,vj->vi", cz, w0[1])
+    val = np.einsum("vi,vi->v", cy, w0[0])
+    gx = np.einsum("vi,vi->v", cy, w1[0])
+    gy = np.einsum("vi,vi->v", np.einsum("vij,vj->vi", cz, w1[1]), w0[0])
+    gz = np.einsum("vi,vi->v", np.einsum(
+        "vij,vj->vi", np.einsum("vijk,vk->vij", c, w1[2]), w0[1]), w0[0])
+    grad = np.stack([gx, gy, gz], axis=-1) / np.array(vol.geometry.spacing)
+    grad[(u_raw < 0.0) | (u_raw > dims - 1.0)] = 0.0
+    return coef, val, grad
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 3), (7, 1, 2), (3, 7, 1),
+                                  (2, 3, 7), (1, 1, 1), (7, 7, 7)])
+def test_padded_gather_matches_mirrored_index_gather(dims):
+    rng = np.random.default_rng(40)
+    vol = _vol(rng.normal(0, 100, dims), spacing=(0.8, 1.0, 1.3),
+               origin=(-2.0, 1.0, 3.0))
+    n = np.array(dims, dtype=float)
+    # uniform over the domain grown by 2 voxels on every side, plus the
+    # corners and face centers of that box, so points lie beyond each face
+    u = rng.uniform(-2.0, n + 1.0, (500, 3))
+    box = np.stack([-2.0 * np.ones(3), (n - 1.0) / 2.0, n + 1.0])
+    grid = np.stack(np.meshgrid(*box.T, indexing="ij"), -1).reshape(-1, 3)
+    pts = vol.geometry.voxel_to_world(np.concatenate([u, grid]))
+    sp = SplineImage(vol)
+    coef, ref_val, ref_grad = _mirror_gather_sample(vol, pts)
+    assert np.array_equal(sp.coef, coef)
+    val, grad = sp.sample(pts)
+    assert np.array_equal(val, ref_val)
+    assert np.array_equal(grad, ref_grad)
+    value_only, _ = sp.sample(pts, with_gradient=False)
+    u_in = np.clip(vol.geometry.world_to_voxel(pts), 0.0, n - 1.0)
+    assert np.array_equal(value_only, ndimage.map_coordinates(
+        coef, u_in.T, order=3, prefilter=False, mode="mirror"))
+
+
+def test_objective_at_points_rejects_samples_all_outside():
+    target, floating, window, mask, _ = _objective_fixture(41)
+    obj = NmiObjective(target, floating, window, mask)
+    y = obj.points + np.array([1000.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="no warped sample falls inside"):
+        obj.value_at(y)
+    with pytest.raises(ValueError, match="no warped sample falls inside"):
+        obj.point_gradient_at(y)
