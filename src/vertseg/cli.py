@@ -82,6 +82,9 @@ def cmd_register(args):
             for it, level, c, nmi_val, p in result.per_level_trace:
                 w.writerow([it, level, f"{c:.8f}", f"{nmi_val:.8f}",
                             f"{p:.8f}"])
+    for level, stop in enumerate(result.stops):
+        print(f"ffd level {level}: {stop.iterations} iterations, "
+              f"{stop.evaluations} evaluations, stopped by {stop.reason}")
     print(f"final objective {result.final_objective:.6f}")
 
 

@@ -49,12 +49,23 @@ def instance_from_mask(label, mask, intensity):
 def morph_cleanup(lbl, min_island_voxels=50):
     """Remove small 26-connected islands (keeping only each label's
     largest component) and fill 6-connected cavities fully enclosed by a
-    single label. Idempotent."""
+    single label. Idempotent.
+
+    Each label's components are labelled inside its own bounding box,
+    and the cavity fill runs on the union box of all labels, padded by
+    one voxel and clamped to the volume. Both crops give the full-grid
+    result bit for bit: a component keeps its voxels and its scan order
+    in any box holding it, and every cavity lies inside the union box (a
+    background voxel beyond it on some axis reaches the volume face along
+    that axis through background)."""
     if min_island_voxels < 0:
         raise ValueError("min_island_voxels must be >= 0")
     data = lbl.data.copy()
-    for lv in lbl.labels():
-        mask = data == lv
+    boxes = [(lv, sl) for lv, sl in enumerate(ndimage.find_objects(data), 1)
+             if sl is not None]
+    for lv, sl in boxes:
+        local = data[sl]
+        mask = local == lv
         comps, ncomp = ndimage.label(mask, structure=_CONN26)
         if ncomp <= 1 and mask.sum() >= min_island_voxels:
             continue
@@ -63,12 +74,17 @@ def morph_cleanup(lbl, min_island_voxels=50):
         drop = mask & (comps != keep)
         if sizes[keep - 1] < min_island_voxels:
             drop = mask
-        data[drop] = 0
+        local[drop] = 0
+    if not boxes:
+        return LabelVolume(lbl.geometry, data)
 
     # cavity fill: 6-connected background components not touching the
     # border and adjacent to exactly one label
-    bg = data == 0
-    comps, ncomp = ndimage.label(bg)  # default structure = 6-connectivity
+    union = tuple(slice(max(0, min(sl[a].start for _, sl in boxes) - 1),
+                        max(sl[a].stop for _, sl in boxes) + 1)
+                  for a in range(3))
+    region = data[union]
+    comps, ncomp = ndimage.label(region == 0)  # 6-connectivity
     if ncomp:
         border_ids = set()
         for axis in range(3):
@@ -83,10 +99,10 @@ def morph_cleanup(lbl, min_island_voxels=50):
             grown = tuple(slice(max(0, s.start - 1), s.stop + 1) for s in sl)
             comp_mask = comps[grown] == cid
             shell = ndimage.binary_dilation(comp_mask) & ~comp_mask
-            neighbors = np.unique(data[grown][shell])
+            local = region[grown]
+            neighbors = np.unique(local[shell])
             neighbors = neighbors[neighbors != 0]
             if len(neighbors) == 1:
-                local = data[grown]
                 local[comp_mask] = neighbors[0]
     return LabelVolume(lbl.geometry, data)
 

@@ -3,13 +3,15 @@ FFD optimization of the weighted objective
 
     C = (1 - alpha) * NMI - alpha * P
 
-by gradient ascent with monotone step acceptance. Deterministic: no
-randomness, fixed reduction order.
+Both stages share one monotone backtracking line search (`_ascend`): the
+affine stage along L-BFGS directions, the FFD stage along the normalised
+gradient. Deterministic: no randomness, fixed reduction order.
 """
 
-import functools
 import logging
+from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +22,8 @@ from .transform import (AffineTransform, ComposedTransform, FFDTransform,
 from .volume import GridGeometry, downsample, pull_back
 
 log = logging.getLogger(__name__)
+
+_LBFGS_MEMORY = 6  # curvature pairs kept by the affine stage
 
 
 @dataclass
@@ -47,6 +51,7 @@ class RegistrationResult:
     transform: ComposedTransform
     final_objective: float
     per_level_trace: list  # [(iteration, level, C, NMI, P), ...]
+    stops: list  # one Stop per FFD pyramid level
 
 
 def _check_nonconstant(vol, name):
@@ -83,50 +88,120 @@ def _intensity_centroid(vol):
     return np.array(vol.geometry.origin) + com * np.array(vol.geometry.spacing)
 
 
-def _ascend(x, current, direction, evaluate, new_direction, step, max_step,
-            cfg, accepted=None):
-    """Monotone line-search ascent from x; returns (x, current).
+class Stop(NamedTuple):
+    """How one `_ascend` run ended: accepted steps, trial evaluations of
+    the line search, and `reason`, one of "gtol" (a zero gradient, or a
+    direction already shorter than `step_tolerance`), "ftol" (an
+    accepted gain below `objective_tolerance`), "max_iters"
+    (`max_iters_per_level` steps accepted) or "no_ascent" (no trial
+    improved down to the shortest trial step)."""
+    iterations: int
+    evaluations: int
+    reason: str
 
-    evaluate(x) gives a tuple led by the objective (ValueError: -inf) and
-    current = evaluate(x). Each iteration halves step from its last value
-    until x + step * direction improves, then grows it 1.5x up to
-    max_step and reports accepted(iteration, result). It stops on a None
-    direction, no improving step, a gain below cfg.objective_tolerance or
-    cfg.max_iters_per_level iterations, and asks new_direction(x) only
-    when another iteration will run."""
+
+def _ascend(x, current, direction, evaluate, new_direction, cfg,
+            accepted=None):
+    """Monotone line-search ascent from x; returns (x, current, Stop).
+
+    evaluate(x) gives a tuple led by the objective, and current =
+    evaluate(x). Each iteration tries x + t * direction for t = 1, 1/2,
+    1/4, ... along the caller-scaled direction, accepts the first strict
+    improvement (a ValueError counts as a rejected trial) and reports
+    accepted(iteration, result). It gives up once t * max|direction| <
+    cfg.step_tolerance ("no_ascent", or "gtol" if even t = 1 is that
+    short), and stops on a None direction ("gtol"), a gain below
+    cfg.objective_tolerance ("ftol") or after cfg.max_iters_per_level
+    iterations ("max_iters"); otherwise it asks new_direction(x, result,
+    t) for the next direction."""
+    evaluations = 0
     for it in range(1, cfg.max_iters_per_level + 1):
-        if direction is None:
-            break
-        while step >= cfg.step_tolerance:
-            cand = x + step * direction
+        reach = None if direction is None else np.abs(direction).max()
+        if reach is None or reach < cfg.step_tolerance:
+            return x, current, Stop(it - 1, evaluations, "gtol")
+        t = 1.0
+        while t * reach >= cfg.step_tolerance:
+            cand = x + t * direction
+            evaluations += 1
             try:
                 result = evaluate(cand)
             except ValueError:
                 result = (-np.inf,)
             if result[0] > current[0]:
                 break
-            step *= 0.5
+            t *= 0.5
         else:
-            break
+            return x, current, Stop(it - 1, evaluations, "no_ascent")
         gain = result[0] - current[0]
         x, current = cand, result
-        step = min(step * 1.5, max_step)
         if accepted is not None:
             accepted(it, result)
-        if gain < cfg.objective_tolerance or it == cfg.max_iters_per_level:
-            break
-        direction = new_direction(x)
-    return x, current
+        if gain < cfg.objective_tolerance:
+            return x, current, Stop(it, evaluations, "ftol")
+        if it < cfg.max_iters_per_level:
+            direction = new_direction(x, result, t)
+    return x, current, Stop(cfg.max_iters_per_level, evaluations,
+                            "max_iters")
+
+
+class _Lbfgs:
+    """Limited-memory BFGS ascent directions (two-loop recursion, Liu &
+    Nocedal 1989) for parameters in mm.
+
+    direction(u, g) takes the parameters and the objective gradient at
+    each accepted point, in order. With no usable curvature pair, or when
+    the quasi-Newton direction is not an ascent direction (which also
+    clears the memory), it returns the gradient scaled to `step` mm.
+    Every direction is capped at `max_step` mm; None means a zero
+    gradient. Pairs without positive curvature are not stored.
+    """
+
+    def __init__(self, step, max_step):
+        self.step, self.max_step = step, max_step
+        self.pairs = deque(maxlen=_LBFGS_MEMORY)  # (s, y, 1 / (s . y))
+        self._last = None
+
+    def direction(self, u, g):
+        if self._last is not None:
+            s, y = u - self._last[0], self._last[1] - g
+            sy = float(s @ y)
+            if sy > 0.0:
+                self.pairs.append((s, y, 1.0 / sy))
+        self._last = (u, g)
+        d = self._two_loop(g) if self.pairs else None
+        if d is None or not d @ g > 0.0:
+            self.pairs.clear()
+            norm = np.linalg.norm(g)
+            if norm < 1e-15:
+                return None
+            d = g * (self.step / norm)
+        norm = np.linalg.norm(d)
+        return d * (self.max_step / norm) if norm > self.max_step else d
+
+    def _two_loop(self, g):
+        q = g.copy()
+        alphas = []
+        for s, y, rho in reversed(self.pairs):
+            alphas.append(rho * (s @ q))
+            q -= alphas[-1] * y
+        s, y, _ = self.pairs[-1]
+        r = q * (float(s @ y) / float(y @ y))
+        for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
+            r += (a - rho * (y @ r)) * s
+        return r
 
 
 def register_affine(target, floating, cfg=None):
     """Estimate the 12-parameter affine maximizing NMI, coarse to fine.
 
-    Initialized by intensity-centroid alignment. Each level runs a
-    translation-only ascent phase before the joint 12-parameter phase, so
-    the (better-conditioned) shift converges before the matrix moves. The
-    matrix acts about the target-domain center; step lengths are measured
-    in mm of induced point motion.
+    Initialized by intensity-centroid alignment. Each level runs one
+    L-BFGS ascent over all 12 parameters: the matrix, which acts about
+    the target-domain center and is scaled by the domain radius, and the
+    translation, so every parameter is in mm of point motion. Each trial
+    returns NMI and its gradient in one call; the first direction is the
+    gradient scaled to 2 voxels, and every direction is capped at 4
+    voxels (of the level's largest spacing). Each level's stop is logged
+    at DEBUG.
     """
     cfg = cfg or RegistrationConfig()
     _check_nonconstant(target, "target")
@@ -136,12 +211,13 @@ def register_affine(target, floating, cfg=None):
     center = corners.mean(axis=0)
     radius = max(float(np.abs(corners - center).max()), 1.0)
 
-    def affine_of(x):  # x = (matrix row-major, centered translation)
-        m = x[:9].reshape(3, 3)
-        return AffineTransform(m, center - m @ center + x[9:])
+    def affine_of(u):  # u = (radius * matrix row-major, centered shift)
+        m = u[:9].reshape(3, 3) / radius
+        return AffineTransform(m, center - m @ center + u[9:])
 
     # identity matrix, translation seeded by the intensity centroids
-    x = np.concatenate([np.eye(3).ravel(), _intensity_centroid(floating)
+    u = np.concatenate([radius * np.eye(3).ravel(),
+                        _intensity_centroid(floating)
                         - _intensity_centroid(target)])
 
     tgt_pyr = _pyramid(target, cfg.pyramid_levels)
@@ -152,33 +228,22 @@ def register_affine(target, floating, cfg=None):
         obj = NmiObjective(tgt, flt, cfg.window, max_points=cap)
         pts_c = obj.points - center
 
-        def value(x):
-            return (obj.value_at(affine_apply(affine_of(x), obj.points)),)
+        def evaluate(u):
+            nmi_val, pg = obj.point_gradient_at(
+                affine_apply(affine_of(u), obj.points))
+            return nmi_val, np.concatenate([(pg.T @ pts_c).ravel() / radius,
+                                            pg.sum(axis=0)])
 
-        def direction(x, translation_only):
-            _, pg = obj.point_gradient_at(
-                affine_apply(affine_of(x), obj.points))
-            g_t = pg.sum(axis=0)
-            g_m = np.zeros((3, 3)) if translation_only else pg.T @ pts_c
-            # scale the matrix block so the update norm is point motion
-            # in mm
-            norm = np.linalg.norm(np.concatenate([(g_m * radius).ravel(),
-                                                  g_t]))
-            if norm < 1e-15:
-                return None
-            return np.concatenate([g_m.ravel(), g_t]) / norm
+        spacing = max(tgt.geometry.spacing)
+        lbfgs = _Lbfgs(step=2.0 * spacing, max_step=4.0 * spacing)
+        current = evaluate(u)
+        u, current, stop = _ascend(
+            u, current, lbfgs.direction(u, current[1]), evaluate,
+            lambda u, result, t: lbfgs.direction(u, result[1]), cfg)
+        log.debug("affine level %d: NMI=%.5f, %d iterations, %d "
+                  "evaluations, stop %s", level, current[0], *stop)
 
-        current = value(x)
-        for translation_only in (True, False):
-            phase = functools.partial(direction,
-                                      translation_only=translation_only)
-            x, current = _ascend(x, current, phase(x), value, phase,
-                                 step=2.0 * max(tgt.geometry.spacing),
-                                 max_step=4.0 * max(tgt.geometry.spacing),
-                                 cfg=cfg)
-        log.debug("affine level %d: NMI=%.5f", level, current[0])
-
-    return affine_of(x)
+    return affine_of(u)
 
 
 def _penalty_grid(affine, target_geom, pad_mm, min_spacing_mm=0.0):
@@ -217,7 +282,7 @@ def register_ffd(target, floating, affine, cfg=None):
     coarse_spacing = cfg.control_spacing_mm * 2 ** (cfg.pyramid_levels - 1)
     ffd = FFDTransform.zeros(lattice_covering(dom_lo, dom_hi, coarse_spacing))
 
-    trace = []
+    trace, stops = [], []
     for level, (tgt, flt) in enumerate(zip(tgt_pyr, flt_pyr)):
         if level > 0:
             ffd = refine_ffd(ffd)
@@ -226,21 +291,28 @@ def register_ffd(target, floating, affine, cfg=None):
         pen_geom, _, _ = _penalty_grid(
             affine, tgt.geometry, 0.0,
             min_spacing_mm=min(ffd.control_geom.spacing) / 4.0)
-        coef, (current, nmi_val, p_val) = _ffd_level(
+        coef, (current, nmi_val, p_val), stop = _ffd_level(
             obj, affine, ffd, pen_geom, cfg,
             step=1.0 * max(tgt.geometry.spacing),
             record=lambda it, result: trace.append((it, level) + result))
         ffd = FFDTransform(ffd.control_geom, coef)
-        log.debug("ffd level %d: C=%.6f NMI=%.5f P=%.6f", level,
-                  current, nmi_val, p_val)
+        stops.append(stop)
+        log.debug("ffd level %d: C=%.6f NMI=%.5f P=%.6f, %d iterations, "
+                  "%d evaluations, stop %s", level, current, nmi_val, p_val,
+                  *stop)
 
-    return RegistrationResult(ComposedTransform(affine, ffd), current, trace)
+    return RegistrationResult(ComposedTransform(affine, ffd), current, trace,
+                              stops)
 
 
 def _ffd_level(obj, affine, ffd, pen_geom, cfg, step, record):
     """Ascend (1-alpha)*NMI - alpha*P over ffd's coefficients on one
-    pyramid level; returns (coefficients, (C, NMI, P)) and passes the
-    start (iteration 0) and every accepted step to record.
+    pyramid level; returns (coefficients, (C, NMI, P), Stop) and passes
+    the start (iteration 0) and every accepted step to record.
+
+    Each direction is the max-normalised gradient times a step length in
+    mm of control-point motion: `step` at first, then 1.5 times the last
+    accepted step, at most 2 * step.
 
     The affinely mapped samples z are fixed within a level, so the FFD
     is the linear map y = z + W c and the penalty the quadratic form
@@ -258,7 +330,7 @@ def _ffd_level(obj, affine, ffd, pen_geom, cfg, step, record):
         p_val = float(np.sum(c * (bend @ c)))
         return (1.0 - alpha) * nmi_val - alpha * p_val, nmi_val, p_val
 
-    def evaluate_with_direction(coef):
+    def evaluate_with_direction(coef, length):
         c = coef.reshape(-1, 3)
         nmi_val, point_grad = obj.point_gradient_at(z + basis @ c)
         qc = bend @ c
@@ -267,15 +339,21 @@ def _ffd_level(obj, affine, ffd, pen_geom, cfg, step, record):
                 - alpha * (2.0 * qc)).reshape(coef.shape)
         c_val = (1.0 - alpha) * nmi_val - alpha * p_val
         gnorm = np.abs(grad).max()
-        # max control-point motion = step mm
+        # max control-point motion = length mm
         return (c_val, nmi_val, p_val), (None if gnorm < 1e-15
-                                         else grad / gnorm)
+                                         else length * (grad / gnorm))
 
-    start, direction = evaluate_with_direction(ffd.coefficients)
+    length = step  # the scale of the direction in use
+
+    def new_direction(coef, result, t):
+        nonlocal length
+        length = min(1.5 * t * length, 2.0 * step)
+        return evaluate_with_direction(coef, length)[1]
+
+    start, direction = evaluate_with_direction(ffd.coefficients, step)
     record(0, start)
     return _ascend(ffd.coefficients, start, direction, evaluate,
-                   lambda coef: evaluate_with_direction(coef)[1],
-                   step=step, max_step=2.0 * step, cfg=cfg, accepted=record)
+                   new_direction, cfg, accepted=record)
 
 
 def warp_atlas(atlas_img, atlas_lbl, comp, target_geom):

@@ -357,3 +357,85 @@ def test_refine_labels_equals_per_label_levelset_refine():
             mask.data, _full_grid_levelset(data == lv, intensity, 10, 0.25))
     with pytest.raises(ValueError):
         refine_labels(lbl, intensity, iters=-1)
+
+
+def _full_grid_morph_cleanup(lbl, min_island_voxels):
+    # the full-grid cleanup that the per-label and union-box crops of
+    # morph_cleanup must reproduce bit for bit
+    data = lbl.data.copy()
+    for lv in lbl.labels():
+        mask = data == lv
+        comps, ncomp = ndimage.label(mask, structure=np.ones((3, 3, 3)))
+        if ncomp <= 1 and mask.sum() >= min_island_voxels:
+            continue
+        sizes = np.bincount(comps.ravel())[1:]
+        keep = int(np.argmax(sizes)) + 1
+        drop = mask & (comps != keep)
+        if sizes[keep - 1] < min_island_voxels:
+            drop = mask
+        data[drop] = 0
+    comps, ncomp = ndimage.label(data == 0)
+    if ncomp:
+        border_ids = set()
+        for axis in range(3):
+            for side in (0, -1):
+                border_ids.update(
+                    np.unique(np.take(comps, side, axis=axis)).tolist())
+        objects = ndimage.find_objects(comps)
+        for cid in range(1, ncomp + 1):
+            if cid in border_ids:
+                continue
+            grown = tuple(slice(max(0, s.start - 1), s.stop + 1)
+                          for s in objects[cid - 1])
+            comp_mask = comps[grown] == cid
+            shell = ndimage.binary_dilation(comp_mask) & ~comp_mask
+            neighbors = np.unique(data[grown][shell])
+            neighbors = neighbors[neighbors != 0]
+            if len(neighbors) == 1:
+                data[grown][comp_mask] = neighbors[0]
+    return data
+
+
+def _assert_cleanup_matches_full_grid(data, min_island_voxels):
+    lbl = _lbl(data)
+    out = morph_cleanup(lbl, min_island_voxels=min_island_voxels)
+    expect = _full_grid_morph_cleanup(lbl, min_island_voxels)
+    assert out.data.dtype == expect.dtype
+    assert out.data.tobytes() == expect.tobytes()
+    return out.data
+
+
+def test_morph_cleanup_crops_match_full_grid_on_fixtures():
+    data = np.zeros((16, 14, 12), dtype=np.int32)
+    data[0:6, 0:5, 2:9] = 1          # touches the x=0 and y=0 faces
+    data[2, 2, 4] = 0                # cavity inside label 1
+    data[9:16, 7:14, 0:12] = 4       # touches the x, y and z end faces
+    data[10:15, 8:13, 2:10] = 0      # a hollow in label 4 ...
+    data[11:14, 9:12, 4:7] = 2       # ... around a block of label 2 ...
+    data[12, 10, 5] = 0              # ... with its own cavity
+    data[7, 12, 10] = 1              # a stray island of label 1
+    data[8:10, 0:2, 10:12] = 5       # a small label below min size
+    # label 3 is absent: find_objects reports None for it
+    out = _assert_cleanup_matches_full_grid(data, min_island_voxels=10)
+    assert out[2, 2, 4] == 1 and out[12, 10, 5] == 2
+    assert out[7, 12, 10] == 0 and not (out == 5).any()
+    assert out[10, 8, 2] == 0  # the hollow touches two labels
+
+    full = np.full((5, 6, 7), 2, dtype=np.int32)
+    full[2, 3, 3] = 0
+    assert (_assert_cleanup_matches_full_grid(full, 0) == 2).all()
+    _assert_cleanup_matches_full_grid(np.zeros((4, 5, 6), np.int32), 5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims=st.tuples(*[st.integers(2, 14)] * 3),
+       density=st.floats(0.05, 0.8),
+       n_labels=st.integers(1, 4),
+       min_island=st.integers(0, 12),
+       seed=st.integers(0, 2 ** 16))
+def test_morph_cleanup_crops_match_full_grid_on_random_labels(
+        dims, density, n_labels, min_island, seed):
+    rng = np.random.default_rng(seed)
+    data = np.where(rng.random(dims) < density,
+                    rng.integers(1, n_labels + 1, dims), 0).astype(np.int32)
+    _assert_cleanup_matches_full_grid(data, min_island)

@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from vertseg import nifti
+from vertseg.cli import main
 from vertseg.registration import (RegistrationConfig, RegistrationResult,
+                                  Stop, _ascend, _Lbfgs, _penalty_grid,
                                   register_affine, register_ffd, warp_atlas)
+from vertseg.similarity import NmiObjective
 from vertseg.transform import (AffineTransform, ComposedTransform,
-                               FFDTransform, affine_apply, compose_apply,
-                               lattice_covering)
+                               FFDTransform, affine_apply, bending_operator,
+                               compose_apply, ffd_basis, lattice_covering)
 from vertseg.volume import GridGeometry, LabelVolume, ScalarVolume, resample
 
 
@@ -197,3 +201,241 @@ def test_warp_atlas_equals_two_resample_calls():
     assert wlbl.data.dtype == elbl.data.dtype
     assert wlbl.data.tobytes() == elbl.data.tobytes()
     assert len(np.unique(wlbl.data)) > 1
+
+
+# ------------------------------------- line search and L-BFGS directions
+
+def _concave_quadratic(seed, n=12):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = q @ np.diag(np.geomspace(0.05, 5.0, n)) @ q.T
+    peak = rng.normal(0.0, 3.0, n)
+
+    def evaluate(x):
+        r = x - peak
+        return -float(r @ a @ r), -2.0 * (a @ r)
+
+    return evaluate, peak
+
+
+def _lbfgs_ascent(evaluate, x, cfg, step=1.0, max_step=4.0):
+    lbfgs = _Lbfgs(step, max_step)
+    current = evaluate(x)
+    return _ascend(x, current, lbfgs.direction(x, current[1]), evaluate,
+                   lambda x, result, t: lbfgs.direction(x, result[1]), cfg)
+
+
+def test_lbfgs_ascent_reaches_maximiser_of_concave_quadratic():
+    cfg = RegistrationConfig(max_iters_per_level=200, step_tolerance=1e-9,
+                             objective_tolerance=1e-14)
+    for seed in range(3):
+        evaluate, peak = _concave_quadratic(seed)
+        x, current, stop = _lbfgs_ascent(evaluate, np.zeros(12), cfg)
+        assert isinstance(stop, Stop)
+        assert stop.reason in ("ftol", "gtol")
+        assert stop.iterations < cfg.max_iters_per_level
+        assert stop.evaluations >= stop.iterations
+        assert np.abs(x - peak).max() <= 1e-4
+        assert current[0] == pytest.approx(0.0, abs=1e-8)
+
+
+def test_ascend_backtracks_past_a_rejecting_face_and_keeps_ascending():
+    # like "no warped sample falls inside": trials past x0 = 1.5 raise
+    curvature = np.geomspace(0.05, 5.0, 12)
+    curvature[0] = 1.0
+    peak = np.random.default_rng(4).normal(0.0, 1.0, 12)
+    peak[0] = 1.0
+    rejected = []
+
+    def guarded(x):
+        if x[0] > 1.5:
+            rejected.append(x.copy())
+            raise ValueError("no warped sample falls inside")
+        r = x - peak
+        return -float(curvature @ r ** 2), -2.0 * curvature * r
+
+    start = peak.copy()
+    start[0] = -2.0
+    start[5] += 0.5
+    accepted = []
+    cfg = RegistrationConfig(max_iters_per_level=200, step_tolerance=1e-9,
+                             objective_tolerance=1e-14)
+    lbfgs = _Lbfgs(step=8.0, max_step=8.0)
+    current = guarded(start)
+    x, current, stop = _ascend(
+        start, current, lbfgs.direction(start, current[1]), guarded,
+        lambda x, result, t: lbfgs.direction(x, result[1]), cfg,
+        accepted=lambda it, result: accepted.append(result[0]))
+    assert rejected  # the first 8 mm trial crosses the face
+    assert all(a < b for a, b in zip(accepted, accepted[1:]))
+    assert len(accepted) == stop.iterations > 1
+    assert stop.reason in ("ftol", "gtol")
+    assert np.isfinite(current[0]) and x[0] <= 1.5
+    assert np.abs(x - peak).max() <= 1e-4
+
+
+def test_ascend_reports_no_ascent_and_iteration_cap():
+    evaluate, _ = _concave_quadratic(5)
+    x0 = np.ones(12)
+    current = evaluate(x0)
+    # a descent direction: every trial down to the shortest step fails
+    x, after, stop = _ascend(x0, current, -current[1], evaluate,
+                             None, RegistrationConfig(step_tolerance=1e-3))
+    assert stop.reason == "no_ascent" and stop.iterations == 0
+    assert np.array_equal(x, x0) and after[0] == current[0]
+    scale = np.abs(current[1]).max()
+    assert stop.evaluations == int(np.floor(np.log2(scale / 1e-3))) + 1
+    # the cap: the last accepted step asks for no further direction
+    cfg = RegistrationConfig(max_iters_per_level=3, objective_tolerance=0.0)
+    _, _, stop = _lbfgs_ascent(evaluate, x0, cfg, step=0.1)
+    assert stop == Stop(3, stop.evaluations, "max_iters")
+    _, _, stop = _ascend(x0, current, None, evaluate, None, cfg)
+    assert stop == Stop(0, 0, "gtol")
+
+
+def test_lbfgs_non_ascent_direction_resets_to_scaled_gradient():
+    lbfgs = _Lbfgs(step=2.0, max_step=10.0)
+    g = np.zeros(12)
+    g[0] = 1.0
+    s, y = g.copy(), -g  # negative curvature: H g points downhill
+    lbfgs.pairs.append((s, y, 1.0 / float(s @ y)))
+    assert lbfgs._two_loop(g) @ g < 0.0
+    d = lbfgs.direction(np.zeros(12), 3.0 * g)
+    assert np.array_equal(d, 2.0 * g)  # the gradient scaled to 2 mm
+    assert len(lbfgs.pairs) == 0
+    # a step along which the gradient grows is not stored either
+    lbfgs.direction(np.ones(12), 5.0 * g)
+    assert len(lbfgs.pairs) == 0
+    # a curvature pair gives a quasi-Newton step, capped at max_step
+    d = lbfgs.direction(np.ones(12) + 100.0 * g, 4.0 * g)
+    assert len(lbfgs.pairs) == 1 and d @ g > 0.0
+    assert np.linalg.norm(d) == pytest.approx(10.0)
+    assert lbfgs.direction(np.ones(12), np.zeros(12)) is None
+
+
+def test_register_ffd_records_one_stop_per_level(tmp_path, capsys):
+    img = _blob_image(12)
+    warped = resample(img, img.geometry,
+                      lambda p: p + np.array([1.0, 0.0, -0.5]))
+    cfg = _quick_cfg(control_spacing_mm=12.0, max_iters_per_level=4)
+    res = register_ffd(warped, img, AffineTransform.identity(), cfg)
+    assert len(res.stops) == cfg.pyramid_levels
+    for level, stop in enumerate(res.stops):
+        steps = [it for it, lv, *_ in res.per_level_trace
+                 if lv == level and it > 0]
+        assert stop.iterations == len(steps)
+        assert stop.evaluations >= stop.iterations
+        assert stop.reason in ("gtol", "ftol", "max_iters", "no_ascent")
+
+    nifti.write_volume(tmp_path / "t.nii", warped)
+    nifti.write_volume(tmp_path / "f.nii", img)
+    rc = main(["register", "--target", str(tmp_path / "t.nii"),
+               "--floating", str(tmp_path / "f.nii"),
+               "--output-transform", str(tmp_path / "t.json"),
+               "--levels", "2", "--max-iters", "3",
+               "--control-spacing", "12"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    levels = [ln for ln in lines if ln.startswith("ffd level ")]
+    assert [ln.split(":")[0] for ln in levels] == ["ffd level 0",
+                                                   "ffd level 1"]
+    assert all("stopped by " in ln for ln in levels)
+    assert lines[-1].startswith("final objective ")
+
+
+# ------------- FFD oracle: the normalised-gradient schedule, bit for bit
+
+def _oracle_ascend(x, current, direction, evaluate, new_direction, step,
+                   max_step, cfg, accepted=None):
+    # the line search the FFD stage ran before the affine stage moved to
+    # L-BFGS: halve the step until an improvement, then grow it 1.5x
+    for it in range(1, cfg.max_iters_per_level + 1):
+        if direction is None:
+            break
+        while step >= cfg.step_tolerance:
+            cand = x + step * direction
+            try:
+                result = evaluate(cand)
+            except ValueError:
+                result = (-np.inf,)
+            if result[0] > current[0]:
+                break
+            step *= 0.5
+        else:
+            break
+        gain = result[0] - current[0]
+        x, current = cand, result
+        step = min(step * 1.5, max_step)
+        if accepted is not None:
+            accepted(it, result)
+        if gain < cfg.objective_tolerance or it == cfg.max_iters_per_level:
+            break
+        direction = new_direction(x)
+    return x, current
+
+
+def _oracle_ffd_one_level(target, floating, affine, cfg):
+    pad = 2.0 * max(target.geometry.spacing)
+    _, lo, hi = _penalty_grid(affine, target.geometry, pad)
+    lattice = lattice_covering(lo, hi, cfg.control_spacing_mm)
+    obj = NmiObjective(target, floating, cfg.window,
+                       max_points=cfg.max_sample_voxels or None)
+    pen_geom, _, _ = _penalty_grid(affine, target.geometry, 0.0,
+                                   min_spacing_mm=min(lattice.spacing) / 4)
+    z = affine_apply(affine, obj.points)
+    basis = ffd_basis(lattice, z)
+    bend = bending_operator(lattice, pen_geom)
+    alpha = cfg.alpha
+
+    def evaluate(coef):
+        c = coef.reshape(-1, 3)
+        nmi_val = obj.value_at(z + basis @ c)
+        p_val = float(np.sum(c * (bend @ c)))
+        return (1.0 - alpha) * nmi_val - alpha * p_val, nmi_val, p_val
+
+    def evaluate_with_direction(coef):
+        c = coef.reshape(-1, 3)
+        nmi_val, point_grad = obj.point_gradient_at(z + basis @ c)
+        qc = bend @ c
+        p_val = float(np.sum(c * qc))
+        grad = ((1.0 - alpha) * (basis.T @ point_grad)
+                - alpha * (2.0 * qc)).reshape(coef.shape)
+        gnorm = np.abs(grad).max()
+        return (((1.0 - alpha) * nmi_val - alpha * p_val, nmi_val, p_val),
+                None if gnorm < 1e-15 else grad / gnorm)
+
+    trace = []
+    coef0 = np.zeros(lattice.dims + (3,))
+    start, direction = evaluate_with_direction(coef0)
+    trace.append((0, 0) + start)
+    step = 1.0 * max(target.geometry.spacing)
+    coef, _ = _oracle_ascend(
+        coef0, start, direction, evaluate,
+        lambda coef: evaluate_with_direction(coef)[1], step=step,
+        max_step=2.0 * step, cfg=cfg,
+        accepted=lambda it, result: trace.append((it, 0) + result))
+    return coef, trace
+
+
+@pytest.mark.parametrize("alpha", [0.005, 0.5])
+def test_register_ffd_matches_normalised_gradient_oracle(alpha):
+    img = _blob_image(13, dims=(22, 20, 18), spacing=(1.5, 1.4, 1.6))
+
+    def pullback(p):
+        return p + 1.5 * np.stack([np.sin(p[..., 1] / 7.0),
+                                   np.cos(p[..., 2] / 6.0),
+                                   np.sin(p[..., 0] / 8.0)], axis=-1)
+
+    warped = resample(img, img.geometry, pullback)
+    affine = AffineTransform(
+        np.array([[1.02, 0.01, 0.0], [-0.015, 0.98, 0.02],
+                  [0.0, 0.01, 1.01]]), np.array([0.4, -0.3, 0.25]))
+    cfg = RegistrationConfig(alpha=alpha, pyramid_levels=1,
+                             control_spacing_mm=9.0, max_iters_per_level=12,
+                             max_sample_voxels=5000)
+    res = register_ffd(warped, img, affine, cfg)
+    coef, trace = _oracle_ffd_one_level(warped, img, affine, cfg)
+    assert len(trace) > 2
+    assert res.transform.ffd.coefficients.tobytes() == coef.tobytes()
+    assert res.per_level_trace == trace
+    assert res.final_objective == trace[-1][2]

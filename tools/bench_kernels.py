@@ -11,10 +11,13 @@ Python/NumPy/SciPy versions, BLAS/OpenMP thread variables) to
 
 Sizes follow the benchmark's `register_fine` workload: `--points` sample
 points on an 11x12x11 control lattice at 5 mm, a penalty grid at a
-quarter of the lattice spacing, and an 82x88x32 floating image. The
-level set follows the `refuse` workload: `refine_labels` (cleanup, then
-10 iterations per label) on the default 96x96x160 phantom with its 5
-vertebra labels, whatever `--points` is.
+quarter of the lattice spacing, and an 82x88x32 floating image.
+`nmi_point_gradient` is `NmiObjective.point_gradient_at` at `--points`
+target samples of that image (the one objective call an affine-stage
+trial makes), with the floating image shifted by a third of a voxel.
+The level set follows the `refuse` workload: `refine_labels` (cleanup,
+then 10 iterations per label) on the default 96x96x160 phantom with its
+5 vertebra labels, whatever `--points` is.
 """
 
 import argparse
@@ -66,7 +69,7 @@ def run(n_points, repeats):
 
     from vertseg.phantom import PhantomSpec, make_phantom
     from vertseg.postprocess import refine_labels
-    from vertseg.similarity import SplineImage, _parzen_counts
+    from vertseg.similarity import NmiObjective, SplineImage, _parzen_counts
     from vertseg.transform import (bending_operator, ffd_basis,
                                    lattice_covering)
     from vertseg.volume import GridGeometry, ScalarVolume
@@ -95,6 +98,8 @@ def run(n_points, repeats):
     basis = ffd_basis(lattice, pts)
     bend = bending_operator(lattice, pen_geom)
     spline = SplineImage(image)
+    objective = NmiObjective(image, image, max_points=n_points)
+    warped = objective.points + np.array(IMAGE_SPACING_MM) / 3.0
     ct, labels, _ = make_phantom(PhantomSpec(noise_sd=20.0, seed=0))
     kernels = {
         "ffd_basis_build": lambda: ffd_basis(lattice, pts),
@@ -108,6 +113,7 @@ def run(n_points, repeats):
         "spline_sample_gradient": lambda: spline.sample(pts),
         "parzen_counts": lambda: _parzen_counts(target_bins,
                                                 floating_coords, BINS),
+        "nmi_point_gradient": lambda: objective.point_gradient_at(warped),
         "refine_labels": lambda: refine_labels(labels, ct,
                                                iters=LEVELSET_ITERS),
     }
@@ -119,6 +125,7 @@ def run(n_points, repeats):
              "basis_mb": (basis.data.nbytes + basis.indices.nbytes
                           + basis.indptr.nbytes) / 2 ** 20,
              "bending_nnz": int(bend.nnz),
+             "nmi_points": len(objective.points),
              "levelset_dims": list(ct.geometry.dims),
              "levelset_labels": len(labels.labels()),
              "levelset_iters": LEVELSET_ITERS}
