@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -148,7 +149,7 @@ def cmd_evaluate(args):
 def cmd_run(args):
     manifest = load_manifest(args.manifest)
     if args.workers is not None:
-        manifest.workers = args.workers
+        manifest = dataclasses.replace(manifest, workers=args.workers)
     outdir = args.output or manifest.output_dir or "."
     os.makedirs(outdir, exist_ok=True)
 

@@ -1,6 +1,10 @@
 """Manifest-driven per-vertebra pipeline: crop, register every eligible
 atlas, fuse labels, clean up and refine each vertebra, resolve collisions
 across vertebrae, and (optionally) evaluate against ground truth.
+
+Every (vertebra, atlas) registration of a run goes through one thread
+pool, and each vertebra is fused as soon as its own pairs are done (see
+`run_pipeline`).
 """
 
 import json
@@ -60,6 +64,20 @@ class AtlasManifest:
     def __post_init__(self):
         if self.mode not in ("single", "bundle3"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+
+
+def _as_is(value):
+    return value
+
+
+# optional manifest keys -> coercion; each names an AtlasManifest field
+_TOP_LEVEL_KEYS = {"mode": _as_is, "leave_one_out": bool,
+                   "crop_margin_mm": float, "group_by": _as_is,
+                   "workers": int, "output_dir": _as_is}
+_POSTPROCESS_KEYS = {"min_island_voxels": int, "levelset_iters": int,
+                     "levelset_step": float}
 
 
 def load_manifest(path):
@@ -92,26 +110,28 @@ def load_manifest(path):
     if window_kwargs:
         reg_kwargs["window"] = IntensityWindow(**window_kwargs)
     post = doc.get("postprocess", {})
+    for key in post:
+        if key not in _POSTPROCESS_KEYS:
+            raise ValueError(f"unknown postprocess key {key!r}")
+
+    # only the keys the document has: every default lives on AtlasManifest
+    optional = {key: cast(doc[key]) for key, cast in _TOP_LEVEL_KEYS.items()
+                if key in doc}
+    optional.update({key: cast(post[key])
+                     for key, cast in _POSTPROCESS_KEYS.items()
+                     if key in post})
 
     return AtlasManifest(
         target_image_path=resolve(tgt["image"]),
         target_case_id=tgt.get("case_id", "target"),
         vertebrae=vertebrae,
         atlases=atlases,
-        mode=doc.get("mode", "single"),
-        leave_one_out=bool(doc.get("leave_one_out", False)),
         target_labels_path=(resolve(tgt["labels"])
                             if tgt.get("labels") else None),
-        crop_margin_mm=float(doc.get("crop_margin_mm", 10.0)),
         registration=RegistrationConfig(**reg_kwargs),
         fusion=FusionConfig(**doc.get("fusion", {})),
         collision=CollisionPolicy(**doc.get("collision", {})),
-        min_island_voxels=int(post.get("min_island_voxels", 50)),
-        levelset_iters=int(post.get("levelset_iters", 10)),
-        levelset_step=float(post.get("levelset_step", 0.25)),
-        group_by=doc.get("group_by"),
-        workers=int(doc.get("workers", 1)),
-        output_dir=doc.get("output_dir"),
+        **optional,
     )
 
 
@@ -208,8 +228,57 @@ def bundle_ids_center(ids):
     return ids[len(ids) // 2] if len(ids) == 3 else ids[0]
 
 
+def _fold_vertebra(vert, tcrop, eligible, done, target_geometry,
+                   manifest):
+    """Fuse and refine one vertebra from its registered pairs; return its
+    result and its refined mask pasted onto the full target grid."""
+    transforms = [(entry.case_id, r[1])
+                  for (entry, _ids), r in zip(eligible, done)]
+    try:
+        fused = fuse(tcrop, [r[0] for r in done], manifest.fusion)
+    except Exception as exc:
+        raise RuntimeError(f"[fusion] vertebra {vert.vertebra_id}: {exc}")
+
+    try:
+        refined = refine_labels(
+            fused.consensus, tcrop, manifest.min_island_voxels,
+            iters=manifest.levelset_iters,
+            step=manifest.levelset_step).get(vert.label)
+        if refined is None or not refined.data.any():
+            raise ValueError("empty mask after cleanup and level set")
+    except Exception as exc:
+        raise RuntimeError(
+            f"[postprocess] vertebra {vert.vertebra_id}: {exc}")
+
+    result = VertebraResult(
+        vertebra_id=vert.vertebra_id,
+        crop_geometry=tcrop.geometry,
+        transforms=transforms,
+        fusion_probability=fused.probability,
+        refined_mask=refined,
+    )
+
+    # paste the refined crop-space mask back onto the full grid
+    full = np.zeros(target_geometry.dims, dtype=np.int32)
+    off = np.round(target_geometry.world_to_voxel(
+        np.array(refined.geometry.origin))).astype(int)
+    sl = tuple(slice(off[a], off[a] + refined.geometry.dims[a])
+               for a in range(3))
+    full[sl] = np.where(refined.data != 0, vert.label, 0)
+    return result, LabelVolume(target_geometry, full)
+
+
 def run_pipeline(manifest):
-    """Execute the full pipeline described by a manifest."""
+    """Execute the full pipeline described by a manifest.
+
+    Plan: every (vertebra, atlas) pair, vertebra-major in manifest order.
+    A vertebra without an eligible atlas fails here, before any
+    registration. Pool: one executor of `manifest.workers` threads
+    registers the pairs. Fold: results come back in plan order, and each
+    vertebra is fused, refined and pasted back as soon as its last pair
+    is in, while the pool registers the next vertebra's pairs. The plan
+    fixes the order of every result, so outputs do not depend on the
+    worker count."""
     target_img = nifti.read_volume(manifest.target_image_path, "scalar")
     target_lbl = None
     if manifest.target_labels_path:
@@ -223,74 +292,45 @@ def run_pipeline(manifest):
                 nifti.read_volume(a.labels_path, "label"),
             )
 
-    timing = []
-    per_vertebra = {}
-    full_masks = []
-
+    margin = _margin_voxels(target_img.geometry, manifest.crop_margin_mm)
+    plan = []  # (vertebra, target crop, [(atlas entry, bundle ids)])
     for vert in manifest.vertebrae:
         eligible = _eligible_atlases(manifest, vert)
         if not eligible:
             raise RuntimeError(
                 f"[registration] no eligible atlas for vertebra "
                 f"{vert.vertebra_id}")
-        margin = _margin_voxels(target_img.geometry, manifest.crop_margin_mm)
-        tcrop = crop(target_img, vert.box, margin)
+        plan.append((vert, crop(target_img, vert.box, margin), eligible))
+    pairs = [(vert, tcrop, entry, ids)
+             for vert, tcrop, eligible in plan for entry, ids in eligible]
 
-        def work(item):
-            atlas_entry, ids = item
-            try:
-                return _register_one(tcrop, atlas_entry, ids, vert.label,
-                                     manifest, atlas_cache)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"[registration] vertebra {vert.vertebra_id}, atlas "
-                    f"{atlas_entry.case_id}: {exc}") from exc
-
-        if manifest.workers > 1 and len(eligible) > 1:
-            with ThreadPoolExecutor(max_workers=manifest.workers) as pool:
-                results = list(pool.map(work, eligible))
-        else:
-            results = [work(item) for item in eligible]
-
-        registered = [r[0] for r in results]
-        transforms = [(e[0].case_id, r[1])
-                      for e, r in zip(eligible, results)]
-        for (entry, _ids), r in zip(eligible, results):
-            timing.append((vert.vertebra_id, entry.case_id, r[2]))
-
+    def work(pair):
+        vert, tcrop, atlas_entry, ids = pair
         try:
-            fused = fuse(tcrop, registered, manifest.fusion)
-        except Exception as exc:
-            raise RuntimeError(f"[fusion] vertebra {vert.vertebra_id}: {exc}")
-
-        try:
-            refined = refine_labels(
-                fused.consensus, tcrop, manifest.min_island_voxels,
-                iters=manifest.levelset_iters,
-                step=manifest.levelset_step).get(vert.label)
-            if refined is None or not refined.data.any():
-                raise ValueError("empty mask after cleanup and level set")
+            return _register_one(tcrop, atlas_entry, ids, vert.label,
+                                 manifest, atlas_cache)
         except Exception as exc:
             raise RuntimeError(
-                f"[postprocess] vertebra {vert.vertebra_id}: {exc}")
+                f"[registration] vertebra {vert.vertebra_id}, atlas "
+                f"{atlas_entry.case_id}: {exc}") from exc
 
-        per_vertebra[vert.vertebra_id] = VertebraResult(
-            vertebra_id=vert.vertebra_id,
-            crop_geometry=tcrop.geometry,
-            transforms=transforms,
-            fusion_probability=fused.probability,
-            refined_mask=refined,
-        )
-
-        # paste the refined crop-space mask back onto the full grid
-        full = np.zeros(target_img.geometry.dims, dtype=np.int32)
-        off = np.round(target_img.geometry.world_to_voxel(
-            np.array(refined.geometry.origin))).astype(int)
-        sl = tuple(slice(off[a], off[a] + refined.geometry.dims[a])
-                   for a in range(3))
-        full[sl] = np.where(refined.data != 0, vert.label, 0)
-        full_masks.append((vert.label, LabelVolume(target_img.geometry,
-                                                   full)))
+    timing = []
+    per_vertebra = {}
+    full_masks = []
+    pool = ThreadPoolExecutor(max_workers=manifest.workers)
+    try:
+        results = pool.map(work, pairs)
+        for vert, tcrop, eligible in plan:
+            done = [next(results) for _ in eligible]
+            timing.extend((vert.vertebra_id, entry.case_id, r[2])
+                          for (entry, _ids), r in zip(eligible, done))
+            per_vertebra[vert.vertebra_id], full = _fold_vertebra(
+                vert, tcrop, eligible, done, target_img.geometry, manifest)
+            full_masks.append((vert.label, full))
+    finally:
+        # After a failure, drop the pairs that have not started instead
+        # of registering the rest of the run. On success none are left.
+        pool.shutdown(cancel_futures=True)
 
     final = separate_labels(full_masks, target_img, manifest.collision)
 

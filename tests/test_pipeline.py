@@ -1,6 +1,7 @@
 """Manifest parsing, atlas-eligibility rules, a small end-to-end pipeline
 run, and CLI subcommand smoke tests."""
 
+import dataclasses
 import json
 import os
 
@@ -11,8 +12,10 @@ from vertseg import nifti
 from vertseg.cli import main
 from vertseg.fusion import FusionOutput
 from vertseg.phantom import PhantomSpec, deform_phantom, make_phantom
-from vertseg.pipeline import (AtlasEntry, VertebraEntry, _bundle_ids,
-                              _eligible_atlases, load_manifest, run_pipeline)
+from vertseg.registration import register_affine
+from vertseg.pipeline import (AtlasEntry, AtlasManifest, VertebraEntry,
+                              _bundle_ids, _eligible_atlases, load_manifest,
+                              run_pipeline)
 from vertseg.volume import BoundingBox, LabelVolume
 
 SMALL = dict(dims=(48, 48, 72), spacing=(0.8, 0.8, 1.0),
@@ -287,8 +290,10 @@ def test_run_pipeline_names_stage_vertebra_and_atlas_on_registration_error(
         run_pipeline(load_manifest(path))
 
 
-def test_run_pipeline_results_do_not_depend_on_worker_count(tmp_path):
-    path = _quick_manifest(tmp_path, n_atlases=2)
+@pytest.mark.parametrize("n_atlases", [2, 3])
+def test_run_pipeline_results_do_not_depend_on_worker_count(tmp_path,
+                                                            n_atlases):
+    path = _quick_manifest(tmp_path, n_atlases=n_atlases)
     runs = []
     for workers in (1, 2):
         m = load_manifest(path)
@@ -296,6 +301,7 @@ def test_run_pipeline_results_do_not_depend_on_worker_count(tmp_path):
         runs.append(run_pipeline(m))
     one, two = runs
     assert np.array_equal(one.final_labels.data, two.final_labels.data)
+    assert [t[:2] for t in one.timing] == [t[:2] for t in two.timing]
     assert list(one.per_vertebra) == list(two.per_vertebra)
     for vid, res in one.per_vertebra.items():
         other = two.per_vertebra[vid].transforms
@@ -313,3 +319,98 @@ def test_load_manifest_ignores_atlas_cohort_tag(tmp_path):
     path.write_text(json.dumps(doc))
     m = load_manifest(path)
     assert [a.case_id for a in m.atlases] == ["atlas0"]
+
+
+# ------------------------------------------------ one pool per run
+
+def _counting_affine(monkeypatch):
+    """Count `register_affine` calls made by the pipeline."""
+    calls = []
+
+    def counting(target, floating, cfg):
+        calls.append(1)
+        return register_affine(target, floating, cfg)
+
+    monkeypatch.setattr("vertseg.pipeline.register_affine", counting)
+    return calls
+
+
+def test_run_pipeline_checks_every_vertebra_before_registering(
+        tmp_path, monkeypatch):
+    m = load_manifest(_quick_manifest(tmp_path, n_atlases=2))
+    for atlas in m.atlases:
+        del atlas.vertebra_labels["V3"]
+    calls = _counting_affine(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"^\[registration\] no eligible "
+                                           r"atlas for vertebra V3$"):
+        run_pipeline(m)
+    assert len(calls) == 0
+
+
+def test_run_pipeline_failing_vertebra_cancels_queued_pairs(
+        tmp_path, monkeypatch):
+    m = load_manifest(_quick_manifest(tmp_path, n_atlases=2))
+    assert m.workers == 1
+    calls = _counting_affine(monkeypatch)
+
+    def failing_fuse(target, atlases, cfg):
+        raise ValueError("fusion broke")
+
+    monkeypatch.setattr("vertseg.pipeline.fuse", failing_fuse)
+    with pytest.raises(RuntimeError, match=r"^\[fusion\] vertebra V1: "
+                                           r"fusion broke"):
+        run_pipeline(m)
+    # V1's two pairs, plus at most the one already running when V1 failed
+    assert 2 <= len(calls) <= 3
+
+
+# ------------------------------------------------ manifest validation
+
+def _write_doc(tmp_path, doc):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _minimal_doc():
+    return {
+        "target": {
+            "image": "target.nii",
+            "vertebrae": [{"id": "V1", "label": 1,
+                           "box": {"min": [0, 0, 0], "max": [4, 4, 4]}}],
+        },
+        "atlases": [{"case_id": "a0", "image": "a0.nii",
+                     "labels": "a0_labels.nii",
+                     "vertebra_labels": {"V1": 1}}],
+    }
+
+
+def test_load_manifest_minimal_document_takes_dataclass_defaults(tmp_path):
+    m = load_manifest(_write_doc(tmp_path, _minimal_doc()))
+    assert m.target_case_id == "target"
+    assert m.target_labels_path is None
+    for f in dataclasses.fields(AtlasManifest):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(m, f.name) == f.default, f.name
+        elif f.default_factory is not dataclasses.MISSING:
+            assert getattr(m, f.name) == f.default_factory(), f.name
+
+
+def test_load_manifest_rejects_unknown_postprocess_key(tmp_path):
+    doc = dict(_minimal_doc(), postprocess={"levelset_iter": 0})
+    with pytest.raises(ValueError, match="levelset_iter"):
+        load_manifest(_write_doc(tmp_path, doc))
+
+
+def test_load_manifest_rejects_zero_workers(tmp_path):
+    doc = dict(_minimal_doc(), workers=0)
+    with pytest.raises(ValueError, match="workers"):
+        load_manifest(_write_doc(tmp_path, doc))
+
+
+def test_cli_run_rejects_zero_workers(tmp_path, capsys):
+    path = _write_doc(tmp_path, _minimal_doc())
+    rc = main(["run", "--manifest", str(path), "--workers", "0",
+               "--output", str(tmp_path / "out")])
+    assert rc == 1
+    assert "workers" in capsys.readouterr().err
