@@ -33,8 +33,9 @@ class FusionConfig:
     epsilon: float = 0.1
 
     def __post_init__(self):
-        if self.patch_radius < 0:
-            raise ValueError("patch_radius must be >= 0")
+        for name in ("patch_radius", "search_radius"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.beta <= 0 or self.epsilon <= 0:
             raise ValueError("beta and epsilon must be > 0")
 

@@ -66,6 +66,10 @@ class AtlasManifest:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        for name in ("crop_margin_mm", "levelset_iters", "min_island_voxels"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def _as_is(value):

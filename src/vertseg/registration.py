@@ -42,8 +42,12 @@ class RegistrationConfig:
             raise ValueError("alpha must lie in [0, 1)")
         if self.pyramid_levels < 1:
             raise ValueError("need at least one pyramid level")
-        if self.control_spacing_mm <= 0.0:
-            raise ValueError("control_spacing_mm must be > 0")
+        for name in ("control_spacing_mm", "step_tolerance"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("max_iters_per_level", "max_sample_voxels"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -291,10 +295,10 @@ def register_ffd(target, floating, affine, cfg=None):
         pen_geom, _, _ = _penalty_grid(
             affine, tgt.geometry, 0.0,
             min_spacing_mm=min(ffd.control_geom.spacing) / 4.0)
-        coef, (current, nmi_val, p_val), stop = _ffd_level(
+        coef, (current, nmi_val, p_val, _), stop = _ffd_level(
             obj, affine, ffd, pen_geom, cfg,
             step=1.0 * max(tgt.geometry.spacing),
-            record=lambda it, result: trace.append((it, level) + result))
+            record=lambda it, result: trace.append((it, level) + result[:3]))
         ffd = FFDTransform(ffd.control_geom, coef)
         stops.append(stop)
         log.debug("ffd level %d: C=%.6f NMI=%.5f P=%.6f, %d iterations, "
@@ -307,8 +311,9 @@ def register_ffd(target, floating, affine, cfg=None):
 
 def _ffd_level(obj, affine, ffd, pen_geom, cfg, step, record):
     """Ascend (1-alpha)*NMI - alpha*P over ffd's coefficients on one
-    pyramid level; returns (coefficients, (C, NMI, P), Stop) and passes
-    the start (iteration 0) and every accepted step to record.
+    pyramid level; returns (coefficients, (C, NMI, P, gradient), Stop),
+    all from one `point_gradient_at` call per trial, and passes the start
+    (iteration 0) and every accepted step to record.
 
     Each direction is the max-normalised gradient times a step length in
     mm of control-point motion: `step` at first, then 1.5 times the last
@@ -326,34 +331,28 @@ def _ffd_level(obj, affine, ffd, pen_geom, cfg, step, record):
 
     def evaluate(coef):
         c = coef.reshape(-1, 3)
-        nmi_val = obj.value_at(z + basis @ c)
-        p_val = float(np.sum(c * (bend @ c)))
-        return (1.0 - alpha) * nmi_val - alpha * p_val, nmi_val, p_val
-
-    def evaluate_with_direction(coef, length):
-        c = coef.reshape(-1, 3)
         nmi_val, point_grad = obj.point_gradient_at(z + basis @ c)
         qc = bend @ c
         p_val = float(np.sum(c * qc))
         grad = ((1.0 - alpha) * (basis.T @ point_grad)
                 - alpha * (2.0 * qc)).reshape(coef.shape)
-        c_val = (1.0 - alpha) * nmi_val - alpha * p_val
+        return (1.0 - alpha) * nmi_val - alpha * p_val, nmi_val, p_val, grad
+
+    def direction(grad, length):
         gnorm = np.abs(grad).max()
-        # max control-point motion = length mm
-        return (c_val, nmi_val, p_val), (None if gnorm < 1e-15
-                                         else length * (grad / gnorm))
+        return None if gnorm < 1e-15 else length * (grad / gnorm)
 
     length = step  # the scale of the direction in use
 
     def new_direction(coef, result, t):
         nonlocal length
         length = min(1.5 * t * length, 2.0 * step)
-        return evaluate_with_direction(coef, length)[1]
+        return direction(result[3], length)
 
-    start, direction = evaluate_with_direction(ffd.coefficients, step)
+    start = evaluate(ffd.coefficients)
     record(0, start)
-    return _ascend(ffd.coefficients, start, direction, evaluate,
-                   new_direction, cfg, accepted=record)
+    return _ascend(ffd.coefficients, start, direction(start[3], step),
+                   evaluate, new_direction, cfg, accepted=record)
 
 
 def warp_atlas(atlas_img, atlas_lbl, comp, target_geom):

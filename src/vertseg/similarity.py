@@ -12,7 +12,9 @@ The objective has one evaluation path: `NmiObjective.value_at` and
 `point_gradient_at` take warped sample points, and the transform-level
 methods only map the samples (`compose_apply`/`affine_apply`, or the FFD
 basis) before calling them. Both bin intensities with
-`IntensityWindow.bin_coord`.
+`IntensityWindow.bin_coord`. Both registration stages score every trial
+with one `point_gradient_at` call, which gives NMI and its gradient
+together; `value_at`, without the gradient, backs `NmiObjective.value`.
 """
 
 from dataclasses import dataclass

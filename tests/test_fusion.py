@@ -177,6 +177,12 @@ def test_fuse_config_validation():
         FusionConfig(epsilon=0.0)
 
 
+def test_fuse_config_rejects_negative_search_radius():
+    # np.pad would fail on it only after every pair was registered
+    with pytest.raises(ValueError, match="search_radius"):
+        FusionConfig(search_radius=-1)
+
+
 def test_majority_vote_counts_and_ties():
     geom = _geom((2, 2, 2))
     img = ScalarVolume(geom, np.zeros((2, 2, 2)))

@@ -402,6 +402,24 @@ def test_load_manifest_rejects_unknown_postprocess_key(tmp_path):
         load_manifest(_write_doc(tmp_path, doc))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("registration.step_tolerance", 0), ("crop_margin_mm", -1.0),
+    ("postprocess.levelset_iters", -1), ("postprocess.min_island_voxels", -1),
+    ("fusion.search_radius", -1)])
+def test_bad_manifest_value_fails_at_load_before_registration(
+        tmp_path, monkeypatch, key, value):
+    path = _quick_manifest(tmp_path, n_atlases=1)
+    doc = json.loads(path.read_text())
+    *section, name = key.split(".")
+    node = doc.setdefault(section[0], {}) if section else doc
+    node[name] = value
+    path.write_text(json.dumps(doc))
+    calls = _counting_affine(monkeypatch)
+    with pytest.raises(ValueError, match=name):
+        run_pipeline(load_manifest(path))
+    assert len(calls) == 0
+
+
 def test_load_manifest_rejects_zero_workers(tmp_path):
     doc = dict(_minimal_doc(), workers=0)
     with pytest.raises(ValueError, match="workers"):

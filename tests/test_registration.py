@@ -43,6 +43,15 @@ def test_config_validation():
         RegistrationConfig(control_spacing_mm=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("step_tolerance", 0.0), ("step_tolerance", -1e-3),
+    ("max_iters_per_level", -1), ("max_sample_voxels", -1)])
+def test_config_rejects_values_that_hang_or_fail_late(field, value):
+    # a step tolerance of 0 would leave _ascend halving its step forever
+    with pytest.raises(ValueError, match=field):
+        RegistrationConfig(**{field: value})
+
+
 def test_register_affine_identity_on_identical_images():
     img = _blob_image(0)
     aff = register_affine(img, img, _quick_cfg())
@@ -389,7 +398,7 @@ def _oracle_ffd_one_level(target, floating, affine, cfg):
 
     def evaluate(coef):
         c = coef.reshape(-1, 3)
-        nmi_val = obj.value_at(z + basis @ c)
+        nmi_val = obj.point_gradient_at(z + basis @ c)[0]
         p_val = float(np.sum(c * (bend @ c)))
         return (1.0 - alpha) * nmi_val - alpha * p_val, nmi_val, p_val
 
@@ -439,3 +448,26 @@ def test_register_ffd_matches_normalised_gradient_oracle(alpha):
     assert res.transform.ffd.coefficients.tobytes() == coef.tobytes()
     assert res.per_level_trace == trace
     assert res.final_objective == trace[-1][2]
+
+
+def test_register_ffd_evaluates_each_trial_once(monkeypatch):
+    calls = {"value_at": 0, "point_gradient_at": 0}
+    for name in calls:
+        method = getattr(NmiObjective, name)
+
+        def counting(self, y, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, y)
+
+        monkeypatch.setattr(NmiObjective, name, counting)
+    img = _blob_image(14, dims=(16, 16, 16))
+    warped = resample(img, img.geometry,
+                      lambda p: p + np.array([0.8, -0.5, 0.3]))
+    cfg = _quick_cfg(pyramid_levels=2, control_spacing_mm=6.0,
+                     max_iters_per_level=4, max_sample_voxels=3000)
+    res = register_ffd(warped, img, AffineTransform.identity(), cfg)
+    assert len(res.stops) == 2
+    assert calls["value_at"] == 0
+    # one call per trial, plus each level's starting point
+    assert calls["point_gradient_at"] == (
+        sum(s.evaluations for s in res.stops) + len(res.stops))
