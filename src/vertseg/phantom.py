@@ -8,10 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .registration import warp_atlas
 from .transform import (AffineTransform, ComposedTransform, FFDTransform,
-                        compose_apply, ffd_displace, lattice_covering)
-from .volume import (BoundingBox, GridGeometry, LabelVolume, ScalarVolume,
-                     resample)
+                        ffd_displace, lattice_covering)
+from .volume import BoundingBox, GridGeometry, LabelVolume, ScalarVolume
 
 
 @dataclass
@@ -107,16 +107,11 @@ def _random_smooth_ffd(geom, magnitude_mm, rng, control_spacing_mm=20.0):
     coef = rng.normal(0.0, 1.0, size=lattice.dims + (3,))
     ffd = FFDTransform(lattice, coef)
     # scale so the max displacement over the grid equals the magnitude
-    disp = _dense_displacement(ffd, geom)
+    disp = ffd_displace(ffd, geom.grid_world_points().reshape(-1, 3))
     peak = np.linalg.norm(disp, axis=-1).max()
     if peak > 0:
         coef *= magnitude_mm / peak
     return FFDTransform(lattice, coef)
-
-
-def _dense_displacement(ffd, geom):
-    pts = geom.grid_world_points().reshape(-1, 3)
-    return ffd_displace(ffd, pts).reshape(geom.dims + (3,))
 
 
 def deform_phantom(image, labels, kind="smooth_ffd", magnitude=3.0, seed=0):
@@ -125,7 +120,8 @@ def deform_phantom(image, labels, kind="smooth_ffd", magnitude=3.0, seed=0):
     Returns (warped image, warped labels, transform), where the transform
     is the pull-back map: warped(x) = original(transform(x)). Registering
     the warped pair as target against the original therefore recovers the
-    returned transform directly.
+    returned transform directly. The warp is `registration.warp_atlas`,
+    which evaluates the transform once for the image and the labels.
     """
     rng = np.random.default_rng(seed)
     geom = image.geometry
@@ -156,9 +152,4 @@ def deform_phantom(image, labels, kind="smooth_ffd", magnitude=3.0, seed=0):
     else:
         raise ValueError(f"unknown deformation kind {kind!r}")
 
-    def total(pts):
-        return compose_apply(comp, pts)
-
-    warped_img = resample(image, geom, total)
-    warped_lbl = resample(labels, geom, total)
-    return warped_img, warped_lbl, comp
+    return (*warp_atlas(image, labels, comp, geom), comp)

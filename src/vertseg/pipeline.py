@@ -70,6 +70,13 @@ class AtlasManifest:
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.levelset_step <= 0:
+            raise ValueError(
+                f"levelset_step must be > 0, got {self.levelset_step}")
+        for v in self.vertebrae:
+            if self.group_by is not None and self.group_by not in v.tags:
+                raise ValueError(f"group_by tag {self.group_by!r} missing "
+                                 f"on vertebra {v.vertebra_id}")
 
 
 def _as_is(value):
@@ -80,6 +87,8 @@ def _as_is(value):
 _TOP_LEVEL_KEYS = {"mode": _as_is, "leave_one_out": bool,
                    "crop_margin_mm": float, "group_by": _as_is,
                    "workers": int, "output_dir": _as_is}
+_DOC_KEYS = {"target", "atlases", "registration", "fusion", "collision",
+             "postprocess", *_TOP_LEVEL_KEYS}
 _POSTPROCESS_KEYS = {"min_island_voxels": int, "levelset_iters": int,
                      "levelset_step": float}
 
@@ -93,6 +102,12 @@ def load_manifest(path):
 
     with open(path) as f:
         doc = json.load(f)
+    post = doc.get("postprocess", {})
+    for where, section, known in (("top-level", doc, _DOC_KEYS),
+                                  ("postprocess", post, _POSTPROCESS_KEYS)):
+        for key in section:
+            if key not in known:
+                raise ValueError(f"unknown {where} key {key!r}")
 
     tgt = doc["target"]
     vertebrae = [VertebraEntry(
@@ -113,10 +128,6 @@ def load_manifest(path):
     window_kwargs = reg_kwargs.pop("window", None)
     if window_kwargs:
         reg_kwargs["window"] = IntensityWindow(**window_kwargs)
-    post = doc.get("postprocess", {})
-    for key in post:
-        if key not in _POSTPROCESS_KEYS:
-            raise ValueError(f"unknown postprocess key {key!r}")
 
     # only the keys the document has: every default lives on AtlasManifest
     optional = {key: cast(doc[key]) for key, cast in _TOP_LEVEL_KEYS.items()

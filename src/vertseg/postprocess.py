@@ -245,6 +245,8 @@ def levelset_refine(mask, intensity, iters=10, step=0.25,
     """
     if iters < 0:
         raise ValueError("iters must be >= 0")
+    if step <= 0:
+        raise ValueError(f"step must be > 0, got {step}")
     geom = mask.geometry if isinstance(mask, LabelVolume) else None
     m = (mask.data if isinstance(mask, LabelVolume) else np.asarray(mask)) != 0
     speed = _speed_field(intensity, smooth_sigma) if iters else None
@@ -263,6 +265,8 @@ def refine_labels(lbl, intensity, min_island_voxels=50, iters=10,
     """
     if iters < 0:
         raise ValueError("iters must be >= 0")
+    if step <= 0:
+        raise ValueError(f"step must be > 0, got {step}")
     cleaned = morph_cleanup(lbl, min_island_voxels)
     speed = _speed_field(intensity, _SMOOTH_SIGMA) if iters else None
     return {lv: LabelVolume(cleaned.geometry,

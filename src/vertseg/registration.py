@@ -58,11 +58,6 @@ class RegistrationResult:
     stops: list  # one Stop per FFD pyramid level
 
 
-def _check_nonconstant(vol, name):
-    if np.ptp(vol.data) == 0:
-        raise ValueError(f"{name} image is constant; nothing to register")
-
-
 def _pyramid(vol, levels):
     """Coarse-to-fine list of volumes, factor 2 per level."""
     out = []
@@ -70,6 +65,20 @@ def _pyramid(vol, levels):
         f = 2 ** (levels - 1 - i)
         out.append(downsample(vol, (f, f, f)) if f > 1 else vol)
     return out
+
+
+def _levels(target, floating, cfg):
+    """Coarse-to-fine (target level, NmiObjective) pairs for either stage:
+    the images are checked and both pyramids built at the call, each
+    level's objective only when the caller reaches it."""
+    for vol, name in ((target, "target"), (floating, "floating")):
+        if np.ptp(vol.data) == 0:
+            raise ValueError(f"{name} image is constant; nothing to register")
+    pairs = list(zip(_pyramid(target, cfg.pyramid_levels),
+                     _pyramid(floating, cfg.pyramid_levels)))
+    return ((tgt, NmiObjective(tgt, flt, cfg.window,
+                               max_points=cfg.max_sample_voxels or None))
+            for tgt, flt in pairs)
 
 
 def _domain_corners(geom):
@@ -208,9 +217,7 @@ def register_affine(target, floating, cfg=None):
     at DEBUG.
     """
     cfg = cfg or RegistrationConfig()
-    _check_nonconstant(target, "target")
-    _check_nonconstant(floating, "floating")
-
+    levels = _levels(target, floating, cfg)
     corners = _domain_corners(target.geometry)
     center = corners.mean(axis=0)
     radius = max(float(np.abs(corners - center).max()), 1.0)
@@ -224,12 +231,7 @@ def register_affine(target, floating, cfg=None):
                         _intensity_centroid(floating)
                         - _intensity_centroid(target)])
 
-    tgt_pyr = _pyramid(target, cfg.pyramid_levels)
-    flt_pyr = _pyramid(floating, cfg.pyramid_levels)
-
-    cap = cfg.max_sample_voxels or None
-    for level, (tgt, flt) in enumerate(zip(tgt_pyr, flt_pyr)):
-        obj = NmiObjective(tgt, flt, cfg.window, max_points=cap)
+    for level, (tgt, obj) in enumerate(levels):
         pts_c = obj.points - center
 
         def evaluate(u):
@@ -273,11 +275,7 @@ def register_ffd(target, floating, affine, cfg=None):
     are carried between levels by exact B-spline subdivision.
     """
     cfg = cfg or RegistrationConfig()
-    _check_nonconstant(target, "target")
-    _check_nonconstant(floating, "floating")
-
-    tgt_pyr = _pyramid(target, cfg.pyramid_levels)
-    flt_pyr = _pyramid(floating, cfg.pyramid_levels)
+    levels = _levels(target, floating, cfg)
 
     # lattice domain: the full-resolution target domain in affine space,
     # padded so penalty samples and warped points keep full support
@@ -287,11 +285,9 @@ def register_ffd(target, floating, affine, cfg=None):
     ffd = FFDTransform.zeros(lattice_covering(dom_lo, dom_hi, coarse_spacing))
 
     trace, stops = [], []
-    for level, (tgt, flt) in enumerate(zip(tgt_pyr, flt_pyr)):
+    for level, (tgt, obj) in enumerate(levels):
         if level > 0:
             ffd = refine_ffd(ffd)
-        obj = NmiObjective(tgt, flt, cfg.window,
-                           max_points=cfg.max_sample_voxels or None)
         pen_geom, _, _ = _penalty_grid(
             affine, tgt.geometry, 0.0,
             min_spacing_mm=min(ffd.control_geom.spacing) / 4.0)
@@ -358,7 +354,7 @@ def _ffd_level(obj, affine, ffd, pen_geom, cfg, step, record):
 def warp_atlas(atlas_img, atlas_lbl, comp, target_geom):
     """Pull atlas image (trilinear) and labels (nearest) onto the target
     grid through the composed transform, which is evaluated once for
-    both."""
+    both. `phantom.deform_phantom` warps through it too."""
     pts = target_geom.grid_world_points()
     pts = compose_apply(comp, pts.reshape(-1, 3)).reshape(pts.shape)
     return (pull_back(atlas_img, target_geom, pts),

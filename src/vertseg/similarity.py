@@ -11,10 +11,10 @@ Two histogram flavors coexist:
 The objective has one evaluation path: `NmiObjective.value_at` and
 `point_gradient_at` take warped sample points, and the transform-level
 methods only map the samples (`compose_apply`/`affine_apply`, or the FFD
-basis) before calling them. Both bin intensities with
-`IntensityWindow.bin_coord`. Both registration stages score every trial
-with one `point_gradient_at` call, which gives NMI and its gradient
-together; `value_at`, without the gradient, backs `NmiObjective.value`.
+basis) before calling them. Both bin the values of the one spline
+gather, `SplineImage.sample`, so `value_at(y) == point_gradient_at(y)[0]`
+exactly. Both registration stages score every trial with one
+`point_gradient_at` call; `value_at` backs `NmiObjective.value`.
 """
 
 from dataclasses import dataclass
@@ -192,7 +192,8 @@ class SplineImage:
         return np.all((u >= 0.0) & (u <= self._dims - 1.0), axis=-1)
 
     def sample(self, pts_world, with_gradient=True):
-        """Spline value (and gradient, HU/mm) at world points (V, 3).
+        """Spline value and gradient (HU/mm) at world points (V, 3), from
+        one padded gather; with_gradient=False returns None for the latter.
 
         Coordinates are clamped to the image domain, so the sampled value
         is continuous everywhere; beyond a face the value is constant along
@@ -200,10 +201,6 @@ class SplineImage:
         """
         u_raw = self.geometry.world_to_voxel(pts_world)
         u = np.clip(u_raw, 0.0, self._dims - 1.0)
-        if not with_gradient:
-            val = ndimage.map_coordinates(self.coef, u.T, order=3,
-                                          prefilter=False, mode="mirror")
-            return val, None
         # BLOCK_POINTS at a time: each point's (4, 4, 4) coefficient
         # neighborhood is gathered, so the temporaries grow with the block
         val = np.empty(u.shape[0])
@@ -212,7 +209,7 @@ class SplineImage:
             blk = slice(start, start + BLOCK_POINTS)
             val[blk], grad[blk] = self._value_and_gradient(u[blk])
         grad[(u_raw < 0.0) | (u_raw > self._dims - 1.0)] = 0.0
-        return val, grad
+        return val, grad if with_gradient else None
 
     def _value_and_gradient(self, u):
         """Spline value and gradient (HU/mm) at in-domain voxel
@@ -269,13 +266,13 @@ class NmiObjective:
         if self.points.shape[0] == 0:
             raise ValueError("empty objective mask")
 
-    def _histogram_terms(self, y, need_gradient=True):
+    def _histogram_terms(self, y):
         # all warped points contribute (clamped sampling keeps the value
         # continuous as points cross the floating-image boundary), but the
         # overlap must not vanish entirely
         if not np.any(self.spline.inside(y)):
             raise ValueError("no warped sample falls inside the floating image")
-        v, g = self.spline.sample(y, with_gradient=need_gradient)
+        v, g = self.spline.sample(y)
         nb = self.window.bins
         c2 = self.window.bin_coord(v)
         # where the window clamps, the bin coordinate does not move with v
@@ -289,7 +286,7 @@ class NmiObjective:
     def value_at(self, y):
         """NMI with the floating image sampled at warped points y (V, 3),
         one per target sample."""
-        *_, counts = self._histogram_terms(y, need_gradient=False)
+        *_, counts = self._histogram_terms(y)
         return nmi_of_histogram(JointHistogram(counts))
 
     def value_and_point_gradient(self, comp):

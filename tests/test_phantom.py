@@ -5,7 +5,7 @@ import pytest
 
 from vertseg.phantom import PhantomSpec, deform_phantom, make_phantom
 from vertseg.transform import compose_apply
-from vertseg.volume import trilinear_sample
+from vertseg.volume import resample, trilinear_sample
 
 SMALL = dict(dims=(48, 48, 72), spacing=(0.8, 0.8, 1.0),
              body_radii_mm=(7.0, 5.0, 7.0), n_vertebrae=3)
@@ -123,3 +123,18 @@ def test_deform_labels_stay_in_input_set():
     # labels move but survive the warp
     for lv in (1, 2, 3):
         assert (wlbl.data == lv).sum() > 0
+
+
+@pytest.mark.parametrize("kind", ["translation", "affine", "smooth_ffd"])
+def test_deform_equals_resampling_image_and_labels_separately(kind):
+    img, lbl, _ = make_phantom(PhantomSpec(**SMALL))
+    wimg, wlbl, comp = deform_phantom(img, lbl, kind=kind, magnitude=2.0,
+                                      seed=4)
+
+    def total(pts):
+        return compose_apply(comp, pts)
+
+    assert wimg.data.tobytes() == resample(img, img.geometry,
+                                           total).data.tobytes()
+    assert wlbl.data.tobytes() == resample(lbl, img.geometry,
+                                           total).data.tobytes()

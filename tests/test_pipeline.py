@@ -405,7 +405,8 @@ def test_load_manifest_rejects_unknown_postprocess_key(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("registration.step_tolerance", 0), ("crop_margin_mm", -1.0),
     ("postprocess.levelset_iters", -1), ("postprocess.min_island_voxels", -1),
-    ("fusion.search_radius", -1)])
+    ("fusion.search_radius", -1), ("crop_margin", 5.0), ("group_by", "level"),
+    ("postprocess.levelset_step", 0)])
 def test_bad_manifest_value_fails_at_load_before_registration(
         tmp_path, monkeypatch, key, value):
     path = _quick_manifest(tmp_path, n_atlases=1)
@@ -432,3 +433,15 @@ def test_cli_run_rejects_zero_workers(tmp_path, capsys):
                "--output", str(tmp_path / "out")])
     assert rc == 1
     assert "workers" in capsys.readouterr().err
+
+
+def test_cli_refine_rejects_zero_step(tmp_path, capsys):
+    img, lbl, _ = make_phantom(PhantomSpec(**SMALL))
+    nifti.write_volume(tmp_path / "t.nii", img)
+    nifti.write_volume(tmp_path / "l.nii", lbl)
+    rc = main(["refine", "--labels", str(tmp_path / "l.nii"),
+               "--intensity", str(tmp_path / "t.nii"),
+               "--output", str(tmp_path / "refined.nii"), "--step", "0"])
+    assert rc == 1
+    assert "step" in capsys.readouterr().err
+    assert not (tmp_path / "refined.nii").exists()

@@ -439,3 +439,15 @@ def test_morph_cleanup_crops_match_full_grid_on_random_labels(
     data = np.where(rng.random(dims) < density,
                     rng.integers(1, n_labels + 1, dims), 0).astype(np.int32)
     _assert_cleanup_matches_full_grid(data, min_island)
+
+
+@pytest.mark.parametrize("step", [-0.25, 0.0])
+def test_levelset_rejects_nonpositive_step(step):
+    # a step <= 0 would leave every mask unchanged instead of refining it
+    g = _geom((8, 8, 8))
+    intensity = ScalarVolume(g, np.zeros((8, 8, 8)))
+    mask = LabelVolume(g, np.ones((8, 8, 8), dtype=np.int32))
+    with pytest.raises(ValueError, match="step"):
+        levelset_refine(mask, intensity, iters=10, step=step)
+    with pytest.raises(ValueError, match="step"):
+        refine_labels(mask, intensity, iters=10, step=step)

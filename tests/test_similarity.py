@@ -380,9 +380,12 @@ def test_padded_gather_matches_mirrored_index_gather(dims):
     assert np.array_equal(val, ref_val)
     assert np.array_equal(grad, ref_grad)
     value_only, _ = sp.sample(pts, with_gradient=False)
+    assert np.array_equal(value_only, val)
+    # SciPy stays the reference interpolant, up to rounding
     u_in = np.clip(vol.geometry.world_to_voxel(pts), 0.0, n - 1.0)
-    assert np.array_equal(value_only, ndimage.map_coordinates(
-        coef, u_in.T, order=3, prefilter=False, mode="mirror"))
+    assert np.allclose(val, ndimage.map_coordinates(
+        coef, u_in.T, order=3, prefilter=False, mode="mirror"),
+        rtol=0, atol=1e-9)
 
 
 def test_objective_at_points_rejects_samples_all_outside():
@@ -393,3 +396,16 @@ def test_objective_at_points_rejects_samples_all_outside():
         obj.value_at(y)
     with pytest.raises(ValueError, match="no warped sample falls inside"):
         obj.point_gradient_at(y)
+
+
+@pytest.mark.parametrize("seed", range(31, 41))
+def test_value_at_equals_point_gradient_value(seed):
+    # both paths bin the same spline samples, so the values agree exactly
+    target, floating, window, mask, rng = _objective_fixture(seed)
+    obj = NmiObjective(target, floating, window, mask)
+    geom = lattice_covering((-4.0, -4.0, -4.0), (19.0, 19.0, 19.0), 5.0)
+    comp = ComposedTransform(
+        AffineTransform(np.eye(3) * 1.01, np.array([0.2, -0.1, 0.3])),
+        FFDTransform(geom, rng.normal(0, 0.3, geom.dims + (3,))))
+    y = compose_apply(comp, obj.points)
+    assert obj.value_at(y) == obj.point_gradient_at(y)[0]

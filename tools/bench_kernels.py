@@ -108,8 +108,6 @@ def run(n_points, repeats):
         "bending_operator_build": lambda: bending_operator(lattice,
                                                            pen_geom),
         "bending_apply_Qc": lambda: bend @ coef,
-        "spline_sample_value": lambda: spline.sample(pts,
-                                                     with_gradient=False),
         "spline_sample_gradient": lambda: spline.sample(pts),
         "parzen_counts": lambda: _parzen_counts(target_bins,
                                                 floating_coords, BINS),
