@@ -8,8 +8,24 @@ The dependency matrix at a voxel is built from local appearance error:
 regularized by adding epsilon on the diagonal; fusion weights solve
 w = M^-1 1 / (1^t M^-1 1). Negative weights are allowed; the consensus
 label is the score argmax with ties broken toward the lower label value.
+
+The vote reads weights only at active voxels, where some atlas has a
+nonzero label, so `fuse` runs the patch search and the error-product
+filters on a work box: the bounding box of the active voxels grown by
+2 * patch_radius + search_radius and clamped to the volume. A weight
+reads errors within patch_radius, each error's search reads squared
+differences within patch_radius more, and each shifted atlas read
+reaches search_radius further, so inside the box every read sees the
+values it sees on the full grid; where a box face is a volume face, the
+zero padding and the edge clamp are the same too. The result is not
+bit-identical to a full-grid run: the box filter is a running sum whose
+rounding depends on where each line starts, so search shifts whose
+patch SSDs tie to within that rounding can flip.
 """
 
+import itertools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +50,18 @@ class FusionConfig:
 
     def __post_init__(self):
         for name in ("patch_radius", "search_radius"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not float(value).is_integer():
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.beta <= 0 or self.epsilon <= 0:
-            raise ValueError("beta and epsilon must be > 0")
+            setattr(self, name, int(value))
+        for name in ("beta", "epsilon"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be finite and > 0, "
+                                 f"got {value!r}")
 
 
 @dataclass
@@ -73,14 +97,28 @@ def jlf_weights(m):
     return x / x.sum()
 
 
+# NIfTI stores spacing and origin as float32
+_GRID_ATOL_MM = 1e-3
+
+
+def _same_grid(a, b):
+    return a.dims == b.dims \
+        and np.allclose(a.spacing, b.spacing, rtol=0, atol=_GRID_ATOL_MM) \
+        and np.allclose(a.origin, b.origin, rtol=0, atol=_GRID_ATOL_MM)
+
+
 def _check_shared_geometry(atlases):
+    """The first atlas's label geometry, after checking that every
+    atlas image and label volume lies on it (dims, spacing, origin)."""
     if len(atlases) == 0:
         raise ValueError("need at least one atlas")
     geom = atlases[0].warped_labels.geometry
     for a in atlases:
-        if a.warped_image.geometry.dims != geom.dims \
-                or a.warped_labels.geometry.dims != geom.dims:
-            raise ValueError("atlases must share the target geometry")
+        if not (_same_grid(a.warped_image.geometry, geom)
+                and _same_grid(a.warped_labels.geometry, geom)):
+            raise ValueError(f"atlas {a.atlas_id!r} is not on the target "
+                             f"grid {geom}: atlases must share the target "
+                             f"geometry")
     return geom
 
 
@@ -99,27 +137,26 @@ def _searched_errors(target_data, atlas_images, cfg):
     size = 2 * cfg.patch_radius + 1
     nx, ny, nz = target_data.shape
     r = cfg.search_radius
+    diff = np.empty(target_data.shape)
+    ssd = np.empty(target_data.shape)
+    better = np.empty(target_data.shape, dtype=bool)
     errs = []
     for img in atlas_images:
         padded = np.pad(img, r, mode="edge")
-        best_ssd = None
-        best_err = None
-        for dx in range(-r, r + 1):
-            for dy in range(-r, r + 1):
-                for dz in range(-r, r + 1):
-                    # shifted[x] = img[clamp(x - d)], as a view
-                    shifted = padded[r - dx:r - dx + nx, r - dy:r - dy + ny,
-                                     r - dz:r - dz + nz]
-                    diff = target_data - shifted
-                    ssd = ndimage.uniform_filter(diff * diff, size=size,
-                                                 mode="constant")
-                    err = np.abs(diff)
-                    if best_ssd is None:
-                        best_ssd, best_err = ssd, err
-                    else:
-                        better = ssd < best_ssd
-                        best_ssd = np.where(better, ssd, best_ssd)
-                        best_err = np.where(better, err, best_err)
+        best_ssd = np.full(target_data.shape, np.inf)
+        best_err = np.empty(target_data.shape)
+        for dx, dy, dz in itertools.product(range(-r, r + 1), repeat=3):
+            # shifted[x] = img[clamp(x - d)], as a view
+            shifted = padded[r - dx:r - dx + nx, r - dy:r - dy + ny,
+                             r - dz:r - dz + nz]
+            np.subtract(target_data, shifted, out=diff)
+            np.multiply(diff, diff, out=ssd)
+            ndimage.uniform_filter(ssd, size=size, output=ssd,
+                                   mode="constant")
+            np.less(ssd, best_ssd, out=better)
+            np.copyto(best_ssd, ssd, where=better)
+            np.abs(diff, out=diff)
+            np.copyto(best_err, diff, where=better)
         errs.append(best_err)
     return errs
 
@@ -153,24 +190,39 @@ def _weighted_vote(atlases, weights_at):
 
 
 def fuse(target_image, atlases, cfg=None):
-    """Joint label fusion of registered atlases against the target image."""
+    """Joint label fusion of registered atlases against the target image.
+
+    The patch search and the error-product filters run on the work box
+    of the module docstring, the active voxels' bounding box grown by
+    2 * patch_radius + search_radius and clamped to the volume; every
+    weight the vote reads is computed from the same values as on the
+    full grid, up to the box filter's running-sum rounding."""
     cfg = cfg or FusionConfig()
     geom = _check_shared_geometry(atlases)
-    if target_image.geometry.dims != geom.dims:
-        raise ValueError("target image must share the atlas geometry")
+    if not _same_grid(target_image.geometry, geom):
+        raise ValueError(f"target image grid {target_image.geometry} must "
+                         f"share the atlas geometry {geom}")
     n = len(atlases)
     size = 2 * cfg.patch_radius + 1
+    reach = 2 * cfg.patch_radius + cfg.search_radius
 
     def jlf_weights_at(active):
-        errs = _searched_errors(target_image.data,
-                                [a.warped_image.data for a in atlases], cfg)
+        (bbox,) = ndimage.find_objects(active.view(np.int8))
+        box = tuple(slice(max(s.start - reach, 0), min(s.stop + reach, dim))
+                    for s, dim in zip(bbox, active.shape))
+        errs = _searched_errors(target_image.data[box],
+                                [a.warped_image.data[box] for a in atlases],
+                                cfg)
+        active = active[box]
         # patch-mean error products via box filtering, gathered at active
-        # voxels
+        # voxels (C order within the box is their order on the full grid)
         m = np.empty((int(active.sum()), n, n))
+        prod = np.empty(active.shape)
         for i in range(n):
             for j in range(i, n):
-                prod = ndimage.uniform_filter(errs[i] * errs[j], size=size,
-                                              mode="constant")
+                np.multiply(errs[i], errs[j], out=prod)
+                ndimage.uniform_filter(prod, size=size, output=prod,
+                                       mode="constant")
                 m[:, i, j] = m[:, j, i] = prod[active]
         m = np.abs(m) ** cfg.beta
         m += cfg.epsilon * np.eye(n)

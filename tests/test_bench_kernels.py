@@ -9,7 +9,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 KERNELS = {"ffd_basis_build", "ffd_forward_Wc", "ffd_adjoint_WTp",
            "bending_operator_build", "bending_apply_Qc",
            "spline_sample_gradient", "parzen_counts", "nmi_point_gradient",
-           "refine_labels"}
+           "fuse_patch_search", "refine_labels"}
 
 
 def test_bench_kernels_writes_medians_and_environment(tmp_path):

@@ -9,7 +9,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
+from vertseg import fusion
 from vertseg.fusion import (FusionConfig, RegisteredAtlas, _searched_errors,
                             dependency_matrix, fuse, jlf_weights,
                             majority_vote)
@@ -245,3 +249,195 @@ def test_patch_search_matches_oracle_on_every_voxel():
     for x in np.ndindex(dims):
         oracle[x] = _oracle_searched_error(target, atlas, x, 1, 1)
     assert np.allclose(err, oracle, rtol=0, atol=1e-9)
+
+
+# -------------------------------------------------------- config, geometry
+
+@pytest.mark.parametrize("field, value", [
+    ("beta", float("nan")), ("epsilon", float("inf")),
+    ("patch_radius", 1.5), ("search_radius", 0.5), ("patch_radius", True)])
+def test_fuse_config_rejects_nonfinite_and_fractional_values(field, value):
+    # unchecked, nan/inf give NaN weights and an all-background
+    # consensus, 1.5 an off-centre 4-voxel box, and 0.5 a TypeError
+    # inside fuse, after every registration
+    with pytest.raises(ValueError, match=field):
+        FusionConfig(**{field: value})
+
+
+def test_fuse_config_keeps_integral_radii():
+    cfg = FusionConfig(patch_radius=np.int64(1), search_radius=2.0)
+    assert (cfg.patch_radius, cfg.search_radius) == (1, 2)
+    assert type(cfg.patch_radius) is int and type(cfg.search_radius) is int
+
+
+def _off_grid_atlas(dims):
+    geom = GridGeometry(dims, (2.5, 2.5, 2.5), (40.0, -7.0, 100.0))
+    return RegisteredAtlas(ScalarVolume(geom, np.zeros(dims)),
+                           LabelVolume(geom, np.ones(dims, dtype=np.int32)),
+                           atlas_id="coarse")
+
+
+@pytest.mark.parametrize("combine", [
+    lambda target, atlases: fuse(target, atlases),
+    lambda target, atlases: majority_vote(atlases)])
+def test_fusion_rejects_atlas_on_another_grid_with_same_dims(combine):
+    rng = np.random.default_rng(6)
+    target, atlases = _make_case(rng, (5, 5, 5), 2)
+    with pytest.raises(ValueError, match="coarse"):
+        combine(target, atlases + [_off_grid_atlas((5, 5, 5))])
+
+
+def test_fuse_rejects_target_on_another_grid_with_same_dims():
+    rng = np.random.default_rng(7)
+    target, atlases = _make_case(rng, (5, 5, 5), 2)
+    moved = ScalarVolume(GridGeometry((5, 5, 5), (1.0, 1.0, 1.0),
+                                      (0.0, 0.0, 3.0)), target.data)
+    with pytest.raises(ValueError, match="target image"):
+        fuse(moved, atlases)
+
+
+def test_fuse_accepts_float32_rounded_geometry():
+    # NIfTI stores spacing and origin as float32
+    rng = np.random.default_rng(8)
+    target, atlases = _make_case(rng, (5, 5, 5), 2)
+    g = GridGeometry((5, 5, 5), tuple(np.float32([0.4, 0.4, 1.0])),
+                     tuple(np.float32([-123.3, 17.1, 250.7])))
+    g64 = GridGeometry((5, 5, 5), (0.4, 0.4, 1.0), (-123.3, 17.1, 250.7))
+    rounded = ScalarVolume(g, target.data)
+    on_grid = [RegisteredAtlas(ScalarVolume(g64, a.warped_image.data),
+                               LabelVolume(g64, a.warped_labels.data))
+               for a in atlases]
+    fuse(rounded, on_grid)
+
+
+# ------------------------------------------------------------- work box
+
+def _full_grid_fuse(target, atlases, cfg):
+    """The full-grid fusion: patch search and error-product filters over
+    the whole volume, weights gathered at the active voxels, then the
+    score argmax with ties to the lower label."""
+    n = len(atlases)
+    size = 2 * cfg.patch_radius + 1
+    labels = np.stack([a.warped_labels.data for a in atlases], axis=-1)
+    active = np.any(labels != 0, axis=-1)
+    errs = _searched_errors(target.data,
+                            [a.warped_image.data for a in atlases], cfg)
+    m = np.empty((int(active.sum()), n, n))
+    for i in range(n):
+        for j in range(i, n):
+            prod = ndimage.uniform_filter(errs[i] * errs[j], size=size,
+                                          mode="constant")
+            m[:, i, j] = m[:, j, i] = prod[active]
+    m = np.abs(m) ** cfg.beta + cfg.epsilon * np.eye(n)
+    x = np.linalg.solve(m, np.ones(n))
+    w = x / x.sum(axis=1, keepdims=True)
+    stack = labels[active]
+    best_label = np.zeros(len(w), dtype=np.int32)
+    best_score = np.full(len(w), -np.inf)
+    for lv in np.unique(stack):
+        score = np.sum(w * (stack == lv), axis=1)
+        better = score > best_score
+        best_score[better] = score[better]
+        best_label[better] = lv
+    out = np.zeros(active.shape, dtype=np.int32)
+    prob = np.ones(active.shape)
+    out[active] = best_label
+    prob[active] = np.clip(best_score, 0.0, 1.0)
+    return out, prob
+
+
+@st.composite
+def _block_cases(draw):
+    """Volume dims and a label block [lo, hi] whose faces are pinned to
+    the low face, the high face or neither, independently per axis."""
+    dims = tuple(draw(st.integers(3, 12)) for _ in range(3))
+    lo, hi = [], []
+    for d in dims:
+        anchor = draw(st.sampled_from(["low", "high", "inner"]))
+        a = draw(st.integers(0, d - 1))
+        b = draw(st.integers(a, d - 1))
+        if anchor == "low":
+            a = 0
+        elif anchor == "high":
+            b = d - 1
+        lo.append(a)
+        hi.append(b)
+    return dims, tuple(lo), tuple(hi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_block_cases(), patch_radius=st.integers(0, 2),
+       search_radius=st.integers(0, 1), n_atlases=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 16))
+def test_fuse_on_work_box_matches_full_grid(case, patch_radius,
+                                            search_radius, n_atlases, seed):
+    dims, lo, hi = case
+    rng = np.random.default_rng(seed)
+    geom = _geom(dims)
+    block = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
+    # independent images: no search shift dominates, so a search that
+    # reads a wrong value anywhere in its reach picks another shift
+    target = ScalarVolume(geom, rng.normal(100, 40, dims))
+    atlases = []
+    for k in range(n_atlases):
+        lbl = np.zeros(dims, dtype=np.int32)
+        lbl[block] = rng.integers(0, 4, lbl[block].shape)
+        atlases.append(RegisteredAtlas(
+            ScalarVolume(geom, rng.normal(100, 40, dims)),
+            LabelVolume(geom, lbl), atlas_id=f"a{k}"))
+    cfg = FusionConfig(patch_radius=patch_radius,
+                       search_radius=search_radius)
+    got = fuse(target, atlases, cfg)
+    want_labels, want_prob = _full_grid_fuse(target, atlases, cfg)
+    assert np.array_equal(got.consensus.data, want_labels)
+    assert np.allclose(got.probability, want_prob, rtol=0, atol=1e-9)
+
+
+def _recording_search(monkeypatch):
+    shapes = []
+    real = fusion._searched_errors
+
+    def record(target_data, atlas_images, cfg):
+        shapes.append(target_data.shape)
+        return real(target_data, atlas_images, cfg)
+
+    monkeypatch.setattr(fusion, "_searched_errors", record)
+    return shapes
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ((10, 11, 12), (13, 12, 14)),   # interior: grown on every side
+    ((0, 0, 0), (2, 3, 1)),         # low corner: clamped there
+    ((18, 5, 23), (19, 20, 24)),    # high faces in x and z
+])
+def test_fuse_searches_only_the_grown_active_box(monkeypatch, lo, hi):
+    dims = (20, 22, 25)
+    cfg = FusionConfig(patch_radius=2, search_radius=1)
+    reach = 2 * cfg.patch_radius + cfg.search_radius
+    rng = np.random.default_rng(9)
+    geom = _geom(dims)
+    target = ScalarVolume(geom, rng.normal(100, 40, dims))
+    atlases = []
+    for corner in (lo, hi):
+        lbl = np.zeros(dims, dtype=np.int32)
+        lbl[corner] = 1  # the two atlases' labels span [lo, hi] together
+        atlases.append(RegisteredAtlas(
+            ScalarVolume(geom, target.data + rng.normal(0, 20, dims)),
+            LabelVolume(geom, lbl)))
+    shapes = _recording_search(monkeypatch)
+    fuse(target, atlases, cfg)
+    want = tuple(min(b + reach, d - 1) - max(a - reach, 0) + 1
+                 for a, b, d in zip(lo, hi, dims))
+    assert shapes == [want]
+
+
+def test_fuse_without_active_voxels_runs_no_search(monkeypatch):
+    rng = np.random.default_rng(10)
+    target, atlases = _make_case(rng, (6, 6, 6), 3)
+    for a in atlases:
+        a.warped_labels.data[:] = 0
+    shapes = _recording_search(monkeypatch)
+    out = fuse(target, atlases, FusionConfig(search_radius=1))
+    assert shapes == []
+    assert not out.consensus.data.any()
+    assert np.all(out.probability == 1.0)

@@ -406,7 +406,8 @@ def test_load_manifest_rejects_unknown_postprocess_key(tmp_path):
     ("registration.step_tolerance", 0), ("crop_margin_mm", -1.0),
     ("postprocess.levelset_iters", -1), ("postprocess.min_island_voxels", -1),
     ("fusion.search_radius", -1), ("crop_margin", 5.0), ("group_by", "level"),
-    ("postprocess.levelset_step", 0)])
+    ("postprocess.levelset_step", 0), ("fusion.patch_radius", 1.5),
+    ("fusion.beta", float("nan"))])
 def test_bad_manifest_value_fails_at_load_before_registration(
         tmp_path, monkeypatch, key, value):
     path = _quick_manifest(tmp_path, n_atlases=1)

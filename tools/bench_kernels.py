@@ -1,5 +1,5 @@
-"""Per-kernel timings of the registration and level-set kernels at fixed
-sizes.
+"""Per-kernel timings of the registration, fusion and level-set kernels
+at fixed sizes.
 
     python3 tools/bench_kernels.py [--points 80000] [--repeats 11] [--out PATH]
 
@@ -15,9 +15,13 @@ quarter of the lattice spacing, and an 82x88x32 floating image.
 `nmi_point_gradient` is `NmiObjective.point_gradient_at` at `--points`
 target samples of that image (the one objective call an affine-stage
 trial makes), with the floating image shifted by a third of a voxel.
-The level set follows the `refuse` workload: `refine_labels` (cleanup,
-then 10 iterations per label) on the default 96x96x160 phantom with its
-5 vertebra labels, whatever `--points` is.
+Fusion and the level set follow the `refuse` workload, whatever
+`--points` is. `fuse_patch_search` is one `fuse` call on that image as
+the target crop: 6 noisy copies of it as atlases, patch radius 2, search
+radius 1, each atlas labelling the same vertebra-sized block (the crop
+less the workload's 12x12x5-voxel margin). `refine_labels` is cleanup,
+then 10 iterations per label, on the default 96x96x160 phantom with its
+5 vertebra labels.
 """
 
 import argparse
@@ -36,6 +40,8 @@ IMAGE_DIMS = (82, 88, 32)
 IMAGE_SPACING_MM = (0.4, 0.4, 1.0)
 BINS = 64
 LEVELSET_ITERS = 10
+FUSE_ATLASES = 6
+FUSE_MARGIN = (12, 12, 5)
 
 
 def cap_threads():
@@ -67,12 +73,13 @@ def run(n_points, repeats):
     import numpy as np
     from scipy import ndimage
 
+    from vertseg.fusion import FusionConfig, RegisteredAtlas, fuse
     from vertseg.phantom import PhantomSpec, make_phantom
     from vertseg.postprocess import refine_labels
     from vertseg.similarity import NmiObjective, SplineImage, _parzen_counts
     from vertseg.transform import (bending_operator, ffd_basis,
                                    lattice_covering)
-    from vertseg.volume import GridGeometry, ScalarVolume
+    from vertseg.volume import GridGeometry, LabelVolume, ScalarVolume
 
     rng = np.random.default_rng(0)
     image_geom = GridGeometry(IMAGE_DIMS, IMAGE_SPACING_MM, (0.0, 0.0, 0.0))
@@ -100,6 +107,15 @@ def run(n_points, repeats):
     spline = SplineImage(image)
     objective = NmiObjective(image, image, max_points=n_points)
     warped = objective.points + np.array(IMAGE_SPACING_MM) / 3.0
+    block = np.zeros(IMAGE_DIMS, dtype=np.int32)
+    block[tuple(slice(m, d - m) for m, d in zip(FUSE_MARGIN, IMAGE_DIMS))] = 1
+    fuse_atlases = [
+        RegisteredAtlas(ScalarVolume(image_geom,
+                                     image.data + rng.normal(0, 50,
+                                                             IMAGE_DIMS)),
+                        LabelVolume(image_geom, block), f"atlas{k}")
+        for k in range(FUSE_ATLASES)]
+    fuse_cfg = FusionConfig(patch_radius=2, search_radius=1)
     ct, labels, _ = make_phantom(PhantomSpec(noise_sd=20.0, seed=0))
     kernels = {
         "ffd_basis_build": lambda: ffd_basis(lattice, pts),
@@ -112,6 +128,7 @@ def run(n_points, repeats):
         "parzen_counts": lambda: _parzen_counts(target_bins,
                                                 floating_coords, BINS),
         "nmi_point_gradient": lambda: objective.point_gradient_at(warped),
+        "fuse_patch_search": lambda: fuse(image, fuse_atlases, fuse_cfg),
         "refine_labels": lambda: refine_labels(labels, ct,
                                                iters=LEVELSET_ITERS),
     }
@@ -124,6 +141,8 @@ def run(n_points, repeats):
                           + basis.indptr.nbytes) / 2 ** 20,
              "bending_nnz": int(bend.nnz),
              "nmi_points": len(objective.points),
+             "fuse_atlases": FUSE_ATLASES,
+             "fuse_active_voxels": int(block.sum()),
              "levelset_dims": list(ct.geometry.dims),
              "levelset_labels": len(labels.labels()),
              "levelset_iters": LEVELSET_ITERS}
