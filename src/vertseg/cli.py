@@ -19,7 +19,7 @@ from .fusion import FusionConfig, RegisteredAtlas, fuse, majority_vote
 from .metrics import (evaluate_labels, render_report_csv,
                       render_report_text, report)
 from .phantom import PhantomSpec, deform_phantom, make_phantom
-from .pipeline import load_manifest, run_pipeline
+from .pipeline import AtlasManifest, load_manifest, run_pipeline
 from .postprocess import refine_labels, separate_labels
 from .registration import RegistrationConfig, register_affine, register_ffd
 from .transform import save_transform
@@ -27,27 +27,39 @@ from .volume import ScalarVolume
 
 
 def _add_registration_args(p):
-    p.add_argument("--alpha", type=float, default=0.005)
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--control-spacing", type=float, default=5.0,
+    p.add_argument("--alpha", type=float, default=RegistrationConfig.alpha)
+    p.add_argument("--levels", type=int, dest="pyramid_levels",
+                   default=RegistrationConfig.pyramid_levels)
+    p.add_argument("--control-spacing", type=float, dest="control_spacing_mm",
+                   default=RegistrationConfig.control_spacing_mm,
                    help="final control-point spacing in mm")
-    p.add_argument("--max-iters", type=int, default=100)
+    p.add_argument("--max-iters", type=int, dest="max_iters_per_level",
+                   default=RegistrationConfig.max_iters_per_level)
 
 
-def _registration_config(args):
-    return RegistrationConfig(alpha=args.alpha, pyramid_levels=args.levels,
-                              control_spacing_mm=args.control_spacing,
-                              max_iters_per_level=args.max_iters)
+def _config(cls, args):
+    """A cls from the parsed flags whose dest is one of its fields; the
+    parser reads each flag's default from cls, so no default is copied."""
+    return cls(**{f.name: getattr(args, f.name)
+                  for f in dataclasses.fields(cls) if hasattr(args, f.name)})
+
+
+def _floats(text):
+    return tuple(float(h) for h in text.split(","))
+
+
+def _write_report(prefix, rows, summaries):
+    """Write prefix.csv and prefix.txt, and print the text report."""
+    text = render_report_text(summaries)
+    with open(prefix + ".csv", "w") as f:
+        f.write(render_report_csv(rows, summaries))
+    with open(prefix + ".txt", "w") as f:
+        f.write(text)
+    print(text, end="")
 
 
 def cmd_phantom(args):
-    spec = PhantomSpec(
-        n_vertebrae=args.n_vertebrae,
-        noise_sd=args.noise_sd,
-        seed=args.seed,
-        height_scale=(tuple(float(h) for h in args.height_scale.split(","))
-                      if args.height_scale else None),
-    )
+    spec = _config(PhantomSpec, args)
     img, lbl, boxes = make_phantom(spec)
     os.makedirs(args.output, exist_ok=True)
     nifti.write_volume(os.path.join(args.output, "image.nii"), img)
@@ -59,7 +71,7 @@ def cmd_phantom(args):
     if args.deform:
         wimg, wlbl, truth = deform_phantom(img, lbl, kind=args.deform,
                                            magnitude=args.magnitude,
-                                           seed=args.seed)
+                                           seed=spec.seed)
         nifti.write_volume(os.path.join(args.output, "deformed_image.nii"),
                            wimg)
         nifti.write_volume(os.path.join(args.output, "deformed_labels.nii"),
@@ -72,7 +84,7 @@ def cmd_phantom(args):
 def cmd_register(args):
     target = nifti.read_volume(args.target, "scalar")
     floating = nifti.read_volume(args.floating, "scalar")
-    cfg = _registration_config(args)
+    cfg = _config(RegistrationConfig, args)
     affine = register_affine(target, floating, cfg)
     result = register_ffd(target, floating, affine, cfg)
     save_transform(args.output_transform, result.transform)
@@ -98,13 +110,10 @@ def cmd_fuse(args):
             nifti.read_volume(img_path, "scalar"),
             nifti.read_volume(lbl_path, "label"),
             atlas_id=img_path))
-    cfg = FusionConfig(patch_radius=args.patch_radius, beta=args.beta,
-                       epsilon=args.epsilon,
-                       search_radius=args.search_radius)
     if args.majority:
         out = majority_vote(atlases)
     else:
-        out = fuse(target, atlases, cfg)
+        out = fuse(target, atlases, _config(FusionConfig, args))
     nifti.write_volume(args.output_labels, out.consensus)
     if args.output_probability:
         prob = ScalarVolume(out.consensus.geometry,
@@ -117,7 +126,7 @@ def cmd_refine(args):
     lbl = nifti.read_volume(args.labels, "label")
     intensity = nifti.read_volume(args.intensity, "scalar")
     masks = refine_labels(lbl, intensity, args.min_island_voxels,
-                          iters=args.iters, step=args.step)
+                          iters=args.levelset_iters, step=args.levelset_step)
     final = separate_labels(masks.items(), intensity)
     nifti.write_volume(args.output, final)
     print(f"refined labels written to {args.output}")
@@ -137,13 +146,7 @@ def cmd_evaluate(args):
         gt, seg, intensity,
         [(lv, lv, tags_by_label.get(lv, {})) for lv in labels],
         args.case_id, symmetric=args.symmetric)
-    summaries = report(rows, args.group_by)
-    prefix = args.output_prefix
-    with open(prefix + ".csv", "w") as f:
-        f.write(render_report_csv(rows, summaries))
-    with open(prefix + ".txt", "w") as f:
-        f.write(render_report_text(summaries))
-    print(render_report_text(summaries), end="")
+    _write_report(args.output_prefix, rows, report(rows, args.group_by))
 
 
 def cmd_run(args):
@@ -168,11 +171,8 @@ def cmd_run(args):
         for vid, case_id, sec in run.timing:
             w.writerow([vid, case_id, f"{sec:.2f}"])
     if run.rows is not None:
-        with open(os.path.join(outdir, "report.csv"), "w") as f:
-            f.write(render_report_csv(run.rows, run.summaries))
-        with open(os.path.join(outdir, "report.txt"), "w") as f:
-            f.write(render_report_text(run.summaries))
-        print(render_report_text(run.summaries), end="")
+        _write_report(os.path.join(outdir, "report"), run.rows,
+                      run.summaries)
     print(f"pipeline outputs written to {outdir}")
 
 
@@ -185,10 +185,11 @@ def build_parser():
 
     p = sub.add_parser("phantom", help="generate a synthetic spine phantom")
     p.add_argument("--output", required=True)
-    p.add_argument("--n-vertebrae", type=int, default=5)
-    p.add_argument("--noise-sd", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--height-scale", default=None,
+    p.add_argument("--n-vertebrae", type=int,
+                   default=PhantomSpec.n_vertebrae)
+    p.add_argument("--noise-sd", type=float, default=PhantomSpec.noise_sd)
+    p.add_argument("--seed", type=int, default=PhantomSpec.seed)
+    p.add_argument("--height-scale", type=_floats,
                    help="comma-separated per-vertebra factors")
     p.add_argument("--deform", choices=["translation", "affine",
                                         "smooth_ffd"], default=None)
@@ -210,10 +211,12 @@ def build_parser():
     p.add_argument("--output-labels", required=True)
     p.add_argument("--output-probability", default=None,
                    help="probability x1000 as int16 NIfTI")
-    p.add_argument("--patch-radius", type=int, default=2)
-    p.add_argument("--search-radius", type=int, default=0)
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--patch-radius", type=int,
+                   default=FusionConfig.patch_radius)
+    p.add_argument("--search-radius", type=int,
+                   default=FusionConfig.search_radius)
+    p.add_argument("--beta", type=float, default=FusionConfig.beta)
+    p.add_argument("--epsilon", type=float, default=FusionConfig.epsilon)
     p.add_argument("--majority", action="store_true")
     p.set_defaults(func=cmd_fuse)
 
@@ -221,9 +224,12 @@ def build_parser():
     p.add_argument("--labels", required=True)
     p.add_argument("--intensity", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--min-island-voxels", type=int, default=50)
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--step", type=float, default=0.25)
+    p.add_argument("--min-island-voxels", type=int,
+                   default=AtlasManifest.min_island_voxels)
+    p.add_argument("--iters", type=int, dest="levelset_iters",
+                   default=AtlasManifest.levelset_iters)
+    p.add_argument("--step", type=float, dest="levelset_step",
+                   default=AtlasManifest.levelset_step)
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("evaluate", help="Dice/ASD report against ground truth")

@@ -24,13 +24,12 @@ patch SSDs tie to within that rounding can flip.
 """
 
 import itertools
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
+from .checks import integer, real
 from .volume import LabelVolume
 
 
@@ -50,18 +49,12 @@ class FusionConfig:
 
     def __post_init__(self):
         for name in ("patch_radius", "search_radius"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not float(value).is_integer():
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0")
-            setattr(self, name, int(value))
+            setattr(self, name, integer(name, getattr(self, name), 0))
         for name in ("beta", "epsilon"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be finite and > 0, "
-                                 f"got {value!r}")
+            value = real(name, getattr(self, name))
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+            setattr(self, name, value)
 
 
 @dataclass
@@ -97,16 +90,6 @@ def jlf_weights(m):
     return x / x.sum()
 
 
-# NIfTI stores spacing and origin as float32
-_GRID_ATOL_MM = 1e-3
-
-
-def _same_grid(a, b):
-    return a.dims == b.dims \
-        and np.allclose(a.spacing, b.spacing, rtol=0, atol=_GRID_ATOL_MM) \
-        and np.allclose(a.origin, b.origin, rtol=0, atol=_GRID_ATOL_MM)
-
-
 def _check_shared_geometry(atlases):
     """The first atlas's label geometry, after checking that every
     atlas image and label volume lies on it (dims, spacing, origin)."""
@@ -114,8 +97,8 @@ def _check_shared_geometry(atlases):
         raise ValueError("need at least one atlas")
     geom = atlases[0].warped_labels.geometry
     for a in atlases:
-        if not (_same_grid(a.warped_image.geometry, geom)
-                and _same_grid(a.warped_labels.geometry, geom)):
+        if not (a.warped_image.geometry.same_grid(geom)
+                and a.warped_labels.geometry.same_grid(geom)):
             raise ValueError(f"atlas {a.atlas_id!r} is not on the target "
                              f"grid {geom}: atlases must share the target "
                              f"geometry")
@@ -199,7 +182,7 @@ def fuse(target_image, atlases, cfg=None):
     full grid, up to the box filter's running-sum rounding."""
     cfg = cfg or FusionConfig()
     geom = _check_shared_geometry(atlases)
-    if not _same_grid(target_image.geometry, geom):
+    if not target_image.geometry.same_grid(geom):
         raise ValueError(f"target image grid {target_image.geometry} must "
                          f"share the atlas geometry {geom}")
     n = len(atlases)

@@ -18,18 +18,13 @@ def _as_bool(mask):
     return arr != 0
 
 
-def _check_geometry(a, b):
-    ga = a.geometry if isinstance(a, LabelVolume) else None
-    gb = b.geometry if isinstance(b, LabelVolume) else None
-    if ga is not None and gb is not None and ga != gb:
-        raise ValueError("masks do not share geometry")
-
-
 def dice(gt, seg):
     """Dice coefficient in percent: 2|GT & S| / (|GT| + |S|) * 100.
 
     Two empty masks count as a perfect match (100)."""
-    _check_geometry(gt, seg)
+    if isinstance(gt, LabelVolume) and isinstance(seg, LabelVolume) \
+            and not seg.geometry.same_grid(gt.geometry):
+        raise ValueError("masks do not share geometry")
     g = _as_bool(gt)
     s = _as_bool(seg)
     if g.shape != s.shape:
@@ -71,15 +66,13 @@ def asd(gt, seg, geometry=None, symmetric=False):
     return float((d_s.mean() + d_gt.mean()) / 2.0)
 
 
-def volume_and_density(mask, intensity, geometry=None):
+def volume_and_density(mask, intensity):
     """(volume cm^3, mean HU) of a mask over the intensity volume."""
-    if geometry is None:
-        geometry = intensity.geometry
     m = _as_bool(mask)
     if m.shape != intensity.data.shape:
         raise ValueError("mask and intensity do not share geometry")
     count = int(m.sum())
-    vol_cm3 = count * geometry.voxel_volume_mm3 / 1000.0
+    vol_cm3 = count * intensity.geometry.voxel_volume_mm3 / 1000.0
     if count == 0:
         raise ValueError("density undefined for an empty mask")
     return vol_cm3, float(intensity.data[m].mean())
@@ -100,7 +93,13 @@ def evaluate_labels(gt, seg, intensity, vertebrae, case_id,
                     symmetric=False):
     """One EvalRow per (vertebra id, label value, tags) in `vertebrae`,
     in that order. Volume and density are 0 without an intensity volume
-    or for an empty segmentation; ASD is NaN when either mask is empty."""
+    or for an empty segmentation; ASD is NaN when either mask is empty.
+    The segmentation and the intensity volume must lie on the ground
+    truth's grid (`GridGeometry.same_grid`)."""
+    for name, vol in (("segmentation", seg), ("intensity", intensity)):
+        if vol is not None and not vol.geometry.same_grid(gt.geometry):
+            raise ValueError(f"{name} grid {vol.geometry} is not the ground "
+                             f"truth grid {gt.geometry}")
     rows = []
     for vid, lv, tags in vertebrae:
         g = gt.data == lv

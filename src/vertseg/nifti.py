@@ -24,8 +24,7 @@ _DTYPES = {
     256: np.int8,
     512: np.uint16,
 }
-_DTYPE_CODES = {np.dtype(np.uint8): 2, np.dtype(np.int16): 4,
-                np.dtype(np.float32): 16, np.dtype(np.float64): 64}
+_DTYPE_CODES = {np.dtype(np.uint8): 2, np.dtype(np.int16): 4}
 
 
 def _open_read(path):

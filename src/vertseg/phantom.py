@@ -100,10 +100,10 @@ def make_phantom(spec):
     return ScalarVolume(geom, image), LabelVolume(geom, labels), boxes
 
 
-def _random_smooth_ffd(geom, magnitude_mm, rng, control_spacing_mm=20.0):
+def _random_smooth_ffd(geom, magnitude_mm, rng):
     lo = np.array(geom.origin)
     hi = lo + (np.array(geom.dims) - 1) * np.array(geom.spacing)
-    lattice = lattice_covering(lo, hi, control_spacing_mm)
+    lattice = lattice_covering(lo, hi, 20.0)  # control spacing, mm
     coef = rng.normal(0.0, 1.0, size=lattice.dims + (3,))
     ffd = FFDTransform(lattice, coef)
     # scale so the max displacement over the grid equals the magnitude

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nifti
+from .checks import integer, real
 from .fusion import FusionConfig, RegisteredAtlas, fuse
 from .metrics import evaluate_labels, report
 from .postprocess import CollisionPolicy, refine_labels, separate_labels
@@ -31,6 +32,10 @@ class VertebraEntry:
     box: BoundingBox
     tags: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.label = integer(f"vertebra {self.vertebra_id} label",
+                             self.label, 1)
+
 
 @dataclass
 class AtlasEntry:
@@ -39,6 +44,11 @@ class AtlasEntry:
     labels_path: str
     vertebra_labels: dict  # vertebra id -> label value
     order: list  # column order of vertebra ids, superior to inferior
+
+    def __post_init__(self):
+        self.vertebra_labels = {
+            v: integer(f"atlas {self.case_id} vertebra_labels[{v!r}]", lv, 1)
+            for v, lv in self.vertebra_labels.items()}
 
 
 @dataclass
@@ -64,12 +74,21 @@ class AtlasManifest:
     def __post_init__(self):
         if self.mode not in ("single", "bundle3"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        for name in ("crop_margin_mm", "levelset_iters", "min_island_voxels"):
+        if not isinstance(self.leave_one_out, bool):
+            raise ValueError(f"leave_one_out must be true or false, got "
+                             f"{self.leave_one_out!r}")
+        for name in ("group_by", "output_dir"):
             value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        for name, minimum in (("workers", 1), ("min_island_voxels", 0),
+                              ("levelset_iters", 0)):
+            setattr(self, name, integer(name, getattr(self, name), minimum))
+        for name in ("crop_margin_mm", "levelset_step"):
+            setattr(self, name, real(name, getattr(self, name)))
+        if self.crop_margin_mm < 0:
+            raise ValueError(
+                f"crop_margin_mm must be >= 0, got {self.crop_margin_mm}")
         if self.levelset_step <= 0:
             raise ValueError(
                 f"levelset_step must be > 0, got {self.levelset_step}")
@@ -79,18 +98,13 @@ class AtlasManifest:
                                  f"on vertebra {v.vertebra_id}")
 
 
-def _as_is(value):
-    return value
-
-
-# optional manifest keys -> coercion; each names an AtlasManifest field
-_TOP_LEVEL_KEYS = {"mode": _as_is, "leave_one_out": bool,
-                   "crop_margin_mm": float, "group_by": _as_is,
-                   "workers": int, "output_dir": _as_is}
+# optional manifest keys, each an AtlasManifest field of the same name;
+# the dataclasses check the values
+_TOP_LEVEL_KEYS = {"mode", "leave_one_out", "crop_margin_mm", "group_by",
+                   "workers", "output_dir"}
 _DOC_KEYS = {"target", "atlases", "registration", "fusion", "collision",
              "postprocess", *_TOP_LEVEL_KEYS}
-_POSTPROCESS_KEYS = {"min_island_voxels": int, "levelset_iters": int,
-                     "levelset_step": float}
+_POSTPROCESS_KEYS = {"min_island_voxels", "levelset_iters", "levelset_step"}
 
 
 def load_manifest(path):
@@ -111,7 +125,7 @@ def load_manifest(path):
 
     tgt = doc["target"]
     vertebrae = [VertebraEntry(
-        vertebra_id=v["id"], label=int(v["label"]),
+        vertebra_id=v["id"], label=v["label"],
         box=BoundingBox(tuple(v["box"]["min"]), tuple(v["box"]["max"])),
         tags=dict(v.get("tags", {})),
     ) for v in tgt["vertebrae"]]
@@ -120,7 +134,7 @@ def load_manifest(path):
         case_id=a["case_id"],
         image_path=resolve(a["image"]),
         labels_path=resolve(a["labels"]),
-        vertebra_labels={k: int(v) for k, v in a["vertebra_labels"].items()},
+        vertebra_labels=dict(a["vertebra_labels"]),
         order=list(a.get("order", list(a["vertebra_labels"]))),
     ) for a in doc["atlases"]]
 
@@ -130,11 +144,8 @@ def load_manifest(path):
         reg_kwargs["window"] = IntensityWindow(**window_kwargs)
 
     # only the keys the document has: every default lives on AtlasManifest
-    optional = {key: cast(doc[key]) for key, cast in _TOP_LEVEL_KEYS.items()
-                if key in doc}
-    optional.update({key: cast(post[key])
-                     for key, cast in _POSTPROCESS_KEYS.items()
-                     if key in post})
+    optional = {key: doc[key] for key in _TOP_LEVEL_KEYS if key in doc}
+    optional.update(post)
 
     return AtlasManifest(
         target_image_path=resolve(tgt["image"]),
@@ -153,7 +164,6 @@ def load_manifest(path):
 @dataclass
 class VertebraResult:
     vertebra_id: str
-    crop_geometry: "GridGeometry"
     transforms: list  # (atlas case_id, ComposedTransform)
     fusion_probability: np.ndarray
     refined_mask: LabelVolume
@@ -190,8 +200,6 @@ def _eligible_atlases(manifest, vertebra):
     for atlas in manifest.atlases:
         if manifest.leave_one_out \
                 and atlas.case_id == manifest.target_case_id:
-            continue
-        if vertebra.vertebra_id not in atlas.vertebra_labels:
             continue
         if vertebra.vertebra_id not in atlas.order:
             continue
@@ -267,20 +275,24 @@ def _fold_vertebra(vert, tcrop, eligible, done, target_geometry,
 
     result = VertebraResult(
         vertebra_id=vert.vertebra_id,
-        crop_geometry=tcrop.geometry,
         transforms=transforms,
         fusion_probability=fused.probability,
         refined_mask=refined,
     )
+    return result, _paste_back(refined, target_geometry, vert.label)
 
-    # paste the refined crop-space mask back onto the full grid
+
+def _paste_back(mask, target_geometry, label):
+    """A crop-space mask on the full target grid, label where it is
+    nonzero and 0 elsewhere. The crop's origin gives its voxel offset,
+    since `volume.crop` keeps world coordinates."""
     full = np.zeros(target_geometry.dims, dtype=np.int32)
     off = np.round(target_geometry.world_to_voxel(
-        np.array(refined.geometry.origin))).astype(int)
-    sl = tuple(slice(off[a], off[a] + refined.geometry.dims[a])
+        np.array(mask.geometry.origin))).astype(int)
+    sl = tuple(slice(off[a], off[a] + mask.geometry.dims[a])
                for a in range(3))
-    full[sl] = np.where(refined.data != 0, vert.label, 0)
-    return result, LabelVolume(target_geometry, full)
+    full[sl] = np.where(mask.data != 0, label, 0)
+    return LabelVolume(target_geometry, full)
 
 
 def run_pipeline(manifest):
@@ -298,6 +310,10 @@ def run_pipeline(manifest):
     target_lbl = None
     if manifest.target_labels_path:
         target_lbl = nifti.read_volume(manifest.target_labels_path, "label")
+        if not target_lbl.geometry.same_grid(target_img.geometry):
+            raise ValueError(f"target labels grid {target_lbl.geometry} is "
+                             f"not the target image grid "
+                             f"{target_img.geometry}")
 
     atlas_cache = {}
     for a in manifest.atlases:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .checks import real
 from .volume import LabelVolume, bounding_box_of
 
 _CONN26 = np.ones((3, 3, 3), dtype=bool)
@@ -31,8 +32,25 @@ class CollisionPolicy:
     w_distance: float = 1.0
 
     def __post_init__(self):
+        for name in ("w_intensity", "w_distance"):
+            setattr(self, name, real(name, getattr(self, name)))
         if self.w_intensity == 0.0 and self.w_distance == 0.0:
             raise ValueError("at least one collision weight must be nonzero")
+
+
+def _on_intensity_grid(mask, intensity):
+    """The mask's data, after checking that it lies on the intensity
+    grid: a LabelVolume by `GridGeometry.same_grid`, an array by shape."""
+    if isinstance(mask, LabelVolume):
+        if not mask.geometry.same_grid(intensity.geometry):
+            raise ValueError(f"mask grid {mask.geometry} is not the "
+                             f"intensity grid {intensity.geometry}")
+        return mask.data
+    arr = np.asarray(mask)
+    if arr.shape != intensity.geometry.dims:
+        raise ValueError(f"mask shape {arr.shape} is not the intensity "
+                         f"dims {intensity.geometry.dims}")
+    return arr
 
 
 def instance_from_mask(label, mask, intensity):
@@ -116,12 +134,8 @@ def resolve_collisions(per_vertebra_masks, intensity, instances, policy=None):
     if len(per_vertebra_masks) != len(instances):
         raise ValueError("one mask per instance required")
     geom = intensity.geometry
-    masks = []
-    for m in per_vertebra_masks:
-        arr = m.data if isinstance(m, LabelVolume) else np.asarray(m)
-        if arr.shape != geom.dims:
-            raise ValueError("masks must share the intensity geometry")
-        masks.append(arr != 0)
+    masks = [_on_intensity_grid(m, intensity) != 0
+             for m in per_vertebra_masks]
 
     claims = np.stack(masks, axis=-1)
     count = claims.sum(axis=-1)
@@ -231,7 +245,8 @@ def levelset_refine(mask, intensity, iters=10, step=0.25,
     edges, attracting from both sides) plus a small curvature term. The
     level set lives in voxel units; voxels farther than
     r = iters*step + 1 voxels from the initial boundary are never
-    touched, and an empty mask stays empty.
+    touched, and an empty mask stays empty. The mask must lie on the
+    intensity grid.
 
     The work is done on a crop: the mask's bounding box padded by
     floor(r) + 2 voxels, clamped to the volume. The result equals the
@@ -248,7 +263,7 @@ def levelset_refine(mask, intensity, iters=10, step=0.25,
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     geom = mask.geometry if isinstance(mask, LabelVolume) else None
-    m = (mask.data if isinstance(mask, LabelVolume) else np.asarray(mask)) != 0
+    m = _on_intensity_grid(mask, intensity) != 0
     speed = _speed_field(intensity, smooth_sigma) if iters else None
     out = _evolve(m, speed, iters, step, curvature_weight)
     return LabelVolume(geom, out) if geom is not None else out
@@ -261,12 +276,14 @@ def refine_labels(lbl, intensity, min_island_voxels=50, iters=10,
     order; a label that cleanup removes entirely is absent.
 
     Equals `levelset_refine` per label at its default curvature weight
-    and smoothing; the speed field is computed once, not per label.
+    and smoothing; the speed field is computed once, not per label. The
+    labels must lie on the intensity grid.
     """
     if iters < 0:
         raise ValueError("iters must be >= 0")
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
+    _on_intensity_grid(lbl, intensity)
     cleaned = morph_cleanup(lbl, min_island_voxels)
     speed = _speed_field(intensity, _SMOOTH_SIGMA) if iters else None
     return {lv: LabelVolume(cleaned.geometry,
@@ -279,8 +296,7 @@ def separate_labels(masks, intensity, policy=None):
     """One label volume from (label, mask) pairs on the intensity grid:
     each label becomes an instance (centroid, mean intensity) and voxels
     claimed by several masks go to the best-scoring instance."""
-    masks = list(masks)
-    instances = [instance_from_mask(lv, m.data != 0, intensity)
-                 for lv, m in masks]
+    masks = [(lv, _on_intensity_grid(m, intensity) != 0) for lv, m in masks]
+    instances = [instance_from_mask(lv, m, intensity) for lv, m in masks]
     return resolve_collisions([m for _, m in masks], intensity, instances,
                               policy)

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .checks import integer, real
 from .similarity import IntensityWindow, NmiObjective
 from .transform import (AffineTransform, ComposedTransform, FFDTransform,
                         affine_apply, bending_operator, compose_apply,
@@ -38,16 +39,18 @@ class RegistrationConfig:
     window: IntensityWindow = field(default_factory=IntensityWindow)
 
     def __post_init__(self):
+        for name in ("alpha", "control_spacing_mm", "step_tolerance",
+                     "objective_tolerance"):
+            setattr(self, name, real(name, getattr(self, name)))
+        for name, minimum in (("pyramid_levels", 1),
+                              ("max_iters_per_level", 0),
+                              ("max_sample_voxels", 0)):
+            setattr(self, name, integer(name, getattr(self, name), minimum))
         if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
-        if self.pyramid_levels < 1:
-            raise ValueError("need at least one pyramid level")
+            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
         for name in ("control_spacing_mm", "step_tolerance"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
-        for name in ("max_iters_per_level", "max_sample_voxels"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass

@@ -2,19 +2,22 @@
 
 Two histogram flavors coexist:
 
-* the discrete histogram (nearest bin on both axes) backs the NMI *value*
-  reported to users and tests — identical aligned images score exactly 2;
-* a Parzen variant (cubic B-spline kernel along the floating-intensity
-  axis) backs the differentiable objective used by the optimizer, where
-  smoothness in the warp matters more than exact diagonal structure.
+* `joint_histogram` takes the nearest bin on both axes and backs the NMI
+  *value* reported to users and tests (`nmi`) — identical aligned images
+  score exactly 2;
+* `NmiObjective`, the optimizer's differentiable objective, spreads each
+  sample by a cubic B-spline Parzen kernel along the floating-intensity
+  axis (`_parzen_counts`), where smoothness in the warp matters more than
+  exact diagonal structure.
 
-The objective has one evaluation path: `NmiObjective.value_at` and
-`point_gradient_at` take warped sample points, and the transform-level
-methods only map the samples (`compose_apply`/`affine_apply`, or the FFD
-basis) before calling them. Both bin the values of the one spline
-gather, `SplineImage.sample`, so `value_at(y) == point_gradient_at(y)[0]`
-exactly. Both registration stages score every trial with one
-`point_gradient_at` call; `value_at` backs `NmiObjective.value`.
+The objective has one evaluation path, `NmiObjective.point_gradient_at`:
+it samples the floating image at warped points with one spline gather,
+`SplineImage.sample` (value and gradient together), bins the values and
+returns the NMI with its derivative per point; `value_at(y)` is its
+value. The transform-level methods only map the samples
+(`compose_apply`/`affine_apply`, or the FFD basis) before calling it.
+Both registration stages score every trial with one `point_gradient_at`
+call.
 """
 
 from dataclasses import dataclass
@@ -23,6 +26,7 @@ import numpy as np
 from scipy import ndimage
 
 from .bspline import BLOCK_POINTS, support_offsets, support_weights
+from .checks import integer, real
 from .transform import affine_apply, compose_apply, ffd_basis
 
 
@@ -35,10 +39,11 @@ class IntensityWindow:
     bins: int = 64
 
     def __post_init__(self):
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, real(name, getattr(self, name)))
+        object.__setattr__(self, "bins", integer("bins", self.bins, 8))
         if not self.lo < self.hi:
             raise ValueError("window lo must be < hi")
-        if self.bins < 8:
-            raise ValueError("need at least 8 bins")
 
     @property
     def scale(self):
@@ -75,28 +80,21 @@ def _box_slices(mask, dims):
     return tuple(slice(lo[a], hi[a] + 1) for a in range(3))
 
 
-def joint_histogram(img1, img2, window=IntensityWindow(), mask=None,
-                    parzen=False):
-    """Joint intensity histogram of two volumes on a shared grid.
-
-    With parzen=True, each sample spreads cubic B-spline mass along the
-    floating (axis 1) bin axis; the target axis always uses nearest bins.
-    Total mass equals the number of samples either way.
-    """
-    if img1.geometry.dims != img2.geometry.dims:
-        raise ValueError("volumes must share geometry")
+def joint_histogram(img1, img2, window=IntensityWindow(), mask=None):
+    """Joint intensity histogram of two volumes on a shared grid, nearest
+    bin on both axes; its total mass is the number of samples."""
+    if not img1.geometry.same_grid(img2.geometry):
+        raise ValueError(f"volumes must share geometry: {img1.geometry} "
+                         f"vs {img2.geometry}")
     sl = _box_slices(mask, img1.geometry.dims)
     v1 = img1.data[sl].ravel()
     v2 = img2.data[sl].ravel()
     if v1.size == 0:
         raise ValueError("empty histogram mask")
     a = np.round(window.bin_coord(v1)).astype(np.int64)
+    b = np.round(window.bin_coord(v2)).astype(np.int64)
     nb = window.bins
-    if not parzen:
-        b = np.round(window.bin_coord(v2)).astype(np.int64)
-        counts = np.bincount(a * nb + b, minlength=nb * nb).astype(np.float64)
-    else:
-        counts, _ = _parzen_counts(a, window.bin_coord(v2), nb)
+    counts = np.bincount(a * nb + b, minlength=nb * nb).astype(np.float64)
     return JointHistogram(counts.reshape(nb, nb))
 
 
@@ -147,8 +145,9 @@ def lncc(img1, img2, radius_voxels=3, mask=None):
     """
     if radius_voxels < 1:
         raise ValueError("radius must be >= 1")
-    if img1.geometry.dims != img2.geometry.dims:
-        raise ValueError("volumes must share geometry")
+    if not img1.geometry.same_grid(img2.geometry):
+        raise ValueError(f"volumes must share geometry: {img1.geometry} "
+                         f"vs {img2.geometry}")
     size = 2 * radius_voxels + 1
     f1, f2 = img1.data, img2.data
 
@@ -172,9 +171,9 @@ class SplineImage:
 
     The prefiltered coefficients are mirror-extended once, by 1 node
     below and 2 above each axis, which covers the 4x4x4 support of every
-    in-domain coordinate; `coef` is the interior view of that one array.
-    A point's support is read at its first node plus the fixed
-    `support_offsets`, the same gather as `transform.ffd_basis`.
+    in-domain coordinate. A point's support is read at its first node
+    plus the fixed `support_offsets`, the same gather as
+    `transform.ffd_basis`; value and gradient come from that one gather.
     """
 
     def __init__(self, vol):
@@ -182,7 +181,6 @@ class SplineImage:
         self._padded = np.pad(
             ndimage.spline_filter(vol.data, order=3, mode="mirror"),
             ((1, 2),) * 3, mode="reflect")
-        self.coef = self._padded[1:-2, 1:-2, 1:-2]
         self._offsets = support_offsets(self._padded.shape)
         self._dims = np.array(vol.geometry.dims)
         self._spacing = np.array(vol.geometry.spacing)
@@ -191,9 +189,9 @@ class SplineImage:
         u = self.geometry.world_to_voxel(pts_world)
         return np.all((u >= 0.0) & (u <= self._dims - 1.0), axis=-1)
 
-    def sample(self, pts_world, with_gradient=True):
+    def sample(self, pts_world):
         """Spline value and gradient (HU/mm) at world points (V, 3), from
-        one padded gather; with_gradient=False returns None for the latter.
+        one padded gather.
 
         Coordinates are clamped to the image domain, so the sampled value
         is continuous everywhere; beyond a face the value is constant along
@@ -209,7 +207,7 @@ class SplineImage:
             blk = slice(start, start + BLOCK_POINTS)
             val[blk], grad[blk] = self._value_and_gradient(u[blk])
         grad[(u_raw < 0.0) | (u_raw > self._dims - 1.0)] = 0.0
-        return val, grad if with_gradient else None
+        return val, grad
 
     def _value_and_gradient(self, u):
         """Spline value and gradient (HU/mm) at in-domain voxel
@@ -243,7 +241,7 @@ class NmiObjective:
 
     Target voxels are binned once; each evaluation samples the floating
     image at the warped voxel centers, accumulates the Parzen joint
-    histogram, and can push the entropy derivative back through the
+    histogram, and pushes the entropy derivative back through the
     kernel, the image gradient, and the transform parameters.
     """
 
@@ -266,28 +264,13 @@ class NmiObjective:
         if self.points.shape[0] == 0:
             raise ValueError("empty objective mask")
 
-    def _histogram_terms(self, y):
-        # all warped points contribute (clamped sampling keeps the value
-        # continuous as points cross the floating-image boundary), but the
-        # overlap must not vanish entirely
-        if not np.any(self.spline.inside(y)):
-            raise ValueError("no warped sample falls inside the floating image")
-        v, g = self.spline.sample(y)
-        nb = self.window.bins
-        c2 = self.window.bin_coord(v)
-        # where the window clamps, the bin coordinate does not move with v
-        clipped = (c2 <= 0.0) | (c2 >= nb - 1)
-        counts, bcols = _parzen_counts(self.bin1, c2, nb)
-        return g, c2, clipped, bcols, counts.reshape(nb, nb)
-
     def value(self, comp):
         return self.value_at(compose_apply(comp, self.points))
 
     def value_at(self, y):
         """NMI with the floating image sampled at warped points y (V, 3),
-        one per target sample."""
-        *_, counts = self._histogram_terms(y)
-        return nmi_of_histogram(JointHistogram(counts))
+        one per target sample: the value of `point_gradient_at`."""
+        return self.point_gradient_at(y)[0]
 
     def value_and_point_gradient(self, comp):
         """NMI, its derivative with respect to each warped point (mm), and
@@ -299,8 +282,18 @@ class NmiObjective:
     def point_gradient_at(self, y):
         """NMI at warped points y (V, 3) and its derivative with respect
         to each of them (mm)."""
-        g, c2, clipped, bcols, counts = self._histogram_terms(y)
-        hist = JointHistogram(counts)
+        # all warped points contribute (clamped sampling keeps the value
+        # continuous as points cross the floating-image boundary), but the
+        # overlap must not vanish entirely
+        if not np.any(self.spline.inside(y)):
+            raise ValueError("no warped sample falls inside the floating image")
+        v, g = self.spline.sample(y)
+        nb = self.window.bins
+        c2 = self.window.bin_coord(v)
+        # where the window clamps, the bin coordinate does not move with v
+        clipped = (c2 <= 0.0) | (c2 >= nb - 1)
+        counts, bcols = _parzen_counts(self.bin1, c2, nb)
+        hist = JointHistogram(counts.reshape(nb, nb))
         n = hist.total
         h1v, h2v, h12v = entropies(hist)
         if h12v == 0.0:
@@ -309,7 +302,7 @@ class NmiObjective:
 
         p1 = hist.marginal_target() / n
         p2 = hist.marginal_floating() / n
-        p12 = counts / n
+        p12 = hist.counts / n
         with np.errstate(divide="ignore"):
             l1 = np.where(p1 > 0, np.log(np.maximum(p1, 1e-300)), 0.0)
             l2 = np.where(p2 > 0, np.log(np.maximum(p2, 1e-300)), 0.0)

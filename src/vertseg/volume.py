@@ -9,6 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+# NIfTI stores spacing and origin as float32
+_GRID_ATOL_MM = 1e-3
+
 
 @dataclass(frozen=True)
 class GridGeometry:
@@ -48,6 +51,16 @@ class GridGeometry:
               for a in range(3)]
         gx, gy, gz = np.meshgrid(*ax, indexing="ij")
         return np.stack([gx, gy, gz], axis=-1)
+
+    def same_grid(self, other):
+        """Whether other is this grid: equal dims, and spacing and origin
+        equal to within 0.001 mm. Every stage that combines volumes
+        voxel by voxel checks its inputs with this rule."""
+        return self.dims == other.dims \
+            and np.allclose(self.spacing, other.spacing, rtol=0,
+                            atol=_GRID_ATOL_MM) \
+            and np.allclose(self.origin, other.origin, rtol=0,
+                            atol=_GRID_ATOL_MM)
 
     @property
     def voxel_volume_mm3(self):

@@ -1,6 +1,9 @@
 """Source hygiene: every name a `vertseg` module imports at module level
-is used in that module. No linter is a test dependency, so the check
-walks each module's syntax tree with the standard library's `ast`."""
+is used in that module, no function imports, and every private name (a
+module-level name or a class method starting with a single underscore)
+is read somewhere in the package. No linter is a test dependency, so the
+checks walk each module's syntax tree with the standard library's
+`ast`."""
 
 import ast
 import pathlib
@@ -58,3 +61,62 @@ def test_function_local_import_is_reported():
                      "class C:\n    def m(self):\n"
                      "        def g():\n            import sys\n")
     assert _function_local_imports(tree) == [(3, "f"), (8, "g"), (8, "m")]
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _unread_private_names(trees):
+    """(module, line, name) of every module-level name and class method
+    of the modules {module: tree} that starts with a single underscore
+    and that no module reads, by name or as an attribute."""
+    defined, read = [], set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            names = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names.append((node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                names += [(item.lineno, item.name) for item in node.body
+                          if isinstance(item, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef))]
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            names += [(t.lineno, t.id) for t in targets
+                      if isinstance(t, ast.Name)]
+            defined += [(module, line, name) for line, name in names
+                        if _is_private(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_private_names_are_read():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    unread = _unread_private_names(trees)
+    assert not unread, f"private names nothing reads (module, line, " \
+                       f"name) {unread}"
+
+
+def test_unread_private_name_is_reported():
+    a = ("_USED = 1\n"
+         "_UNUSED: int = 2\n"
+         "def _f():\n    return _USED\n"
+         "def _g():\n    pass\n"
+         "class _C:\n"
+         "    def __init__(self):\n        self._o = self._n()\n"
+         "    def _n(self):\n        return 0\n"
+         "    def _o(self):\n        pass\n")
+    b = "from a import _f\nprint(_f())\n"
+    trees = {"a.py": ast.parse(a), "b.py": ast.parse(b)}
+    assert _unread_private_names(trees) == [
+        ("a.py", 2, "_UNUSED"), ("a.py", 5, "_g"), ("a.py", 7, "_C"),
+        ("a.py", 12, "_o")]

@@ -88,6 +88,29 @@ def test_dice_geometry_check():
         dice(a, b)
 
 
+def test_dice_accepts_float32_rounded_geometry():
+    g = GridGeometry((4, 4, 4), (0.7, 0.7, 1.3), (-12.3, 4.1, 100.7))
+    g32 = GridGeometry(g.dims, np.float32(g.spacing), np.float32(g.origin))
+    assert g32 != g
+    ones = np.ones((4, 4, 4), dtype=int)
+    assert dice(LabelVolume(g, ones), LabelVolume(g32, ones)) == 100.0
+
+
+def test_evaluate_labels_rejects_inputs_on_another_grid():
+    dims = (6, 6, 6)
+    data = np.zeros(dims, dtype=int)
+    data[1:4, 1:4, 1:4] = 1
+    gt = LabelVolume(_geom(dims), data)
+    # same dims, but 2 mm voxels 50 mm away: not one voxel overlaps
+    other = GridGeometry(dims, (2.0, 2.0, 2.0), (50.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="segmentation grid"):
+        evaluate_labels(gt, LabelVolume(other, data), None,
+                        [("V1", 1, {})], "c")
+    with pytest.raises(ValueError, match="intensity grid"):
+        evaluate_labels(gt, gt, ScalarVolume(other, np.ones(dims)),
+                        [("V1", 1, {})], "c")
+
+
 def test_surface_voxels_matches_oracle():
     rng = np.random.default_rng(1)
     g = _geom((6, 6, 6), spacing=(0.5, 1.0, 2.0))

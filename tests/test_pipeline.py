@@ -7,16 +7,19 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertseg import nifti
-from vertseg.cli import main
-from vertseg.fusion import FusionOutput
+from vertseg.cli import _config, build_parser, main
+from vertseg.fusion import FusionConfig, FusionOutput
 from vertseg.phantom import PhantomSpec, deform_phantom, make_phantom
-from vertseg.registration import register_affine
+from vertseg.registration import RegistrationConfig, register_affine
 from vertseg.pipeline import (AtlasEntry, AtlasManifest, VertebraEntry,
-                              _bundle_ids, _eligible_atlases, load_manifest,
-                              run_pipeline)
-from vertseg.volume import BoundingBox, LabelVolume
+                              _bundle_ids, _eligible_atlases, _paste_back,
+                              load_manifest, run_pipeline)
+from vertseg.volume import (BoundingBox, GridGeometry, LabelVolume,
+                            ScalarVolume, crop)
 
 SMALL = dict(dims=(48, 48, 72), spacing=(0.8, 0.8, 1.0),
              body_radii_mm=(7.0, 5.0, 7.0), n_vertebrae=3)
@@ -164,7 +167,7 @@ def test_run_pipeline_end_to_end(tmp_path):
 
     res = run.per_vertebra["V1"]
     assert len(res.transforms) == 2
-    assert res.fusion_probability.shape == res.crop_geometry.dims
+    assert res.fusion_probability.shape == res.refined_mask.geometry.dims
     assert set(np.unique(res.refined_mask.data)).issubset({0, 1})
 
 
@@ -407,7 +410,9 @@ def test_load_manifest_rejects_unknown_postprocess_key(tmp_path):
     ("postprocess.levelset_iters", -1), ("postprocess.min_island_voxels", -1),
     ("fusion.search_radius", -1), ("crop_margin", 5.0), ("group_by", "level"),
     ("postprocess.levelset_step", 0), ("fusion.patch_radius", 1.5),
-    ("fusion.beta", float("nan"))])
+    ("fusion.beta", float("nan")), ("leave_one_out", "false"),
+    ("workers", 1.5), ("postprocess.levelset_iters", 2.5),
+    ("registration.pyramid_levels", True), ("collision.w_intensity", "1")])
 def test_bad_manifest_value_fails_at_load_before_registration(
         tmp_path, monkeypatch, key, value):
     path = _quick_manifest(tmp_path, n_atlases=1)
@@ -446,3 +451,101 @@ def test_cli_refine_rejects_zero_step(tmp_path, capsys):
     assert rc == 1
     assert "step" in capsys.readouterr().err
     assert not (tmp_path / "refined.nii").exists()
+
+
+@pytest.mark.parametrize("where", ["target", "atlas"])
+def test_load_manifest_rejects_non_integer_vertebra_label(tmp_path, where):
+    doc = _minimal_doc()
+    if where == "target":
+        doc["target"]["vertebrae"][0]["label"] = 1.5
+    else:
+        doc["atlases"][0]["vertebra_labels"]["V1"] = 1.5
+    with pytest.raises(ValueError, match=r"V1.*must be an integer, got 1\.5"):
+        load_manifest(_write_doc(tmp_path, doc))
+
+
+def test_run_pipeline_rejects_target_labels_on_another_grid(
+        tmp_path, monkeypatch):
+    path = _quick_manifest(tmp_path, n_atlases=1)
+    lbl = nifti.read_volume(tmp_path / "target_labels.nii", "label")
+    g = lbl.geometry
+    nifti.write_volume(tmp_path / "target_labels.nii", LabelVolume(
+        GridGeometry(g.dims, g.spacing, (50.0, 0.0, 0.0)), lbl.data))
+    calls = _counting_affine(monkeypatch)
+    with pytest.raises(ValueError, match="target labels grid"):
+        run_pipeline(load_manifest(path))
+    assert len(calls) == 0
+
+
+def test_cli_defaults_are_the_config_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["register", "--target", "t.nii", "--floating",
+                              "f.nii", "--output-transform", "t.json"])
+    assert _config(RegistrationConfig, args) == RegistrationConfig()
+    args = parser.parse_args(["fuse", "--target", "t.nii", "--atlas",
+                              "a.nii,al.nii", "--output-labels", "o.nii"])
+    assert _config(FusionConfig, args) == FusionConfig()
+    args = parser.parse_args(["refine", "--labels", "l.nii", "--intensity",
+                              "t.nii", "--output", "o.nii"])
+    defaults = {f.name: f.default for f in dataclasses.fields(AtlasManifest)}
+    for name in ("min_island_voxels", "levelset_iters", "levelset_step"):
+        assert getattr(args, name) == defaults[name], name
+    args = parser.parse_args(["phantom", "--output", "ph"])
+    assert _config(PhantomSpec, args) == PhantomSpec()
+
+
+# ------------------------------------------------ crop and paste-back
+
+@st.composite
+def _crop_cases(draw):
+    """A grid of 1-12 voxels per axis with anisotropic spacing and a
+    non-zero origin, a box from 2 voxels before the low face to 2 past
+    the high face on each axis (so boxes touch faces and corners, hang
+    past them, or miss the grid), and a margin of 0-3 voxels."""
+    dims = draw(st.tuples(*[st.integers(1, 12)] * 3))
+    spacing = draw(st.tuples(*[st.sampled_from([0.4, 0.75, 1.0, 2.5])] * 3))
+    origin = draw(st.tuples(*[st.integers(-40000, 40000).map(
+        lambda v: v / 1000.0)] * 3))
+    lo, hi = [], []
+    for n in dims:
+        a, b = draw(st.integers(-2, n + 1)), draw(st.integers(-2, n + 1))
+        lo.append(min(a, b))
+        hi.append(max(a, b))
+    margin = draw(st.tuples(*[st.integers(0, 3)] * 3))
+    return (GridGeometry(dims, spacing, origin),
+            BoundingBox(tuple(lo), tuple(hi)), margin)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_crop_cases(), seed=st.integers(0, 2 ** 16))
+def test_crop_and_paste_back_keep_world_coordinates(case, seed):
+    geom, box, margin = case
+    rng = np.random.default_rng(seed)
+    image = ScalarVolume(geom, rng.normal(0.0, 100.0, geom.dims))
+    mask = LabelVolume(geom, rng.integers(0, 2, geom.dims))
+    if any(box.max_index[a] < 0 or box.min_index[a] >= geom.dims[a]
+           for a in range(3)):
+        for vol in (image, mask):
+            with pytest.raises(ValueError, match="does not intersect"):
+                crop(vol, box, margin)
+        return
+    start = [max(box.min_index[a] - margin[a], 0) for a in range(3)]
+    stop = [min(box.max_index[a] + margin[a], geom.dims[a] - 1) + 1
+            for a in range(3)]
+    sl = tuple(slice(a, b) for a, b in zip(start, stop))
+
+    cimg, cmask = crop(image, box, margin), crop(mask, box, margin)
+    for c, vol in ((cimg, image), (cmask, mask)):
+        assert c.geometry.spacing == geom.spacing
+        assert np.array_equal(c.data, vol.data[sl])
+        assert np.allclose(c.geometry.grid_world_points(),
+                           geom.grid_world_points()[sl], rtol=0, atol=1e-9)
+    # the offset the pipeline pastes at is the clamped box start
+    off = np.round(geom.world_to_voxel(np.array(cimg.geometry.origin)))
+    assert off.astype(int).tolist() == start
+
+    pasted = _paste_back(cmask, geom, 7)
+    expected = np.zeros(geom.dims, dtype=np.int32)
+    expected[sl] = 7 * mask.data[sl]
+    assert pasted.geometry == geom
+    assert np.array_equal(pasted.data, expected)

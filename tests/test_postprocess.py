@@ -451,3 +451,28 @@ def test_levelset_rejects_nonpositive_step(step):
         levelset_refine(mask, intensity, iters=10, step=step)
     with pytest.raises(ValueError, match="step"):
         refine_labels(mask, intensity, iters=10, step=step)
+
+
+def test_refinement_rejects_intensity_on_another_grid():
+    data = np.zeros((20, 20, 20), dtype=int)
+    data[5:15, 5:15, 5:15] = 1
+    lbl = LabelVolume(_geom((20, 20, 20)), data)
+    intensity = ScalarVolume(_geom((30, 30, 30)), np.zeros((30, 30, 30)))
+    with pytest.raises(ValueError, match="intensity grid"):
+        refine_labels(lbl, intensity)
+    with pytest.raises(ValueError, match="intensity grid"):
+        levelset_refine(lbl, intensity)
+    with pytest.raises(ValueError, match="intensity grid"):
+        separate_labels([(1, lbl)], intensity)
+
+
+def test_resolve_collisions_rejects_mask_on_another_grid_with_same_dims():
+    g = _geom((6, 6, 6))
+    intensity = ScalarVolume(g, np.zeros((6, 6, 6)))
+    data = np.zeros((6, 6, 6), dtype=int)
+    data[1:3, 1:3, 1:3] = 1
+    shifted = LabelVolume(GridGeometry(g.dims, g.spacing, (0.0, 0.0, 3.0)),
+                          data)
+    inst = instance_from_mask(1, data != 0, intensity)
+    with pytest.raises(ValueError, match="intensity grid"):
+        resolve_collisions([shifted], intensity, [inst])

@@ -37,6 +37,17 @@ def test_grid_world_points_matches_voxel_to_world():
     assert np.allclose(pts[2, 1, 3], g.voxel_to_world((2, 1, 3)))
 
 
+def test_same_grid_tolerates_float32_rounding_only():
+    g = small_geom(origin=(-2.1, 1.3, 3.7))
+    g32 = GridGeometry(g.dims, np.float32(g.spacing), np.float32(g.origin))
+    assert g32 != g
+    assert g.same_grid(g32) and g32.same_grid(g)
+    assert not g.same_grid(small_geom(dims=(8, 9, 11)))
+    assert not g.same_grid(small_geom(spacing=(0.5, 0.75, 1.26),
+                                      origin=g.origin))
+    assert not g.same_grid(small_geom(origin=(-2.1, 1.3, 3.71)))
+
+
 def test_voxel_volume():
     g = small_geom()
     assert g.voxel_volume_mm3 == pytest.approx(0.5 * 0.75 * 1.25)
