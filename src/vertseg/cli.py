@@ -18,7 +18,8 @@ from . import nifti
 from .fusion import FusionConfig, RegisteredAtlas, fuse, majority_vote
 from .metrics import (evaluate_labels, render_report_csv,
                       render_report_text, report)
-from .phantom import PhantomSpec, deform_phantom, make_phantom
+from .phantom import (DEFORM_MAGNITUDE_MM, PhantomSpec, deform_phantom,
+                      make_phantom)
 from .pipeline import AtlasManifest, load_manifest, run_pipeline
 from .postprocess import refine_labels, separate_labels
 from .registration import RegistrationConfig, register_affine, register_ffd
@@ -193,7 +194,7 @@ def build_parser():
                    help="comma-separated per-vertebra factors")
     p.add_argument("--deform", choices=["translation", "affine",
                                         "smooth_ffd"], default=None)
-    p.add_argument("--magnitude", type=float, default=3.0)
+    p.add_argument("--magnitude", type=float, default=DEFORM_MAGNITUDE_MM)
     p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("register", help="register floating onto target")

@@ -13,6 +13,8 @@ from .transform import (AffineTransform, ComposedTransform, FFDTransform,
                         ffd_displace, lattice_covering)
 from .volume import BoundingBox, GridGeometry, LabelVolume, ScalarVolume
 
+DEFORM_MAGNITUDE_MM = 3.0  # `deform_phantom`'s default, also the CLI's
+
 
 @dataclass
 class PhantomSpec:
@@ -114,7 +116,8 @@ def _random_smooth_ffd(geom, magnitude_mm, rng):
     return FFDTransform(lattice, coef)
 
 
-def deform_phantom(image, labels, kind="smooth_ffd", magnitude=3.0, seed=0):
+def deform_phantom(image, labels, kind="smooth_ffd",
+                   magnitude=DEFORM_MAGNITUDE_MM, seed=0):
     """Warp a phantom by a random transform of the given family.
 
     Returns (warped image, warped labels, transform), where the transform

@@ -19,7 +19,8 @@ from . import nifti
 from .checks import integer, real
 from .fusion import FusionConfig, RegisteredAtlas, fuse
 from .metrics import evaluate_labels, report
-from .postprocess import CollisionPolicy, refine_labels, separate_labels
+from .postprocess import (LEVELSET_ITERS, LEVELSET_STEP, MIN_ISLAND_VOXELS,
+                          CollisionPolicy, refine_labels, separate_labels)
 from .registration import (RegistrationConfig, register_affine, register_ffd,
                            warp_atlas)
 from .similarity import IntensityWindow
@@ -64,9 +65,9 @@ class AtlasManifest:
     registration: RegistrationConfig = field(default_factory=RegistrationConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     collision: CollisionPolicy = field(default_factory=CollisionPolicy)
-    min_island_voxels: int = 50
-    levelset_iters: int = 10
-    levelset_step: float = 0.25
+    min_island_voxels: int = MIN_ISLAND_VOXELS
+    levelset_iters: int = LEVELSET_ITERS
+    levelset_step: float = LEVELSET_STEP
     group_by: str = None
     workers: int = 1
     output_dir: str = None
@@ -124,11 +125,14 @@ def load_manifest(path):
                 raise ValueError(f"unknown {where} key {key!r}")
 
     tgt = doc["target"]
-    vertebrae = [VertebraEntry(
-        vertebra_id=v["id"], label=v["label"],
-        box=BoundingBox(tuple(v["box"]["min"]), tuple(v["box"]["max"])),
-        tags=dict(v.get("tags", {})),
-    ) for v in tgt["vertebrae"]]
+    vertebrae = []
+    for v in tgt["vertebrae"]:
+        try:
+            box = BoundingBox(v["box"]["min"], v["box"]["max"])
+        except ValueError as e:
+            raise ValueError(f"vertebra {v['id']} box: {e}") from None
+        vertebrae.append(VertebraEntry(vertebra_id=v["id"], label=v["label"],
+                                       box=box, tags=dict(v.get("tags", {}))))
 
     atlases = [AtlasEntry(
         case_id=a["case_id"],

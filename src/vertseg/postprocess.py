@@ -17,6 +17,10 @@ from .volume import LabelVolume, bounding_box_of
 _CONN26 = np.ones((3, 3, 3), dtype=bool)
 _CURVATURE_WEIGHT = 0.2
 _SMOOTH_SIGMA = 1.0
+# post-processing defaults, also the manifest's (`AtlasManifest`)
+MIN_ISLAND_VOXELS = 50
+LEVELSET_ITERS = 10
+LEVELSET_STEP = 0.25
 
 
 @dataclass
@@ -64,7 +68,7 @@ def instance_from_mask(label, mask, intensity):
                             mean_intensity=float(intensity.data[mask].mean()))
 
 
-def morph_cleanup(lbl, min_island_voxels=50):
+def morph_cleanup(lbl, min_island_voxels=MIN_ISLAND_VOXELS):
     """Remove small 26-connected islands (keeping only each label's
     largest component) and fill 6-connected cavities fully enclosed by a
     single label. Idempotent.
@@ -236,8 +240,8 @@ def _evolve(m, speed, iters, step, curvature_weight):
     return out
 
 
-def levelset_refine(mask, intensity, iters=10, step=0.25,
-                    curvature_weight=_CURVATURE_WEIGHT,
+def levelset_refine(mask, intensity, iters=LEVELSET_ITERS,
+                    step=LEVELSET_STEP, curvature_weight=_CURVATURE_WEIGHT,
                     smooth_sigma=_SMOOTH_SIGMA):
     """Evolve the mask boundary toward intensity edges.
 
@@ -269,8 +273,8 @@ def levelset_refine(mask, intensity, iters=10, step=0.25,
     return LabelVolume(geom, out) if geom is not None else out
 
 
-def refine_labels(lbl, intensity, min_island_voxels=50, iters=10,
-                  step=0.25):
+def refine_labels(lbl, intensity, min_island_voxels=MIN_ISLAND_VOXELS,
+                  iters=LEVELSET_ITERS, step=LEVELSET_STEP):
     """Clean up a label volume, then refine each label's binary mask by
     the level set. Returns {label: refined 0/1 LabelVolume}, in label
     order; a label that cleanup removes entirely is absent.

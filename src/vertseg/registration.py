@@ -139,6 +139,7 @@ def _ascend(x, current, direction, evaluate, new_direction, cfg,
         while t * reach >= cfg.step_tolerance:
             cand = x + t * direction
             evaluations += 1
+            result = None  # free a rejected trial before the next one
             try:
                 result = evaluate(cand)
             except ValueError:
@@ -294,7 +295,7 @@ def register_ffd(target, floating, affine, cfg=None):
         pen_geom, _, _ = _penalty_grid(
             affine, tgt.geometry, 0.0,
             min_spacing_mm=min(ffd.control_geom.spacing) / 4.0)
-        coef, (current, nmi_val, p_val, _), stop = _ffd_level(
+        coef, (current, nmi_val, p_val), stop = _ffd_level(
             obj, affine, ffd, pen_geom, cfg,
             step=1.0 * max(tgt.geometry.spacing),
             record=lambda it, result: trace.append((it, level) + result[:3]))
@@ -310,13 +311,18 @@ def register_ffd(target, floating, affine, cfg=None):
 
 def _ffd_level(obj, affine, ffd, pen_geom, cfg, step, record):
     """Ascend (1-alpha)*NMI - alpha*P over ffd's coefficients on one
-    pyramid level; returns (coefficients, (C, NMI, P, gradient), Stop),
-    all from one `point_gradient_at` call per trial, and passes the start
-    (iteration 0) and every accepted step to record.
+    pyramid level; returns (coefficients, (C, NMI, P), Stop), and passes
+    the start (iteration 0) and every accepted step to record. Each trial
+    is one `point_gradient_at` call and gives (C, NMI, P, (point_grad,
+    Qc)).
 
     Each direction is the max-normalised gradient times a step length in
     mm of control-point motion: `step` at first, then 1.5 times the last
-    accepted step, at most 2 * step.
+    accepted step, at most 2 * step. A trial keeps its point gradient and
+    Qc, and the coefficient gradient (1-alpha) W^T point_grad -
+    2 alpha Qc is formed only where a direction is taken: at the start
+    and after an accepted step that the ascent continues from. Rejected
+    trials, and the last accepted one, skip the adjoint product.
 
     The affinely mapped samples z are fixed within a level, so the FFD
     is the linear map y = z + W c and the penalty the quadratic form
@@ -333,11 +339,13 @@ def _ffd_level(obj, affine, ffd, pen_geom, cfg, step, record):
         nmi_val, point_grad = obj.point_gradient_at(z + basis @ c)
         qc = bend @ c
         p_val = float(np.sum(c * qc))
-        grad = ((1.0 - alpha) * (basis.T @ point_grad)
-                - alpha * (2.0 * qc)).reshape(coef.shape)
-        return (1.0 - alpha) * nmi_val - alpha * p_val, nmi_val, p_val, grad
+        return ((1.0 - alpha) * nmi_val - alpha * p_val, nmi_val, p_val,
+                (point_grad, qc))
 
-    def direction(grad, length):
+    def direction(result, length):
+        point_grad, qc = result[3]
+        grad = ((1.0 - alpha) * (basis.T @ point_grad)
+                - alpha * (2.0 * qc)).reshape(ffd.coefficients.shape)
         gnorm = np.abs(grad).max()
         return None if gnorm < 1e-15 else length * (grad / gnorm)
 
@@ -346,12 +354,14 @@ def _ffd_level(obj, affine, ffd, pen_geom, cfg, step, record):
     def new_direction(coef, result, t):
         nonlocal length
         length = min(1.5 * t * length, 2.0 * step)
-        return direction(result[3], length)
+        return direction(result, length)
 
     start = evaluate(ffd.coefficients)
     record(0, start)
-    return _ascend(ffd.coefficients, start, direction(start[3], step),
-                   evaluate, new_direction, cfg, accepted=record)
+    coef, current, stop = _ascend(ffd.coefficients, start,
+                                  direction(start, step), evaluate,
+                                  new_direction, cfg, accepted=record)
+    return coef, current[:3], stop
 
 
 def warp_atlas(atlas_img, atlas_lbl, comp, target_geom):

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .bspline import BLOCK_POINTS, support_offsets, support_weights
+from .bspline import (BLOCK_POINTS, support_offsets, support_weight_rows,
+                      support_weights)
 from .checks import integer, real
 from .transform import affine_apply, compose_apply, ffd_basis
 
@@ -165,6 +166,14 @@ def lncc(img1, img2, radius_voxels=3, mask=None):
     return float(cc[sl].mean())
 
 
+def _contract_taps(t, w):
+    """Sum over the leading 4-tap axis of t weighted by w (4, V), as
+    (t0*w0 + t2*w2) + (t1*w1 + t3*w3): the order in which NumPy's einsum
+    reduces a length-4 axis, so a tap-major contraction rounds exactly as
+    the point-major einsum does."""
+    return (t[0] * w[0] + t[2] * w[2]) + (t[1] * w[1] + t[3] * w[3])
+
+
 class SplineImage:
     """Cubic-spline interpolating view of a ScalarVolume with analytic
     spatial gradients (used by the differentiable similarity path).
@@ -174,6 +183,13 @@ class SplineImage:
     in-domain coordinate. A point's support is read at its first node
     plus the fixed `support_offsets`, the same gather as
     `transform.ffd_basis`; value and gradient come from that one gather.
+
+    The gather is tap-major: the offsets are in (z, y, x) tap order, so a
+    block of V points gathers a (4, 4, 4, V) array, which is contracted
+    along its leading axis, z then y then x, with the contiguous (4, V)
+    weight rows of `support_weight_rows`. `_contract_taps` sums the taps
+    in the order NumPy's einsum does, so value and gradient are bit for
+    bit those of the point-major einsum contraction.
     """
 
     def __init__(self, vol):
@@ -181,7 +197,9 @@ class SplineImage:
         self._padded = np.pad(
             ndimage.spline_filter(vol.data, order=3, mode="mirror"),
             ((1, 2),) * 3, mode="reflect")
-        self._offsets = support_offsets(self._padded.shape)
+        # the 64 support offsets in (z, y, x) tap order
+        self._offsets = support_offsets(self._padded.shape).reshape(
+            4, 4, 4).transpose(2, 1, 0).ravel()
         self._dims = np.array(vol.geometry.dims)
         self._spacing = np.array(vol.geometry.spacing)
 
@@ -212,26 +230,23 @@ class SplineImage:
     def _value_and_gradient(self, u):
         """Spline value and gradient (HU/mm) at in-domain voxel
         coordinates u (V, 3)."""
-        w0, w1, first = [], [], []
-        for a in range(3):
-            i0, w = support_weights(u[:, a])
-            _, dw = support_weights(u[:, a], deriv=1)
-            w0.append(w)
-            w1.append(-dw)  # kernel argument is node - u
-            first.append(i0 + 1)  # the padding shifts node i to i + 1
+        # all three axes at once: i0 is (3, V), w and dw (4, 3, V)
+        i0, w, dw = support_weight_rows(np.ascontiguousarray(u.T))
+        dw = -dw  # kernel argument is node - u
+        first = i0 + 1  # the padding shifts node i to i + 1
         _, ny, nz = self._padded.shape
         base = (first[0] * ny + first[1]) * nz + first[2]
-        # gather the 4x4x4 coefficient neighborhoods once, then contract
-        c = self._padded.ravel()[base[:, None] + self._offsets].reshape(
-            -1, 4, 4, 4)
-        cz = np.einsum("vijk,vk->vij", c, w0[2])
-        cy = np.einsum("vij,vj->vi", cz, w0[1])
-        val = np.einsum("vi,vi->v", cy, w0[0])
-        gx = np.einsum("vi,vi->v", cy, w1[0])
-        gy = np.einsum("vi,vi->v",
-                       np.einsum("vij,vj->vi", cz, w1[1]), w0[0])
-        gz = np.einsum("vi,vi->v", np.einsum(
-            "vij,vj->vi", np.einsum("vijk,vk->vij", c, w1[2]), w0[1]), w0[0])
+        # gather the (z, y, x)-tap-major neighborhoods once, (4, 4, 4, V),
+        # then contract one axis at a time along the leading tap axis
+        c = np.take(self._padded, self._offsets[:, None] + base).reshape(
+            4, 4, 4, -1)
+        cz = _contract_taps(c, w[:, 2])
+        cy = _contract_taps(cz, w[:, 1])
+        val = _contract_taps(cy, w[:, 0])
+        gx = _contract_taps(cy, dw[:, 0])
+        gy = _contract_taps(_contract_taps(cz, dw[:, 1]), w[:, 0])
+        gz = _contract_taps(_contract_taps(_contract_taps(c, dw[:, 2]),
+                                           w[:, 1]), w[:, 0])
         return val, np.stack([gx, gy, gz], axis=-1) / self._spacing
 
 

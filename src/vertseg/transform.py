@@ -277,8 +277,9 @@ def save_transform(path, comp):
             "origin": list(comp.ffd.control_geom.origin),
             "coefficients": comp.ffd.coefficients.ravel().tolist(),
         }
+    # dumps encodes in C; dump would stream through the Python encoder
     with open(path, "w") as f:
-        json.dump(doc, f)
+        f.write(json.dumps(doc))
 
 
 def load_transform(path):

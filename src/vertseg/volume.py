@@ -9,6 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .checks import integers
+
 # NIfTI stores spacing and origin as float32
 _GRID_ATOL_MM = 1e-3
 
@@ -22,13 +24,11 @@ class GridGeometry:
     origin: tuple
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = integers("dims", self.dims, 1)
         spacing = tuple(float(s) for s in self.spacing)
         origin = tuple(float(o) for o in self.origin)
-        if len(dims) != 3 or len(spacing) != 3 or len(origin) != 3:
+        if len(spacing) != 3 or len(origin) != 3:
             raise ValueError("geometry fields must have length 3")
-        if any(d < 1 for d in dims):
-            raise ValueError(f"dims must be >= 1, got {dims}")
         if any(s <= 0 for s in spacing):
             raise ValueError(f"spacing must be > 0, got {spacing}")
         object.__setattr__(self, "dims", dims)
@@ -118,8 +118,8 @@ class BoundingBox:
     max_index: tuple
 
     def __post_init__(self):
-        lo = tuple(int(v) for v in self.min_index)
-        hi = tuple(int(v) for v in self.max_index)
+        lo = integers("min_index", self.min_index)
+        hi = integers("max_index", self.max_index)
         if any(a > b for a, b in zip(lo, hi)):
             raise ValueError(f"bounding box min {lo} exceeds max {hi}")
         object.__setattr__(self, "min_index", lo)

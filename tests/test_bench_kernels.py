@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+from vertseg.bspline import BLOCK_POINTS
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 KERNELS = {"ffd_basis_build", "ffd_forward_Wc", "ffd_adjoint_WTp",
            "bending_operator_build", "bending_apply_Qc",
@@ -24,6 +26,7 @@ def test_bench_kernels_writes_medians_and_environment(tmp_path):
     assert set(record["median_s"]) == KERNELS
     assert all(t >= 0.0 for t in record["median_s"].values())
     assert record["sizes"]["points"] == 300
+    assert record["sizes"]["block_points"] == BLOCK_POINTS
     assert record["sizes"]["lattice_dims"] == [11, 12, 11]
     assert record["sizes"]["basis_nnz"] == 300 * 64
     assert record["sizes"]["levelset_dims"] == [96, 96, 160]

@@ -2,6 +2,7 @@
 run, and CLI subcommand smoke tests."""
 
 import dataclasses
+import inspect
 import json
 import os
 
@@ -18,6 +19,7 @@ from vertseg.registration import RegistrationConfig, register_affine
 from vertseg.pipeline import (AtlasEntry, AtlasManifest, VertebraEntry,
                               _bundle_ids, _eligible_atlases, _paste_back,
                               load_manifest, run_pipeline)
+from vertseg.postprocess import levelset_refine, morph_cleanup, refine_labels
 from vertseg.volume import (BoundingBox, GridGeometry, LabelVolume,
                             ScalarVolume, crop)
 
@@ -549,3 +551,35 @@ def test_crop_and_paste_back_keep_world_coordinates(case, seed):
     expected[sl] = 7 * mask.data[sl]
     assert pasted.geometry == geom
     assert np.array_equal(pasted.data, expected)
+
+
+def test_load_manifest_rejects_a_fractional_box_naming_the_vertebra(tmp_path):
+    path, _ = _write_manifest(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["target"]["vertebrae"][1]["box"]["min"] = [0.7, 2.9, True]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="vertebra V2 box.*min_index"):
+        load_manifest(path)
+    doc["target"]["vertebrae"][1]["box"]["min"] = [0, 2]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="vertebra V2 box.*3 entries"):
+        load_manifest(path)
+
+
+def test_postprocess_and_phantom_defaults_are_the_config_defaults():
+    def defaults(fn):
+        return {name: p.default
+                for name, p in inspect.signature(fn).parameters.items()
+                if p.default is not p.empty}
+
+    manifest = {f.name: f.default for f in dataclasses.fields(AtlasManifest)}
+    assert defaults(morph_cleanup)["min_island_voxels"] \
+        == manifest["min_island_voxels"]
+    refine = defaults(refine_labels)
+    assert refine["min_island_voxels"] == manifest["min_island_voxels"]
+    for fn in (refine_labels, levelset_refine):
+        assert defaults(fn)["iters"] == manifest["levelset_iters"]
+        assert defaults(fn)["step"] == manifest["levelset_step"]
+    args = build_parser().parse_args(["phantom", "--output", "ph",
+                                      "--deform", "smooth_ffd"])
+    assert args.magnitude == defaults(deform_phantom)["magnitude"]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from vertseg import nifti
+from vertseg import nifti, registration
 from vertseg.cli import main
 from vertseg.registration import (RegistrationConfig, RegistrationResult,
                                   Stop, _ascend, _Lbfgs, _penalty_grid,
@@ -471,3 +471,51 @@ def test_register_ffd_evaluates_each_trial_once(monkeypatch):
     # one call per trial, plus each level's starting point
     assert calls["point_gradient_at"] == (
         sum(s.evaluations for s in res.stops) + len(res.stops))
+
+
+class _CountingOperator:
+    """A sparse operator that counts its products by storage format: the
+    FFD basis W is CSR, and its transpose W^T CSC."""
+
+    def __init__(self, matrix, counts):
+        self.matrix, self.counts = matrix, counts
+
+    @property
+    def T(self):
+        return _CountingOperator(self.matrix.T, self.counts)
+
+    def __matmul__(self, x):
+        self.counts[self.matrix.format] += 1
+        return self.matrix @ x
+
+
+def test_ffd_level_pulls_back_once_per_direction_taken(monkeypatch):
+    counts = {"csr": 0, "csc": 0}
+    monkeypatch.setattr(
+        registration, "ffd_basis",
+        lambda geom, x: _CountingOperator(ffd_basis(geom, x), counts))
+    directions = []
+
+    def ascend(x, current, direction, evaluate, new_direction, cfg,
+               accepted=None):
+        directions.append(0)  # the level start
+
+        def counted(*args):
+            directions.append(1)
+            return new_direction(*args)
+
+        return _ascend(x, current, direction, evaluate, counted, cfg,
+                       accepted)
+
+    monkeypatch.setattr(registration, "_ascend", ascend)
+    img = _blob_image(14, dims=(16, 16, 16))
+    warped = resample(img, img.geometry,
+                      lambda p: p + np.array([0.8, -0.5, 0.3]))
+    cfg = _quick_cfg(pyramid_levels=2, control_spacing_mm=6.0,
+                     max_iters_per_level=4, max_sample_voxels=3000)
+    res = register_ffd(warped, img, AffineTransform.identity(), cfg)
+    trials = sum(s.evaluations for s in res.stops) + len(res.stops)
+    assert counts["csr"] == trials  # one forward product per trial
+    assert counts["csc"] == len(directions)
+    # some trials were rejected or ended a level, and skipped W^T
+    assert counts["csc"] < trials

@@ -423,3 +423,19 @@ def test_nmi_and_lncc_reject_volumes_on_another_grid_with_same_dims():
              origin=np.float32((0.1, 0.2, 0.3)))
     d = _vol(a.data, origin=(0.1, 0.2, 0.3))
     assert nmi(c, d) == 2.0
+
+
+def test_blocked_sample_matches_mirrored_index_gather_over_many_blocks():
+    rng = np.random.default_rng(42)
+    vol = _vol(rng.normal(0, 100, (9, 8, 7)), spacing=(0.8, 1.0, 1.3),
+               origin=(-2.0, 1.0, 3.0))
+    n = np.array(vol.geometry.dims, dtype=float)
+    # uniform over the domain grown by 2 voxels on every side: three
+    # blocks, with points beyond each low and each high face
+    u = rng.uniform(-2.0, n + 1.0, (2 * BLOCK_POINTS + 301, 3))
+    assert np.all((u < 0.0).any(axis=0)) and np.all((u > n - 1.0).any(axis=0))
+    pts = vol.geometry.voxel_to_world(u)
+    _, ref_val, ref_grad = _mirror_gather_sample(vol, pts)
+    val, grad = SplineImage(vol).sample(pts)
+    assert np.array_equal(val, ref_val)
+    assert np.array_equal(grad, ref_grad)

@@ -5,6 +5,8 @@ closed-form quadratic field and a dense central-finite-difference
 evaluation of the same integrand.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -403,3 +405,33 @@ def test_bending_energy_matches_separable_contraction():
     p_ref, grad_ref = _einsum_bending(ffd, sample)
     assert p == pytest.approx(p_ref, rel=1e-12)
     assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+
+
+def test_save_transform_text_is_pinned_and_round_trips_exactly(tmp_path):
+    affine = AffineTransform(
+        np.array([[1.0, 0.1, 0.0], [0.0, 1.0, -0.2], [1 / 3, 0.0, 1.0]]),
+        np.array([0.5, -1.25, 1e-17]))
+    geom = GridGeometry((4, 4, 5), (5.0, 5.0, 2.5), (-5.0, -7.5, 0.0))
+    coef = (np.arange(240) / 7.0 - 13.0).reshape(4, 4, 5, 3)
+    head = ('{"format": "vertseg-transform-v1", "affine": {"matrix": '
+            '[[1.0, 0.1, 0.0], [0.0, 1.0, -0.2], [0.3333333333333333, 0.0, '
+            '1.0]], "translation": [0.5, -1.25, 1e-17]}')
+    path = tmp_path / "t.json"
+    save_transform(path, ComposedTransform(affine, None))
+    assert path.read_text() == head + "}"
+
+    comp = ComposedTransform(affine, FFDTransform(geom, coef))
+    save_transform(path, comp)
+    text = path.read_text()
+    assert text.startswith(
+        head + ', "ffd": {"dims": [4, 4, 5], "spacing": [5.0, 5.0, 2.5], '
+        '"origin": [-5.0, -7.5, 0.0], "coefficients": [-13.0, '
+        '-12.857142857142858, -12.714285714285714, -12.57142857142857')
+    assert len(text) == 4566
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d1bc9b62d2d576ee20452f9cf59aa72ededd417bfd57e0cb516a89d72036be38")
+    back = load_transform(path)
+    assert back.affine.matrix.tobytes() == affine.matrix.tobytes()
+    assert back.affine.translation.tobytes() == affine.translation.tobytes()
+    assert back.ffd.control_geom == geom
+    assert back.ffd.coefficients.tobytes() == coef.tobytes()

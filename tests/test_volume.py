@@ -221,3 +221,29 @@ def test_bounding_box_of():
 def test_bounding_box_validation():
     with pytest.raises(ValueError):
         BoundingBox((3, 0, 0), (1, 4, 4))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ((0.7, 2.9, 1), (4, 4, 4)), ((0, 0, True), (4, 4, 4)),
+    ((0, 0, 0), (4, 4.5, 4)), ((0, 0), (4, 4)), ((0, 0, 0, 0), (4, 4, 4, 4)),
+    (("0", 0, 0), (4, 4, 4))])
+def test_bounding_box_rejects_non_integral_or_wrong_length_indices(lo, hi):
+    with pytest.raises(ValueError):
+        BoundingBox(lo, hi)
+
+
+@pytest.mark.parametrize("dims", [(8.5, 9, 10), (8, True, 10), (8, 9),
+                                  (8, 9, 10, 1), (8, 0, 10)])
+def test_geometry_rejects_non_integral_or_wrong_length_dims(dims):
+    with pytest.raises(ValueError):
+        GridGeometry(dims, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+
+
+def test_integral_floats_and_numpy_integers_are_indices():
+    box = BoundingBox((0.0, np.int64(2), np.int32(-1)),
+                      np.array([3, 4, 5], dtype=np.uint16))
+    assert box.min_index == (0, 2, -1) and box.max_index == (3, 4, 5)
+    assert all(type(v) is int for v in box.min_index + box.max_index)
+    g = GridGeometry((8.0, np.int64(9), np.uint8(10)), (1, 1, 1), (0, 0, 0))
+    assert g.dims == (8, 9, 10)
+    assert all(type(d) is int for d in g.dims)

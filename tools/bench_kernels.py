@@ -5,7 +5,8 @@ at fixed sizes.
 
 Run from anywhere in a source checkout: the package is imported from
 `src/`. Times each kernel `--repeats` times, one call at a time, and
-writes the medians (seconds), the sizes and the environment (CPU count,
+writes the medians (seconds), the sizes (with `BLOCK_POINTS`, the
+per-point kernels' block size) and the environment (CPU count,
 Python/NumPy/SciPy versions, BLAS/OpenMP thread variables) to
 `.bench_out/BENCH_kernels.json`, or to `--out`.
 
@@ -73,6 +74,7 @@ def run(n_points, repeats):
     import numpy as np
     from scipy import ndimage
 
+    from vertseg.bspline import BLOCK_POINTS
     from vertseg.fusion import FusionConfig, RegisteredAtlas, fuse
     from vertseg.phantom import PhantomSpec, make_phantom
     from vertseg.postprocess import refine_labels
@@ -132,7 +134,8 @@ def run(n_points, repeats):
         "refine_labels": lambda: refine_labels(labels, ct,
                                                iters=LEVELSET_ITERS),
     }
-    sizes = {"points": n_points, "lattice_dims": list(lattice.dims),
+    sizes = {"points": n_points, "block_points": BLOCK_POINTS,
+             "lattice_dims": list(lattice.dims),
              "lattice_spacing_mm": LATTICE_SPACING_MM,
              "penalty_dims": list(pen_geom.dims),
              "image_dims": list(IMAGE_DIMS), "bins": BINS,
