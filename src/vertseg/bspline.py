@@ -8,9 +8,10 @@ import numpy as np
 
 # points per block in the per-point kernels (FFD basis rows, spline image
 # sampling). The spline image gathers (4, 4, 4, block) coefficients, 2.4 MB
-# at 5000 points, about one core's L2 cache, and contracts it twice. Not a
-# power of two: blocks of 4096 or 8192 points lay their arrays out 2 or
-# 4 MiB apart, and the gather then ran up to 2.5x slower.
+# at 5000 points, about one core's L2 cache, and reads it twice, once per
+# einsum contraction of its leading tap axis. Not a power of two: blocks
+# of 4096 or 8192 points lay their arrays out 2 or 4 MiB apart, and the
+# gather then ran up to 2.5x slower.
 BLOCK_POINTS = 5000
 
 

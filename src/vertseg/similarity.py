@@ -7,8 +7,9 @@ Two histogram flavors coexist:
   score exactly 2;
 * `NmiObjective`, the optimizer's differentiable objective, spreads each
   sample by a cubic B-spline Parzen kernel along the floating-intensity
-  axis (`_parzen_counts`), where smoothness in the warp matters more than
-  exact diagonal structure.
+  axis (`_parzen_counts`, which also returns the flat bins and kernel
+  derivative rows that the objective's gradient reuses), where smoothness
+  in the warp matters more than exact diagonal structure.
 
 The objective has one evaluation path, `NmiObjective.point_gradient_at`:
 it samples the floating image at warped points with one spline gather,
@@ -25,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .bspline import (BLOCK_POINTS, support_offsets, support_weight_rows,
-                      support_weights)
+from .bspline import BLOCK_POINTS, support_offsets, support_weight_rows
 from .checks import integer, real
 from .transform import affine_apply, compose_apply, ffd_basis
 
@@ -99,17 +99,18 @@ def joint_histogram(img1, img2, window=IntensityWindow(), mask=None):
     return JointHistogram(counts.reshape(nb, nb))
 
 
-def _parzen_counts(a, c2, nb):
-    """Flat joint counts of target bins a and floating bin coordinates c2,
-    each spread by the cubic B-spline over its 4 (edge-clamped) floating
-    bins, and those bins, (V, 4)."""
-    i0, w = support_weights(c2)
-    bcols = np.clip(i0[:, None] + np.arange(4), 0, nb - 1)
+def _parzen_counts(rows, c2, nb):
+    """Flat joint counts of samples in target rows `rows` (target bin
+    times nb) at floating bin coordinates c2, each spread by the cubic
+    B-spline over its 4 (edge-clamped) floating bins. Also returns the
+    flat bins of those taps and the kernel's derivative weights, both
+    (4, V)."""
+    i0, w, dw = support_weight_rows(c2)
+    flat = rows + np.clip(i0 + np.arange(4)[:, None], 0, nb - 1)
     counts = np.zeros(nb * nb)
     for o in range(4):
-        counts += np.bincount(a * nb + bcols[:, o], weights=w[:, o],
-                              minlength=nb * nb)
-    return counts, bcols
+        counts += np.bincount(flat[o], weights=w[o], minlength=nb * nb)
+    return counts, flat, dw
 
 
 def entropies(hist):
@@ -167,11 +168,14 @@ def lncc(img1, img2, radius_voxels=3, mask=None):
 
 
 def _contract_taps(t, w):
-    """Sum over the leading 4-tap axis of t weighted by w (4, V), as
-    (t0*w0 + t2*w2) + (t1*w1 + t3*w3): the order in which NumPy's einsum
-    reduces a length-4 axis, so a tap-major contraction rounds exactly as
-    the point-major einsum does."""
-    return (t[0] * w[0] + t[2] * w[2]) + (t[1] * w[1] + t[3] * w[3])
+    """Sum over the leading 4-tap axis of t weighted by w (4, V), in one
+    einsum pass: ((t0*w0 + t1*w1) + t2*w2) + t3*w3 for every output
+    element. For a single output element einsum may take its dot-product
+    loop, which sums in another order, so that case is summed explicitly:
+    a point's result does not depend on the size of its block."""
+    if t[0].size == 1:
+        return ((t[0] * w[0] + t[1] * w[1]) + t[2] * w[2]) + t[3] * w[3]
+    return np.einsum("k...v,kv->...v", t, w)
 
 
 class SplineImage:
@@ -187,9 +191,13 @@ class SplineImage:
     The gather is tap-major: the offsets are in (z, y, x) tap order, so a
     block of V points gathers a (4, 4, 4, V) array, which is contracted
     along its leading axis, z then y then x, with the contiguous (4, V)
-    weight rows of `support_weight_rows`. `_contract_taps` sums the taps
-    in the order NumPy's einsum does, so value and gradient are bit for
-    bit those of the point-major einsum contraction.
+    weight rows of `support_weight_rows`. `_contract_taps` sums each
+    axis's four taps in order, in one einsum call per contraction.
+
+    `sample` maps the points to voxels once; `points_inside`, the number
+    of points of the latest `sample` call that lie in the image domain,
+    comes from the same clamp. It is per instance, so an instance serves
+    one thread at a time (each registration builds its own).
     """
 
     def __init__(self, vol):
@@ -202,10 +210,7 @@ class SplineImage:
             4, 4, 4).transpose(2, 1, 0).ravel()
         self._dims = np.array(vol.geometry.dims)
         self._spacing = np.array(vol.geometry.spacing)
-
-    def inside(self, pts_world):
-        u = self.geometry.world_to_voxel(pts_world)
-        return np.all((u >= 0.0) & (u <= self._dims - 1.0), axis=-1)
+        self.points_inside = None
 
     def sample(self, pts_world):
         """Spline value and gradient (HU/mm) at world points (V, 3), from
@@ -213,10 +218,12 @@ class SplineImage:
 
         Coordinates are clamped to the image domain, so the sampled value
         is continuous everywhere; beyond a face the value is constant along
-        that axis, and the gradient component there is 0 accordingly.
+        that axis, and the gradient component there is 0 accordingly. The
+        number of points that no clamp moved is kept in `points_inside`.
         """
         u_raw = self.geometry.world_to_voxel(pts_world)
         u = np.clip(u_raw, 0.0, self._dims - 1.0)
+        clamped = u != u_raw
         # BLOCK_POINTS at a time: each point's (4, 4, 4) coefficient
         # neighborhood is gathered, so the temporaries grow with the block
         val = np.empty(u.shape[0])
@@ -224,7 +231,9 @@ class SplineImage:
         for start in range(0, u.shape[0], BLOCK_POINTS):
             blk = slice(start, start + BLOCK_POINTS)
             val[blk], grad[blk] = self._value_and_gradient(u[blk])
-        grad[(u_raw < 0.0) | (u_raw > self._dims - 1.0)] = 0.0
+        np.copyto(grad, 0.0, where=clamped)
+        self.points_inside = len(clamped) - np.count_nonzero(
+            clamped[:, 0] | clamped[:, 1] | clamped[:, 2])
         return val, grad
 
     def _value_and_gradient(self, u):
@@ -274,7 +283,9 @@ class NmiObjective:
             self.points = self.points[keep]
             t = t[keep]
         self.window = window
-        self.bin1 = np.round(window.bin_coord(t)).astype(np.int64)
+        # each target sample's row of the flat joint histogram
+        self.target_rows = (np.round(window.bin_coord(t)).astype(np.int64)
+                            * window.bins)
         self.spline = SplineImage(floating)
         if self.points.shape[0] == 0:
             raise ValueError("empty objective mask")
@@ -296,18 +307,24 @@ class NmiObjective:
 
     def point_gradient_at(self, y):
         """NMI at warped points y (V, 3) and its derivative with respect
-        to each of them (mm)."""
+        to each of them (mm).
+
+        The points are mapped to voxels once, in `SplineImage.sample`. The
+        flat bins and kernel derivative rows of the Parzen histogram are
+        reused for the derivative, which gathers d NMI / d counts from the
+        raveled table with one 1-D take.
+        """
+        v, g = self.spline.sample(y)
         # all warped points contribute (clamped sampling keeps the value
         # continuous as points cross the floating-image boundary), but the
         # overlap must not vanish entirely
-        if not np.any(self.spline.inside(y)):
+        if not self.spline.points_inside:
             raise ValueError("no warped sample falls inside the floating image")
-        v, g = self.spline.sample(y)
         nb = self.window.bins
         c2 = self.window.bin_coord(v)
         # where the window clamps, the bin coordinate does not move with v
         clipped = (c2 <= 0.0) | (c2 >= nb - 1)
-        counts, bcols = _parzen_counts(self.bin1, c2, nb)
+        counts, flat, dw = _parzen_counts(self.target_rows, c2, nb)
         hist = JointHistogram(counts.reshape(nb, nb))
         n = hist.total
         h1v, h2v, h12v = entropies(hist)
@@ -326,10 +343,8 @@ class NmiObjective:
         dnmi_dh = (-(l1[:, None] + 1.0) - (l2[None, :] + 1.0)
                    + nmi_val * (l12 + 1.0)) / (n * h12v)
 
-        _, dwk = support_weights(c2, deriv=1)
-        dnmi_dc2 = np.zeros(c2.size)
-        for o in range(4):
-            dnmi_dc2 += dnmi_dh[self.bin1, bcols[:, o]] * (-dwk[:, o])
+        # the kernel argument is bin - c2, hence the sign
+        dnmi_dc2 = -_contract_taps(np.take(dnmi_dh, flat), dw)
         dnmi_dc2[clipped] = 0.0
 
         return nmi_val, (dnmi_dc2 * self.window.scale)[:, None] * g

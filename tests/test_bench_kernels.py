@@ -1,6 +1,8 @@
 """Smoke test of the kernel benchmark script at a tiny size."""
 
+import importlib.util
 import json
+import mmap
 import os
 import subprocess
 import sys
@@ -10,8 +12,9 @@ from vertseg.bspline import BLOCK_POINTS
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 KERNELS = {"ffd_basis_build", "ffd_forward_Wc", "ffd_adjoint_WTp",
            "bending_operator_build", "bending_apply_Qc",
-           "spline_sample_gradient", "parzen_counts", "nmi_point_gradient",
-           "fuse_patch_search", "refine_labels"}
+           "spline_sample_gradient", "spline_tap_contraction",
+           "parzen_counts", "nmi_point_gradient", "fuse_patch_search",
+           "refine_labels"}
 
 
 def test_bench_kernels_writes_medians_and_environment(tmp_path):
@@ -35,3 +38,21 @@ def test_bench_kernels_writes_medians_and_environment(tmp_path):
     env = record["environment"]
     assert env["nproc"] >= 1
     assert {"python", "numpy", "scipy"} <= set(env)
+
+
+def test_measure_counts_faults_and_system_time_per_call():
+    spec = importlib.util.spec_from_file_location(
+        "bench_kernels", os.path.join(ROOT, "tools", "bench_kernels.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    calls = []
+    median, faults, system = bench.measure(lambda: calls.append(1), 3)
+    assert len(calls) == 3
+    assert median >= 0.0 and faults >= 0.0 and system >= 0.0
+    # writing to a fresh anonymous mapping on every call faults its pages
+    def touch_fresh_pages():
+        with mmap.mmap(-1, 64 * mmap.PAGESIZE) as m:
+            m.write(bytes(len(m)))
+
+    _, faults, _ = bench.measure(touch_fresh_pages, 3)
+    assert faults >= 1.0

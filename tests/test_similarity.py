@@ -13,9 +13,9 @@ from vertseg.bspline import BLOCK_POINTS, support_weights
 from vertseg.registration import (RegistrationConfig, _penalty_grid,
                                   register_ffd)
 from vertseg.similarity import (IntensityWindow, JointHistogram, NmiObjective,
-                                SplineImage, _parzen_counts, entropies,
-                                joint_histogram, lncc, nmi, nmi_gradient,
-                                nmi_of_histogram)
+                                SplineImage, _contract_taps, _parzen_counts,
+                                entropies, joint_histogram, lncc, nmi,
+                                nmi_gradient, nmi_of_histogram)
 from vertseg.transform import (AffineTransform, ComposedTransform,
                                FFDTransform, affine_apply, bending_energy,
                                compose_apply, lattice_covering)
@@ -55,8 +55,8 @@ def test_joint_histogram_parzen_mass():
     a = _vol(rng.normal(100, 50, (6, 6, 6)))
     b = _vol(rng.normal(100, 50, (6, 6, 6)))
     w = IntensityWindow(lo=-100, hi=300, bins=16)
-    counts, _ = _parzen_counts(
-        np.round(w.bin_coord(a.data.ravel())).astype(np.int64),
+    counts, _, _ = _parzen_counts(
+        np.round(w.bin_coord(a.data.ravel())).astype(np.int64) * w.bins,
         w.bin_coord(b.data.ravel()), w.bins)
     assert counts.sum() == pytest.approx(216, abs=1e-6)
 
@@ -330,10 +330,14 @@ def _mirror_reference(i, n):
     return np.where(i >= n, period - i, i)
 
 
-def _mirror_gather_sample(vol, pts):
+def _mirror_gather_sample(vol, pts, point_major=False):
     """Spline value and gradient (HU/mm) at world points, gathering each
     point's 4x4x4 support from the unpadded coefficients through
-    per-axis mirrored indices; clamped like SplineImage.sample."""
+    per-axis mirrored indices into a (z, y, x)-tap-major (4, 4, 4, V)
+    array, contracted one axis at a time by einsum along the leading tap
+    axis; clamped like SplineImage.sample. With `point_major`, the same
+    gather is contracted point-major, (V, 4, 4, 4) in (x, y, z) order,
+    which sums the taps in another order."""
     coef = ndimage.spline_filter(vol.data, order=3, mode="mirror")
     dims = np.array(vol.geometry.dims)
     _, ny, nz = vol.geometry.dims
@@ -343,20 +347,27 @@ def _mirror_gather_sample(vol, pts):
     for a in range(3):
         i0, w = support_weights(u[:, a])
         _, dw = support_weights(u[:, a], deriv=1)
-        w0.append(w)
-        w1.append(-dw)
+        w0.append(w.T)
+        w1.append(-dw.T)
         idx.append(np.stack([_mirror_reference(i0 + o, dims[a])
-                             for o in range(4)], axis=1))
-    flat = ((idx[0][:, :, None, None] * ny + idx[1][:, None, :, None]) * nz
+                             for o in range(4)]))
+    flat = ((idx[0][None, None, :, :] * ny + idx[1][None, :, None, :]) * nz
             + idx[2][:, None, None, :])
     c = coef.ravel()[flat]
-    cz = np.einsum("vijk,vk->vij", c, w0[2])
-    cy = np.einsum("vij,vj->vi", cz, w0[1])
-    val = np.einsum("vi,vi->v", cy, w0[0])
-    gx = np.einsum("vi,vi->v", cy, w1[0])
-    gy = np.einsum("vi,vi->v", np.einsum("vij,vj->vi", cz, w1[1]), w0[0])
-    gz = np.einsum("vi,vi->v", np.einsum(
-        "vij,vj->vi", np.einsum("vijk,vk->vij", c, w1[2]), w0[1]), w0[0])
+    if point_major:
+        c = np.ascontiguousarray(c.transpose(3, 2, 1, 0))
+        w0 = [w.T for w in w0]
+        w1 = [w.T for w in w1]
+        sub4, sub3, sub2 = "vijk,vk->vij", "vij,vj->vi", "vi,vi->v"
+    else:
+        sub4 = sub3 = sub2 = "k...v,kv->...v"
+    cz = np.einsum(sub4, c, w0[2])
+    cy = np.einsum(sub3, cz, w0[1])
+    val = np.einsum(sub2, cy, w0[0])
+    gx = np.einsum(sub2, cy, w1[0])
+    gy = np.einsum(sub2, np.einsum(sub3, cz, w1[1]), w0[0])
+    gz = np.einsum(sub2, np.einsum(
+        sub3, np.einsum(sub4, c, w1[2]), w0[1]), w0[0])
     grad = np.stack([gx, gy, gz], axis=-1) / np.array(vol.geometry.spacing)
     grad[(u_raw < 0.0) | (u_raw > dims - 1.0)] = 0.0
     return coef, val, grad
@@ -380,6 +391,10 @@ def test_padded_gather_matches_mirrored_index_gather(dims):
     val, grad = sp.sample(pts)
     assert np.array_equal(val, ref_val)
     assert np.array_equal(grad, ref_grad)
+    # the point-major contraction sums the taps in another order
+    _, pm_val, pm_grad = _mirror_gather_sample(vol, pts, point_major=True)
+    assert np.allclose(val, pm_val, rtol=0, atol=1e-9)
+    assert np.allclose(grad, pm_grad, rtol=0, atol=1e-9)
     # SciPy stays the reference interpolant, up to rounding
     u_in = np.clip(vol.geometry.world_to_voxel(pts), 0.0, n - 1.0)
     assert np.allclose(val, ndimage.map_coordinates(
@@ -439,3 +454,131 @@ def test_blocked_sample_matches_mirrored_index_gather_over_many_blocks():
     val, grad = SplineImage(vol).sample(pts)
     assert np.array_equal(val, ref_val)
     assert np.array_equal(grad, ref_grad)
+
+
+# ---------------------------------------------- tap sums and Parzen reuse
+
+def _sequential_taps(t, w):
+    return ((t[0] * w[0] + t[1] * w[1]) + t[2] * w[2]) + t[3] * w[3]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.mark.parametrize("lead", [(4, 4), (4,), ()])
+@pytest.mark.parametrize("n", [1, 17, BLOCK_POINTS, BLOCK_POINTS + 1])
+def test_contract_taps_sums_the_taps_in_order(lead, n):
+    # a NumPy that sums einsum's reduction in another order fails here
+    rng = np.random.default_rng(60)
+    t = rng.normal(0, 100, (4,) + lead + (n,))
+    w = rng.uniform(-1.0, 1.0, (4, n))
+    # taps that cancel: 1 in order, 2 summed pairwise as (t0 + t2) + ...
+    t[..., -1] = np.array([1e16, 1.0, -1e16, 1.0]).reshape(
+        (4,) + (1,) * len(lead))
+    w[:, -1] = 1.0
+    out = _contract_taps(t, w)
+    assert np.all(out[..., -1] == 1.0)
+    assert _same_bits(out, _sequential_taps(t, w))
+    # splitting the points into chunks, fresh arrays like the blocks of
+    # SplineImage.sample, changes no bit, a last chunk of one point (at
+    # 17 and BLOCK_POINTS + 1) included
+    parts = [_contract_taps(t[..., s:s + 8].copy(), w[:, s:s + 8].copy())
+             for s in range(0, n, 8)]
+    assert _same_bits(out, np.concatenate(parts, axis=-1))
+
+
+def test_contract_taps_sums_strided_views_in_order():
+    rng = np.random.default_rng(61)
+    t = rng.normal(0, 100, (4, 4, 4, 2 * BLOCK_POINTS + 2))
+    w = rng.uniform(-1.0, 1.0, (4, 3, 2 * BLOCK_POINTS + 2))
+    for tv, wv in ((t[..., ::2], w[:, 2, ::2]), (t[:, 1], w[:, 0]),
+                   (t[:, :, 2], w[:, 1]), (t[:, 3, 0, 5:6], w[:, 1, 7:8])):
+        assert _same_bits(_contract_taps(tv, wv), _sequential_taps(tv, wv))
+
+
+def test_spline_image_samples_a_lone_point_as_in_a_block():
+    rng = np.random.default_rng(62)
+    vol = _vol(rng.normal(0, 100, (9, 8, 7)), spacing=(0.8, 1.0, 1.3))
+    sp = SplineImage(vol)
+    pts = vol.geometry.voxel_to_world(rng.uniform(-1.0, 8.0, (40, 3)))
+    val, grad = sp.sample(pts)
+    for k in range(len(pts)):
+        v, g = sp.sample(pts[k:k + 1])
+        assert _same_bits(v, val[k:k + 1]) and np.array_equal(g, grad[k:k + 1])
+
+
+def _parent_parzen_gradient(obj, v, g):
+    """NMI and point gradient from sampled values v and gradients g, as
+    the objective computed them with a second `support_weights` call for
+    the derivative weights and a 2-D gather of d NMI / d counts."""
+    window = obj.window
+    nb = window.bins
+    bin1 = obj.target_rows // nb
+    c2 = window.bin_coord(v)
+    clipped = (c2 <= 0.0) | (c2 >= nb - 1)
+    i0, w = support_weights(c2)
+    bcols = np.clip(i0[:, None] + np.arange(4), 0, nb - 1)
+    counts = np.zeros(nb * nb)
+    for o in range(4):
+        counts += np.bincount(bin1 * nb + bcols[:, o], weights=w[:, o],
+                              minlength=nb * nb)
+    hist = JointHistogram(counts.reshape(nb, nb))
+    n = hist.total
+    h1v, h2v, h12v = entropies(hist)
+    nmi_val = (h1v + h2v) / h12v
+    p1 = hist.marginal_target() / n
+    p2 = hist.marginal_floating() / n
+    p12 = hist.counts / n
+    with np.errstate(divide="ignore"):
+        l1 = np.where(p1 > 0, np.log(np.maximum(p1, 1e-300)), 0.0)
+        l2 = np.where(p2 > 0, np.log(np.maximum(p2, 1e-300)), 0.0)
+        l12 = np.where(p12 > 0, np.log(np.maximum(p12, 1e-300)), 0.0)
+    dnmi_dh = (-(l1[:, None] + 1.0) - (l2[None, :] + 1.0)
+               + nmi_val * (l12 + 1.0)) / (n * h12v)
+    _, dwk = support_weights(c2, deriv=1)
+    dnmi_dc2 = np.zeros(c2.size)
+    for o in range(4):
+        dnmi_dc2 += dnmi_dh[bin1, bcols[:, o]] * (-dwk[:, o])
+    dnmi_dc2[clipped] = 0.0
+    return nmi_val, (dnmi_dc2 * window.scale)[:, None] * g
+
+
+@pytest.mark.parametrize("seed", range(31, 41))
+def test_point_gradient_matches_two_dimensional_parzen_gather(seed):
+    target, floating, window, mask, rng = _objective_fixture(seed)
+    obj = NmiObjective(target, floating, window, mask)
+    geom = lattice_covering((-4.0, -4.0, -4.0), (19.0, 19.0, 19.0), 5.0)
+    comp = ComposedTransform(
+        AffineTransform(np.eye(3) * 1.01, np.array([0.2, -0.1, 0.3])),
+        FFDTransform(geom, rng.normal(0, 0.3, geom.dims + (3,))))
+    y = compose_apply(comp, obj.points)
+    ref_val, ref_grad = _parent_parzen_gradient(obj, *obj.spline.sample(y))
+    nmi_val, point_grad = obj.point_gradient_at(y)
+    assert nmi_val == ref_val
+    assert np.array_equal(point_grad, ref_grad)
+
+
+def test_point_gradient_maps_the_points_to_voxels_once(monkeypatch):
+    target, floating, window, mask, _ = _objective_fixture(42)
+    obj = NmiObjective(target, floating, window, mask)
+    calls = []
+    world_to_voxel = GridGeometry.world_to_voxel
+
+    def counted(self, p):
+        calls.append(len(p))
+        return world_to_voxel(self, p)
+
+    monkeypatch.setattr(GridGeometry, "world_to_voxel", counted)
+    y = obj.points + np.array([0.3, -0.2, 0.1])
+    obj.point_gradient_at(y)
+    assert calls == [len(y)]
+    outside = obj.points + np.array([1000.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="no warped sample falls inside"):
+        obj.point_gradient_at(outside)
+    assert calls == [len(y)] * 2
+    # one point left inside is enough
+    outside[7] = y[7]
+    obj.point_gradient_at(outside)
+    assert obj.spline.points_inside == 1

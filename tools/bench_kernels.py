@@ -5,14 +5,21 @@ at fixed sizes.
 
 Run from anywhere in a source checkout: the package is imported from
 `src/`. Times each kernel `--repeats` times, one call at a time, and
-writes the medians (seconds), the sizes (with `BLOCK_POINTS`, the
-per-point kernels' block size) and the environment (CPU count,
-Python/NumPy/SciPy versions, BLAS/OpenMP thread variables) to
-`.bench_out/BENCH_kernels.json`, or to `--out`.
+writes the medians (seconds), the minor page faults and system CPU
+seconds per call (means over the repeats, from `getrusage`), the sizes
+(with `BLOCK_POINTS`, the per-point kernels' block size) and the
+environment (CPU count, Python/NumPy/SciPy versions, BLAS/OpenMP thread
+variables) to `.bench_out/BENCH_kernels.json`, or to `--out`. A kernel
+that frees large temporaries can hand their pages back to the system and
+fault them in again on the next call; the fault and system-time columns
+show that cost next to the median.
 
 Sizes follow the benchmark's `register_fine` workload: `--points` sample
 points on an 11x12x11 control lattice at 5 mm, a penalty grid at a
 quarter of the lattice spacing, and an 82x88x32 floating image.
+`spline_tap_contraction` is one `_contract_taps` call on a
+(4, 4, 4, `BLOCK_POINTS`) block of gathered coefficients: the first of
+the contractions that `spline_sample_gradient` makes per block.
 `nmi_point_gradient` is `NmiObjective.point_gradient_at` at `--points`
 target samples of that image (the one objective call an affine-stage
 trial makes), with the floating image shifted by a third of a voxel.
@@ -29,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
 import time
@@ -61,13 +69,19 @@ def environment():
             **{var: os.environ.get(var, "") for var in THREAD_VARS}}
 
 
-def median_seconds(fn, repeats):
+def measure(fn, repeats):
+    """Median wall seconds of `repeats` calls of fn, and the minor page
+    faults and system CPU seconds per call over them."""
     times = []
+    before = resource.getrusage(resource.RUSAGE_SELF)
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return (statistics.median(times),
+            (after.ru_minflt - before.ru_minflt) / repeats,
+            (after.ru_stime - before.ru_stime) / repeats)
 
 
 def run(n_points, repeats):
@@ -78,7 +92,8 @@ def run(n_points, repeats):
     from vertseg.fusion import FusionConfig, RegisteredAtlas, fuse
     from vertseg.phantom import PhantomSpec, make_phantom
     from vertseg.postprocess import refine_labels
-    from vertseg.similarity import NmiObjective, SplineImage, _parzen_counts
+    from vertseg.similarity import (NmiObjective, SplineImage,
+                                    _contract_taps, _parzen_counts)
     from vertseg.transform import (bending_operator, ffd_basis,
                                    lattice_covering)
     from vertseg.volume import GridGeometry, LabelVolume, ScalarVolume
@@ -99,10 +114,12 @@ def run(n_points, repeats):
         (pen_spacing,) * 3, tuple(lo))
 
     pts = rng.uniform(np.zeros(3), hi, (n_points, 3))
-    target_bins = rng.integers(0, BINS, n_points)
+    target_rows = rng.integers(0, BINS, n_points) * BINS
     floating_coords = rng.uniform(0, BINS - 1, n_points)
     coef = rng.normal(0, 1, (int(np.prod(lattice.dims)), 3))
     point_grad = rng.normal(0, 1, (n_points, 3))
+    tap_block = rng.normal(0, 100, (4, 4, 4, BLOCK_POINTS))
+    tap_rows = rng.uniform(0, 1, (4, BLOCK_POINTS))
 
     basis = ffd_basis(lattice, pts)
     bend = bending_operator(lattice, pen_geom)
@@ -127,7 +144,9 @@ def run(n_points, repeats):
                                                            pen_geom),
         "bending_apply_Qc": lambda: bend @ coef,
         "spline_sample_gradient": lambda: spline.sample(pts),
-        "parzen_counts": lambda: _parzen_counts(target_bins,
+        "spline_tap_contraction": lambda: _contract_taps(tap_block,
+                                                         tap_rows),
+        "parzen_counts": lambda: _parzen_counts(target_rows,
                                                 floating_coords, BINS),
         "nmi_point_gradient": lambda: objective.point_gradient_at(warped),
         "fuse_patch_search": lambda: fuse(image, fuse_atlases, fuse_cfg),
@@ -149,7 +168,7 @@ def run(n_points, repeats):
              "levelset_dims": list(ct.geometry.dims),
              "levelset_labels": len(labels.labels()),
              "levelset_iters": LEVELSET_ITERS}
-    return sizes, {name: median_seconds(fn, repeats)
+    return sizes, {name: measure(fn, repeats)
                    for name, fn in kernels.items()}
 
 
@@ -163,9 +182,12 @@ def main(argv=None):
         ap.error("--points and --repeats must be >= 1")
     cap_threads()
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    sizes, medians = run(args.points, args.repeats)
+    sizes, measured = run(args.points, args.repeats)
     record = {"environment": environment(), "repeats": args.repeats,
-              "sizes": sizes, "median_s": medians}
+              "sizes": sizes}
+    for k, key in enumerate(("median_s", "minor_faults_per_call",
+                             "system_s_per_call")):
+        record[key] = {name: m[k] for name, m in measured.items()}
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)
