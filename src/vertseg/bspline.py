@@ -1,7 +1,8 @@
 """Cubic B-spline kernels shared by the deformation model and image sampling.
 
 All evaluation is tensor-product: 1D kernel values at the fractional
-coordinate are combined across axes over a 4-point support.
+coordinate are combined across axes over a 4-point support. Every
+caller gets those values as tap-major rows from one `support_weights`.
 """
 
 import numpy as np
@@ -50,14 +51,6 @@ def bspline3_d2(t):
     return out
 
 
-def _support_fraction(u):
-    """First support index floor(u) - 1, fractional part f and 1 - f."""
-    u = np.asarray(u, dtype=np.float64)
-    iu = np.floor(u)
-    f = u - iu
-    return iu.astype(np.int64) - 1, f, 1.0 - f
-
-
 def _weight_rows(f, g, deriv):
     """The four 1D weights at fractional parts f (g = 1 - f), one array
     per node i0..i0+3: closed forms of the kernel (or derivative) at the
@@ -77,25 +70,20 @@ def _weight_rows(f, g, deriv):
     raise ValueError(f"unsupported derivative order {deriv}")
 
 
-def support_weights(u, deriv=0):
-    """1D weights over the 4-point support for continuous coordinates u.
+def support_weights(u, *orders):
+    """Tap-major 1D weights over the 4-point support of coordinates u.
 
-    Returns (i0, w) where i0 is the first support index (floor(u) - 1) and
-    w has shape u.shape + (4,), the kernel (or derivative) evaluated at the
-    four integer nodes i0..i0+3.
+    Returns (i0, rows...): the first support index floor(u) - 1, and for
+    each derivative order asked for (the kernel alone by default) one
+    (4,) + u.shape array whose row o is the weight of node i0 + o, the
+    same bits whether the order is asked for alone or with others.
     """
-    i0, f, g = _support_fraction(u)
-    return i0, np.stack(_weight_rows(f, g, deriv), axis=-1)
-
-
-def support_weight_rows(u):
-    """Tap-major kernel and first-derivative weights for coordinates u,
-    from one fractional part: (i0, w, dw), where w and dw have shape
-    (4,) + u.shape and w[o] is the weight of node i0 + o, equal to
-    `support_weights(u)[1][..., o]` (and `deriv=1` for dw)."""
-    i0, f, g = _support_fraction(u)
-    return (i0, np.array(_weight_rows(f, g, 0)),
-            np.array(_weight_rows(f, g, 1)))
+    u = np.asarray(u, dtype=np.float64)
+    iu = np.floor(u)
+    f = u - iu
+    g = 1.0 - f
+    return (iu.astype(np.int64) - 1, *(np.array(_weight_rows(f, g, d))
+                                       for d in orders or (0,)))
 
 
 def support_offsets(dims):

@@ -108,6 +108,16 @@ _DOC_KEYS = {"target", "atlases", "registration", "fusion", "collision",
 _POSTPROCESS_KEYS = {"min_island_voxels", "levelset_iters", "levelset_step"}
 
 
+def _required(section, key, where):
+    """section[key], or a ValueError naming the key and where it is."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{where}: expected a JSON object, got "
+                         f"{type(section).__name__}")
+    if key not in section:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return section[key]
+
+
 def load_manifest(path):
     """Parse the JSON manifest (schema documented in the README)."""
     base = os.path.dirname(os.path.abspath(path))
@@ -117,6 +127,7 @@ def load_manifest(path):
 
     with open(path) as f:
         doc = json.load(f)
+    tgt = _required(doc, "target", "manifest")
     post = doc.get("postprocess", {})
     for where, section, known in (("top-level", doc, _DOC_KEYS),
                                   ("postprocess", post, _POSTPROCESS_KEYS)):
@@ -124,23 +135,28 @@ def load_manifest(path):
             if key not in known:
                 raise ValueError(f"unknown {where} key {key!r}")
 
-    tgt = doc["target"]
     vertebrae = []
-    for v in tgt["vertebrae"]:
+    for i, v in enumerate(_required(tgt, "vertebrae", "target")):
+        where = f"vertebra {_required(v, 'id', f'vertebrae[{i}]')}"
+        box = _required(v, "box", where)
+        lo, hi = (_required(box, k, f"{where} box") for k in ("min", "max"))
         try:
-            box = BoundingBox(v["box"]["min"], v["box"]["max"])
+            box = BoundingBox(lo, hi)
         except ValueError as e:
-            raise ValueError(f"vertebra {v['id']} box: {e}") from None
-        vertebrae.append(VertebraEntry(vertebra_id=v["id"], label=v["label"],
-                                       box=box, tags=dict(v.get("tags", {}))))
+            raise ValueError(f"{where} box: {e}") from None
+        vertebrae.append(VertebraEntry(
+            vertebra_id=v["id"], label=_required(v, "label", where), box=box,
+            tags=dict(v.get("tags", {}))))
 
-    atlases = [AtlasEntry(
-        case_id=a["case_id"],
-        image_path=resolve(a["image"]),
-        labels_path=resolve(a["labels"]),
-        vertebra_labels=dict(a["vertebra_labels"]),
-        order=list(a.get("order", list(a["vertebra_labels"]))),
-    ) for a in doc["atlases"]]
+    atlases = []
+    for i, a in enumerate(_required(doc, "atlases", "manifest")):
+        where = f"atlas {_required(a, 'case_id', f'atlases[{i}]')}"
+        labels = dict(_required(a, "vertebra_labels", where))
+        atlases.append(AtlasEntry(
+            case_id=a["case_id"],
+            image_path=resolve(_required(a, "image", where)),
+            labels_path=resolve(_required(a, "labels", where)),
+            vertebra_labels=labels, order=list(a.get("order", labels))))
 
     reg_kwargs = dict(doc.get("registration", {}))
     window_kwargs = reg_kwargs.pop("window", None)
@@ -152,7 +168,7 @@ def load_manifest(path):
     optional.update(post)
 
     return AtlasManifest(
-        target_image_path=resolve(tgt["image"]),
+        target_image_path=resolve(_required(tgt, "image", "target")),
         target_case_id=tgt.get("case_id", "target"),
         vertebrae=vertebrae,
         atlases=atlases,

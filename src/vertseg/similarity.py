@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .bspline import BLOCK_POINTS, support_offsets, support_weight_rows
+from .bspline import BLOCK_POINTS, support_offsets, support_weights
 from .checks import integer, real
 from .transform import affine_apply, compose_apply, ffd_basis
 
@@ -105,7 +105,7 @@ def _parzen_counts(rows, c2, nb):
     B-spline over its 4 (edge-clamped) floating bins. Also returns the
     flat bins of those taps and the kernel's derivative weights, both
     (4, V)."""
-    i0, w, dw = support_weight_rows(c2)
+    i0, w, dw = support_weights(c2, 0, 1)
     flat = rows + np.clip(i0 + np.arange(4)[:, None], 0, nb - 1)
     counts = np.zeros(nb * nb)
     for o in range(4):
@@ -185,13 +185,15 @@ class SplineImage:
     The prefiltered coefficients are mirror-extended once, by 1 node
     below and 2 above each axis, which covers the 4x4x4 support of every
     in-domain coordinate. A point's support is read at its first node
-    plus the fixed `support_offsets`, the same gather as
-    `transform.ffd_basis`; value and gradient come from that one gather.
+    plus the fixed `support_offsets`; value and gradient come from that
+    one gather.
 
-    The gather is tap-major: the offsets are in (z, y, x) tap order, so a
-    block of V points gathers a (4, 4, 4, V) array, which is contracted
-    along its leading axis, z then y then x, with the contiguous (4, V)
-    weight rows of `support_weight_rows`. `_contract_taps` sums each
+    It shares one `support_weights` call per block, over all three axes,
+    with `transform.ffd_basis`, but not the layout: `ffd_basis` writes
+    CSR rows with the nodes in C order, while this gather is one
+    tap-major `take` in (z, y, x) tap order. A block of V points gathers
+    a (4, 4, 4, V) array, contracted along its leading axis, z then y
+    then x, with the (4, V) weight rows; `_contract_taps` sums each
     axis's four taps in order, in one einsum call per contraction.
 
     `sample` maps the points to voxels once; `points_inside`, the number
@@ -240,7 +242,7 @@ class SplineImage:
         """Spline value and gradient (HU/mm) at in-domain voxel
         coordinates u (V, 3)."""
         # all three axes at once: i0 is (3, V), w and dw (4, 3, V)
-        i0, w, dw = support_weight_rows(np.ascontiguousarray(u.T))
+        i0, w, dw = support_weights(np.ascontiguousarray(u.T), 0, 1)
         dw = -dw  # kernel argument is node - u
         first = i0 + 1  # the padding shifts node i to i + 1
         _, ny, nz = self._padded.shape

@@ -110,18 +110,15 @@ def ffd_basis(control_geom, x):
     indices = np.empty((n_pts, 64), dtype=np.int32)
     for start in range(0, n_pts, BLOCK_POINTS):
         blk = slice(start, start + BLOCK_POINTS)
-        i0s, ws = [], []
-        for a, n in enumerate(control_geom.dims):
-            i0, w = support_weights(u[blk, a])
-            if np.any(i0 < 0) or np.any(i0 + 3 > n - 1):
-                raise ValueError("point outside FFD lattice support")
-            i0s.append(i0)
-            ws.append(w)
-        base = ((i0s[0] * ny + i0s[1]) * nz + i0s[2]).astype(np.int32)
+        # all three axes at once: i0 is (3, B), w (4, 3, B)
+        i0, w = support_weights(u[blk].T)
+        if np.any(i0 < 0) or np.any(i0.T > np.subtract(control_geom.dims, 4)):
+            raise ValueError("point outside FFD lattice support")
+        base = ((i0[0] * ny + i0[1]) * nz + i0[2]).astype(np.int32)
         np.add(base[:, None], offsets, out=indices[blk])
-        wxy = (ws[0][:, :, None] * ws[1][:, None, :]).reshape(-1, 16)
+        wxy = (w[:, 0].T[:, :, None] * w[:, 1].T[:, None, :]).reshape(-1, 16)
         for k in range(4):  # one z node at a time: long inner loops
-            np.multiply(wxy, ws[2][:, k, None], out=data[blk, :, k])
+            np.multiply(wxy, w[k, 2][:, None], out=data[blk, :, k])
     indptr = 64 * np.arange(n_pts + 1, dtype=np.int64)
     return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr),
                              shape=(n_pts, int(np.prod(control_geom.dims))))
@@ -171,14 +168,14 @@ _DERIV_PAIRS = [
 ]
 
 
-def _axis_weight_matrix(u, n, deriv):
-    """Dense (len(u), n) matrix of B-spline (derivative) weights; each row
-    has the 4 support-node entries."""
-    i0, w = support_weights(u, deriv=deriv)
-    mat = np.zeros((u.size, n))
-    rows = np.arange(u.size)
+def _axis_weight_matrix(i0, w, n):
+    """Dense (len(i0), n) matrix of the tap-major (4, len(i0)) B-spline
+    (derivative) weights w of supports starting at i0; each row has the 4
+    support-node entries."""
+    mat = np.zeros((i0.size, n))
+    rows = np.arange(i0.size)
     for o in range(4):
-        mat[rows, i0 + o] = w[:, o]
+        mat[rows, i0 + o] = w[o]
     return mat
 
 
@@ -194,26 +191,18 @@ def bending_operator(control_geom, sample_geom):
     """
     dims = control_geom.dims
     sp = np.array(control_geom.spacing)
-    n_samples = 1
-    axis_u = []
+    n_samples = np.prod(sample_geom.dims)
+    gram = [[], [], []]  # gram[deriv][axis]
     for a in range(3):
         idx = np.arange(sample_geom.dims[a], dtype=np.float64)
         world = sample_geom.origin[a] + idx * sample_geom.spacing[a]
         u = (world - control_geom.origin[a]) / control_geom.spacing[a]
-        i0 = np.floor(u) - 1
-        if np.any(i0 < 0) or np.any(i0 + 3 > dims[a] - 1):
+        i0, *rows = support_weights(u, 0, 1, 2)
+        if np.any(i0 < 0) or np.any(i0 > dims[a] - 4):
             raise ValueError("penalty sample outside lattice support")
-        axis_u.append(u)
-        n_samples *= u.size
-    if n_samples == 0:
-        raise ValueError("empty penalty sample grid")
-
-    gram = []
-    for deriv in range(3):
-        gram.append([])
-        for a in range(3):
-            w = _axis_weight_matrix(axis_u[a], dims[a], deriv)
-            gram[deriv].append(sparse.csr_matrix(w.T @ w))
+        for deriv, w in enumerate(rows):
+            m = _axis_weight_matrix(i0, w, dims[a])
+            gram[deriv].append(sparse.csr_matrix(m.T @ m))
 
     q = sparse.csr_matrix((int(np.prod(dims)),) * 2)
     for orders, lam in _DERIV_PAIRS:

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -405,6 +406,43 @@ def test_load_manifest_rejects_unknown_postprocess_key(tmp_path):
     doc = dict(_minimal_doc(), postprocess={"levelset_iter": 0})
     with pytest.raises(ValueError, match="levelset_iter"):
         load_manifest(_write_doc(tmp_path, doc))
+
+
+def _drop(path):
+    """Edit of _minimal_doc() that deletes the key at a dotted path."""
+    def edit(doc):
+        *parents, key = path.split(".")
+        node = doc
+        for p in parents:
+            node = node[int(p)] if p.isdigit() else node[p]
+        del node[key]
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop("target"), "manifest: missing key 'target'"),
+    (_drop("atlases"), "manifest: missing key 'atlases'"),
+    (_drop("target.image"), "target: missing key 'image'"),
+    (_drop("target.vertebrae"), "target: missing key 'vertebrae'"),
+    (_drop("target.vertebrae.0.id"), "vertebrae[0]: missing key 'id'"),
+    (_drop("target.vertebrae.0.label"), "vertebra V1: missing key 'label'"),
+    (_drop("target.vertebrae.0.box"), "vertebra V1: missing key 'box'"),
+    (_drop("target.vertebrae.0.box.max"),
+     "vertebra V1 box: missing key 'max'"),
+    (_drop("atlases.0.case_id"), "atlases[0]: missing key 'case_id'"),
+    (_drop("atlases.0.image"), "atlas a0: missing key 'image'"),
+    (_drop("atlases.0.labels"), "atlas a0: missing key 'labels'"),
+    (_drop("atlases.0.vertebra_labels"),
+     "atlas a0: missing key 'vertebra_labels'"),
+    (lambda doc: [doc], "manifest: expected a JSON object, got list"),
+    (lambda doc: dict(doc, target="t.nii"),
+     "target: expected a JSON object, got str"),
+])
+def test_load_manifest_names_missing_key_and_where(tmp_path, edit, message):
+    path = _write_doc(tmp_path, edit(_minimal_doc()))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_manifest(path)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -346,9 +346,9 @@ def _mirror_gather_sample(vol, pts, point_major=False):
     w0, w1, idx = [], [], []
     for a in range(3):
         i0, w = support_weights(u[:, a])
-        _, dw = support_weights(u[:, a], deriv=1)
-        w0.append(w.T)
-        w1.append(-dw.T)
+        _, dw = support_weights(u[:, a], 1)
+        w0.append(w)
+        w1.append(-dw)
         idx.append(np.stack([_mirror_reference(i0 + o, dims[a])
                              for o in range(4)]))
     flat = ((idx[0][None, None, :, :] * ny + idx[1][None, :, None, :]) * nz
@@ -522,7 +522,7 @@ def _parent_parzen_gradient(obj, v, g):
     bcols = np.clip(i0[:, None] + np.arange(4), 0, nb - 1)
     counts = np.zeros(nb * nb)
     for o in range(4):
-        counts += np.bincount(bin1 * nb + bcols[:, o], weights=w[:, o],
+        counts += np.bincount(bin1 * nb + bcols[:, o], weights=w[o],
                               minlength=nb * nb)
     hist = JointHistogram(counts.reshape(nb, nb))
     n = hist.total
@@ -537,10 +537,10 @@ def _parent_parzen_gradient(obj, v, g):
         l12 = np.where(p12 > 0, np.log(np.maximum(p12, 1e-300)), 0.0)
     dnmi_dh = (-(l1[:, None] + 1.0) - (l2[None, :] + 1.0)
                + nmi_val * (l12 + 1.0)) / (n * h12v)
-    _, dwk = support_weights(c2, deriv=1)
+    _, dwk = support_weights(c2, 1)
     dnmi_dc2 = np.zeros(c2.size)
     for o in range(4):
-        dnmi_dc2 += dnmi_dh[bin1, bcols[:, o]] * (-dwk[:, o])
+        dnmi_dc2 += dnmi_dh[bin1, bcols[:, o]] * (-dwk[o])
     dnmi_dc2[clipped] = 0.0
     return nmi_val, (dnmi_dc2 * window.scale)[:, None] * g
 

@@ -9,10 +9,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from vertseg.bspline import (BLOCK_POINTS, REFINE_MASK, bspline3, bspline3_d1,
                              bspline3_d2, refine_coefficients_1d,
-                             support_weights)
+                             support_offsets, support_weights)
 from vertseg.transform import (AffineTransform, ComposedTransform,
                                FFDTransform, affine_apply, bending_energy,
                                bending_operator, compose_apply, ffd_basis,
@@ -27,7 +28,7 @@ from vertseg.volume import GridGeometry
 def test_kernel_partition_of_unity():
     u = np.random.default_rng(0).uniform(-3, 9, 500)
     _, w = support_weights(u)
-    assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-12)
+    assert np.allclose(w.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_kernel_matches_closed_form_samples():
@@ -38,11 +39,20 @@ def test_kernel_matches_closed_form_samples():
 
 
 def test_support_weights_match_kernel():
-    u = np.random.default_rng(1).uniform(-4, 4, 300)
-    for deriv, kern in ((0, bspline3), (1, bspline3_d1), (2, bspline3_d2)):
-        i0, w = support_weights(u, deriv=deriv)
-        nodes = i0[:, None] + np.arange(4)
-        assert np.allclose(w, kern(nodes - u[:, None]), atol=1e-12)
+    rng = np.random.default_rng(1)
+    # scalar, (V,) and (3, V) coordinates
+    for u in (2.37, rng.uniform(-4, 4, 300), rng.uniform(-4, 4, (3, 200))):
+        i0, *rows = support_weights(u, 0, 1, 2)
+        nodes = np.asarray(i0)[..., None] + np.arange(4)
+        kernels = (bspline3, bspline3_d1, bspline3_d2)
+        for deriv, (kern, w) in enumerate(zip(kernels, rows)):
+            assert w.shape == (4,) + np.shape(u)
+            # each order's rows are the same bits whether asked alone
+            i0_alone, w_alone = support_weights(u, deriv)
+            assert np.array_equal(i0_alone, i0)
+            assert np.array_equal(w_alone, w)
+            ref = np.moveaxis(kern(nodes - np.asarray(u)[..., None]), -1, 0)
+            assert np.allclose(w, ref, atol=1e-12)
 
 
 def test_kernel_derivatives_match_finite_differences():
@@ -331,10 +341,14 @@ def test_ffd_basis_adjoint_identity():
 
 
 def test_ffd_basis_outside_support_errors():
-    _, geom, _ = _operator_fixture(23)
-    for bad in ([[500.0, 5.0, 5.0]], [[5.0, -50.0, 5.0]]):
-        with pytest.raises(ValueError, match="outside FFD lattice support"):
-            ffd_basis(geom, np.array(bad))
+    _, geom, pts = _operator_fixture(23)
+    # the high and low side of every axis, one bad point among good ones
+    for axis in range(3):
+        for far in (500.0, -50.0):
+            bad = np.full((1, 3), 5.0)
+            bad[0, axis] = far
+            with pytest.raises(ValueError, match="outside FFD lattice support"):
+                ffd_basis(geom, np.vstack([pts, bad]))
 
 
 def test_ffd_displace_across_block_boundaries():
@@ -353,6 +367,102 @@ def test_ffd_displace_across_block_boundaries():
     assert ffd_displace(ffd, pts[:12].reshape(3, 4, 3)).shape == (3, 4, 3)
 
 
+# ------------------------------------- bit pins of the per-axis builds
+
+def _point_major_weights(u, deriv):
+    """(i0, w) with w of shape u.shape + (4,): the closed-form weights of
+    one derivative order, one call per axis, as the operators were built
+    before they took tap-major rows from one call."""
+    u = np.asarray(u, dtype=np.float64)
+    iu = np.floor(u)
+    f = u - iu
+    g = 1.0 - f
+    rows = {
+        0: [g * g * g / 6.0, (3.0 * f * f * f - 6.0 * f * f + 4.0) / 6.0,
+            (-3.0 * f * f * f + 3.0 * f * f + 3.0 * f + 1.0) / 6.0,
+            f * f * f / 6.0],
+        1: [0.5 * g * g, 2.0 * f - 1.5 * f * f, -2.0 * g + 1.5 * g * g,
+            -0.5 * f * f],
+        2: [g, 3.0 * f - 2.0, 1.0 - 3.0 * f, f],
+    }[deriv]
+    return iu.astype(np.int64) - 1, np.stack(rows, axis=-1)
+
+
+def _per_axis_ffd_basis(geom, x):
+    """ffd_basis built axis by axis from point-major weights, with the
+    product order (wx * wy) * wz."""
+    u = geom.world_to_voxel(x).reshape(-1, 3)
+    ny, nz = geom.dims[1:]
+    offsets = support_offsets(geom.dims).astype(np.int32)
+    data = np.empty((len(u), 16, 4))
+    indices = np.empty((len(u), 64), dtype=np.int32)
+    for start in range(0, len(u), BLOCK_POINTS):
+        blk = slice(start, start + BLOCK_POINTS)
+        i0s, ws = zip(*(_point_major_weights(u[blk, a], 0) for a in range(3)))
+        base = ((i0s[0] * ny + i0s[1]) * nz + i0s[2]).astype(np.int32)
+        np.add(base[:, None], offsets, out=indices[blk])
+        wxy = (ws[0][:, :, None] * ws[1][:, None, :]).reshape(-1, 16)
+        for k in range(4):
+            np.multiply(wxy, ws[2][:, k, None], out=data[blk, :, k])
+    indptr = 64 * np.arange(len(u) + 1, dtype=np.int64)
+    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr),
+                             shape=(len(u), int(np.prod(geom.dims))))
+
+
+def _per_order_bending_operator(geom, sample_geom):
+    """bending_operator built with one point-major weight call per axis
+    and derivative order."""
+    sp = np.array(geom.spacing)
+    u = [(sample_geom.origin[a] + np.arange(sample_geom.dims[a])
+          * sample_geom.spacing[a] - geom.origin[a]) / geom.spacing[a]
+         for a in range(3)]
+    n_samples = np.prod(sample_geom.dims)
+    gram = []
+    for deriv in range(3):
+        gram.append([])
+        for a in range(3):
+            i0, w = _point_major_weights(u[a], deriv)
+            mat = np.zeros((u[a].size, geom.dims[a]))
+            for o in range(4):
+                mat[np.arange(u[a].size), i0 + o] = w[:, o]
+            gram[deriv].append(sparse.csr_matrix(mat.T @ mat))
+    q = sparse.csr_matrix((int(np.prod(geom.dims)),) * 2)
+    for orders, lam in _DERIV_PAIRS:
+        axes = _axes_of(orders)
+        scale = 1.0 / (sp[axes[0]] * sp[axes[1]])
+        q = q + (lam * scale * scale / n_samples) * sparse.kron(
+            gram[orders[0]][0],
+            sparse.kron(gram[orders[1]][1], gram[orders[2]][2]),
+            format="csr")
+    return q
+
+
+def _same_csr(a, b):
+    return (np.array_equal(a.data, b.data)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.indptr, b.indptr))
+
+
+@pytest.mark.parametrize("n_pts", [1, BLOCK_POINTS, BLOCK_POINTS + 1,
+                                   2 * BLOCK_POINTS + 17])
+def test_ffd_basis_matches_per_axis_build_bit_for_bit(n_pts):
+    rng, geom, _ = _operator_fixture(27)
+    pts = rng.uniform((0, 0, 0), (20, 14, 17), (n_pts, 3))
+    assert _same_csr(ffd_basis(geom, pts), _per_axis_ffd_basis(geom, pts))
+
+
+@pytest.mark.parametrize("lattice, sample_grid", [
+    (((0, 0, 0), (14, 10, 12), 4.0), ((1, 1, 1), (13, 9, 11), 6)),
+    (((-3, 2, 0), (21, 15, 18), 3.0), ((-2, 3, 1), (20, 14, 17), 11)),
+])
+def test_bending_operator_matches_per_order_build_bit_for_bit(lattice,
+                                                               sample_grid):
+    geom = lattice_covering(*lattice)
+    sample_geom = _sample_grid(*sample_grid)
+    assert _same_csr(bending_operator(geom, sample_geom),
+                     _per_order_bending_operator(geom, sample_geom))
+
+
 def _einsum_bending(ffd, sample_geom):
     """Bending energy and gradient by separable per-term contractions
     (the derivative weights applied axis by axis)."""
@@ -363,8 +473,8 @@ def _einsum_bending(ffd, sample_geom):
     n = np.prod(sample_geom.dims)
     value, grad = 0.0, np.zeros(ffd.coefficients.shape)
     for orders, lam in _DERIV_PAIRS:
-        wa, wb, wc = (_axis_weight_matrix(u[a], geom.dims[a], orders[a])
-                      for a in range(3))
+        wa, wb, wc = (_axis_weight_matrix(*support_weights(u[a], orders[a]),
+                                          geom.dims[a]) for a in range(3))
         axes = _axes_of(orders)
         scale = 1.0 / (geom.spacing[axes[0]] * geom.spacing[axes[1]])
         f = scale * np.einsum("ai,bj,ck,ijkd->abcd", wa, wb, wc,
