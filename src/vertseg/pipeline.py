@@ -108,12 +108,19 @@ _DOC_KEYS = {"target", "atlases", "registration", "fusion", "collision",
 _POSTPROCESS_KEYS = {"min_island_voxels", "levelset_iters", "levelset_step"}
 
 
+def _expect(value, kind, where):
+    """value, or a ValueError naming where a JSON object (kind dict) or
+    array (kind list) was expected."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}: expected a JSON "
+                         f"{'object' if kind is dict else 'array'}, got "
+                         f"{type(value).__name__}")
+    return value
+
+
 def _required(section, key, where):
     """section[key], or a ValueError naming the key and where it is."""
-    if not isinstance(section, dict):
-        raise ValueError(f"{where}: expected a JSON object, got "
-                         f"{type(section).__name__}")
-    if key not in section:
+    if key not in _expect(section, dict, where):
         raise ValueError(f"{where}: missing key {key!r}")
     return section[key]
 
@@ -128,7 +135,9 @@ def load_manifest(path):
     with open(path) as f:
         doc = json.load(f)
     tgt = _required(doc, "target", "manifest")
-    post = doc.get("postprocess", {})
+    reg, fusion, collision, post = (
+        _expect(doc.get(key, {}), dict, key)
+        for key in ("registration", "fusion", "collision", "postprocess"))
     for where, section, known in (("top-level", doc, _DOC_KEYS),
                                   ("postprocess", post, _POSTPROCESS_KEYS)):
         for key in section:
@@ -136,7 +145,8 @@ def load_manifest(path):
                 raise ValueError(f"unknown {where} key {key!r}")
 
     vertebrae = []
-    for i, v in enumerate(_required(tgt, "vertebrae", "target")):
+    for i, v in enumerate(_expect(_required(tgt, "vertebrae", "target"),
+                                  list, "target vertebrae")):
         where = f"vertebra {_required(v, 'id', f'vertebrae[{i}]')}"
         box = _required(v, "box", where)
         lo, hi = (_required(box, k, f"{where} box") for k in ("min", "max"))
@@ -146,22 +156,26 @@ def load_manifest(path):
             raise ValueError(f"{where} box: {e}") from None
         vertebrae.append(VertebraEntry(
             vertebra_id=v["id"], label=_required(v, "label", where), box=box,
-            tags=dict(v.get("tags", {}))))
+            tags=dict(_expect(v.get("tags", {}), dict, f"{where} tags"))))
 
     atlases = []
-    for i, a in enumerate(_required(doc, "atlases", "manifest")):
+    for i, a in enumerate(_expect(_required(doc, "atlases", "manifest"),
+                                  list, "atlases")):
         where = f"atlas {_required(a, 'case_id', f'atlases[{i}]')}"
-        labels = dict(_required(a, "vertebra_labels", where))
+        labels = dict(_expect(_required(a, "vertebra_labels", where), dict,
+                              f"{where} vertebra_labels"))
         atlases.append(AtlasEntry(
             case_id=a["case_id"],
             image_path=resolve(_required(a, "image", where)),
             labels_path=resolve(_required(a, "labels", where)),
-            vertebra_labels=labels, order=list(a.get("order", labels))))
+            vertebra_labels=labels,
+            order=list(_expect(a.get("order", list(labels)), list,
+                               f"{where} order"))))
 
-    reg_kwargs = dict(doc.get("registration", {}))
-    window_kwargs = reg_kwargs.pop("window", None)
-    if window_kwargs:
-        reg_kwargs["window"] = IntensityWindow(**window_kwargs)
+    reg_kwargs = dict(reg)
+    if "window" in reg_kwargs:
+        reg_kwargs["window"] = IntensityWindow(**_expect(
+            reg_kwargs["window"], dict, "registration window"))
 
     # only the keys the document has: every default lives on AtlasManifest
     optional = {key: doc[key] for key in _TOP_LEVEL_KEYS if key in doc}
@@ -175,8 +189,8 @@ def load_manifest(path):
         target_labels_path=(resolve(tgt["labels"])
                             if tgt.get("labels") else None),
         registration=RegistrationConfig(**reg_kwargs),
-        fusion=FusionConfig(**doc.get("fusion", {})),
-        collision=CollisionPolicy(**doc.get("collision", {})),
+        fusion=FusionConfig(**fusion),
+        collision=CollisionPolicy(**collision),
         **optional,
     )
 

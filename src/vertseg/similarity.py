@@ -71,29 +71,15 @@ class JointHistogram:
         return self.counts.sum(axis=0)
 
 
-def _box_slices(mask, dims):
-    if mask is None:
-        return tuple(slice(0, d) for d in dims)
-    lo = [max(0, mask.min_index[a]) for a in range(3)]
-    hi = [min(dims[a] - 1, mask.max_index[a]) for a in range(3)]
-    if any(lo[a] > hi[a] for a in range(3)):
-        raise ValueError("mask does not intersect the volume")
-    return tuple(slice(lo[a], hi[a] + 1) for a in range(3))
-
-
-def joint_histogram(img1, img2, window=IntensityWindow(), mask=None):
+def joint_histogram(img1, img2, window=IntensityWindow()):
     """Joint intensity histogram of two volumes on a shared grid, nearest
-    bin on both axes; its total mass is the number of samples."""
+    bin on both axes; its total mass is the number of voxels. To score a
+    region, crop both volumes to it (`volume.crop`)."""
     if not img1.geometry.same_grid(img2.geometry):
         raise ValueError(f"volumes must share geometry: {img1.geometry} "
                          f"vs {img2.geometry}")
-    sl = _box_slices(mask, img1.geometry.dims)
-    v1 = img1.data[sl].ravel()
-    v2 = img2.data[sl].ravel()
-    if v1.size == 0:
-        raise ValueError("empty histogram mask")
-    a = np.round(window.bin_coord(v1)).astype(np.int64)
-    b = np.round(window.bin_coord(v2)).astype(np.int64)
+    a = np.round(window.bin_coord(img1.data.ravel())).astype(np.int64)
+    b = np.round(window.bin_coord(img2.data.ravel())).astype(np.int64)
     nb = window.bins
     counts = np.bincount(a * nb + b, minlength=nb * nb).astype(np.float64)
     return JointHistogram(counts.reshape(nb, nb))
@@ -135,12 +121,12 @@ def nmi_of_histogram(hist):
     return (h1 + h2) / h12
 
 
-def nmi(img1, img2, window=IntensityWindow(), mask=None):
+def nmi(img1, img2, window=IntensityWindow()):
     """Normalized mutual information (H1 + H2) / H12 of two volumes."""
-    return nmi_of_histogram(joint_histogram(img1, img2, window, mask))
+    return nmi_of_histogram(joint_histogram(img1, img2, window))
 
 
-def lncc(img1, img2, radius_voxels=3, mask=None):
+def lncc(img1, img2, radius_voxels=3):
     """Mean local Pearson correlation over cubic windows.
 
     Windows with zero variance in either image contribute 0.
@@ -163,8 +149,7 @@ def lncc(img1, img2, radius_voxels=3, mask=None):
     denom = np.sqrt(var1 * var2)
     cc = np.where(denom > 1e-12, cov / np.maximum(denom, 1e-300), 0.0)
     cc = np.clip(cc, -1.0, 1.0)
-    sl = _box_slices(mask, img1.geometry.dims)
-    return float(cc[sl].mean())
+    return float(cc.mean())
 
 
 def _contract_taps(t, w):
@@ -265,18 +250,21 @@ class NmiObjective:
     """Parzen-smoothed NMI between a fixed target and a spline-sampled
     floating image, differentiable in the warp.
 
-    Target voxels are binned once; each evaluation samples the floating
-    image at the warped voxel centers, accumulates the Parzen joint
-    histogram, and pushes the entropy derivative back through the
-    kernel, the image gradient, and the transform parameters.
+    The samples are the target's voxel centers, all of them or a fixed
+    subset of max_points (None or >= 1); to register a region, crop the
+    target to it (`volume.crop` keeps world coordinates). Target voxels
+    are binned once; each evaluation samples the floating image at the
+    warped voxel centers, accumulates the Parzen joint histogram, and
+    pushes the entropy derivative back through the kernel, the image
+    gradient, and the transform parameters.
     """
 
-    def __init__(self, target, floating, window=IntensityWindow(), mask=None,
+    def __init__(self, target, floating, window=IntensityWindow(),
                  max_points=None):
-        sl = _box_slices(mask, target.geometry.dims)
-        pts = target.geometry.grid_world_points()[sl]
-        self.points = pts.reshape(-1, 3)
-        t = target.data[sl].ravel()
+        if max_points is not None:
+            max_points = integer("max_points", max_points, 1)
+        self.points = target.geometry.grid_world_points().reshape(-1, 3)
+        t = target.data.ravel()
         if max_points is not None and self.points.shape[0] > max_points:
             # deterministic uniform subset keeps evaluations tractable on
             # large grids while leaving the NMI estimate essentially intact
@@ -289,8 +277,6 @@ class NmiObjective:
         self.target_rows = (np.round(window.bin_coord(t)).astype(np.int64)
                             * window.bins)
         self.spline = SplineImage(floating)
-        if self.points.shape[0] == 0:
-            raise ValueError("empty objective mask")
 
     def value(self, comp):
         return self.value_at(compose_apply(comp, self.points))
@@ -314,7 +300,9 @@ class NmiObjective:
         The points are mapped to voxels once, in `SplineImage.sample`. The
         flat bins and kernel derivative rows of the Parzen histogram are
         reused for the derivative, which gathers d NMI / d counts from the
-        raveled table with one 1-D take.
+        raveled table with one 1-D take. The probabilities and their logs
+        are formed once and give both the entropies, summed as `entropies`
+        sums them, and d NMI / d counts.
         """
         v, g = self.spline.sample(y)
         # all warped points contribute (clamped sampling keeps the value
@@ -329,18 +317,17 @@ class NmiObjective:
         counts, flat, dw = _parzen_counts(self.target_rows, c2, nb)
         hist = JointHistogram(counts.reshape(nb, nb))
         n = hist.total
-        h1v, h2v, h12v = entropies(hist)
-        if h12v == 0.0:
-            return 2.0, np.zeros_like(self.points)
-        nmi_val = (h1v + h2v) / h12v
-
         p1 = hist.marginal_target() / n
         p2 = hist.marginal_floating() / n
         p12 = hist.counts / n
         with np.errstate(divide="ignore"):
-            l1 = np.where(p1 > 0, np.log(np.maximum(p1, 1e-300)), 0.0)
-            l2 = np.where(p2 > 0, np.log(np.maximum(p2, 1e-300)), 0.0)
-            l12 = np.where(p12 > 0, np.log(np.maximum(p12, 1e-300)), 0.0)
+            l1, l2, l12 = (np.where(p > 0, np.log(p), 0.0)
+                           for p in (p1, p2, p12))
+        h1v, h2v, h12v = (float(-np.sum((p * lp)[p > 0]))
+                          for p, lp in ((p1, l1), (p2, l2), (p12, l12)))
+        if h12v == 0.0:
+            return 2.0, np.zeros_like(self.points)
+        nmi_val = (h1v + h2v) / h12v
         # d NMI / d counts(a, b)
         dnmi_dh = (-(l1[:, None] + 1.0) - (l2[None, :] + 1.0)
                    + nmi_val * (l12 + 1.0)) / (n * h12v)
@@ -368,9 +355,9 @@ class NmiObjective:
         return nmi_val, point_grad.T @ self.points, point_grad.sum(axis=0)
 
 
-def nmi_gradient(target, floating, comp, window=IntensityWindow(), mask=None):
+def nmi_gradient(target, floating, comp, window=IntensityWindow()):
     """d NMI / d FFD coefficient for a composed transform (see
     NmiObjective for the smooth histogram convention)."""
-    obj = NmiObjective(target, floating, window, mask)
+    obj = NmiObjective(target, floating, window)
     _, grad = obj.value_and_ffd_gradient(comp)
     return grad

@@ -232,8 +232,6 @@ def downsample(vol, factor):
         raise ValueError(f"factor must be >= 1, got {factor}")
     dims = vol.geometry.dims
     new_dims = tuple((dims[a] + factor[a] - 1) // factor[a] for a in range(3))
-    if any(d < 1 for d in new_dims):
-        raise ValueError("downsample factor collapses the volume")
     if isinstance(vol, LabelVolume):
         data = vol.data[::factor[0], ::factor[1], ::factor[2]].copy()
     else:

@@ -1,12 +1,16 @@
 """Single-file NIfTI reader/writer round-trip and validation tests."""
 
 import gzip
+import os
 import re
 import struct
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertseg.nifti import read_volume, write_volume
 from vertseg.volume import GridGeometry, LabelVolume, ScalarVolume
@@ -37,6 +41,36 @@ def test_scalar_round_trip(tmp_path, suffix):
                        atol=1e-6)
     assert np.allclose(back.geometry.origin, vol.geometry.origin, atol=1e-5)
     assert np.array_equal(back.data, vol.data)  # integral values survive
+
+
+# NIfTI stores spacing and origin as float32, so these survive exactly
+_float32_spacing = st.floats(0.125, 1024.0, width=32)
+_float32_origin = st.floats(-8192.0, 8192.0, width=32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 6)] * 3),
+       spacing=st.tuples(*[_float32_spacing] * 3),
+       origin=st.tuples(*[_float32_origin] * 3),
+       kind=st.sampled_from(["scalar", "label"]),
+       suffix=st.sampled_from([".nii", ".nii.gz"]),
+       seed=st.integers(0, 2 ** 16))
+def test_round_trip_keeps_data_and_geometry_exactly(dims, spacing, origin,
+                                                    kind, suffix, seed):
+    rng = np.random.default_rng(seed)
+    geom = GridGeometry(dims, spacing, origin)
+    if kind == "label":
+        vol = LabelVolume(geom, rng.integers(0, 256, dims))
+    else:
+        vol = ScalarVolume(geom, rng.integers(-32768, 32768, dims))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"vol{suffix}")
+        write_volume(path, vol)
+        back = read_volume(path, kind=kind)
+    assert type(back) is type(vol)
+    assert back.geometry == vol.geometry
+    assert back.data.dtype == vol.data.dtype
+    assert np.array_equal(back.data, vol.data)
 
 
 @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])

@@ -400,6 +400,11 @@ def test_load_manifest_minimal_document_takes_dataclass_defaults(tmp_path):
             assert getattr(m, f.name) == f.default, f.name
         elif f.default_factory is not dataclasses.MISSING:
             assert getattr(m, f.name) == f.default_factory(), f.name
+    # an empty section is the same as an absent one
+    empty = dict(_minimal_doc(), registration={"window": {}}, fusion={},
+                 collision={}, postprocess={})
+    empty["target"]["vertebrae"][0]["tags"] = {}
+    assert load_manifest(_write_doc(tmp_path, empty)) == m
 
 
 def test_load_manifest_rejects_unknown_postprocess_key(tmp_path):
@@ -443,6 +448,34 @@ def test_load_manifest_names_missing_key_and_where(tmp_path, edit, message):
     path = _write_doc(tmp_path, edit(_minimal_doc()))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("registration", [], "registration: expected a JSON object, got list"),
+    ("registration.window", [],
+     "registration window: expected a JSON object, got list"),
+    ("postprocess", [], "postprocess: expected a JSON object, got list"),
+    ("fusion", [], "fusion: expected a JSON object, got list"),
+    ("collision", [], "collision: expected a JSON object, got list"),
+    ("target.vertebrae.0.tags", ["normal"],
+     "vertebra V1 tags: expected a JSON object, got list"),
+    ("atlases.0.vertebra_labels", ["V1"],
+     "atlas a0 vertebra_labels: expected a JSON object, got list"),
+    ("atlases.0.order", "V1", "atlas a0 order: expected a JSON array, got str"),
+    ("target.vertebrae", {"V1": {}},
+     "target vertebrae: expected a JSON array, got dict"),
+    ("atlases", {"a0": {}}, "atlases: expected a JSON array, got dict"),
+])
+def test_load_manifest_names_section_of_the_wrong_json_type(
+        tmp_path, key, value, message):
+    doc = _minimal_doc()
+    *parents, name = key.split(".")
+    node = doc
+    for p in parents:
+        node = node[int(p)] if p.isdigit() else node.setdefault(p, {})
+    node[name] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_manifest(_write_doc(tmp_path, doc))
 
 
 @pytest.mark.parametrize("key, value", [

@@ -1,14 +1,15 @@
 """Histogram, entropy, NMI and objective-gradient tests.
 
 Gradient checks compare the analytic derivatives against central finite
-differences of the same objective, on interior masks so the set of
-in-range warped samples stays fixed.
+differences of the same objective, on interior crops of the target so
+the set of in-range warped samples stays fixed.
 """
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from vertseg import similarity
 from vertseg.bspline import BLOCK_POINTS, support_weights
 from vertseg.registration import (RegistrationConfig, _penalty_grid,
                                   register_ffd)
@@ -19,7 +20,7 @@ from vertseg.similarity import (IntensityWindow, JointHistogram, NmiObjective,
 from vertseg.transform import (AffineTransform, ComposedTransform,
                                FFDTransform, affine_apply, bending_energy,
                                compose_apply, lattice_covering)
-from vertseg.volume import BoundingBox, GridGeometry, ScalarVolume
+from vertseg.volume import BoundingBox, GridGeometry, ScalarVolume, crop
 
 
 def _vol(data, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
@@ -117,7 +118,8 @@ def test_nmi_mask_restricts_region():
     scrambled = data.copy()
     scrambled[4:] = rng.normal(0, 100, (4, 8, 8))
     b = _vol(scrambled)
-    inside = nmi(a, b, mask=BoundingBox((0, 0, 0), (3, 7, 7)))
+    box = BoundingBox((0, 0, 0), (3, 7, 7))
+    inside = nmi(crop(a, box), crop(b, box))
     assert inside == pytest.approx(2.0, abs=1e-12)
     assert nmi(a, b) < 2.0
 
@@ -176,8 +178,8 @@ def _objective_fixture(seed, dims=(16, 16, 16)):
     target = _vol(data + rng.normal(0, 5, dims))
     floating = _vol(data)
     window = IntensityWindow(lo=-400, hi=900, bins=32)
-    mask = BoundingBox((2, 2, 2), tuple(d - 3 for d in dims))
-    return target, floating, window, mask, rng
+    box = BoundingBox((2, 2, 2), tuple(d - 3 for d in dims))
+    return crop(target, box), floating, window, rng
 
 
 def test_objective_identity_on_identical_images():
@@ -195,8 +197,8 @@ def test_objective_identity_on_identical_images():
 
 
 def test_objective_ffd_gradient_matches_finite_differences():
-    target, floating, window, mask, rng = _objective_fixture(9)
-    obj = NmiObjective(target, floating, window, mask)
+    target, floating, window, rng = _objective_fixture(9)
+    obj = NmiObjective(target, floating, window)
     geom = lattice_covering((-4.0, -4.0, -4.0), (19.0, 19.0, 19.0), 5.0)
     ffd = FFDTransform(geom, rng.normal(0, 0.3, geom.dims + (3,)))
     comp = ComposedTransform(AffineTransform.identity(), ffd)
@@ -216,8 +218,8 @@ def test_objective_ffd_gradient_matches_finite_differences():
 
 
 def test_objective_affine_gradient_matches_finite_differences():
-    target, floating, window, mask, rng = _objective_fixture(10)
-    obj = NmiObjective(target, floating, window, mask)
+    target, floating, window, rng = _objective_fixture(10)
+    obj = NmiObjective(target, floating, window)
     aff = AffineTransform(np.eye(3) * 1.01, np.array([0.2, -0.1, 0.3]))
     _, g_m, g_t = obj.value_and_affine_gradient(aff)
 
@@ -236,16 +238,16 @@ def test_objective_affine_gradient_matches_finite_differences():
 
 
 def test_nmi_gradient_wrapper_shape():
-    target, floating, window, mask, rng = _objective_fixture(11, (12, 12, 12))
+    target, floating, window, rng = _objective_fixture(11, (12, 12, 12))
     geom = lattice_covering((-4.0, -4.0, -4.0), (15.0, 15.0, 15.0), 5.0)
     comp = ComposedTransform(AffineTransform.identity(),
                              FFDTransform.zeros(geom))
-    grad = nmi_gradient(target, floating, comp, window, mask)
+    grad = nmi_gradient(target, floating, comp, window)
     assert grad.shape == geom.dims + (3,)
 
 
 def test_objective_subsampling_is_deterministic():
-    target, floating, window, _, _ = _objective_fixture(12)
+    target, floating, window, _ = _objective_fixture(12)
     a = NmiObjective(target, floating, window, max_points=500)
     b = NmiObjective(target, floating, window, max_points=500)
     assert a.points.shape == (500, 3)
@@ -253,6 +255,19 @@ def test_objective_subsampling_is_deterministic():
     v1 = a.value(ComposedTransform.identity())
     v2 = b.value(ComposedTransform.identity())
     assert v1 == v2
+
+
+@pytest.mark.parametrize("max_points", [0, -1, 2.5, True])
+def test_objective_checks_max_points_before_prefiltering(monkeypatch,
+                                                         max_points):
+    target, floating, window, _ = _objective_fixture(14)
+
+    def prefilter(vol):
+        raise AssertionError("floating image prefiltered before the check")
+
+    monkeypatch.setattr(similarity, "SplineImage", prefilter)
+    with pytest.raises(ValueError, match="^max_points must be"):
+        NmiObjective(target, floating, window, max_points=max_points)
 
 
 def test_objective_rejects_disjoint_domains():
@@ -282,8 +297,8 @@ def test_spline_image_blocked_sample_is_bit_identical():
 
 
 def test_objective_at_points_matches_transform_entry_points():
-    target, floating, window, mask, rng = _objective_fixture(31)
-    obj = NmiObjective(target, floating, window, mask)
+    target, floating, window, rng = _objective_fixture(31)
+    obj = NmiObjective(target, floating, window)
     geom = lattice_covering((-4.0, -4.0, -4.0), (19.0, 19.0, 19.0), 5.0)
     comp = ComposedTransform(
         AffineTransform(np.eye(3) * 1.01, np.array([0.2, -0.1, 0.3])),
@@ -403,8 +418,8 @@ def test_padded_gather_matches_mirrored_index_gather(dims):
 
 
 def test_objective_at_points_rejects_samples_all_outside():
-    target, floating, window, mask, _ = _objective_fixture(41)
-    obj = NmiObjective(target, floating, window, mask)
+    target, floating, window, _ = _objective_fixture(41)
+    obj = NmiObjective(target, floating, window)
     y = obj.points + np.array([1000.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="no warped sample falls inside"):
         obj.value_at(y)
@@ -415,8 +430,8 @@ def test_objective_at_points_rejects_samples_all_outside():
 @pytest.mark.parametrize("seed", range(31, 41))
 def test_value_at_equals_point_gradient_value(seed):
     # both paths bin the same spline samples, so the values agree exactly
-    target, floating, window, mask, rng = _objective_fixture(seed)
-    obj = NmiObjective(target, floating, window, mask)
+    target, floating, window, rng = _objective_fixture(seed)
+    obj = NmiObjective(target, floating, window)
     geom = lattice_covering((-4.0, -4.0, -4.0), (19.0, 19.0, 19.0), 5.0)
     comp = ComposedTransform(
         AffineTransform(np.eye(3) * 1.01, np.array([0.2, -0.1, 0.3])),
@@ -547,8 +562,8 @@ def _parent_parzen_gradient(obj, v, g):
 
 @pytest.mark.parametrize("seed", range(31, 41))
 def test_point_gradient_matches_two_dimensional_parzen_gather(seed):
-    target, floating, window, mask, rng = _objective_fixture(seed)
-    obj = NmiObjective(target, floating, window, mask)
+    target, floating, window, rng = _objective_fixture(seed)
+    obj = NmiObjective(target, floating, window)
     geom = lattice_covering((-4.0, -4.0, -4.0), (19.0, 19.0, 19.0), 5.0)
     comp = ComposedTransform(
         AffineTransform(np.eye(3) * 1.01, np.array([0.2, -0.1, 0.3])),
@@ -561,8 +576,8 @@ def test_point_gradient_matches_two_dimensional_parzen_gather(seed):
 
 
 def test_point_gradient_maps_the_points_to_voxels_once(monkeypatch):
-    target, floating, window, mask, _ = _objective_fixture(42)
-    obj = NmiObjective(target, floating, window, mask)
+    target, floating, window, _ = _objective_fixture(42)
+    obj = NmiObjective(target, floating, window)
     calls = []
     world_to_voxel = GridGeometry.world_to_voxel
 
