@@ -115,11 +115,14 @@ def _searched_errors(target_data, atlas_images, cfg):
     past a face repeats the face voxel and never wraps to the opposite
     face. Patch products are still accumulated with a single box filter
     afterwards, so the offset is treated as locally constant within a
-    patch.
+    patch. With no search (search_radius 0) the one shift always wins,
+    so the error map is |T - A| directly.
     """
+    r = cfg.search_radius
+    if r == 0:
+        return [np.abs(target_data - img) for img in atlas_images]
     size = 2 * cfg.patch_radius + 1
     nx, ny, nz = target_data.shape
-    r = cfg.search_radius
     diff = np.empty(target_data.shape)
     ssd = np.empty(target_data.shape)
     better = np.empty(target_data.shape, dtype=bool)

@@ -18,8 +18,8 @@ import numpy as np
 from .checks import integer, real
 from .similarity import IntensityWindow, NmiObjective
 from .transform import (AffineTransform, ComposedTransform, FFDTransform,
-                        affine_apply, bending_operator, compose_apply,
-                        ffd_basis, lattice_covering, refine_ffd)
+                        GridBasis, affine_apply, bending_operator,
+                        compose_apply, lattice_covering, refine_ffd)
 from .volume import GridGeometry, downsample, pull_back
 
 log = logging.getLogger(__name__)
@@ -256,16 +256,16 @@ def register_affine(target, floating, cfg=None):
     return affine_of(u)
 
 
-def _penalty_grid(affine, target_geom, pad_mm, min_spacing_mm=0.0):
-    """Axis-aligned grid covering the affinely mapped target domain.
+def _penalty_grid(target_geom, pad_mm, min_spacing_mm=0.0):
+    """Axis-aligned grid covering the target domain grown by pad_mm.
 
     min_spacing_mm coarsens the quadrature: the penalty of a smooth
     control-lattice field is resolved well below the lattice spacing, so
     sampling finer than that only costs time.
     """
-    mapped = affine_apply(affine, _domain_corners(target_geom))
-    lo = mapped.min(axis=0) - pad_mm
-    hi = mapped.max(axis=0) + pad_mm
+    corners = _domain_corners(target_geom)
+    lo = corners[0] - pad_mm
+    hi = corners[-1] + pad_mm
     spacing = np.maximum(np.array(target_geom.spacing), min_spacing_mm)
     # floor keeps every sample inside [lo, hi], and so inside the lattice
     dims = np.maximum(np.floor((hi - lo) / spacing).astype(int) + 1, 2)
@@ -273,18 +273,21 @@ def _penalty_grid(affine, target_geom, pad_mm, min_spacing_mm=0.0):
 
 
 def register_ffd(target, floating, affine, cfg=None):
-    """Coarse-to-fine FFD optimization of (1-alpha)*NMI - alpha*P.
+    """Coarse-to-fine FFD optimization of (1-alpha)*NMI - alpha*P for the
+    transform x -> A x + u(x).
 
-    The control lattice lives in the affinely aligned space; coefficients
-    are carried between levels by exact B-spline subdivision.
+    The control lattice and the penalty grids live on the target domain,
+    fixed whatever the affine; coefficients are carried between levels
+    by exact B-spline subdivision.
     """
     cfg = cfg or RegistrationConfig()
     levels = _levels(target, floating, cfg)
 
-    # lattice domain: the full-resolution target domain in affine space,
-    # padded so penalty samples and warped points keep full support
+    # lattice domain: the full-resolution target domain, padded by two
+    # voxels so that samples on its faces keep full support whatever the
+    # rounding of their lattice coordinates
     pad = 2.0 * max(target.geometry.spacing)
-    _, dom_lo, dom_hi = _penalty_grid(affine, target.geometry, pad)
+    _, dom_lo, dom_hi = _penalty_grid(target.geometry, pad)
     coarse_spacing = cfg.control_spacing_mm * 2 ** (cfg.pyramid_levels - 1)
     ffd = FFDTransform.zeros(lattice_covering(dom_lo, dom_hi, coarse_spacing))
 
@@ -293,7 +296,7 @@ def register_ffd(target, floating, affine, cfg=None):
         if level > 0:
             ffd = refine_ffd(ffd)
         pen_geom, _, _ = _penalty_grid(
-            affine, tgt.geometry, 0.0,
+            tgt.geometry, 0.0,
             min_spacing_mm=min(ffd.control_geom.spacing) / 4.0)
         coef, (current, nmi_val, p_val), stop = _ffd_level(
             obj, affine, ffd, pen_geom, cfg,
@@ -324,19 +327,21 @@ def _ffd_level(obj, affine, ffd, pen_geom, cfg, step, record):
     and after an accepted step that the ascent continues from. Rejected
     trials, and the last accepted one, skip the adjoint product.
 
-    The affinely mapped samples z are fixed within a level, so the FFD
-    is the linear map y = z + W c and the penalty the quadratic form
-    P = sum_d c_d^T Q c_d: both operators are built once here, and freed
-    on return, before the next level builds its own.
+    The samples x are voxel centers of the level's target grid, so the
+    warped points are y = A x + W c with W the lattice's `GridBasis` on
+    that grid (three small matmuls each way, no per-point rows), and the
+    penalty is the quadratic form P = sum_d c_d^T Q c_d. Both operators
+    are built once here, and freed on return, before the next level
+    builds its own.
     """
     alpha = cfg.alpha
     z = affine_apply(affine, obj.points)
-    basis = ffd_basis(ffd.control_geom, z)
+    basis = GridBasis(ffd.control_geom, obj.grid, obj.indices)
     bend = bending_operator(ffd.control_geom, pen_geom)
 
     def evaluate(coef):
         c = coef.reshape(-1, 3)
-        nmi_val, point_grad = obj.point_gradient_at(z + basis @ c)
+        nmi_val, point_grad = obj.point_gradient_at(z + basis.forward(c))
         qc = bend @ c
         p_val = float(np.sum(c * qc))
         return ((1.0 - alpha) * nmi_val - alpha * p_val, nmi_val, p_val,
@@ -344,7 +349,7 @@ def _ffd_level(obj, affine, ffd, pen_geom, cfg, step, record):
 
     def direction(result, length):
         point_grad, qc = result[3]
-        grad = ((1.0 - alpha) * (basis.T @ point_grad)
+        grad = ((1.0 - alpha) * basis.adjoint(point_grad)
                 - alpha * (2.0 * qc)).reshape(ffd.coefficients.shape)
         gnorm = np.abs(grad).max()
         return None if gnorm < 1e-15 else length * (grad / gnorm)

@@ -16,7 +16,8 @@ it samples the floating image at warped points with one spline gather,
 `SplineImage.sample` (value and gradient together), bins the values and
 returns the NMI with its derivative per point; `value_at(y)` is its
 value. The transform-level methods only map the samples
-(`compose_apply`/`affine_apply`, or the FFD basis) before calling it.
+(`compose_apply`/`affine_apply`, or the FFD basis on the target grid,
+`GridBasis`) before calling it.
 Both registration stages score every trial with one `point_gradient_at`
 call.
 """
@@ -28,7 +29,7 @@ from scipy import ndimage
 
 from .bspline import BLOCK_POINTS, support_offsets, support_weights
 from .checks import integer, real
-from .transform import affine_apply, compose_apply, ffd_basis
+from .transform import GridBasis, affine_apply, compose_apply
 
 
 @dataclass(frozen=True)
@@ -251,27 +252,30 @@ class NmiObjective:
     floating image, differentiable in the warp.
 
     The samples are the target's voxel centers, all of them or a fixed
-    subset of max_points (None or >= 1); to register a region, crop the
-    target to it (`volume.crop` keeps world coordinates). Target voxels
-    are binned once; each evaluation samples the floating image at the
-    warped voxel centers, accumulates the Parzen joint histogram, and
-    pushes the entropy derivative back through the kernel, the image
-    gradient, and the transform parameters.
+    subset of max_points (None or >= 1): `points`, at the sorted flat
+    C-order `indices` of the target grid `grid`. To register a region,
+    crop the target to it (`volume.crop` keeps world coordinates).
+    Target voxels are binned once; each evaluation samples the floating
+    image at the warped voxel centers, accumulates the Parzen joint
+    histogram, and pushes the entropy derivative back through the
+    kernel, the image gradient, and the transform parameters.
     """
 
     def __init__(self, target, floating, window=IntensityWindow(),
                  max_points=None):
         if max_points is not None:
             max_points = integer("max_points", max_points, 1)
+        self.grid = target.geometry
         self.points = target.geometry.grid_world_points().reshape(-1, 3)
         t = target.data.ravel()
+        self.indices = np.arange(self.points.shape[0])
         if max_points is not None and self.points.shape[0] > max_points:
             # deterministic uniform subset keeps evaluations tractable on
             # large grids while leaving the NMI estimate essentially intact
-            keep = np.sort(np.random.default_rng(0).choice(
+            self.indices = np.sort(np.random.default_rng(0).choice(
                 self.points.shape[0], size=max_points, replace=False))
-            self.points = self.points[keep]
-            t = t[keep]
+            self.points = self.points[self.indices]
+            t = t[self.indices]
         self.window = window
         # each target sample's row of the flat joint histogram
         self.target_rows = (np.round(window.bin_coord(t)).astype(np.int64)
@@ -339,14 +343,14 @@ class NmiObjective:
         return nmi_val, (dnmi_dc2 * self.window.scale)[:, None] * g
 
     def value_and_ffd_gradient(self, comp):
-        """NMI and its analytic gradient over the FFD coefficients: the
-        point gradient pulled back through the transposed FFD basis."""
+        """NMI and its analytic gradient over the FFD coefficients of
+        x -> A x + u(x): the point gradient pulled back through the
+        transposed FFD basis on the target grid."""
         coef = comp.ffd.coefficients
-        z = affine_apply(comp.affine, self.points)
-        basis = ffd_basis(comp.ffd.control_geom, z)
+        basis = GridBasis(comp.ffd.control_geom, self.grid, self.indices)
         nmi_val, point_grad = self.point_gradient_at(
-            z + basis @ coef.reshape(-1, 3))
-        return nmi_val, (basis.T @ point_grad).reshape(coef.shape)
+            affine_apply(comp.affine, self.points) + basis.forward(coef))
+        return nmi_val, basis.adjoint(point_grad).reshape(coef.shape)
 
     def value_and_affine_gradient(self, affine):
         """NMI and its gradient over the 12 affine parameters."""

@@ -1,21 +1,25 @@
 """Affine and cubic B-spline free-form deformation transforms.
 
-The non-rigid transform is a displacement field on a control-point
-lattice: T(x) = x + sum over the 4x4x4 neighboring control points of
-(tensor B-spline weight * coefficient). Coefficients are stored in mm.
-The smoothness penalty is the mean squared second derivative of the
-displacement field (cross terms doubled), summed over the three
-displacement components.
+The composed transform is x -> A x + u(x) (Rueckert et al., IEEE TMI
+1999): an affine map plus a displacement field u on a control-point
+lattice that lives on the target domain, u(x) = sum over the 4x4x4
+neighboring control points of (tensor B-spline weight * coefficient).
+Coefficients are stored in mm. The smoothness penalty is the mean
+squared second derivative of the displacement field (cross terms
+doubled), summed over the three displacement components.
 
 The displacement is linear and the penalty quadratic in the
 coefficients c (flattened to (n_nodes, 3)), so each has one operator
 that depends only on the lattice and the sample points. `ffd_basis` is
-the sparse (V, n_nodes) matrix W of B-spline weights: the displacement
-is W c (forward, for warping) and W^T pulls per-point gradients back
-onto the lattice. `bending_operator` is the sparse symmetric Q with
-penalty P = sum_d c_d^T Q c_d and gradient 2 Q c. A registration level
-whose sample points stay fixed builds each once and reuses it on every
-objective evaluation.
+the sparse (V, n_nodes) matrix W of B-spline weights at arbitrary
+points: the displacement is W c (forward, for warping) and W^T pulls
+per-point gradients back onto the lattice. At voxel centers of an
+axis-aligned grid, W is a tensor product of three small per-axis
+weight matrices, and `GridBasis` applies W and W^T with three matmuls
+each, with no per-point rows. `bending_operator` is the sparse
+symmetric Q with penalty P = sum_d c_d^T Q c_d and gradient 2 Q c. A
+registration level, whose samples are voxel centers of its target
+grid, builds each once and reuses it on every objective evaluation.
 """
 
 import json
@@ -142,8 +146,8 @@ def ffd_displace(ffd, x):
 
 @dataclass
 class ComposedTransform:
-    """Affine pre-alignment followed by an FFD in the aligned space:
-    x -> A(x) + ffd_displacement(A(x)). ffd may be None (affine only)."""
+    """Affine pre-alignment plus an FFD on the target domain:
+    x -> A(x) + ffd_displacement(x). ffd may be None (affine only)."""
 
     affine: AffineTransform
     ffd: FFDTransform = None
@@ -157,7 +161,7 @@ def compose_apply(comp, x):
     """Apply a ComposedTransform to point(s) x (..., 3)."""
     y = affine_apply(comp.affine, x)
     if comp.ffd is not None:
-        y = y + ffd_displace(comp.ffd, y)
+        y = y + ffd_displace(comp.ffd, x)
     return y
 
 
@@ -179,6 +183,62 @@ def _axis_weight_matrix(i0, w, n):
     return mat
 
 
+def _axis_supports(control_geom, grid_geom, *orders):
+    """Per axis, (i0, rows) of `support_weights(u, *orders)` at the
+    lattice coordinates u of the grid's voxel centers, after checking
+    that every support lies inside the lattice."""
+    supports = []
+    for a in range(3):
+        idx = np.arange(grid_geom.dims[a], dtype=np.float64)
+        world = grid_geom.origin[a] + idx * grid_geom.spacing[a]
+        u = (world - control_geom.origin[a]) / control_geom.spacing[a]
+        i0, *rows = support_weights(u, *orders)
+        if np.any(i0 < 0) or np.any(i0 > control_geom.dims[a] - 4):
+            raise ValueError("grid point outside FFD lattice support")
+        supports.append((i0, rows))
+    return supports
+
+
+class GridBasis:
+    """The FFD basis W at the voxel centers `indices` (distinct flat
+    C-order indices) of an axis-aligned grid, applied separably.
+
+    On the grid, W is the tensor product of three dense per-axis
+    (n_axis, L_axis) weight matrices. `forward` evaluates the field on
+    the whole grid with one matmul per axis, component-major, and takes
+    the indexed points; `adjoint` scatters point values into a zero grid
+    and runs the three transposed matmuls. A grid point outside the
+    lattice support raises ValueError, as in `ffd_basis`.
+    """
+
+    def __init__(self, control_geom, grid_geom, indices):
+        self.shape = control_geom.dims + (3,)
+        self.grid_dims = grid_geom.dims
+        self.indices = indices
+        self.axes = [_axis_weight_matrix(i0, w, n) for (i0, (w,)), n
+                     in zip(_axis_supports(control_geom, grid_geom),
+                            control_geom.dims)]
+
+    def forward(self, coef):
+        """W c: the displacements (V, 3) at the indexed points of the
+        coefficients c, shaped (n_nodes, 3) or lattice dims + (3,)."""
+        bx, by, bz = self.axes
+        c = np.ascontiguousarray(np.moveaxis(coef.reshape(self.shape), -1, 0))
+        t = by @ (c @ bz.T)  # (3, Lx, ny, nz)
+        field = bx @ t.reshape(3, self.shape[0], -1)  # (3, nx, ny * nz)
+        return np.take(field.reshape(3, -1), self.indices, axis=1).T
+
+    def adjoint(self, g):
+        """W^T g: the (n_nodes, 3) pull-back of point values g (V, 3)."""
+        bx, by, bz = self.axes
+        nx, ny, nz = self.grid_dims
+        grid = np.zeros((3, nx * ny * nz))
+        grid[:, self.indices] = g.T
+        t = bx.T @ grid.reshape(3, nx, ny * nz)  # (3, Lx, ny * nz)
+        t = (by.T @ t.reshape(3, -1, ny, nz)) @ bz  # (3, Lx, Ly, Lz)
+        return np.moveaxis(t, 0, -1).reshape(-1, 3)
+
+
 def bending_operator(control_geom, sample_geom):
     """Sparse symmetric (n_nodes, n_nodes) Q of the bending energy.
 
@@ -193,13 +253,8 @@ def bending_operator(control_geom, sample_geom):
     sp = np.array(control_geom.spacing)
     n_samples = np.prod(sample_geom.dims)
     gram = [[], [], []]  # gram[deriv][axis]
-    for a in range(3):
-        idx = np.arange(sample_geom.dims[a], dtype=np.float64)
-        world = sample_geom.origin[a] + idx * sample_geom.spacing[a]
-        u = (world - control_geom.origin[a]) / control_geom.spacing[a]
-        i0, *rows = support_weights(u, 0, 1, 2)
-        if np.any(i0 < 0) or np.any(i0 > dims[a] - 4):
-            raise ValueError("penalty sample outside lattice support")
+    for a, (i0, rows) in enumerate(_axis_supports(control_geom, sample_geom,
+                                                  0, 1, 2)):
         for deriv, w in enumerate(rows):
             m = _axis_weight_matrix(i0, w, dims[a])
             gram[deriv].append(sparse.csr_matrix(m.T @ m))
@@ -250,10 +305,15 @@ def refine_ffd(ffd):
     return FFDTransform(geom, c)
 
 
+# v1 files hold an FFD fitted in the affinely aligned space,
+# x -> A x + u(A x); v2 files the target-domain form x -> A x + u(x)
+_FORMAT = "vertseg-transform-v2"
+
+
 def save_transform(path, comp):
     """Serialize a ComposedTransform to JSON (round-trip exact floats)."""
     doc = {
-        "format": "vertseg-transform-v1",
+        "format": _FORMAT,
         "affine": {
             "matrix": comp.affine.matrix.tolist(),
             "translation": comp.affine.translation.tolist(),
@@ -272,9 +332,15 @@ def save_transform(path, comp):
 
 
 def load_transform(path):
+    """Read a ComposedTransform written by `save_transform`."""
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("format") != "vertseg-transform-v1":
+    if doc.get("format") == "vertseg-transform-v1":
+        raise ValueError(
+            f"{path}: a vertseg-transform-v1 file, whose FFD was fitted in "
+            f"the affinely aligned space (x -> A x + u(A x)); this version "
+            f"reads {_FORMAT} (x -> A x + u(x)) only: register again")
+    if doc.get("format") != _FORMAT:
         raise ValueError(f"{path}: not a vertseg transform file")
     aff = AffineTransform(np.array(doc["affine"]["matrix"]),
                           np.array(doc["affine"]["translation"]))

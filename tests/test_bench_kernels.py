@@ -11,10 +11,10 @@ from vertseg.bspline import BLOCK_POINTS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 KERNELS = {"ffd_basis_build", "ffd_forward_Wc", "ffd_adjoint_WTp",
-           "bending_operator_build", "bending_apply_Qc",
-           "spline_sample_gradient", "spline_tap_contraction",
-           "parzen_counts", "nmi_point_gradient", "fuse_patch_search",
-           "refine_labels"}
+           "ffd_grid_forward", "ffd_grid_adjoint", "bending_operator_build",
+           "bending_apply_Qc", "spline_sample_gradient",
+           "spline_tap_contraction", "parzen_counts", "nmi_point_gradient",
+           "fuse_patch_search", "refine_labels"}
 
 
 def test_bench_kernels_writes_medians_and_environment(tmp_path):
@@ -32,6 +32,7 @@ def test_bench_kernels_writes_medians_and_environment(tmp_path):
     assert record["sizes"]["block_points"] == BLOCK_POINTS
     assert record["sizes"]["lattice_dims"] == [11, 12, 11]
     assert record["sizes"]["basis_nnz"] == 300 * 64
+    assert record["sizes"]["grid_points"] == 300
     assert record["sizes"]["levelset_dims"] == [96, 96, 160]
     assert record["sizes"]["levelset_labels"] == 5
     assert record["sizes"]["levelset_iters"] == 10

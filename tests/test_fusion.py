@@ -441,3 +441,27 @@ def test_fuse_without_active_voxels_runs_no_search(monkeypatch):
     assert shapes == []
     assert not out.consensus.data.any()
     assert np.all(out.probability == 1.0)
+
+
+def test_fuse_without_search_filters_only_the_error_products(monkeypatch):
+    # with search_radius 0 the one shift always wins: the error maps are
+    # |T - A| bit for bit, and no SSD box filter runs
+    rng = np.random.default_rng(11)
+    target, atlases = _make_case(rng, (9, 8, 7), 3)
+    cfg = FusionConfig(patch_radius=1, search_radius=0)
+    errs = _searched_errors(target.data,
+                            [a.warped_image.data for a in atlases], cfg)
+    for err, a in zip(errs, atlases):
+        assert err.tobytes() == np.abs(target.data
+                                       - a.warped_image.data).tobytes()
+    calls = []
+    real = ndimage.uniform_filter
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fusion.ndimage, "uniform_filter", counting)
+    fuse(target, atlases, cfg)
+    n = len(atlases)
+    assert len(calls) == n * (n + 1) // 2

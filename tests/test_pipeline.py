@@ -1,17 +1,21 @@
 """Manifest parsing, atlas-eligibility rules, a small end-to-end pipeline
 run, and CLI subcommand smoke tests."""
 
+import ctypes
 import dataclasses
 import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vertseg
 from vertseg import nifti
 from vertseg.cli import _config, build_parser, main
 from vertseg.fusion import FusionConfig, FusionOutput
@@ -654,3 +658,38 @@ def test_postprocess_and_phantom_defaults_are_the_config_defaults():
     args = build_parser().parse_args(["phantom", "--output", "ph",
                                       "--deform", "smooth_ffd"])
     assert args.magnitude == defaults(deform_phantom)["magnitude"]
+
+
+_REUSE_FAULTS = """
+import resource, sys
+import numpy as np
+from vertseg import cli
+if sys.argv[1] == "1":
+    cli._keep_freed_memory()
+for _ in range(2):  # the second round, after any threshold has moved
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        arrays = [np.ones(1 << 19) for _ in range(3)]
+        del arrays
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,
+                    reason="the C library has no mallopt")
+def test_cli_reuses_freed_memory_instead_of_faulting_it_in_again():
+    # three 4 MiB arrays allocated and freed together, as the spline
+    # sampler's per-block temporaries are: glibc's default thresholds
+    # hand them back and fault them in again on every pass (about 1000
+    # page faults a pass), the CLI's fixed ones keep them
+    src = os.path.dirname(os.path.dirname(vertseg.__file__))
+
+    def faults(keep):
+        proc = subprocess.run(
+            [sys.executable, "-c", _REUSE_FAULTS, keep], check=True,
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        return int(proc.stdout)
+
+    assert faults("0") >= 20 * 500
+    assert faults("1") <= 20 * 5

@@ -15,8 +15,9 @@ from vertseg.registration import (RegistrationConfig, RegistrationResult,
                                   register_affine, register_ffd, warp_atlas)
 from vertseg.similarity import NmiObjective
 from vertseg.transform import (AffineTransform, ComposedTransform,
-                               FFDTransform, affine_apply, bending_operator,
-                               compose_apply, ffd_basis, lattice_covering)
+                               FFDTransform, GridBasis, affine_apply,
+                               bending_operator, compose_apply,
+                               lattice_covering)
 from vertseg.volume import GridGeometry, LabelVolume, ScalarVolume, resample
 
 
@@ -385,29 +386,29 @@ def _oracle_ascend(x, current, direction, evaluate, new_direction, step,
 
 def _oracle_ffd_one_level(target, floating, affine, cfg):
     pad = 2.0 * max(target.geometry.spacing)
-    _, lo, hi = _penalty_grid(affine, target.geometry, pad)
+    _, lo, hi = _penalty_grid(target.geometry, pad)
     lattice = lattice_covering(lo, hi, cfg.control_spacing_mm)
     obj = NmiObjective(target, floating, cfg.window,
                        max_points=cfg.max_sample_voxels or None)
-    pen_geom, _, _ = _penalty_grid(affine, target.geometry, 0.0,
+    pen_geom, _, _ = _penalty_grid(target.geometry, 0.0,
                                    min_spacing_mm=min(lattice.spacing) / 4)
     z = affine_apply(affine, obj.points)
-    basis = ffd_basis(lattice, z)
+    basis = GridBasis(lattice, obj.grid, obj.indices)
     bend = bending_operator(lattice, pen_geom)
     alpha = cfg.alpha
 
     def evaluate(coef):
         c = coef.reshape(-1, 3)
-        nmi_val = obj.point_gradient_at(z + basis @ c)[0]
+        nmi_val = obj.point_gradient_at(z + basis.forward(c))[0]
         p_val = float(np.sum(c * (bend @ c)))
         return (1.0 - alpha) * nmi_val - alpha * p_val, nmi_val, p_val
 
     def evaluate_with_direction(coef):
         c = coef.reshape(-1, 3)
-        nmi_val, point_grad = obj.point_gradient_at(z + basis @ c)
+        nmi_val, point_grad = obj.point_gradient_at(z + basis.forward(c))
         qc = bend @ c
         p_val = float(np.sum(c * qc))
-        grad = ((1.0 - alpha) * (basis.T @ point_grad)
+        grad = ((1.0 - alpha) * basis.adjoint(point_grad)
                 - alpha * (2.0 * qc)).reshape(coef.shape)
         gnorm = np.abs(grad).max()
         return (((1.0 - alpha) * nmi_val - alpha * p_val, nmi_val, p_val),
@@ -473,27 +474,19 @@ def test_register_ffd_evaluates_each_trial_once(monkeypatch):
         sum(s.evaluations for s in res.stops) + len(res.stops))
 
 
-class _CountingOperator:
-    """A sparse operator that counts its products by storage format: the
-    FFD basis W is CSR, and its transpose W^T CSC."""
-
-    def __init__(self, matrix, counts):
-        self.matrix, self.counts = matrix, counts
-
-    @property
-    def T(self):
-        return _CountingOperator(self.matrix.T, self.counts)
-
-    def __matmul__(self, x):
-        self.counts[self.matrix.format] += 1
-        return self.matrix @ x
-
-
 def test_ffd_level_pulls_back_once_per_direction_taken(monkeypatch):
-    counts = {"csr": 0, "csc": 0}
-    monkeypatch.setattr(
-        registration, "ffd_basis",
-        lambda geom, x: _CountingOperator(ffd_basis(geom, x), counts))
+    counts = {"forward": 0, "adjoint": 0}
+
+    class CountingGridBasis(GridBasis):
+        def forward(self, coef):
+            counts["forward"] += 1
+            return super().forward(coef)
+
+        def adjoint(self, g):
+            counts["adjoint"] += 1
+            return super().adjoint(g)
+
+    monkeypatch.setattr(registration, "GridBasis", CountingGridBasis)
     directions = []
 
     def ascend(x, current, direction, evaluate, new_direction, cfg,
@@ -515,7 +508,7 @@ def test_ffd_level_pulls_back_once_per_direction_taken(monkeypatch):
                      max_iters_per_level=4, max_sample_voxels=3000)
     res = register_ffd(warped, img, AffineTransform.identity(), cfg)
     trials = sum(s.evaluations for s in res.stops) + len(res.stops)
-    assert counts["csr"] == trials  # one forward product per trial
-    assert counts["csc"] == len(directions)
+    assert counts["forward"] == trials  # one forward product per trial
+    assert counts["adjoint"] == len(directions)
     # some trials were rejected or ended a level, and skipped W^T
-    assert counts["csc"] < trials
+    assert counts["adjoint"] < trials

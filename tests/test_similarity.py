@@ -257,6 +257,18 @@ def test_objective_subsampling_is_deterministic():
     assert v1 == v2
 
 
+@pytest.mark.parametrize("max_points", [None, 500])
+def test_objective_samples_are_the_grid_points_at_its_indices(max_points):
+    # the registration's grid basis reads the samples through indices
+    target, floating, window, _ = _objective_fixture(12)
+    obj = NmiObjective(target, floating, window, max_points=max_points)
+    assert obj.grid == target.geometry
+    assert np.all(np.diff(obj.indices) > 0)
+    assert len(obj.indices) == (max_points or target.data.size)
+    grid_points = target.geometry.grid_world_points().reshape(-1, 3)
+    assert np.array_equal(obj.points, grid_points[obj.indices])
+
+
 @pytest.mark.parametrize("max_points", [0, -1, 2.5, True])
 def test_objective_checks_max_points_before_prefiltering(monkeypatch,
                                                          max_points):
@@ -326,7 +338,7 @@ def test_register_ffd_final_objective_matches_public_wrappers():
     obj = NmiObjective(target, floating, cfg.window,
                        max_points=cfg.max_sample_voxels)
     pen_geom, _, _ = _penalty_grid(
-        affine, target.geometry, 0.0,
+        target.geometry, 0.0,
         min_spacing_mm=min(ffd.control_geom.spacing) / 4.0)
     p_val, _ = bending_energy(ffd, pen_geom, with_gradient=False)
     c = (1.0 - cfg.alpha) * obj.value(res.transform) - cfg.alpha * p_val

@@ -15,12 +15,12 @@ from vertseg.bspline import (BLOCK_POINTS, REFINE_MASK, bspline3, bspline3_d1,
                              bspline3_d2, refine_coefficients_1d,
                              support_offsets, support_weights)
 from vertseg.transform import (AffineTransform, ComposedTransform,
-                               FFDTransform, affine_apply, bending_energy,
-                               bending_operator, compose_apply, ffd_basis,
-                               ffd_displace, lattice_covering, load_transform,
-                               refine_ffd, save_transform)
+                               FFDTransform, GridBasis, affine_apply,
+                               bending_energy, bending_operator, compose_apply,
+                               ffd_basis, ffd_displace, lattice_covering,
+                               load_transform, refine_ffd, save_transform)
 from vertseg.transform import _DERIV_PAIRS, _axes_of, _axis_weight_matrix
-from vertseg.volume import GridGeometry
+from vertseg.volume import GridGeometry, ScalarVolume, downsample
 
 
 # ---------------------------------------------------------------- kernels
@@ -160,6 +160,17 @@ def test_compose_apply_order():
     assert np.allclose(out, [[7.0, 8.0, 10.0]], atol=1e-9)
 
 
+def test_compose_apply_evaluates_the_ffd_at_the_target_point():
+    # x -> A x + u(x): a linear field tells u(x) from u(A x)
+    geom = lattice_covering((-30, -30, -30), (60, 60, 60), 10.0)
+    coef = geom.grid_world_points() @ np.diag([0.1, 0.0, -0.05])
+    comp = ComposedTransform(
+        AffineTransform(2.0 * np.eye(3), np.array([1.0, 0.0, 0.0])),
+        FFDTransform(geom, coef))
+    out = compose_apply(comp, np.array([[3.0, 4.0, 5.0]]))
+    assert np.allclose(out, [[7.3, 8.0, 9.75]], atol=1e-9)
+
+
 # ------------------------------------------------------- bending penalty
 
 def _sample_grid(lo, hi, n, ):
@@ -293,6 +304,19 @@ def test_load_rejects_other_formats(tmp_path):
         load_transform(path)
 
 
+def test_load_rejects_the_aligned_space_form(tmp_path):
+    # a v1 file's FFD was fitted as x -> A x + u(A x); read as v2 it
+    # would warp differently, so it is refused, not misread
+    geom = lattice_covering((0, 0, 0), (12, 12, 12), 6.0)
+    path = tmp_path / "v1.json"
+    save_transform(path, ComposedTransform(AffineTransform.identity(),
+                                           FFDTransform.zeros(geom)))
+    path.write_text(path.read_text().replace("vertseg-transform-v2",
+                                             "vertseg-transform-v1"))
+    with pytest.raises(ValueError, match="affinely aligned space"):
+        load_transform(path)
+
+
 # ------------------------------------------------------------- operators
 
 def _dense_basis(geom, pts):
@@ -365,6 +389,51 @@ def test_ffd_displace_across_block_boundaries():
     assert np.abs(disp[edges] - ref).max() <= 1e-12
     # leading axes are kept
     assert ffd_displace(ffd, pts[:12].reshape(3, 4, 3)).shape == (3, 4, 3)
+
+
+def _grid_cases():
+    """(lattice, grid, indices) of a full grid, a sorted subset of one,
+    and a pyramid level made by `downsample`, all inside the lattice."""
+    grid = GridGeometry((13, 11, 9), (1.2, 0.9, 1.6), (-3.0, 2.5, 1.0))
+    lattice = lattice_covering((-3.0, 2.5, 1.0), (12.0, 12.5, 14.0), 4.0)
+    n = int(np.prod(grid.dims))
+    subset = np.sort(np.random.default_rng(25).choice(n, 400,
+                                                      replace=False))
+    coarse = downsample(ScalarVolume(grid, np.zeros(grid.dims)),
+                        (2, 2, 2)).geometry
+    return [pytest.param(lattice, grid, np.arange(n), id="full"),
+            pytest.param(lattice, grid, subset, id="subset"),
+            pytest.param(lattice, coarse,
+                         np.arange(int(np.prod(coarse.dims))), id="pyramid")]
+
+
+@pytest.mark.parametrize("lattice, grid, indices", _grid_cases())
+def test_grid_basis_matches_ffd_basis_rows(lattice, grid, indices):
+    rng = np.random.default_rng(26)
+    pts = grid.grid_world_points().reshape(-1, 3)[indices]
+    w = ffd_basis(lattice, pts)
+    basis = GridBasis(lattice, grid, indices)
+    c = rng.normal(size=lattice.dims + (3,))
+    g = rng.normal(size=(len(indices), 3))
+    forward, ref = basis.forward(c), w @ c.reshape(-1, 3)
+    assert forward.shape == (len(indices), 3)
+    assert np.abs(forward - ref).max() <= 1e-12 * np.abs(ref).max()
+    adjoint, ref = basis.adjoint(g), w.T @ g
+    assert adjoint.shape == (int(np.prod(lattice.dims)), 3)
+    assert np.abs(adjoint - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_grid_basis_outside_lattice_errors():
+    lattice = lattice_covering((0, 0, 0), (10, 10, 10), 5.0)
+    # the high and low side of every axis
+    for axis in range(3):
+        for origin, extent in ((0.0, 500.0), (-50.0, 10.0)):
+            o, s = np.zeros(3), np.ones(3)
+            o[axis], s[axis] = origin, extent
+            grid = GridGeometry((2, 2, 2), tuple(s), tuple(o))
+            with pytest.raises(ValueError,
+                               match="outside FFD lattice support"):
+                GridBasis(lattice, grid, np.arange(8))
 
 
 # ------------------------------------- bit pins of the per-axis builds
@@ -523,7 +592,7 @@ def test_save_transform_text_is_pinned_and_round_trips_exactly(tmp_path):
         np.array([0.5, -1.25, 1e-17]))
     geom = GridGeometry((4, 4, 5), (5.0, 5.0, 2.5), (-5.0, -7.5, 0.0))
     coef = (np.arange(240) / 7.0 - 13.0).reshape(4, 4, 5, 3)
-    head = ('{"format": "vertseg-transform-v1", "affine": {"matrix": '
+    head = ('{"format": "vertseg-transform-v2", "affine": {"matrix": '
             '[[1.0, 0.1, 0.0], [0.0, 1.0, -0.2], [0.3333333333333333, 0.0, '
             '1.0]], "translation": [0.5, -1.25, 1e-17]}')
     path = tmp_path / "t.json"
@@ -539,7 +608,7 @@ def test_save_transform_text_is_pinned_and_round_trips_exactly(tmp_path):
         '-12.857142857142858, -12.714285714285714, -12.57142857142857')
     assert len(text) == 4566
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "d1bc9b62d2d576ee20452f9cf59aa72ededd417bfd57e0cb516a89d72036be38")
+        "ce75e36d7b0a86f5b424e0d8a1f79033801c0ad2b1cbb298807533c94b012783")
     back = load_transform(path)
     assert back.affine.matrix.tobytes() == affine.matrix.tobytes()
     assert back.affine.translation.tobytes() == affine.translation.tobytes()

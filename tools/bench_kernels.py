@@ -12,11 +12,19 @@ environment (CPU count, Python/NumPy/SciPy versions, BLAS/OpenMP thread
 variables) to `.bench_out/BENCH_kernels.json`, or to `--out`. A kernel
 that frees large temporaries can hand their pages back to the system and
 fault them in again on the next call; the fault and system-time columns
-show that cost next to the median.
+show that cost next to the median. The kernels run with the malloc
+thresholds that every `vertseg` command fixes
+(`cli._keep_freed_memory`), so that a kernel's time does not depend on
+what the process happened to free before it.
 
 Sizes follow the benchmark's `register_fine` workload: `--points` sample
 points on an 11x12x11 control lattice at 5 mm, a penalty grid at a
-quarter of the lattice spacing, and an 82x88x32 floating image.
+quarter of the lattice spacing, and an 82x88x32 floating image. The
+`ffd_basis` kernels build and apply the CSR basis at random points, as
+`ffd_displace` does; `ffd_grid_forward` and `ffd_grid_adjoint` apply the
+separable `GridBasis` that registration uses, at a sorted random subset
+of `--points` voxel centers of the 82x88x32 grid (all of them if
+`--points` is larger).
 `spline_tap_contraction` is one `_contract_taps` call on a
 (4, 4, 4, `BLOCK_POINTS`) block of gathered coefficients: the first of
 the contractions that `spline_sample_gradient` makes per block.
@@ -89,15 +97,17 @@ def run(n_points, repeats):
     from scipy import ndimage
 
     from vertseg.bspline import BLOCK_POINTS
+    from vertseg.cli import _keep_freed_memory
     from vertseg.fusion import FusionConfig, RegisteredAtlas, fuse
     from vertseg.phantom import PhantomSpec, make_phantom
     from vertseg.postprocess import refine_labels
     from vertseg.similarity import (NmiObjective, SplineImage,
                                     _contract_taps, _parzen_counts)
-    from vertseg.transform import (bending_operator, ffd_basis,
+    from vertseg.transform import (GridBasis, bending_operator, ffd_basis,
                                    lattice_covering)
     from vertseg.volume import GridGeometry, LabelVolume, ScalarVolume
 
+    _keep_freed_memory()
     rng = np.random.default_rng(0)
     image_geom = GridGeometry(IMAGE_DIMS, IMAGE_SPACING_MM, (0.0, 0.0, 0.0))
     hi = (np.array(IMAGE_DIMS) - 1) * np.array(IMAGE_SPACING_MM)
@@ -122,6 +132,12 @@ def run(n_points, repeats):
     tap_rows = rng.uniform(0, 1, (4, BLOCK_POINTS))
 
     basis = ffd_basis(lattice, pts)
+    n_grid = int(np.prod(IMAGE_DIMS))
+    # a generator of its own, so the other kernels' inputs do not move
+    grid_rng = np.random.default_rng(1)
+    grid_basis = GridBasis(lattice, image_geom, np.sort(grid_rng.choice(
+        n_grid, size=min(n_points, n_grid), replace=False)))
+    grid_grad = grid_rng.normal(0, 1, (len(grid_basis.indices), 3))
     bend = bending_operator(lattice, pen_geom)
     spline = SplineImage(image)
     objective = NmiObjective(image, image, max_points=n_points)
@@ -140,6 +156,8 @@ def run(n_points, repeats):
         "ffd_basis_build": lambda: ffd_basis(lattice, pts),
         "ffd_forward_Wc": lambda: basis @ coef,
         "ffd_adjoint_WTp": lambda: basis.T @ point_grad,
+        "ffd_grid_forward": lambda: grid_basis.forward(coef),
+        "ffd_grid_adjoint": lambda: grid_basis.adjoint(grid_grad),
         "bending_operator_build": lambda: bending_operator(lattice,
                                                            pen_geom),
         "bending_apply_Qc": lambda: bend @ coef,
@@ -161,6 +179,7 @@ def run(n_points, repeats):
              "basis_nnz": int(basis.nnz),
              "basis_mb": (basis.data.nbytes + basis.indices.nbytes
                           + basis.indptr.nbytes) / 2 ** 20,
+             "grid_points": len(grid_basis.indices),
              "bending_nnz": int(bend.nnz),
              "nmi_points": len(objective.points),
              "fuse_atlases": FUSE_ATLASES,
