@@ -10,7 +10,7 @@ import numpy as np
 
 from .registration import warp_atlas
 from .transform import (AffineTransform, ComposedTransform, FFDTransform,
-                        ffd_displace, lattice_covering)
+                        GridBasis, lattice_covering)
 from .volume import BoundingBox, GridGeometry, LabelVolume, ScalarVolume
 
 DEFORM_MAGNITUDE_MM = 3.0  # `deform_phantom`'s default, also the CLI's
@@ -107,9 +107,9 @@ def _random_smooth_ffd(geom, magnitude_mm, rng):
     hi = lo + (np.array(geom.dims) - 1) * np.array(geom.spacing)
     lattice = lattice_covering(lo, hi, 20.0)  # control spacing, mm
     coef = rng.normal(0.0, 1.0, size=lattice.dims + (3,))
-    ffd = FFDTransform(lattice, coef)
     # scale so the max displacement over the grid equals the magnitude
-    disp = ffd_displace(ffd, geom.grid_world_points().reshape(-1, 3))
+    disp = GridBasis(lattice, geom,
+                     np.arange(np.prod(geom.dims))).forward(coef)
     peak = np.linalg.norm(disp, axis=-1).max()
     if peak > 0:
         coef *= magnitude_mm / peak
@@ -124,8 +124,13 @@ def deform_phantom(image, labels, kind="smooth_ffd",
     is the pull-back map: warped(x) = original(transform(x)). Registering
     the warped pair as target against the original therefore recovers the
     returned transform directly. The warp is `registration.warp_atlas`,
-    which evaluates the transform once for the image and the labels.
+    which evaluates the transform once for the image and the labels, at
+    the voxel centers through the lattice's `GridBasis`, as the smooth
+    FFD's peak scaling does. magnitude (mm) must be a finite number >= 0.
     """
+    if not 0.0 <= magnitude < np.inf:
+        raise ValueError(
+            f"magnitude must be a finite number >= 0, got {magnitude!r}")
     rng = np.random.default_rng(seed)
     geom = image.geometry
     if magnitude == 0:

@@ -19,7 +19,7 @@ from .checks import integer, real
 from .similarity import IntensityWindow, NmiObjective
 from .transform import (AffineTransform, ComposedTransform, FFDTransform,
                         GridBasis, affine_apply, bending_operator,
-                        compose_apply, lattice_covering, refine_ffd)
+                        lattice_covering, refine_ffd)
 from .volume import GridGeometry, downsample, pull_back
 
 log = logging.getLogger(__name__)
@@ -372,8 +372,14 @@ def _ffd_level(obj, affine, ffd, pen_geom, cfg, step, record):
 def warp_atlas(atlas_img, atlas_lbl, comp, target_geom):
     """Pull atlas image (trilinear) and labels (nearest) onto the target
     grid through the composed transform, which is evaluated once for
-    both. `phantom.deform_phantom` warps through it too."""
-    pts = target_geom.grid_world_points()
-    pts = compose_apply(comp, pts.reshape(-1, 3)).reshape(pts.shape)
+    both: A x + u(x) at every voxel center x, with u from the lattice's
+    `GridBasis` on the target grid, as registration evaluates it.
+    `phantom.deform_phantom` warps through it too."""
+    pts = affine_apply(comp.affine,
+                       target_geom.grid_world_points().reshape(-1, 3))
+    if comp.ffd is not None:  # the basis is freed before the sampling
+        pts += GridBasis(comp.ffd.control_geom, target_geom,
+                         np.arange(len(pts))).forward(comp.ffd.coefficients)
+    pts = pts.reshape(target_geom.dims + (3,))
     return (pull_back(atlas_img, target_geom, pts),
             pull_back(atlas_lbl, target_geom, pts))

@@ -174,9 +174,11 @@ class SplineImage:
     plus the fixed `support_offsets`; value and gradient come from that
     one gather.
 
-    It shares one `support_weights` call per block, over all three axes,
-    with `transform.ffd_basis`, but not the layout: `ffd_basis` writes
-    CSR rows with the nodes in C order, while this gather is one
+    Its weights come from one `support_weights` call per block, over
+    all three axes, as the FFD's do at arbitrary points
+    (`transform.ffd_basis`, which writes CSR rows with the nodes in C
+    order). The warped points lie on no grid, so the weights do not
+    factor per axis as in `transform.GridBasis`: the gather is one
     tap-major `take` in (z, y, x) tap order. A block of V points gathers
     a (4, 4, 4, V) array, contracted along its leading axis, z then y
     then x, with the (4, V) weight rows; `_contract_taps` sums each

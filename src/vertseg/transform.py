@@ -10,16 +10,19 @@ doubled), summed over the three displacement components.
 
 The displacement is linear and the penalty quadratic in the
 coefficients c (flattened to (n_nodes, 3)), so each has one operator
-that depends only on the lattice and the sample points. `ffd_basis` is
-the sparse (V, n_nodes) matrix W of B-spline weights at arbitrary
-points: the displacement is W c (forward, for warping) and W^T pulls
-per-point gradients back onto the lattice. At voxel centers of an
-axis-aligned grid, W is a tensor product of three small per-axis
-weight matrices, and `GridBasis` applies W and W^T with three matmuls
-each, with no per-point rows. `bending_operator` is the sparse
-symmetric Q with penalty P = sum_d c_d^T Q c_d and gradient 2 Q c. A
-registration level, whose samples are voxel centers of its target
-grid, builds each once and reuses it on every objective evaluation.
+that depends only on the lattice and the sample points. W is the
+(V, n_nodes) matrix of B-spline weights at the points: the displacement
+is W c and W^T pulls per-point gradients back onto the lattice. At voxel
+centers of an axis-aligned grid, W is a tensor product of three small
+per-axis weight matrices, and `GridBasis` applies W and W^T with three
+matmuls each, with no per-point rows. Every evaluation on a voxel grid
+uses it: a registration level, whose samples are voxel centers of its
+target grid, forward and transposed, and the atlas warp and the phantom
+deformation forward at every voxel. `ffd_basis` builds W as a sparse
+CSR matrix at arbitrary points, for `ffd_displace` and `compose_apply`.
+`bending_operator` is the sparse symmetric Q with penalty
+P = sum_d c_d^T Q c_d and gradient 2 Q c. A registration level builds
+each operator once and reuses it on every objective evaluation.
 """
 
 import json
@@ -33,6 +36,15 @@ from .bspline import (BLOCK_POINTS, refine_coefficients_1d, support_offsets,
 from .volume import GridGeometry
 
 
+def _finite(name, values):
+    """values as a float64 array, after checking that every entry is
+    finite: a NaN or inf would only fail later, at a sample point."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite, got a NaN or inf entry")
+    return values
+
+
 @dataclass
 class AffineTransform:
     """x -> matrix @ x + translation (mm)."""
@@ -41,9 +53,9 @@ class AffineTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64).reshape(3, 3)
-        self.translation = np.asarray(self.translation,
-                                      dtype=np.float64).reshape(3)
+        self.matrix = _finite("affine matrix", self.matrix).reshape(3, 3)
+        self.translation = _finite("affine translation",
+                                   self.translation).reshape(3)
         if abs(np.linalg.det(self.matrix)) <= 1e-12:
             raise ValueError("affine matrix is singular")
 
@@ -71,7 +83,7 @@ class FFDTransform:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
+        self.coefficients = _finite("FFD coefficients", self.coefficients)
         expect = self.control_geom.dims + (3,)
         if self.coefficients.shape != expect:
             raise ValueError(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vertseg.phantom import PhantomSpec, deform_phantom, make_phantom
-from vertseg.transform import compose_apply
+from vertseg.transform import GridBasis, affine_apply, compose_apply
 from vertseg.volume import resample, trilinear_sample
 
 SMALL = dict(dims=(48, 48, 72), spacing=(0.8, 0.8, 1.0),
@@ -73,6 +73,15 @@ def test_deform_zero_magnitude_is_identity():
     assert np.allclose(comp.affine.matrix, np.eye(3))
 
 
+@pytest.mark.parametrize("magnitude", [-2.0, np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["translation", "affine", "smooth_ffd"])
+def test_deform_rejects_negative_and_nonfinite_magnitude(kind, magnitude):
+    img, lbl, _ = make_phantom(PhantomSpec(**SMALL))
+    with pytest.raises(ValueError,
+                       match="magnitude must be a finite number >= 0"):
+        deform_phantom(img, lbl, kind=kind, magnitude=magnitude)
+
+
 def test_deform_translation_pullback_property():
     img, lbl, _ = make_phantom(PhantomSpec(**SMALL))
     wimg, _, comp = deform_phantom(img, lbl, kind="translation",
@@ -131,9 +140,18 @@ def test_deform_equals_resampling_image_and_labels_separately(kind):
     wimg, wlbl, comp = deform_phantom(img, lbl, kind=kind, magnitude=2.0,
                                       seed=4)
 
-    def total(pts):
-        return compose_apply(comp, pts)
+    # the mapping on the voxel grid: A x + u(x), u from the grid basis
+    x = img.geometry.grid_world_points().reshape(-1, 3)
+    disp = 0.0
+    if comp.ffd is not None:
+        disp = GridBasis(comp.ffd.control_geom, img.geometry,
+                         np.arange(len(x))).forward(comp.ffd.coefficients)
 
+    def total(pts):
+        return affine_apply(comp.affine, pts) + disp
+
+    ref = compose_apply(comp, x)
+    assert np.abs(total(x) - ref).max() <= 1e-12 * np.abs(ref).max()
     assert wimg.data.tobytes() == resample(img, img.geometry,
                                            total).data.tobytes()
     assert wlbl.data.tobytes() == resample(lbl, img.geometry,

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from vertseg import nifti, registration
+from vertseg import nifti, registration, transform
 from vertseg.cli import main
+from vertseg.phantom import deform_phantom
 from vertseg.registration import (RegistrationConfig, RegistrationResult,
                                   Stop, _ascend, _Lbfgs, _penalty_grid,
                                   register_affine, register_ffd, warp_atlas)
@@ -201,9 +202,16 @@ def test_warp_atlas_equals_two_resample_calls():
 
     wimg, wlbl = warp_atlas(img, lbl, comp, target)
 
-    def total(pts):
-        return compose_apply(comp, pts)
+    # the mapping on the target grid: A x + u(x), u from the grid basis
+    x = target.grid_world_points().reshape(-1, 3)
+    disp = GridBasis(lattice, target, np.arange(len(x))).forward(
+        ffd.coefficients)
 
+    def total(pts):
+        return affine_apply(comp.affine, pts) + disp
+
+    ref = compose_apply(comp, x)
+    assert np.abs(total(x) - ref).max() <= 1e-12 * np.abs(ref).max()
     eimg = resample(img, target, total)
     elbl = resample(lbl, target, total)
     assert wimg.geometry == target and wlbl.geometry == target
@@ -211,6 +219,27 @@ def test_warp_atlas_equals_two_resample_calls():
     assert wlbl.data.dtype == elbl.data.dtype
     assert wlbl.data.tobytes() == elbl.data.tobytes()
     assert len(np.unique(wlbl.data)) > 1
+
+
+def test_grid_warps_build_no_csr_basis(monkeypatch):
+    # warping onto a voxel grid evaluates the FFD with the grid basis
+    # only: neither the atlas warp nor the phantom deformation builds
+    # the per-point CSR basis
+    def no_basis(*args):
+        raise AssertionError("ffd_basis called")
+
+    monkeypatch.setattr(transform, "ffd_basis", no_basis)
+    img = _blob_image(12, dims=(14, 12, 10), spacing=(1.2, 1.0, 1.5))
+    lbl = LabelVolume(img.geometry, (img.data > 0).astype(np.int32))
+    lattice = lattice_covering(np.full(3, -4.0), np.full(3, 20.0), 4.0)
+    rng = np.random.default_rng(13)
+    comp = ComposedTransform(
+        AffineTransform.identity(),
+        FFDTransform(lattice, rng.normal(0.0, 0.8, lattice.dims + (3,))))
+    wimg, _ = warp_atlas(img, lbl, comp, img.geometry)
+    assert not np.array_equal(wimg.data, img.data)
+    _, _, comp = deform_phantom(img, lbl, kind="smooth_ffd", seed=14)
+    assert comp.ffd is not None
 
 
 # ------------------------------------- line search and L-BFGS directions

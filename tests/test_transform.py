@@ -103,6 +103,36 @@ def test_affine_rejects_singular_matrix():
         AffineTransform(np.zeros((3, 3)), np.zeros(3))
 
 
+def test_transforms_reject_nonfinite_values(tmp_path):
+    bad = np.eye(3)
+    bad[1, 2] = np.nan  # abs(det) is NaN, which passes a singularity check
+    with pytest.raises(ValueError, match="affine matrix must be finite"):
+        AffineTransform(bad, np.zeros(3))
+    with pytest.raises(ValueError,
+                       match="affine translation must be finite"):
+        AffineTransform(np.eye(3), [0.0, np.inf, 0.0])
+    geom = lattice_covering((0, 0, 0), (12, 12, 12), 6.0)
+    coef = np.zeros(geom.dims + (3,))
+    coef[1, 2, 3, 0] = np.nan
+    with pytest.raises(ValueError, match="FFD coefficients must be finite"):
+        FFDTransform(geom, coef)
+    # json reads NaN and Infinity tokens: an edited file fails on load
+    path = tmp_path / "t.json"
+    save_transform(path, ComposedTransform(
+        AffineTransform(np.eye(3), [1.0, 2.0, 3.0]),
+        FFDTransform(geom, np.full(geom.dims + (3,), 0.5))))
+    text = path.read_text()
+    for edit, field in (
+            (('"coefficients": [0.5', '"coefficients": [NaN'),
+             "FFD coefficients"),
+            (('"translation": [1.0, 2.0', '"translation": [1.0, Infinity'),
+             "affine translation")):
+        assert edit[0] in text
+        path.write_text(text.replace(*edit))
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            load_transform(path)
+
+
 # -------------------------------------------------------------------- ffd
 
 def test_lattice_covering_supports_domain():
@@ -401,10 +431,17 @@ def _grid_cases():
                                                       replace=False))
     coarse = downsample(ScalarVolume(grid, np.zeros(grid.dims)),
                         (2, 2, 2)).geometry
+    # the whole-grid evaluation of `warp_atlas` and the phantom's smooth
+    # FFD: every voxel of a grid whose far corner ends the lattice domain
+    hi = np.add(grid.origin, np.multiply(np.subtract(grid.dims, 1),
+                                         grid.spacing))
+    tight = lattice_covering(grid.origin, hi, 3.0)
     return [pytest.param(lattice, grid, np.arange(n), id="full"),
             pytest.param(lattice, grid, subset, id="subset"),
             pytest.param(lattice, coarse,
-                         np.arange(int(np.prod(coarse.dims))), id="pyramid")]
+                         np.arange(int(np.prod(coarse.dims))),
+                         id="pyramid"),
+            pytest.param(tight, grid, np.arange(n), id="whole_domain")]
 
 
 @pytest.mark.parametrize("lattice, grid, indices", _grid_cases())

@@ -21,10 +21,11 @@ Sizes follow the benchmark's `register_fine` workload: `--points` sample
 points on an 11x12x11 control lattice at 5 mm, a penalty grid at a
 quarter of the lattice spacing, and an 82x88x32 floating image. The
 `ffd_basis` kernels build and apply the CSR basis at random points, as
-`ffd_displace` does; `ffd_grid_forward` and `ffd_grid_adjoint` apply the
-separable `GridBasis` that registration uses, at a sorted random subset
-of `--points` voxel centers of the 82x88x32 grid (all of them if
-`--points` is larger).
+`ffd_displace` does: they time the arbitrary-point API
+(`compose_apply`), which no command runs. `ffd_grid_forward` and
+`ffd_grid_adjoint` apply the separable `GridBasis` that registration
+and the warps use, at a sorted random subset of `--points` voxel
+centers of the 82x88x32 grid (all of them if `--points` is larger).
 `spline_tap_contraction` is one `_contract_taps` call on a
 (4, 4, 4, `BLOCK_POINTS`) block of gathered coefficients: the first of
 the contractions that `spline_sample_gradient` makes per block.
