@@ -10,17 +10,26 @@ w = M^-1 1 / (1^t M^-1 1). Negative weights are allowed; the consensus
 label is the score argmax with ties broken toward the lower label value.
 
 The vote reads weights only at active voxels, where some atlas has a
-nonzero label, so `fuse` runs the patch search and the error-product
-filters on a work box: the bounding box of the active voxels grown by
-2 * patch_radius + search_radius and clamped to the volume. A weight
-reads errors within patch_radius, each error's search reads squared
-differences within patch_radius more, and each shifted atlas read
-reaches search_radius further, so inside the box every read sees the
-values it sees on the full grid; where a box face is a volume face, the
-zero padding and the edge clamp are the same too. The result is not
-bit-identical to a full-grid run: the box filter is a running sum whose
-rounding depends on where each line starts, so search shifts whose
-patch SSDs tie to within that rounding can flip.
+nonzero label, so `fuse` works on boxes around their bounding box, each
+grown and clamped to the volume:
+
+- the error box, grown by patch_radius: a weight reads the errors of
+  its patch, so the error maps and the error-product filters live here;
+- the difference domain, grown by 2 * patch_radius: an error's search
+  compares patch SSDs, which read squared differences within
+  patch_radius more, so those are formed here, and each box-filter pass
+  keeps only the rows the next pass (and finally the error box) reads;
+- the work box, grown by 2 * patch_radius + search_radius: the shifted
+  atlas reads reach search_radius past the difference domain.
+
+Inside each box every read sees the values it sees on the full grid;
+where a box face is a volume face, the zero padding and the edge clamp
+are the same too. The search keeps each voxel's winning shift as an
+index and gathers the error at that shift once per atlas, the same bits
+as the full-grid error at that shift. The result is not bit-identical
+to a full-grid run: the box filter is a running sum whose rounding
+depends on where each line starts, so search shifts whose patch SSDs
+tie to within that rounding can flip.
 """
 
 import itertools
@@ -105,45 +114,92 @@ def _check_shared_geometry(atlases):
     return geom
 
 
-def _searched_errors(target_data, atlas_images, cfg):
-    """Per-atlas absolute error maps, optionally after a local patch
-    search that re-reads each atlas at its best-matching offset.
+def _grow(box, margin, dims):
+    """The box (one slice per axis) grown by margin voxels on every side
+    and clamped to dims."""
+    return tuple(slice(max(s.start - margin, 0), min(s.stop + margin, dim))
+                 for s, dim in zip(box, dims))
+
+
+def _searched_errors(target_data, atlas_images, cfg, box=None):
+    """Per-atlas absolute error maps on box (slices of the volumes; None:
+    the whole volume), optionally after a local patch search that
+    re-reads each atlas at its best-matching offset.
 
     The search picks, per voxel, the integer shift minimizing the local
-    SSD within the patch window; the error map is then taken against the
-    shifted atlas values. Shifts read the atlas edge-clamped: a shift
-    past a face repeats the face voxel and never wraps to the opposite
-    face. Patch products are still accumulated with a single box filter
-    afterwards, so the offset is treated as locally constant within a
-    patch. With no search (search_radius 0) the one shift always wins,
-    so the error map is |T - A| directly.
+    SSD within the patch window, the first shift in (dx, dy, dz) order
+    winning a tie; the error map is then taken against the shifted atlas
+    values. Patch voxels outside the volume add nothing to the SSD, and
+    shifts read the atlas edge-clamped: a shift past a face repeats the
+    face voxel and never wraps to the opposite face. Patch products are
+    still accumulated with a single box filter afterwards, so the offset
+    is treated as locally constant within a patch. With no search
+    (search_radius 0) the one shift always wins, so the error map is
+    |T - A| directly.
+
+    The squared differences are formed on the difference domain, box
+    grown by patch_radius, and each axis's box-filter pass keeps only
+    the rows the next pass reads, so the SSDs are compared on box alone.
+    The winning shift is kept as an index, and each atlas's error map is
+    one gather from the atlas, edge-padded around the difference domain
+    by search_radius: the same bits as |T - A| at that shift.
     """
+    dims = target_data.shape
+    box = box or tuple(slice(0, d) for d in dims)
     r = cfg.search_radius
     if r == 0:
-        return [np.abs(target_data - img) for img in atlas_images]
+        return [np.abs(target_data[box] - img[box]) for img in atlas_images]
     size = 2 * cfg.patch_radius + 1
-    nx, ny, nz = target_data.shape
-    diff = np.empty(target_data.shape)
-    ssd = np.empty(target_data.shape)
-    better = np.empty(target_data.shape, dtype=bool)
+    dom = _grow(box, cfg.patch_radius, dims)
+    reads = _grow(dom, r, dims)
+    # edge padding that makes the atlas read cover dom grown by r
+    pad = [(rs.start - (ds.start - r), (ds.stop + r) - rs.stop)
+           for rs, ds in zip(reads, dom)]
+    shape = tuple(s.stop - s.start for s in dom)
+    inner = tuple(slice(b.start - d.start, b.stop - d.start)
+                  for b, d in zip(box, dom))
+    # box's voxels as flat indices of the padded read at shift 0; shift d
+    # reads d . strides elements earlier
+    padded_shape = tuple(n + 2 * r for n in shape)
+    flat = np.arange(np.prod(padded_shape)).reshape(padded_shape)
+    base = flat[tuple(slice(s.start + r, s.stop + r) for s in inner)]
+    shifts = np.array(list(itertools.product(range(-r, r + 1), repeat=3)))
+    offsets = shifts @ (np.array(flat.strides) // flat.itemsize)
+    target_dom = np.ascontiguousarray(target_data[dom])
+    target_box = target_dom[inner]
+    sq = np.empty(shape)
+    ssd = sq[inner]
+    best_ssd = np.empty(target_box.shape)
+    better = np.empty(target_box.shape, dtype=bool)
+    index_type = np.min_scalar_type(len(shifts) - 1)
+    best = np.empty(target_box.shape, dtype=index_type)
+    candidate = np.empty(target_box.shape, dtype=index_type)
     errs = []
     for img in atlas_images:
-        padded = np.pad(img, r, mode="edge")
-        best_ssd = np.full(target_data.shape, np.inf)
-        best_err = np.empty(target_data.shape)
-        for dx, dy, dz in itertools.product(range(-r, r + 1), repeat=3):
-            # shifted[x] = img[clamp(x - d)], as a view
-            shifted = padded[r - dx:r - dx + nx, r - dy:r - dy + ny,
-                             r - dz:r - dz + nz]
-            np.subtract(target_data, shifted, out=diff)
-            np.multiply(diff, diff, out=ssd)
-            ndimage.uniform_filter(ssd, size=size, output=ssd,
-                                   mode="constant")
+        padded = np.pad(img[reads], pad, mode="edge")
+        best_ssd.fill(np.inf)
+        best.fill(0)
+        for k, (dx, dy, dz) in enumerate(shifts):
+            # shifted[x] = img[clamp(x - d)] over dom, as a view
+            np.subtract(target_dom,
+                        padded[r - dx:r - dx + shape[0],
+                               r - dy:r - dy + shape[1],
+                               r - dz:r - dz + shape[2]], out=sq)
+            np.multiply(sq, sq, out=sq)
+            # in place; after each pass only box's rows on that axis are
+            # read again, so ssd ends up as the patch mean on box
+            view = sq
+            for axis in range(3):
+                ndimage.uniform_filter1d(view, size, axis=axis, output=view,
+                                         mode="constant")
+                view = view[(slice(None),) * axis + (inner[axis],)]
             np.less(ssd, best_ssd, out=better)
-            np.copyto(best_ssd, ssd, where=better)
-            np.abs(diff, out=diff)
-            np.copyto(best_err, diff, where=better)
-        errs.append(best_err)
+            np.minimum(best_ssd, ssd, out=best_ssd)
+            np.multiply(better, index_type.type(k), out=candidate)
+            np.maximum(best, candidate, out=best)
+        err = padded.take(base - offsets[best])
+        np.subtract(target_box, err, out=err)
+        errs.append(np.abs(err, out=err))
     return errs
 
 
@@ -178,11 +234,12 @@ def _weighted_vote(atlases, weights_at):
 def fuse(target_image, atlases, cfg=None):
     """Joint label fusion of registered atlases against the target image.
 
-    The patch search and the error-product filters run on the work box
-    of the module docstring, the active voxels' bounding box grown by
-    2 * patch_radius + search_radius and clamped to the volume; every
-    weight the vote reads is computed from the same values as on the
-    full grid, up to the box filter's running-sum rounding."""
+    The error maps and the error-product filters cover the error box of
+    the module docstring, the active voxels' bounding box grown by
+    patch_radius and clamped to the volume, and the patch search reads
+    no further than the work box; every weight the vote reads is
+    computed from the same values as on the full grid, up to the box
+    filter's running-sum rounding."""
     cfg = cfg or FusionConfig()
     geom = _check_shared_geometry(atlases)
     if not target_image.geometry.same_grid(geom):
@@ -190,15 +247,13 @@ def fuse(target_image, atlases, cfg=None):
                          f"share the atlas geometry {geom}")
     n = len(atlases)
     size = 2 * cfg.patch_radius + 1
-    reach = 2 * cfg.patch_radius + cfg.search_radius
 
     def jlf_weights_at(active):
         (bbox,) = ndimage.find_objects(active.view(np.int8))
-        box = tuple(slice(max(s.start - reach, 0), min(s.stop + reach, dim))
-                    for s, dim in zip(bbox, active.shape))
-        errs = _searched_errors(target_image.data[box],
-                                [a.warped_image.data[box] for a in atlases],
-                                cfg)
+        box = _grow(bbox, cfg.patch_radius, active.shape)
+        errs = _searched_errors(target_image.data,
+                                [a.warped_image.data for a in atlases],
+                                cfg, box)
         active = active[box]
         # patch-mean error products via box filtering, gathered at active
         # voxels (C order within the box is their order on the full grid)

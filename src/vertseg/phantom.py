@@ -131,6 +131,8 @@ def deform_phantom(image, labels, kind="smooth_ffd",
     if not 0.0 <= magnitude < np.inf:
         raise ValueError(
             f"magnitude must be a finite number >= 0, got {magnitude!r}")
+    if kind not in ("translation", "affine", "smooth_ffd"):
+        raise ValueError(f"unknown deformation kind {kind!r}")
     rng = np.random.default_rng(seed)
     geom = image.geometry
     if magnitude == 0:
@@ -154,10 +156,8 @@ def deform_phantom(image, labels, kind="smooth_ffd",
         translation = (center - matrix @ center
                        + rng.normal(0.0, magnitude / 4.0, size=3))
         comp = ComposedTransform(AffineTransform(matrix, translation), None)
-    elif kind == "smooth_ffd":
+    else:
         ffd = _random_smooth_ffd(geom, magnitude, rng)
         comp = ComposedTransform(AffineTransform.identity(), ffd)
-    else:
-        raise ValueError(f"unknown deformation kind {kind!r}")
 
     return (*warp_atlas(image, labels, comp, geom), comp)

@@ -29,6 +29,9 @@ class GridGeometry:
         origin = tuple(float(o) for o in self.origin)
         if len(spacing) != 3 or len(origin) != 3:
             raise ValueError("geometry fields must have length 3")
+        for name, values in (("spacing", spacing), ("origin", origin)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite, got {values}")
         if any(s <= 0 for s in spacing):
             raise ValueError(f"spacing must be > 0, got {spacing}")
         object.__setattr__(self, "dims", dims)

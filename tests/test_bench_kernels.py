@@ -33,6 +33,12 @@ def test_bench_kernels_writes_medians_and_environment(tmp_path):
     assert record["sizes"]["lattice_dims"] == [11, 12, 11]
     assert record["sizes"]["basis_nnz"] == 300 * 64
     assert record["sizes"]["grid_points"] == 300
+    # the 58x64x22 active block grown by 2p + r = 5, 2p = 4 and p = 2,
+    # clamped to the 82x88x32 image
+    assert record["sizes"]["fuse_active_voxels"] == 58 * 64 * 22
+    assert record["sizes"]["fuse_work_box_voxels"] == 68 * 74 * 32
+    assert record["sizes"]["fuse_difference_voxels"] == 66 * 72 * 30
+    assert record["sizes"]["fuse_error_box_voxels"] == 62 * 68 * 26
     assert record["sizes"]["levelset_dims"] == [96, 96, 160]
     assert record["sizes"]["levelset_labels"] == 5
     assert record["sizes"]["levelset_iters"] == 10

@@ -6,6 +6,7 @@ patch loops and solves the weight system with an independent formula
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -251,6 +252,56 @@ def test_patch_search_matches_oracle_on_every_voxel():
     assert np.allclose(err, oracle, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("box, patch_radius", [
+    # margins on every side: the reads stay inside the volume
+    ((slice(3, 6), slice(3, 7), slice(4, 7)), 1),
+    ((slice(5, 7), slice(5, 6), slice(5, 8)), 2),
+    # on the low x face and the high z face: zero padding and edge clamp
+    ((slice(0, 3), slice(4, 6), slice(8, 11)), 1),
+])
+def test_patch_search_on_a_box_matches_oracle(box, patch_radius):
+    rng = np.random.default_rng(41)
+    dims = (10, 11, 11) if patch_radius == 1 else (12, 11, 13)
+    target = rng.normal(100, 40, dims)
+    atlases = [target + rng.normal(0, 30, dims) for _ in range(2)]
+    errs = _searched_errors(target, atlases,
+                            FusionConfig(patch_radius=patch_radius,
+                                         search_radius=1), box)
+    for err, atlas in zip(errs, atlases):
+        oracle = np.empty(err.shape)
+        for x in np.ndindex(err.shape):
+            oracle[x] = _oracle_searched_error(
+                target, atlas, tuple(i + s.start for i, s in zip(x, box)),
+                patch_radius, 1)
+        assert np.allclose(err, oracle, rtol=0, atol=1e-9)
+
+
+def test_patch_search_keeps_the_first_of_tied_shifts():
+    # at x = 3, shift dx = -1 reads the window (1, 4, 3) and dx = +1 the
+    # window (0, 5, 1): both SSDs are 26 / 27, below dx = 0's 42 / 27, in
+    # integer running sums that round alike. dx = -1 comes first and wins
+    target = np.zeros((7, 1, 1))
+    atlas = np.array([0.0, 0.0, 5.0, 1.0, 4.0, 3.0, 0.0]).reshape(7, 1, 1)
+    (err,) = _searched_errors(target, [atlas],
+                              FusionConfig(patch_radius=1, search_radius=1))
+    assert err[3, 0, 0] == 4.0
+    assert _oracle_searched_error(target, atlas, (3, 0, 0), 1, 1) == 4.0
+
+
+def test_patch_search_indexes_more_shifts_than_a_byte_holds():
+    # search radius 3 has 343 shifts: the winner's index needs 16 bits
+    rng = np.random.default_rng(42)
+    dims = (4, 5, 4)
+    target = rng.normal(100, 40, dims)
+    atlas = rng.normal(100, 40, dims)
+    (err,) = _searched_errors(target, [atlas],
+                              FusionConfig(patch_radius=0, search_radius=3))
+    oracle = np.empty(dims)
+    for x in np.ndindex(dims):
+        oracle[x] = _oracle_searched_error(target, atlas, x, 0, 3)
+    assert np.array_equal(err, oracle)
+
+
 # -------------------------------------------------------- config, geometry
 
 @pytest.mark.parametrize("field, value", [
@@ -393,16 +444,78 @@ def test_fuse_on_work_box_matches_full_grid(case, patch_radius,
     assert np.allclose(got.probability, want_prob, rtol=0, atol=1e-9)
 
 
-def _recording_search(monkeypatch):
-    shapes = []
-    real = fusion._searched_errors
+def _fuse_with_margins(target, atlases, cfg):
+    """fuse's output, and at each voxel how far the winning label's score
+    lies above the runner-up's (inf where no atlas has a label), from the
+    weights fuse votes with."""
+    captured = []
+    real = fusion._weighted_vote
 
-    def record(target_data, atlas_images, cfg):
-        shapes.append(target_data.shape)
-        return real(target_data, atlas_images, cfg)
+    def vote(atlases, weights_at):
+        def capture(active):
+            weights = weights_at(active)
+            captured.append((active, weights))
+            return weights
+        return real(atlases, capture)
+
+    with mock.patch.object(fusion, "_weighted_vote", vote):
+        out = fuse(target, atlases, cfg)
+    margin = np.full(target.geometry.dims, np.inf)
+    for active, weights in captured:
+        stack = np.stack([a.warped_labels.data for a in atlases],
+                         axis=-1)[active]
+        scores = np.stack([np.sum(weights * (stack == lv), axis=1)
+                           for lv in np.unique(stack)], axis=1)
+        if scores.shape[1] > 1:
+            top = np.sort(scores, axis=1)
+            margin[active] = top[:, -1] - top[:, -2]
+    return out, margin
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(*[st.integers(3, 8)] * 3),
+       patch_radius=st.integers(0, 2), search_radius=st.integers(0, 1),
+       order=st.integers(2, 4).flatmap(
+           lambda n: st.permutations(range(n))),
+       seed=st.integers(0, 2 ** 16))
+def test_fuse_does_not_depend_on_atlas_order(dims, patch_radius,
+                                             search_radius, order, seed):
+    # permuting the atlases permutes the dependency matrix, whose solve
+    # then rounds differently: labels may flip only where the winning
+    # score is within that rounding of the runner-up's
+    rng = np.random.default_rng(seed)
+    target, atlases = _make_case(rng, dims, len(order))
+    cfg = FusionConfig(patch_radius=patch_radius,
+                       search_radius=search_radius)
+    out, margin = _fuse_with_margins(target, atlases, cfg)
+    permuted = fuse(target, [atlases[k] for k in order], cfg)
+    clear = margin > 1e-6
+    assert np.array_equal(out.consensus.data[clear],
+                          permuted.consensus.data[clear])
+
+
+def _recording_search(monkeypatch):
+    """Records each search's error box, and the input shape of every
+    one-axis box-filter pass run while fusing (the error-product filters
+    call scipy's own pass, which this does not see)."""
+    boxes, passes = [], []
+    real = fusion._searched_errors
+    real_pass = ndimage.uniform_filter1d
+
+    def record(target_data, atlas_images, cfg, box):
+        boxes.append(box)
+        errs = real(target_data, atlas_images, cfg, box)
+        assert all(e.shape == tuple(s.stop - s.start for s in box)
+                   for e in errs)
+        return errs
+
+    def record_pass(values, *args, **kwargs):
+        passes.append(values.shape)
+        return real_pass(values, *args, **kwargs)
 
     monkeypatch.setattr(fusion, "_searched_errors", record)
-    return shapes
+    monkeypatch.setattr(fusion.ndimage, "uniform_filter1d", record_pass)
+    return boxes, passes
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -411,9 +524,12 @@ def _recording_search(monkeypatch):
     ((18, 5, 23), (19, 20, 24)),    # high faces in x and z
 ])
 def test_fuse_searches_only_the_grown_active_box(monkeypatch, lo, hi):
+    # the SSDs are compared and the errors formed on the error box (the
+    # active box grown by p), and the first filter pass, the largest,
+    # covers the difference domain (grown by 2p); the two later passes
+    # drop the rows that neither the next pass nor the error box reads
     dims = (20, 22, 25)
     cfg = FusionConfig(patch_radius=2, search_radius=1)
-    reach = 2 * cfg.patch_radius + cfg.search_radius
     rng = np.random.default_rng(9)
     geom = _geom(dims)
     target = ScalarVolume(geom, rng.normal(100, 40, dims))
@@ -424,11 +540,20 @@ def test_fuse_searches_only_the_grown_active_box(monkeypatch, lo, hi):
         atlases.append(RegisteredAtlas(
             ScalarVolume(geom, target.data + rng.normal(0, 20, dims)),
             LabelVolume(geom, lbl)))
-    shapes = _recording_search(monkeypatch)
+    boxes, passes = _recording_search(monkeypatch)
     fuse(target, atlases, cfg)
-    want = tuple(min(b + reach, d - 1) - max(a - reach, 0) + 1
-                 for a, b, d in zip(lo, hi, dims))
-    assert shapes == [want]
+
+    def grown(margin):
+        return [(max(a - margin, 0), min(b + margin, d - 1) + 1)
+                for a, b, d in zip(lo, hi, dims)]
+
+    assert [[(s.start, s.stop) for s in box] for box in boxes] \
+        == [grown(cfg.patch_radius)]
+    (ex, ey, ez) = (b - a for a, b in grown(cfg.patch_radius))
+    (dx, dy, dz) = (b - a for a, b in grown(2 * cfg.patch_radius))
+    shifts = (2 * cfg.search_radius + 1) ** 3
+    assert passes == [(dx, dy, dz), (ex, dy, dz), (ex, ey, dz)] \
+        * (shifts * len(atlases))
 
 
 def test_fuse_without_active_voxels_runs_no_search(monkeypatch):
@@ -436,9 +561,9 @@ def test_fuse_without_active_voxels_runs_no_search(monkeypatch):
     target, atlases = _make_case(rng, (6, 6, 6), 3)
     for a in atlases:
         a.warped_labels.data[:] = 0
-    shapes = _recording_search(monkeypatch)
+    boxes, passes = _recording_search(monkeypatch)
     out = fuse(target, atlases, FusionConfig(search_radius=1))
-    assert shapes == []
+    assert boxes == [] and passes == []
     assert not out.consensus.data.any()
     assert np.all(out.probability == 1.0)
 

@@ -156,3 +156,20 @@ def test_deform_equals_resampling_image_and_labels_separately(kind):
                                            total).data.tobytes()
     assert wlbl.data.tobytes() == resample(lbl, img.geometry,
                                            total).data.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["translation", "affine", "smooth_ffd"])
+def test_deform_zero_magnitude_is_identity_for_every_kind(kind):
+    img, lbl, _ = make_phantom(PhantomSpec(**SMALL))
+    wimg, wlbl, comp = deform_phantom(img, lbl, kind=kind, magnitude=0.0)
+    assert np.array_equal(wimg.data, img.data)
+    assert np.array_equal(wlbl.data, lbl.data)
+    assert comp.ffd is None
+    assert np.array_equal(comp.affine.matrix, np.eye(3))
+
+
+def test_deform_rejects_unknown_kind_at_zero_magnitude():
+    # the zero-magnitude identity must not skip the kind check
+    img, lbl, _ = make_phantom(PhantomSpec(**SMALL))
+    with pytest.raises(ValueError, match="unknown deformation kind"):
+        deform_phantom(img, lbl, kind="rigid", magnitude=0)

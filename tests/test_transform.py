@@ -124,12 +124,14 @@ def test_transforms_reject_nonfinite_values(tmp_path):
     text = path.read_text()
     for edit, field in (
             (('"coefficients": [0.5', '"coefficients": [NaN'),
-             "FFD coefficients"),
+             "FFD coefficients must be finite"),
             (('"translation": [1.0, 2.0', '"translation": [1.0, Infinity'),
-             "affine translation")):
+             "affine translation must be finite"),
+            (('"spacing": [6.0', '"spacing": [NaN'), "spacing"),
+            (('"origin": [-6.0', '"origin": [NaN'), "origin")):
         assert edit[0] in text
-        path.write_text(text.replace(*edit))
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        path.write_text(text.replace(*edit, 1))
+        with pytest.raises(ValueError, match=field):
             load_transform(path)
 
 

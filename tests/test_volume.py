@@ -247,3 +247,18 @@ def test_integral_floats_and_numpy_integers_are_indices():
     g = GridGeometry((8.0, np.int64(9), np.uint8(10)), (1, 1, 1), (0, 0, 0))
     assert g.dims == (8, 9, 10)
     assert all(type(d) is int for d in g.dims)
+
+
+@pytest.mark.parametrize("spacing, origin, field", [
+    ((np.nan, 1, 1), (0, 0, 0), "spacing"),
+    ((1, np.inf, 1), (0, 0, 0), "spacing"),
+    ((1, 1, 1), (0, 0, np.inf), "origin"),
+    ((1, 1, 1), (np.nan, 0, 0), "origin"),
+    ((np.nan, 1, 1), (0, 0, np.inf), "spacing"),
+])
+def test_geometry_rejects_nonfinite_spacing_and_origin(spacing, origin,
+                                                       field):
+    # `spacing <= 0` is False for NaN: unchecked, a NaN grid maps every
+    # voxel to NaN world points
+    with pytest.raises(ValueError, match=field):
+        GridGeometry((4, 4, 4), spacing, origin)

@@ -36,7 +36,11 @@ Fusion and the level set follow the `refuse` workload, whatever
 `--points` is. `fuse_patch_search` is one `fuse` call on that image as
 the target crop: 6 noisy copies of it as atlases, patch radius 2, search
 radius 1, each atlas labelling the same vertebra-sized block (the crop
-less the workload's 12x12x5-voxel margin). `refine_labels` is cleanup,
+less the workload's 12x12x5-voxel margin); its sizes record the voxel
+counts of the search's work box, difference domain and error box (the
+block's bounding box grown by 2p + r, 2p and p, for patch radius p and
+search radius r), which bound what its reads, its box-filter passes and
+its SSD comparisons cover. `refine_labels` is cleanup,
 then 10 iterations per label, on the default 96x96x160 phantom with its
 5 vertebra labels.
 """
@@ -99,7 +103,7 @@ def run(n_points, repeats):
 
     from vertseg.bspline import BLOCK_POINTS
     from vertseg.cli import _keep_freed_memory
-    from vertseg.fusion import FusionConfig, RegisteredAtlas, fuse
+    from vertseg.fusion import FusionConfig, RegisteredAtlas, _grow, fuse
     from vertseg.phantom import PhantomSpec, make_phantom
     from vertseg.postprocess import refine_labels
     from vertseg.similarity import (NmiObjective, SplineImage,
@@ -152,6 +156,13 @@ def run(n_points, repeats):
                         LabelVolume(image_geom, block), f"atlas{k}")
         for k in range(FUSE_ATLASES)]
     fuse_cfg = FusionConfig(patch_radius=2, search_radius=1)
+    (block_box,) = ndimage.find_objects(block)
+    p, r = fuse_cfg.patch_radius, fuse_cfg.search_radius
+
+    def block_grown_voxels(margin):
+        return int(np.prod([s.stop - s.start
+                            for s in _grow(block_box, margin, IMAGE_DIMS)]))
+
     ct, labels, _ = make_phantom(PhantomSpec(noise_sd=20.0, seed=0))
     kernels = {
         "ffd_basis_build": lambda: ffd_basis(lattice, pts),
@@ -185,6 +196,9 @@ def run(n_points, repeats):
              "nmi_points": len(objective.points),
              "fuse_atlases": FUSE_ATLASES,
              "fuse_active_voxels": int(block.sum()),
+             "fuse_work_box_voxels": block_grown_voxels(2 * p + r),
+             "fuse_difference_voxels": block_grown_voxels(2 * p),
+             "fuse_error_box_voxels": block_grown_voxels(p),
              "levelset_dims": list(ct.geometry.dims),
              "levelset_labels": len(labels.labels()),
              "levelset_iters": LEVELSET_ITERS}
