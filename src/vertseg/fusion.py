@@ -39,7 +39,7 @@ import numpy as np
 from scipy import ndimage
 
 from .checks import integer, real
-from .volume import LabelVolume
+from .volume import LabelVolume, grow_box
 
 
 @dataclass
@@ -114,13 +114,6 @@ def _check_shared_geometry(atlases):
     return geom
 
 
-def _grow(box, margin, dims):
-    """The box (one slice per axis) grown by margin voxels on every side
-    and clamped to dims."""
-    return tuple(slice(max(s.start - margin, 0), min(s.stop + margin, dim))
-                 for s, dim in zip(box, dims))
-
-
 def _searched_errors(target_data, atlas_images, cfg, box=None):
     """Per-atlas absolute error maps on box (slices of the volumes; None:
     the whole volume), optionally after a local patch search that
@@ -150,8 +143,8 @@ def _searched_errors(target_data, atlas_images, cfg, box=None):
     if r == 0:
         return [np.abs(target_data[box] - img[box]) for img in atlas_images]
     size = 2 * cfg.patch_radius + 1
-    dom = _grow(box, cfg.patch_radius, dims)
-    reads = _grow(dom, r, dims)
+    dom = grow_box(box, cfg.patch_radius, dims)
+    reads = grow_box(dom, r, dims)
     # edge padding that makes the atlas read cover dom grown by r
     pad = [(rs.start - (ds.start - r), (ds.stop + r) - rs.stop)
            for rs, ds in zip(reads, dom)]
@@ -250,7 +243,7 @@ def fuse(target_image, atlases, cfg=None):
 
     def jlf_weights_at(active):
         (bbox,) = ndimage.find_objects(active.view(np.int8))
-        box = _grow(bbox, cfg.patch_radius, active.shape)
+        box = grow_box(bbox, cfg.patch_radius, active.shape)
         errs = _searched_errors(target_image.data,
                                 [a.warped_image.data for a in atlases],
                                 cfg, box)

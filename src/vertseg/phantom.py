@@ -7,11 +7,13 @@ math, not anatomy.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .registration import warp_atlas
 from .transform import (AffineTransform, ComposedTransform, FFDTransform,
                         GridBasis, lattice_covering)
-from .volume import BoundingBox, GridGeometry, LabelVolume, ScalarVolume
+from .volume import (BoundingBox, GridGeometry, LabelVolume, ScalarVolume,
+                     grow_box)
 
 DEFORM_MAGNITUDE_MM = 3.0  # `deform_phantom`'s default, also the CLI's
 
@@ -43,11 +45,28 @@ class PhantomSpec:
             raise ValueError("radii must be > 0 and gap >= 0")
 
 
+def _span(cond):
+    """Slice from the first to the last True index of a 1-D boolean
+    array; empty when there is none."""
+    idx = np.flatnonzero(cond)
+    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+
+
 def make_phantom(spec):
-    """Build (image, labels, per-vertebra bounding boxes) from a spec."""
+    """Build (image, labels, per-vertebra bounding boxes) from a spec.
+
+    Every shape is a sum or an intersection of per-axis terms, so each
+    term is formed once from the 1-D voxel-center coordinates
+    (`GridGeometry.axes`) and each vertebra is evaluated only on its box:
+    the index ranges, per axis, where its body term is <= 1 or its
+    process bounds hold. That is exact: the terms are non-negative, so a
+    body voxel has every term <= 1, and the body sum is taken in the
+    full-grid order, (x + y) + z, so every voxel gets the same bits. Each
+    disc is evaluated on its own z-slab. The noise is one draw over the
+    full grid, and the boxes come from one `ndimage.find_objects` pass.
+    """
     geom = GridGeometry(spec.dims, spec.spacing, (0.0, 0.0, 0.0))
-    pts = geom.grid_world_points()
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    ax_x, ax_y, ax_z = geom.axes()
     extent = [(geom.dims[a] - 1) * geom.spacing[a] for a in range(3)]
 
     rx, ry, rz = spec.body_radii_mm
@@ -64,40 +83,50 @@ def make_phantom(spec):
 
     labels = np.zeros(geom.dims, dtype=np.int32)
     image = np.full(geom.dims, spec.air_hu)
+    tx = ((ax_x - cx) / rx) ** 2
+    ty = ((ax_y - cy) / ry) ** 2
+    px = np.abs(ax_x - cx) <= 3.0
+    py = (ax_y >= proc_cy - 2.0) & (ax_y <= proc_cy + 8.0)
+    sx, sy = _span((tx <= 1.0) | px), _span((ty <= 1.0) | py)
     centers = []
     for k in range(spec.n_vertebrae):
         zc = z0 + k * slot
         h = spec.height_scale[k]
         centers.append(zc)
-        body = (((x - cx) / rx) ** 2 + ((y - cy) / ry) ** 2
-                + ((z - zc) / (rz * h)) ** 2) <= 1.0
-        proc = ((np.abs(x - cx) <= 3.0)
-                & (y >= proc_cy - 2.0) & (y <= proc_cy + 8.0)
-                & (np.abs(z - zc) <= 0.6 * rz * h))
-        mask = (body | proc) & (labels == 0)
-        labels[mask] = k + 1
-        image[mask] = spec.bone_hu
+        tz = ((ax_z - zc) / (rz * h)) ** 2
+        pz = np.abs(ax_z - zc) <= 0.6 * rz * h
+        sz = _span((tz <= 1.0) | pz)
+        body = ((tx[sx, None, None] + ty[None, sy, None])
+                + tz[None, None, sz]) <= 1.0
+        proc = px[sx, None, None] & py[None, sy, None] & pz[None, None, sz]
+        box_labels = labels[sx, sy, sz]
+        mask = (body | proc) & (box_labels == 0)
+        box_labels[mask] = k + 1
+        image[sx, sy, sz][mask] = spec.bone_hu
 
     # discs between adjacent vertebral bodies (intensity only, label 0)
     disc_r = 0.8 * min(rx, ry)
+    disc_xy = ((((ax_x - cx) / disc_r) ** 2)[:, None]
+               + (((ax_y - cy) / disc_r) ** 2)[None, :]) <= 1.0
     for k in range(spec.n_vertebrae - 1):
         lo = centers[k] + rz * spec.height_scale[k]
         hi = centers[k + 1] - rz * spec.height_scale[k + 1]
-        disc = ((((x - cx) / disc_r) ** 2 + ((y - cy) / disc_r) ** 2) <= 1.0) \
-            & (z >= lo) & (z <= hi) & (labels == 0)
-        image[disc] = spec.disc_hu
+        slab_z = (ax_z >= lo) & (ax_z <= hi)
+        sz = _span(slab_z)
+        disc = disc_xy[:, :, None] & slab_z[sz] & (labels[:, :, sz] == 0)
+        image[:, :, sz][disc] = spec.disc_hu
 
     if spec.noise_sd > 0:
         rng = np.random.default_rng(spec.seed)
         image = image + rng.normal(0.0, spec.noise_sd, size=image.shape)
 
     boxes = []
-    m = spec.box_margin_voxels
-    for k in range(spec.n_vertebrae):
-        idx = np.argwhere(labels == k + 1)
-        lo = np.maximum(idx.min(axis=0) - m, 0)
-        hi = np.minimum(idx.max(axis=0) + m, np.array(geom.dims) - 1)
-        boxes.append(BoundingBox(tuple(lo), tuple(hi)))
+    objects = ndimage.find_objects(labels, max_label=spec.n_vertebrae)
+    for k, box in enumerate(objects):
+        if box is None:
+            raise ValueError(f"vertebra {k + 1} covers no voxel center")
+        boxes.append(BoundingBox.from_slices(
+            grow_box(box, spec.box_margin_voxels, geom.dims)))
 
     return ScalarVolume(geom, image), LabelVolume(geom, labels), boxes
 

@@ -24,7 +24,7 @@ from .postprocess import (LEVELSET_ITERS, LEVELSET_STEP, MIN_ISLAND_VOXELS,
 from .registration import (RegistrationConfig, register_affine, register_ffd,
                            warp_atlas)
 from .similarity import IntensityWindow
-from .volume import BoundingBox, LabelVolume, bounding_box_of, crop
+from .volume import BoundingBox, LabelVolume, crop, label_boxes, union_box
 
 @dataclass
 class VertebraEntry:
@@ -250,13 +250,21 @@ def _margin_voxels(geometry, margin_mm):
 
 def _register_one(tcrop, atlas_entry, bundle_ids, center_label_value,
                   manifest, atlas_cache):
-    img, lbl = atlas_cache[atlas_entry.case_id]
+    """Register one atlas onto a target crop and warp its labels there.
+
+    The atlas is cropped to the union of its bundle labels' boxes
+    (`label_boxes`, computed once per atlas), grown by the crop margin,
+    and only the crop is searched for the bundle's labels: the same
+    crops as masking the whole atlas first."""
+    img, lbl, boxes = atlas_cache[atlas_entry.case_id]
     keep = [atlas_entry.vertebra_labels[v] for v in bundle_ids]
-    sub = np.where(np.isin(lbl.data, keep), lbl.data, 0)
-    abox = bounding_box_of(sub)
+    abox = BoundingBox.from_slices(
+        union_box([boxes[lv] for lv in keep if lv in boxes]))
     margin = _margin_voxels(img.geometry, manifest.crop_margin_mm)
     acrop_img = crop(img, abox, margin)
-    acrop_lbl = crop(LabelVolume(lbl.geometry, sub), abox, margin)
+    bundle = crop(lbl, abox, margin)
+    acrop_lbl = LabelVolume(bundle.geometry, np.where(
+        np.isin(bundle.data, keep), bundle.data, 0))
 
     t0 = time.perf_counter()
     affine = register_affine(tcrop, acrop_img, manifest.registration)
@@ -349,13 +357,13 @@ def run_pipeline(manifest):
                              f"not the target image grid "
                              f"{target_img.geometry}")
 
-    atlas_cache = {}
+    atlas_cache = {}  # case id -> (image, labels, label_boxes of labels)
     for a in manifest.atlases:
         if a.case_id not in atlas_cache:
-            atlas_cache[a.case_id] = (
-                nifti.read_volume(a.image_path, "scalar"),
-                nifti.read_volume(a.labels_path, "label"),
-            )
+            image = nifti.read_volume(a.image_path, "scalar")
+            labels = nifti.read_volume(a.labels_path, "label")
+            atlas_cache[a.case_id] = (image, labels,
+                                      label_boxes(labels.data))
 
     margin = _margin_voxels(target_img.geometry, manifest.crop_margin_mm)
     plan = []  # (vertebra, target crop, [(atlas entry, bundle ids)])

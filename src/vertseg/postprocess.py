@@ -12,7 +12,7 @@ import numpy as np
 from scipy import ndimage
 
 from .checks import real
-from .volume import LabelVolume, bounding_box_of
+from .volume import LabelVolume, bounding_box_of, label_boxes
 
 _CONN26 = np.ones((3, 3, 3), dtype=bool)
 _CURVATURE_WEIGHT = 0.2
@@ -83,8 +83,7 @@ def morph_cleanup(lbl, min_island_voxels=MIN_ISLAND_VOXELS):
     if min_island_voxels < 0:
         raise ValueError("min_island_voxels must be >= 0")
     data = lbl.data.copy()
-    boxes = [(lv, sl) for lv, sl in enumerate(ndimage.find_objects(data), 1)
-             if sl is not None]
+    boxes = list(label_boxes(data).items())
     for lv, sl in boxes:
         local = data[sl]
         mask = local == lv

@@ -48,11 +48,15 @@ class GridGeometry:
         idx = np.asarray(idx, dtype=np.float64)
         return np.array(self.origin) + idx * np.array(self.spacing)
 
+    def axes(self):
+        """World coordinates of the voxel centers along each axis: three
+        1-D arrays, the coordinates `grid_world_points` combines."""
+        return [self.origin[a] + self.spacing[a] * np.arange(self.dims[a])
+                for a in range(3)]
+
     def grid_world_points(self):
         """World coordinates of every voxel center, shape dims + (3,)."""
-        ax = [self.origin[a] + self.spacing[a] * np.arange(self.dims[a])
-              for a in range(3)]
-        gx, gy, gz = np.meshgrid(*ax, indexing="ij")
+        gx, gy, gz = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([gx, gy, gz], axis=-1)
 
     def same_grid(self, other):
@@ -109,8 +113,7 @@ class LabelVolume:
 
     def labels(self):
         """Sorted foreground label values present in the volume."""
-        vals = np.unique(self.data)
-        return [int(v) for v in vals if v != 0]
+        return list(label_boxes(self.data))
 
 
 @dataclass(frozen=True)
@@ -127,6 +130,51 @@ class BoundingBox:
             raise ValueError(f"bounding box min {lo} exceeds max {hi}")
         object.__setattr__(self, "min_index", lo)
         object.__setattr__(self, "max_index", hi)
+
+    @classmethod
+    def from_slices(cls, box):
+        """The box given as one slice per axis (`ndimage.find_objects`
+        style: start inclusive, stop exclusive)."""
+        return cls(tuple(s.start for s in box), tuple(s.stop - 1 for s in box))
+
+
+# `ndimage.find_objects` allocates a slot per label value up to the
+# largest; above this, `label_boxes` ranks the labels first
+_MAX_FIND_OBJECTS_LABEL = 65535
+
+
+def label_boxes(data):
+    """{label: box} for the foreground labels of an integer label array,
+    in increasing label order; a box is one slice per axis, from one
+    `ndimage.find_objects` pass. Labels above 65535 are first replaced by
+    their rank (`np.unique`), so the pass never allocates per label value
+    beyond that."""
+    data = np.asarray(data)
+    values = None
+    if data.size and int(data.max()) > _MAX_FIND_OBJECTS_LABEL:
+        values, ranks = np.unique(data, return_inverse=True)
+        if values[0] != 0:  # rank 0 must stay background
+            values, ranks = np.concatenate([[0], values]), ranks + 1
+        data = ranks.reshape(data.shape)
+    return {int(lv if values is None else values[lv]): box
+            for lv, box in enumerate(ndimage.find_objects(data), 1)
+            if box is not None}
+
+
+def grow_box(box, margin, dims):
+    """The box (one slice per axis) grown by margin voxels on every side
+    and clamped to dims."""
+    return tuple(slice(max(s.start - margin, 0), min(s.stop + margin, dim))
+                 for s, dim in zip(box, dims))
+
+
+def union_box(boxes):
+    """The smallest box (one slice per axis) holding every box of a
+    non-empty list; ValueError "mask is empty" for an empty one."""
+    if not boxes:
+        raise ValueError("mask is empty")
+    return tuple(slice(min(b[a].start for b in boxes),
+                       max(b[a].stop for b in boxes)) for a in range(3))
 
 
 def _check_points(p):
@@ -255,9 +303,5 @@ def downsample(vol, factor):
 
 def bounding_box_of(mask):
     """Tight BoundingBox of the nonzero voxels of a boolean/label array."""
-    nz = np.nonzero(mask)
-    if len(nz[0]) == 0:
-        raise ValueError("mask is empty")
-    lo = tuple(int(n.min()) for n in nz)
-    hi = tuple(int(n.max()) for n in nz)
-    return BoundingBox(lo, hi)
+    nonzero = (np.asarray(mask) != 0).view(np.int8)
+    return BoundingBox.from_slices(union_box(ndimage.find_objects(nonzero)))

@@ -6,9 +6,16 @@ interior background neighbor exists) and averages nearest distances with
 a double loop.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vertseg
 from vertseg.metrics import (EvalRow, asd, dice, evaluate_labels,
                              render_report_csv, render_report_text, report,
                              surface_voxels, volume_and_density)
@@ -274,3 +281,117 @@ def test_evaluate_labels_without_intensity():
     assert row.vertebra_id == "1"
     assert row.volume_cm3 == 0.0 and row.density_hu == 0.0
     assert row.dice_pct == 100.0
+
+
+def test_asd_rejects_masks_on_another_grid_or_of_another_shape():
+    ones = np.ones((4, 4, 4), dtype=int)
+    ones[0] = 0
+    a = LabelVolume(_geom((4, 4, 4)), ones)
+    b = LabelVolume(_geom((4, 4, 4), spacing=(2.0, 1.0, 1.0)), ones)
+    with pytest.raises(ValueError, match="masks do not share geometry"):
+        asd(a, b)
+    with pytest.raises(ValueError, match="masks do not share shape"):
+        asd(ones, np.ones((4, 4, 5), dtype=int), _geom((4, 4, 4)))
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_asd_rejects_a_mask_that_fills_its_grid(symmetric):
+    # no voxel of a full mask has a background neighbour inside the grid
+    g = _geom((5, 5, 5))
+    full = np.ones((5, 5, 5), dtype=bool)
+    part = np.zeros((5, 5, 5), dtype=bool)
+    part[1:4, 1:4, 1:4] = True
+    for gt, seg in ((full, part), (part, full), (full, full)):
+        with pytest.raises(ValueError, match="surface distance undefined"):
+            asd(gt, seg, g, symmetric=symmetric)
+
+
+def test_evaluate_labels_reports_nan_for_a_mask_that_fills_its_grid():
+    g = _geom((5, 5, 5))
+    full = LabelVolume(g, np.ones((5, 5, 5), dtype=int))
+    part = np.zeros((5, 5, 5), dtype=int)
+    part[1:4, 1:4, 1:4] = 1
+    part = LabelVolume(g, part)
+    for gt, seg in ((full, part), (part, full)):
+        (row,) = evaluate_labels(gt, seg, None, [("V1", 1, {})], "c")
+        assert row.dice_pct == pytest.approx(200.0 * 27 / (125 + 27))
+        assert np.isnan(row.asd_mm)
+
+
+def _random_labels(rng, dims, n_labels):
+    """Random blocks of labels 1..n_labels, each filled at 80%; label 1
+    spans axis 0 from face to face."""
+    data = np.zeros(dims, dtype=np.int32)
+    for lv in range(1, n_labels + 1):
+        lo = [int(rng.integers(0, d)) for d in dims]
+        hi = [int(rng.integers(a + 1, d + 1)) for a, d in zip(lo, dims)]
+        if lv == 1:
+            lo[0], hi[0] = 0, dims[0]
+        sl = tuple(slice(a, b) for a, b in zip(lo, hi))
+        data[sl][rng.random(data[sl].shape) < 0.8] = lv
+    return data
+
+
+def _reference_asd(gt, seg, spacing, symmetric):
+    """Full-grid mean surface distance by brute force; NaN without a
+    surface voxel on either side."""
+    sp = np.asarray(spacing)
+    surf_gt, surf_s = (_oracle_surface(m).reshape(-1, 3) * sp
+                       for m in (gt, seg))
+    if len(surf_gt) == 0 or len(surf_s) == 0:
+        return float("nan")
+
+    def mean_nearest(query, reference):
+        d = np.sqrt(((query[:, None, :] - reference[None, :, :]) ** 2)
+                    .sum(axis=-1))
+        return d.min(axis=1).mean()
+
+    d = mean_nearest(surf_s, surf_gt)
+    return (d + mean_nearest(surf_gt, surf_s)) / 2.0 if symmetric else d
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), symmetric=st.booleans())
+def test_evaluate_labels_and_asd_match_full_grid_references(seed,
+                                                           symmetric):
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.integers(3, 11, 3))
+    spacing = tuple(rng.uniform(0.5, 2.0, 3))
+    geom = GridGeometry(dims, spacing, (1.5, -2.0, 30.0))
+    gt = _random_labels(rng, dims, 3)
+    # the segmentation: the labels shifted by a voxel, some voxels
+    # relabelled at random
+    seg = np.roll(gt, int(rng.integers(-1, 2)), axis=int(rng.integers(3)))
+    flip = rng.random(dims) < 0.1
+    seg[flip] = rng.integers(0, 4, int(flip.sum()))
+    intensity = ScalarVolume(geom, rng.normal(100.0, 50.0, dims))
+    # label 0 is the background, label 4 is in neither volume
+    vertebrae = [(f"V{lv}", lv, {}) for lv in range(5)]
+    rows = evaluate_labels(LabelVolume(geom, gt), LabelVolume(geom, seg),
+                           intensity, vertebrae, "c", symmetric=symmetric)
+    for row, (_vid, lv, _tags) in zip(rows, vertebrae):
+        g, s = gt == lv, seg == lv
+        assert row.dice_pct == _oracle_dice(g, s)
+        want = volume_and_density(s, intensity) if s.any() else (0.0, 0.0)
+        assert (row.volume_cm3, row.density_hu) == want
+        want = _reference_asd(g, s, spacing, symmetric)
+        if np.isnan(want):
+            assert np.isnan(row.asd_mm)
+            continue
+        assert abs(row.asd_mm - want) <= 1e-12
+        for a, b in ((g, s), (s, g)):
+            got = asd(a, b, geom, symmetric=symmetric)
+            assert abs(got - _reference_asd(a, b, spacing,
+                                            symmetric)) <= 1e-12
+
+
+def test_importing_the_cli_leaves_scipy_spatial_unloaded():
+    # surface distances come from ndimage's distance transform; the k-d
+    # tree module would add about 10 MB to every process's peak RSS
+    src = os.path.dirname(os.path.dirname(vertseg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vertseg.cli; print('scipy.spatial' in sys.modules)"],
+        check=True, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "False"

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertseg.phantom import PhantomSpec, deform_phantom, make_phantom
 from vertseg.transform import GridBasis, affine_apply, compose_apply
-from vertseg.volume import resample, trilinear_sample
+from vertseg.volume import (BoundingBox, GridGeometry, LabelVolume,
+                            ScalarVolume, resample, trilinear_sample)
 
 SMALL = dict(dims=(48, 48, 72), spacing=(0.8, 0.8, 1.0),
              body_radii_mm=(7.0, 5.0, 7.0), n_vertebrae=3)
@@ -62,6 +65,116 @@ def test_height_scale_compresses_one_vertebra():
     z_full = np.ptp(np.argwhere(full_lbl.data == 2)[:, 2])
     z_sq = np.ptp(np.argwhere(sq_lbl.data == 2)[:, 2])
     assert z_sq < z_full
+
+
+def _reference_phantom(spec):
+    """`make_phantom` evaluated on the full grid, shape by shape: the
+    reference its per-vertebra boxes must reproduce bit for bit."""
+    geom = GridGeometry(spec.dims, spec.spacing, (0.0, 0.0, 0.0))
+    pts = geom.grid_world_points()
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    extent = [(geom.dims[a] - 1) * geom.spacing[a] for a in range(3)]
+
+    rx, ry, rz = spec.body_radii_mm
+    slot = 2.0 * rz + spec.disc_gap_mm
+    total = spec.n_vertebrae * slot - spec.disc_gap_mm
+    if total > extent[2] - 4.0:
+        raise ValueError("vertebra stack does not fit the grid")
+    z0 = (extent[2] - total) / 2.0 + rz
+    cx = extent[0] / 2.0
+    cy = extent[1] * 0.4
+    proc_cy = cy + ry
+    if proc_cy + 9.0 > extent[1] or cx - rx < 0:
+        raise ValueError("vertebra cross-section does not fit the grid")
+
+    labels = np.zeros(geom.dims, dtype=np.int32)
+    image = np.full(geom.dims, spec.air_hu)
+    centers = []
+    for k in range(spec.n_vertebrae):
+        zc = z0 + k * slot
+        h = spec.height_scale[k]
+        centers.append(zc)
+        body = (((x - cx) / rx) ** 2 + ((y - cy) / ry) ** 2
+                + ((z - zc) / (rz * h)) ** 2) <= 1.0
+        proc = ((np.abs(x - cx) <= 3.0)
+                & (y >= proc_cy - 2.0) & (y <= proc_cy + 8.0)
+                & (np.abs(z - zc) <= 0.6 * rz * h))
+        mask = (body | proc) & (labels == 0)
+        labels[mask] = k + 1
+        image[mask] = spec.bone_hu
+
+    disc_r = 0.8 * min(rx, ry)
+    for k in range(spec.n_vertebrae - 1):
+        lo = centers[k] + rz * spec.height_scale[k]
+        hi = centers[k + 1] - rz * spec.height_scale[k + 1]
+        disc = ((((x - cx) / disc_r) ** 2 + ((y - cy) / disc_r) ** 2) <= 1.0) \
+            & (z >= lo) & (z <= hi) & (labels == 0)
+        image[disc] = spec.disc_hu
+
+    if spec.noise_sd > 0:
+        rng = np.random.default_rng(spec.seed)
+        image = image + rng.normal(0.0, spec.noise_sd, size=image.shape)
+
+    boxes = []
+    m = spec.box_margin_voxels
+    for k in range(spec.n_vertebrae):
+        idx = np.argwhere(labels == k + 1)
+        lo = np.maximum(idx.min(axis=0) - m, 0)
+        hi = np.minimum(idx.max(axis=0) + m, np.array(geom.dims) - 1)
+        boxes.append(BoundingBox(tuple(lo), tuple(hi)))
+
+    return ScalarVolume(geom, image), LabelVolume(geom, labels), boxes
+
+
+@st.composite
+def _phantom_specs(draw):
+    n = draw(st.integers(1, 4))
+    spacing = tuple(draw(st.floats(0.3, 1.5)) for _ in range(3))
+    radii = (draw(st.floats(2.0, 8.0)), draw(st.floats(1.5, 6.0)),
+             draw(st.floats(1.0, 6.0)))
+    gap = draw(st.sampled_from([0.0, 0.7, 2.5]))
+    heights = tuple(draw(st.sampled_from([1.0, 0.8, 0.45, 0.15]))
+                    for _ in range(n))
+    # the smallest grid that holds the stack and the cross-section
+    # (see make_phantom's fit checks), plus a few voxels of slack
+    need = (2.0 * radii[0] + 1.0, (radii[1] + 9.0) / 0.6 + 1.0,
+            n * (2.0 * radii[2] + gap) - gap + 5.0)
+    dims = tuple(int(np.ceil(e / s)) + 1 + draw(st.integers(0, 6))
+                 for e, s in zip(need, spacing))
+    return PhantomSpec(n_vertebrae=n, body_radii_mm=radii, disc_gap_mm=gap,
+                       height_scale=heights, dims=dims, spacing=spacing,
+                       noise_sd=draw(st.sampled_from([0.0, 12.0])),
+                       seed=draw(st.integers(0, 2 ** 16)),
+                       box_margin_voxels=draw(st.integers(0, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_phantom_specs())
+def test_make_phantom_equals_the_full_grid_reference(spec):
+    try:
+        want_img, want_lbl, want_boxes = _reference_phantom(spec)
+    except ValueError:
+        # a stack that does not fit, or a vertebra between voxel centers
+        with pytest.raises(ValueError):
+            make_phantom(spec)
+        return
+    img, lbl, boxes = make_phantom(spec)
+    assert img.data.tobytes() == want_img.data.tobytes()
+    assert lbl.data.tobytes() == want_lbl.data.tobytes()
+    assert boxes == want_boxes
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, dict(noise_sd=20.0, seed=3),
+    dict(height_scale=(1.0, 0.6, 1.0, 0.3, 1.0), disc_gap_mm=0.0),
+    SMALL, dict(SMALL, spacing=(0.7, 0.9, 1.1), dims=(40, 50, 70))])
+def test_make_phantom_equals_the_reference_on_fixed_specs(overrides):
+    spec = PhantomSpec(**overrides)
+    img, lbl, boxes = make_phantom(spec)
+    want_img, want_lbl, want_boxes = _reference_phantom(spec)
+    assert img.data.tobytes() == want_img.data.tobytes()
+    assert lbl.data.tobytes() == want_lbl.data.tobytes()
+    assert boxes == want_boxes
 
 
 def test_deform_zero_magnitude_is_identity():

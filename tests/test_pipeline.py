@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vertseg
-from vertseg import nifti
+from vertseg import nifti, registration
 from vertseg.cli import _config, build_parser, main
 from vertseg.fusion import FusionConfig, FusionOutput
 from vertseg.phantom import PhantomSpec, deform_phantom, make_phantom
@@ -25,8 +25,9 @@ from vertseg.pipeline import (AtlasEntry, AtlasManifest, VertebraEntry,
                               _bundle_ids, _eligible_atlases, _paste_back,
                               load_manifest, run_pipeline)
 from vertseg.postprocess import levelset_refine, morph_cleanup, refine_labels
+from vertseg.transform import AffineTransform, ComposedTransform
 from vertseg.volume import (BoundingBox, GridGeometry, LabelVolume,
-                            ScalarVolume, crop)
+                            ScalarVolume, bounding_box_of, crop)
 
 SMALL = dict(dims=(48, 48, 72), spacing=(0.8, 0.8, 1.0),
              body_radii_mm=(7.0, 5.0, 7.0), n_vertebrae=3)
@@ -332,6 +333,59 @@ def test_load_manifest_ignores_atlas_cohort_tag(tmp_path):
 
 
 # ------------------------------------------------ one pool per run
+
+@pytest.mark.parametrize("mode", ["single", "bundle3"])
+def test_register_one_crops_equal_the_full_volume_construction(
+        tmp_path, monkeypatch, mode):
+    # registration stubbed to the identity; every atlas crop that reaches
+    # the warp is recorded, in plan order (one worker)
+    m = load_manifest(_quick_manifest(tmp_path, n_atlases=2))
+    m = dataclasses.replace(m, mode=mode)
+    monkeypatch.setattr("vertseg.pipeline.register_affine",
+                        lambda target, floating, cfg: AffineTransform(
+                            np.eye(3), np.zeros(3)))
+    monkeypatch.setattr("vertseg.pipeline.register_ffd",
+                        lambda target, floating, affine, cfg:
+                        registration.RegistrationResult(
+                            ComposedTransform.identity(), 0.0, [], []))
+    seen = []
+
+    def recording_warp(image, labels, transform, geometry):
+        seen.append((image, labels))
+        return registration.warp_atlas(image, labels, transform, geometry)
+
+    monkeypatch.setattr("vertseg.pipeline.warp_atlas", recording_warp)
+    run_pipeline(m)
+
+    want = []
+    for vert in m.vertebrae:
+        for atlas, ids in _eligible_atlases(m, vert):
+            img = nifti.read_volume(atlas.image_path, "scalar")
+            lbl = nifti.read_volume(atlas.labels_path, "label")
+            keep = [atlas.vertebra_labels[v] for v in ids]
+            sub = np.where(np.isin(lbl.data, keep), lbl.data, 0)
+            box = bounding_box_of(sub)
+            margin = [round(m.crop_margin_mm / s)
+                      for s in img.geometry.spacing]
+            want.append((crop(img, box, margin),
+                         crop(LabelVolume(lbl.geometry, sub), box, margin)))
+    assert len(seen) == len(want) == 6
+    for got, ref in zip(seen, want):
+        for g, r in zip(got, ref):
+            assert g.geometry == r.geometry
+            assert g.data.dtype == r.data.dtype
+            assert g.data.tobytes() == r.data.tobytes()
+
+
+def test_run_pipeline_names_the_pair_whose_bundle_labels_are_absent(
+        tmp_path):
+    m = load_manifest(_quick_manifest(tmp_path, n_atlases=1))
+    m.atlases[0].vertebra_labels["V1"] = 7  # no voxel carries label 7
+    with pytest.raises(RuntimeError,
+                       match=r"^\[registration\] vertebra V1, atlas atlas0: "
+                             r"mask is empty$"):
+        run_pipeline(m)
+
 
 def _counting_affine(monkeypatch):
     """Count `register_affine` calls made by the pipeline."""

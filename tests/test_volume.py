@@ -5,7 +5,8 @@ import pytest
 
 from vertseg.volume import (BoundingBox, GridGeometry, LabelVolume,
                             ScalarVolume, bounding_box_of, crop, downsample,
-                            nearest_sample, resample, trilinear_sample)
+                            label_boxes, nearest_sample, resample,
+                            trilinear_sample)
 
 
 def small_geom(dims=(8, 9, 10), spacing=(0.5, 0.75, 1.25),
@@ -216,6 +217,24 @@ def test_bounding_box_of():
     assert box.max_index == (2, 2, 4)
     with pytest.raises(ValueError):
         bounding_box_of(np.zeros((2, 2, 2), dtype=bool))
+
+
+@pytest.mark.parametrize("top", [5, 70_000])
+def test_label_boxes_match_unique_and_argwhere(top):
+    # labels above 65535 take the ranked path; both give the same boxes
+    rng = np.random.default_rng(top)
+    for background in (True, False):
+        data = rng.choice([0, 2, 3, top] if background else [2, 3, top],
+                          size=(5, 6, 7))
+        boxes = label_boxes(data)
+        assert list(boxes) == [int(v) for v in np.unique(data) if v != 0]
+        assert LabelVolume(small_geom(dims=(5, 6, 7)), data).labels() \
+            == list(boxes)
+        for lv, box in boxes.items():
+            idx = np.argwhere(data == lv)
+            assert BoundingBox.from_slices(box) == BoundingBox(
+                tuple(idx.min(axis=0)), tuple(idx.max(axis=0)))
+    assert label_boxes(np.zeros((2, 2, 2), dtype=int)) == {}
 
 
 def test_bounding_box_validation():

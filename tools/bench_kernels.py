@@ -42,7 +42,10 @@ block's bounding box grown by 2p + r, 2p and p, for patch radius p and
 search radius r), which bound what its reads, its box-filter passes and
 its SSD comparisons cover. `refine_labels` is cleanup,
 then 10 iterations per label, on the default 96x96x160 phantom with its
-5 vertebra labels.
+5 vertebra labels. `make_phantom` builds that phantom (the default spec,
+noise 20 HU), and `evaluate_labels` scores its 5 labels, with volume and
+density, against a copy deformed by `deform_phantom`'s default smooth
+FFD.
 """
 
 import argparse
@@ -103,14 +106,16 @@ def run(n_points, repeats):
 
     from vertseg.bspline import BLOCK_POINTS
     from vertseg.cli import _keep_freed_memory
-    from vertseg.fusion import FusionConfig, RegisteredAtlas, _grow, fuse
-    from vertseg.phantom import PhantomSpec, make_phantom
+    from vertseg.fusion import FusionConfig, RegisteredAtlas, fuse
+    from vertseg.metrics import evaluate_labels
+    from vertseg.phantom import PhantomSpec, deform_phantom, make_phantom
     from vertseg.postprocess import refine_labels
     from vertseg.similarity import (NmiObjective, SplineImage,
                                     _contract_taps, _parzen_counts)
     from vertseg.transform import (GridBasis, bending_operator, ffd_basis,
                                    lattice_covering)
-    from vertseg.volume import GridGeometry, LabelVolume, ScalarVolume
+    from vertseg.volume import (GridGeometry, LabelVolume, ScalarVolume,
+                                grow_box)
 
     _keep_freed_memory()
     rng = np.random.default_rng(0)
@@ -160,10 +165,13 @@ def run(n_points, repeats):
     p, r = fuse_cfg.patch_radius, fuse_cfg.search_radius
 
     def block_grown_voxels(margin):
-        return int(np.prod([s.stop - s.start
-                            for s in _grow(block_box, margin, IMAGE_DIMS)]))
+        box = grow_box(block_box, margin, IMAGE_DIMS)
+        return int(np.prod([s.stop - s.start for s in box]))
 
-    ct, labels, _ = make_phantom(PhantomSpec(noise_sd=20.0, seed=0))
+    phantom_spec = PhantomSpec(noise_sd=20.0, seed=0)
+    ct, labels, _ = make_phantom(phantom_spec)
+    _, deformed, _ = deform_phantom(ct, labels, seed=1)
+    vertebrae = [(f"V{lv}", lv, {}) for lv in labels.labels()]
     kernels = {
         "ffd_basis_build": lambda: ffd_basis(lattice, pts),
         "ffd_forward_Wc": lambda: basis @ coef,
@@ -182,6 +190,9 @@ def run(n_points, repeats):
         "fuse_patch_search": lambda: fuse(image, fuse_atlases, fuse_cfg),
         "refine_labels": lambda: refine_labels(labels, ct,
                                                iters=LEVELSET_ITERS),
+        "make_phantom": lambda: make_phantom(phantom_spec),
+        "evaluate_labels": lambda: evaluate_labels(labels, deformed, ct,
+                                                   vertebrae, "phantom"),
     }
     sizes = {"points": n_points, "block_points": BLOCK_POINTS,
              "lattice_dims": list(lattice.dims),
