@@ -200,7 +200,7 @@ class VertebraResult:
     vertebra_id: str
     transforms: list  # (atlas case_id, ComposedTransform)
     fusion_probability: np.ndarray
-    refined_mask: LabelVolume
+    refined_mask: LabelVolume  # 0/1, on its band crop of the target crop
 
 
 @dataclass
@@ -293,10 +293,9 @@ def bundle_ids_center(ids):
     return ids[len(ids) // 2] if len(ids) == 3 else ids[0]
 
 
-def _fold_vertebra(vert, tcrop, eligible, done, target_geometry,
-                   manifest):
-    """Fuse and refine one vertebra from its registered pairs; return its
-    result and its refined mask pasted onto the full target grid."""
+def _fold_vertebra(vert, tcrop, eligible, done, manifest):
+    """Fuse and refine one vertebra from its registered pairs; its
+    refined mask is the band crop `refine_labels` returns."""
     transforms = [(entry.case_id, r[1])
                   for (entry, _ids), r in zip(eligible, done)]
     try:
@@ -315,26 +314,8 @@ def _fold_vertebra(vert, tcrop, eligible, done, target_geometry,
         raise RuntimeError(
             f"[postprocess] vertebra {vert.vertebra_id}: {exc}")
 
-    result = VertebraResult(
-        vertebra_id=vert.vertebra_id,
-        transforms=transforms,
-        fusion_probability=fused.probability,
-        refined_mask=refined,
-    )
-    return result, _paste_back(refined, target_geometry, vert.label)
-
-
-def _paste_back(mask, target_geometry, label):
-    """A crop-space mask on the full target grid, label where it is
-    nonzero and 0 elsewhere. The crop's origin gives its voxel offset,
-    since `volume.crop` keeps world coordinates."""
-    full = np.zeros(target_geometry.dims, dtype=np.int32)
-    off = np.round(target_geometry.world_to_voxel(
-        np.array(mask.geometry.origin))).astype(int)
-    sl = tuple(slice(off[a], off[a] + mask.geometry.dims[a])
-               for a in range(3))
-    full[sl] = np.where(mask.data != 0, label, 0)
-    return LabelVolume(target_geometry, full)
+    return VertebraResult(vert.vertebra_id, transforms, fused.probability,
+                          refined)
 
 
 def run_pipeline(manifest):
@@ -344,10 +325,10 @@ def run_pipeline(manifest):
     A vertebra without an eligible atlas fails here, before any
     registration. Pool: one executor of `manifest.workers` threads
     registers the pairs. Fold: results come back in plan order, and each
-    vertebra is fused, refined and pasted back as soon as its last pair
-    is in, while the pool registers the next vertebra's pairs. The plan
-    fixes the order of every result, so outputs do not depend on the
-    worker count."""
+    vertebra is fused and refined as soon as its last pair is in, while
+    the pool registers the next vertebra's pairs. The plan fixes the
+    order of every result, so outputs do not depend on the worker
+    count."""
     target_img = nifti.read_volume(manifest.target_image_path, "scalar")
     target_lbl = None
     if manifest.target_labels_path:
@@ -389,7 +370,7 @@ def run_pipeline(manifest):
 
     timing = []
     per_vertebra = {}
-    full_masks = []
+    masks = []
     pool = ThreadPoolExecutor(max_workers=manifest.workers)
     try:
         results = pool.map(work, pairs)
@@ -397,15 +378,15 @@ def run_pipeline(manifest):
             done = [next(results) for _ in eligible]
             timing.extend((vert.vertebra_id, entry.case_id, r[2])
                           for (entry, _ids), r in zip(eligible, done))
-            per_vertebra[vert.vertebra_id], full = _fold_vertebra(
-                vert, tcrop, eligible, done, target_img.geometry, manifest)
-            full_masks.append((vert.label, full))
+            result = _fold_vertebra(vert, tcrop, eligible, done, manifest)
+            per_vertebra[vert.vertebra_id] = result
+            masks.append((vert.label, result.refined_mask))
     finally:
         # After a failure, drop the pairs that have not started instead
         # of registering the rest of the run. On success none are left.
         pool.shutdown(cancel_futures=True)
 
-    final = separate_labels(full_masks, target_img, manifest.collision)
+    final = separate_labels(masks, target_img, manifest.collision)
 
     rows = summaries = None
     if target_lbl is not None:

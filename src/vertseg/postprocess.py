@@ -3,7 +3,8 @@ collision resolution between vertebrae by a linear score, and level-set
 boundary refinement driven by the intensity Laplacian.
 
 `refine_labels` and `separate_labels` chain these steps; `vertseg
-refine` and the pipeline both post-process through them.
+refine` and the pipeline both post-process through them, and hand on
+each label's mask as its band crop.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,8 @@ import numpy as np
 from scipy import ndimage
 
 from .checks import real
-from .volume import LabelVolume, bounding_box_of, label_boxes
+from .volume import (BoundingBox, LabelVolume, bounding_box_of, crop,
+                     label_boxes)
 
 _CONN26 = np.ones((3, 3, 3), dtype=bool)
 _CURVATURE_WEIGHT = 0.2
@@ -57,8 +59,22 @@ def _on_intensity_grid(mask, intensity):
     return arr
 
 
+def _placed(mask, intensity):
+    """A LabelVolume on a crop of the intensity grid (the whole grid is
+    one) as a boolean mask on that grid: the crop starts at the mask's
+    rounded voxel offset, and `_on_intensity_grid` checks the mask on it."""
+    geom = intensity.geometry
+    lo = np.round(geom.world_to_voxel(mask.geometry.origin)).astype(int)
+    sl = tuple(slice(a, a + n) for a, n in zip(lo, mask.geometry.dims))
+    window = crop(intensity, BoundingBox.from_slices(sl))
+    out = np.zeros(geom.dims, dtype=bool)
+    out[sl] = _on_intensity_grid(mask, window) != 0
+    return out
+
+
 def instance_from_mask(label, mask, intensity):
     """Build a VertebraInstance (centroid + mean HU) from a binary mask."""
+    mask = _on_intensity_grid(mask, intensity).astype(bool, copy=False)
     idx = np.argwhere(mask)
     if idx.size == 0:
         raise ValueError(f"empty mask for label {label}")
@@ -211,32 +227,26 @@ def _speed_field(intensity, smooth_sigma):
     return lap / scale if scale > 0 else np.zeros_like(lap)
 
 
-def _evolve(m, speed, iters, step, curvature_weight):
-    """Level set of the boolean mask m under the speed field, on the
-    band crop of m (see `levelset_refine`); returns a 0/1 int32 array of
-    m's shape."""
-    out = m.astype(np.int32)
-    if iters == 0 or not m.any():
-        return out
-    reach = iters * step + 1.0
-    pad = 2 + int(min(reach, max(m.shape))) if reach > 0 else 2
-    box = bounding_box_of(m)
-    crop = tuple(slice(max(lo - pad, 0), min(hi + pad + 1, n))
-                 for lo, hi, n in zip(box.min_index, box.max_index, m.shape))
-    sub = m[crop]
-    inside = ndimage.distance_transform_edt(sub)
-    outside = ndimage.distance_transform_edt(~sub)
-    phi = outside - inside  # positive outside
+def _band(box, iters, step, dims):
+    """The level set's crop, as slices, of a mask whose BoundingBox is box:
+    box padded by floor(iters*step + 1) + 2 voxels, clamped to dims."""
+    pad = 2 + int(iters * step + 1.0)
+    return tuple(slice(max(lo - pad, 0), min(hi + pad + 1, n))
+                 for lo, hi, n in zip(box.min_index, box.max_index, dims))
 
-    g = speed[crop]
-    band = np.abs(phi) <= reach
+
+def _evolve(m, speed, iters, step, curvature_weight):
+    """Level set of the boolean band crop m (see `_band`) under speed,
+    the speed field on the same crop; returns the evolved boolean crop."""
+    inside = ndimage.distance_transform_edt(m)
+    outside = ndimage.distance_transform_edt(~m)
+    phi = outside - inside  # positive outside
+    band = np.abs(phi) <= iters * step + 1.0
     for _ in range(iters):
         kappa, mag = _curvature(phi)
-        dphi = step * (g + curvature_weight * kappa) * mag
+        dphi = step * (speed + curvature_weight * kappa) * mag
         phi[band] += dphi[band]
-
-    out[crop] = np.where(band, phi < 0.0, sub)
-    return out
+    return np.where(band, phi < 0.0, m)
 
 
 def levelset_refine(mask, intensity, iters=LEVELSET_ITERS,
@@ -251,8 +261,8 @@ def levelset_refine(mask, intensity, iters=LEVELSET_ITERS,
     touched, and an empty mask stays empty. The mask must lie on the
     intensity grid.
 
-    The work is done on a crop: the mask's bounding box padded by
-    floor(r) + 2 voxels, clamped to the volume. The result equals the
+    The work is done on the band crop (`_band`) of the mask's bounding
+    box, which is written into a copy of the mask. The result equals the
     full-grid evolution exactly. The crop holds the whole mask and a
     background layer around it (unless at a volume face), so both
     distance transforms match the full-grid ones inside it; every band
@@ -267,20 +277,23 @@ def levelset_refine(mask, intensity, iters=LEVELSET_ITERS,
         raise ValueError(f"step must be > 0, got {step}")
     geom = mask.geometry if isinstance(mask, LabelVolume) else None
     m = _on_intensity_grid(mask, intensity) != 0
-    speed = _speed_field(intensity, smooth_sigma) if iters else None
-    out = _evolve(m, speed, iters, step, curvature_weight)
+    out = m.astype(np.int32)
+    if iters and m.any():
+        sl = _band(bounding_box_of(m), iters, step, m.shape)
+        out[sl] = _evolve(m[sl], _speed_field(intensity, smooth_sigma)[sl],
+                          iters, step, curvature_weight)
     return LabelVolume(geom, out) if geom is not None else out
 
 
 def refine_labels(lbl, intensity, min_island_voxels=MIN_ISLAND_VOXELS,
                   iters=LEVELSET_ITERS, step=LEVELSET_STEP):
     """Clean up a label volume, then refine each label's binary mask by
-    the level set. Returns {label: refined 0/1 LabelVolume}, in label
-    order; a label that cleanup removes entirely is absent.
-
-    Equals `levelset_refine` per label at its default curvature weight
-    and smoothing; the speed field is computed once, not per label. The
-    labels must lie on the intensity grid.
+    the level set. Returns {label: 0/1 LabelVolume on the label's band
+    crop}, in label order; a label that cleanup removes entirely is absent.
+    Placed on the grid, each equals `levelset_refine` of the cleaned label
+    at its default curvature weight and smoothing; the speed field is
+    computed once, not per label. The labels must lie on the intensity
+    grid.
     """
     if iters < 0:
         raise ValueError("iters must be >= 0")
@@ -289,17 +302,23 @@ def refine_labels(lbl, intensity, min_island_voxels=MIN_ISLAND_VOXELS,
     _on_intensity_grid(lbl, intensity)
     cleaned = morph_cleanup(lbl, min_island_voxels)
     speed = _speed_field(intensity, _SMOOTH_SIGMA) if iters else None
-    return {lv: LabelVolume(cleaned.geometry,
-                            _evolve(cleaned.data == lv, speed, iters, step,
-                                    _CURVATURE_WEIGHT))
-            for lv in cleaned.labels()}
+    refined = {}
+    for lv, box in label_boxes(cleaned.data).items():
+        sl = _band(BoundingBox.from_slices(box), iters, step, lbl.data.shape)
+        band = crop(cleaned, BoundingBox.from_slices(sl))
+        m = band.data == lv
+        if iters:
+            m = _evolve(m, speed[sl], iters, step, _CURVATURE_WEIGHT)
+        refined[lv] = LabelVolume(band.geometry, m.astype(np.int32))
+    return refined
 
 
 def separate_labels(masks, intensity, policy=None):
-    """One label volume from (label, mask) pairs on the intensity grid:
-    each label becomes an instance (centroid, mean intensity) and voxels
-    claimed by several masks go to the best-scoring instance."""
-    masks = [(lv, _on_intensity_grid(m, intensity) != 0) for lv, m in masks]
+    """One label volume from (label, mask) pairs, each mask a LabelVolume
+    on a crop of the intensity grid (the whole grid is one): each mask is
+    placed on the grid and becomes an instance (centroid, mean intensity),
+    and voxels claimed by several masks go to the best-scoring instance."""
+    masks = [(lv, _placed(m, intensity)) for lv, m in masks]
     instances = [instance_from_mask(lv, m, intensity) for lv, m in masks]
     return resolve_collisions([m for _, m in masks], intensity, instances,
                               policy)

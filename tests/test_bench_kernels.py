@@ -14,8 +14,8 @@ KERNELS = {"ffd_basis_build", "ffd_forward_Wc", "ffd_adjoint_WTp",
            "ffd_grid_forward", "ffd_grid_adjoint", "bending_operator_build",
            "bending_apply_Qc", "spline_sample_gradient",
            "spline_tap_contraction", "parzen_counts", "nmi_point_gradient",
-           "fuse_patch_search", "refine_labels", "make_phantom",
-           "evaluate_labels"}
+           "fuse_patch_search", "refine_labels", "separate_labels",
+           "make_phantom", "evaluate_labels"}
 
 
 def test_bench_kernels_writes_medians_and_environment(tmp_path):

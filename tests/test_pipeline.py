@@ -22,9 +22,10 @@ from vertseg.fusion import FusionConfig, FusionOutput
 from vertseg.phantom import PhantomSpec, deform_phantom, make_phantom
 from vertseg.registration import RegistrationConfig, register_affine
 from vertseg.pipeline import (AtlasEntry, AtlasManifest, VertebraEntry,
-                              _bundle_ids, _eligible_atlases, _paste_back,
-                              load_manifest, run_pipeline)
-from vertseg.postprocess import levelset_refine, morph_cleanup, refine_labels
+                              _bundle_ids, _eligible_atlases,
+                              _margin_voxels, load_manifest, run_pipeline)
+from vertseg.postprocess import (levelset_refine, morph_cleanup,
+                                 refine_labels, separate_labels)
 from vertseg.transform import AffineTransform, ComposedTransform
 from vertseg.volume import (BoundingBox, GridGeometry, LabelVolume,
                             ScalarVolume, bounding_box_of, crop)
@@ -175,7 +176,16 @@ def test_run_pipeline_end_to_end(tmp_path):
 
     res = run.per_vertebra["V1"]
     assert len(res.transforms) == 2
-    assert res.fusion_probability.shape == res.refined_mask.geometry.dims
+    # the refined mask is a crop (its band) of the target crop
+    target = nifti.read_volume(m.target_image_path, "scalar")
+    tcrop = crop(target, m.vertebrae[0].box,
+                 _margin_voxels(target.geometry, m.crop_margin_mm))
+    assert res.fusion_probability.shape == tcrop.geometry.dims
+    refined = res.refined_mask.geometry
+    lo = np.round(tcrop.geometry.world_to_voxel(refined.origin)).astype(int)
+    hi = lo + np.array(refined.dims) - 1
+    assert np.all(lo >= 0) and np.all(hi < tcrop.geometry.dims)
+    assert refined.same_grid(crop(tcrop, BoundingBox(lo, hi)).geometry)
     assert set(np.unique(res.refined_mask.data)).issubset({0, 1})
 
 
@@ -625,7 +635,7 @@ def test_cli_defaults_are_the_config_defaults():
     assert _config(PhantomSpec, args) == PhantomSpec()
 
 
-# ------------------------------------------------ crop and paste-back
+# --------------------------------------------- crop and placement
 
 @st.composite
 def _crop_cases(draw):
@@ -671,15 +681,20 @@ def test_crop_and_paste_back_keep_world_coordinates(case, seed):
         assert np.array_equal(c.data, vol.data[sl])
         assert np.allclose(c.geometry.grid_world_points(),
                            geom.grid_world_points()[sl], rtol=0, atol=1e-9)
-    # the offset the pipeline pastes at is the clamped box start
+    # the offset a crop is placed at is the clamped box start
     off = np.round(geom.world_to_voxel(np.array(cimg.geometry.origin)))
     assert off.astype(int).tolist() == start
 
-    pasted = _paste_back(cmask, geom, 7)
+    # `separate_labels` places the crop at that offset
+    if not cmask.data.any():
+        with pytest.raises(ValueError, match="empty mask"):
+            separate_labels([(7, cmask)], image)
+        return
+    placed = separate_labels([(7, cmask)], image)
     expected = np.zeros(geom.dims, dtype=np.int32)
     expected[sl] = 7 * mask.data[sl]
-    assert pasted.geometry == geom
-    assert np.array_equal(pasted.data, expected)
+    assert placed.geometry == geom
+    assert np.array_equal(placed.data, expected)
 
 
 def test_load_manifest_rejects_a_fractional_box_naming_the_vertebra(tmp_path):

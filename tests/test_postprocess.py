@@ -11,7 +11,8 @@ from vertseg.postprocess import (CollisionPolicy, VertebraInstance,
                                  instance_from_mask, levelset_refine,
                                  morph_cleanup, refine_labels,
                                  resolve_collisions, separate_labels)
-from vertseg.volume import GridGeometry, LabelVolume, ScalarVolume
+from vertseg.volume import (BoundingBox, GridGeometry, LabelVolume,
+                            ScalarVolume, crop)
 
 
 def _geom(dims, spacing=(1.0, 1.0, 1.0)):
@@ -21,6 +22,26 @@ def _geom(dims, spacing=(1.0, 1.0, 1.0)):
 def _lbl(data):
     data = np.asarray(data)
     return LabelVolume(_geom(data.shape), data)
+
+
+def _place(mask, geom):
+    """A mask on a crop of geom, as 0/1 int32 data on geom."""
+    off = np.round(geom.world_to_voxel(mask.geometry.origin)).astype(int)
+    out = np.zeros(geom.dims, dtype=np.int32)
+    out[tuple(slice(o, o + n) for o, n in zip(off, mask.geometry.dims))] \
+        = mask.data != 0
+    return out
+
+
+def _band_geometry(m, geom, iters, step=0.25):
+    """The grid of the level set's crop of the boolean mask m on geom:
+    its bounding box padded by floor(iters*step + 1) + 2 voxels, clamped
+    to the grid."""
+    idx = np.argwhere(m)
+    pad = 2 + int(iters * step + 1.0)
+    lo = np.maximum(idx.min(axis=0) - pad, 0)
+    hi = np.minimum(idx.max(axis=0) + pad, np.array(geom.dims) - 1)
+    return crop(LabelVolume(geom, m), BoundingBox(lo, hi)).geometry
 
 
 def test_instance_from_mask_centroid_and_intensity():
@@ -195,16 +216,17 @@ def test_refine_and_separate_labels_chain_the_steps():
     masks = refine_labels(lbl, intensity, min_island_voxels=5, iters=3)
     assert list(masks) == [1, 2]
     cleaned = morph_cleanup(lbl, 5)
-    for lv, mask in masks.items():
+    placed = {lv: _place(m, lbl.geometry) for lv, m in masks.items()}
+    for lv, mask in placed.items():
         expect = levelset_refine(
             LabelVolume(lbl.geometry, (cleaned.data == lv).astype(np.int32)),
             intensity, iters=3)
-        assert np.array_equal(mask.data, expect.data)
+        assert np.array_equal(mask, expect.data)
 
     final = separate_labels(masks.items(), intensity)
-    instances = [instance_from_mask(lv, m.data != 0, intensity)
-                 for lv, m in masks.items()]
-    expect = resolve_collisions(list(masks.values()), intensity, instances)
+    instances = [instance_from_mask(lv, m != 0, intensity)
+                 for lv, m in placed.items()]
+    expect = resolve_collisions(list(placed.values()), intensity, instances)
     assert np.array_equal(final.data, expect.data)
 
 
@@ -351,10 +373,11 @@ def test_refine_labels_equals_per_label_levelset_refine():
     for lv, mask in masks.items():
         single = LabelVolume(g, (data == lv).astype(np.int32))
         expect = levelset_refine(single, intensity, iters=10)
-        assert mask.geometry == g
-        assert np.array_equal(mask.data, expect.data)
+        assert mask.geometry == _band_geometry(data == lv, g, 10)
+        placed = _place(mask, g)
+        assert np.array_equal(placed, expect.data)
         assert np.array_equal(
-            mask.data, _full_grid_levelset(data == lv, intensity, 10, 0.25))
+            placed, _full_grid_levelset(data == lv, intensity, 10, 0.25))
     with pytest.raises(ValueError):
         refine_labels(lbl, intensity, iters=-1)
 
@@ -462,8 +485,15 @@ def test_refinement_rejects_intensity_on_another_grid():
         refine_labels(lbl, intensity)
     with pytest.raises(ValueError, match="intensity grid"):
         levelset_refine(lbl, intensity)
-    with pytest.raises(ValueError, match="intensity grid"):
-        separate_labels([(1, lbl)], intensity)
+    # a mask whose grid is not a crop of the intensity grid: an origin
+    # half a voxel off, another spacing, a box reaching past a face
+    for spacing, origin in (((1.0,) * 3, (2.5, 0.0, 0.0)),
+                            ((0.5,) * 3, (0.0, 0.0, 0.0)),
+                            ((1.0,) * 3, (0.0, 15.0, 0.0))):
+        mask = LabelVolume(GridGeometry(lbl.geometry.dims, spacing, origin),
+                           data)
+        with pytest.raises(ValueError, match="intensity grid"):
+            separate_labels([(1, mask)], intensity)
 
 
 def test_resolve_collisions_rejects_mask_on_another_grid_with_same_dims():
@@ -476,3 +506,66 @@ def test_resolve_collisions_rejects_mask_on_another_grid_with_same_dims():
     inst = instance_from_mask(1, data != 0, intensity)
     with pytest.raises(ValueError, match="intensity grid"):
         resolve_collisions([shifted], intensity, [inst])
+
+
+def test_instance_from_mask_rejects_a_mask_off_the_intensity_grid():
+    g = _geom((6, 6, 6))
+    intensity = ScalarVolume(g, np.ones(g.dims))
+    shifted = LabelVolume(GridGeometry(g.dims, g.spacing, (2.0, 0.0, 0.0)),
+                          np.ones(g.dims, dtype=np.int32))
+    with pytest.raises(ValueError, match="intensity grid"):
+        instance_from_mask(1, shifted, intensity)
+    with pytest.raises(ValueError, match="intensity dims"):
+        instance_from_mask(1, np.ones((6, 6, 5), dtype=bool), intensity)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(*[st.integers(2, 14)] * 3),
+       density=st.floats(0.05, 0.8),
+       values=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+       min_island=st.integers(0, 12),
+       iters=st.sampled_from([0, 3, 10]),
+       seed=st.integers(0, 2 ** 16))
+def test_refine_labels_returns_band_crops_on_random_labels(
+        dims, density, values, min_island, iters, seed):
+    # random labels touch faces, and label values that are drawn but
+    # not placed, or that cleanup removes, are absent from the result
+    rng = np.random.default_rng(seed)
+    data = np.where(rng.random(dims) < density, rng.choice(values, dims),
+                    0).astype(np.int32)
+    lbl = _lbl(data)
+    intensity = _noise_intensity(lbl.geometry, seed)
+    masks = refine_labels(lbl, intensity, min_island, iters=iters)
+    cleaned = morph_cleanup(lbl, min_island)
+    assert list(masks) == cleaned.labels()
+    for lv, mask in masks.items():
+        m = cleaned.data == lv
+        assert mask.geometry == _band_geometry(m, lbl.geometry, iters)
+        assert mask.data.dtype == np.int32
+        assert set(np.unique(mask.data)) <= {0, 1}
+        expect = levelset_refine(LabelVolume(lbl.geometry, m), intensity,
+                                 iters=iters)
+        assert np.array_equal(_place(mask, lbl.geometry), expect.data)
+
+
+def test_separate_labels_on_crops_equals_on_placed_masks():
+    g = GridGeometry((20, 18, 16), (0.8, 1.0, 1.5), (-3.0, 2.0, 7.5))
+    rng = np.random.default_rng(11)
+    intensity = _noise_intensity(g, 11)
+    # three overlapping blocks at interior offsets: the overlaps are
+    # contested, so the collision scores decide them
+    blocks = [(slice(2, 9), slice(3, 12), slice(4, 11)),
+              (slice(7, 15), slice(5, 14), slice(3, 12)),
+              (slice(12, 18), slice(2, 10), slice(6, 14))]
+    crops, placed = [], []
+    for lv, block in zip((3, 5, 8), blocks):
+        m = np.zeros(g.dims, dtype=np.int32)
+        m[block] = rng.random(m[block].shape) < 0.9
+        box = BoundingBox.from_slices(block)
+        crops.append((lv, crop(LabelVolume(g, m), box, (1, 2, 1))))
+        placed.append((lv, LabelVolume(g, m)))
+    assert all(c.geometry.dims != g.dims for _, c in crops)
+    final = separate_labels(crops, intensity)
+    expect = separate_labels(placed, intensity)
+    assert np.array_equal(final.data, expect.data)
+    assert set(np.unique(final.data)) == {0, 3, 5, 8}

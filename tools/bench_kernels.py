@@ -42,10 +42,11 @@ block's bounding box grown by 2p + r, 2p and p, for patch radius p and
 search radius r), which bound what its reads, its box-filter passes and
 its SSD comparisons cover. `refine_labels` is cleanup,
 then 10 iterations per label, on the default 96x96x160 phantom with its
-5 vertebra labels. `make_phantom` builds that phantom (the default spec,
-noise 20 HU), and `evaluate_labels` scores its 5 labels, with volume and
-density, against a copy deformed by `deform_phantom`'s default smooth
-FFD.
+5 vertebra labels; `separate_labels` takes the 5 band crops that call
+returns and places them on the grid, as `vertseg refine` does next.
+`make_phantom` builds that phantom (the default spec, noise 20 HU), and
+`evaluate_labels` scores its 5 labels, with volume and density, against
+a copy deformed by `deform_phantom`'s default smooth FFD.
 """
 
 import argparse
@@ -109,7 +110,7 @@ def run(n_points, repeats):
     from vertseg.fusion import FusionConfig, RegisteredAtlas, fuse
     from vertseg.metrics import evaluate_labels
     from vertseg.phantom import PhantomSpec, deform_phantom, make_phantom
-    from vertseg.postprocess import refine_labels
+    from vertseg.postprocess import refine_labels, separate_labels
     from vertseg.similarity import (NmiObjective, SplineImage,
                                     _contract_taps, _parzen_counts)
     from vertseg.transform import (GridBasis, bending_operator, ffd_basis,
@@ -172,6 +173,7 @@ def run(n_points, repeats):
     ct, labels, _ = make_phantom(phantom_spec)
     _, deformed, _ = deform_phantom(ct, labels, seed=1)
     vertebrae = [(f"V{lv}", lv, {}) for lv in labels.labels()]
+    refined = refine_labels(labels, ct, iters=LEVELSET_ITERS)
     kernels = {
         "ffd_basis_build": lambda: ffd_basis(lattice, pts),
         "ffd_forward_Wc": lambda: basis @ coef,
@@ -190,6 +192,7 @@ def run(n_points, repeats):
         "fuse_patch_search": lambda: fuse(image, fuse_atlases, fuse_cfg),
         "refine_labels": lambda: refine_labels(labels, ct,
                                                iters=LEVELSET_ITERS),
+        "separate_labels": lambda: separate_labels(refined.items(), ct),
         "make_phantom": lambda: make_phantom(phantom_spec),
         "evaluate_labels": lambda: evaluate_labels(labels, deformed, ct,
                                                    vertebrae, "phantom"),
