@@ -2,7 +2,8 @@
 
 Supports exactly what the pipeline needs: 3D int16 scalar volumes and
 uint8 label volumes, little-endian, axis-aligned geometry. Files carrying
-a rotation (non-diagonal sform/qform) are rejected.
+a rotation (non-diagonal sform/qform) or a non-finite header float that
+the reader uses are rejected.
 """
 
 import gzip
@@ -35,6 +36,14 @@ def _open_read(path):
     return raw
 
 
+def _check_finite(path, name, values):
+    """Raise a ValueError naming the file and the header field unless
+    every value is finite (NaN would pass the orientation checks)."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: header field {name} must be finite, "
+                         f"got {tuple(float(v) for v in values)}")
+
+
 def read_volume(path, kind="scalar"):
     """Read a .nii/.nii.gz file as a ScalarVolume or LabelVolume."""
     raw = _open_read(path)
@@ -61,9 +70,11 @@ def read_volume(path, kind="scalar"):
                     dtype=np.float64).reshape(3, 4)
     qform_code = struct.unpack_from("<h", raw, 252)[0]
 
+    _check_finite(path, "scl_slope/scl_inter", (scl_slope, scl_inter))
     spacing = tuple(float(abs(p)) for p in pixdim[1:4])
     origin = (0.0, 0.0, 0.0)
     if sform_code > 0:
+        _check_finite(path, "srow_x/y/z", srow.ravel())
         rot = srow[:, :3]
         if np.any(np.abs(rot - np.diag(np.diag(rot))) > 1e-5):
             raise ValueError(f"{path}: non-axis-aligned orientation rejected")
@@ -71,12 +82,15 @@ def read_volume(path, kind="scalar"):
             raise ValueError(f"{path}: flipped axes rejected")
         spacing = tuple(float(d) for d in np.diag(rot))
         origin = tuple(float(v) for v in srow[:, 3])
-    elif qform_code > 0:
-        quat = struct.unpack_from("<6f", raw, 256)
-        b, c, d = quat[0:3]
-        if abs(b) > 1e-5 or abs(c) > 1e-5 or abs(d) > 1e-5:
-            raise ValueError(f"{path}: non-axis-aligned orientation rejected")
-        origin = tuple(float(v) for v in quat[3:6])
+    else:
+        _check_finite(path, "pixdim[1:4]", spacing)
+        if qform_code > 0:
+            quat = struct.unpack_from("<6f", raw, 256)
+            _check_finite(path, "quatern_b/c/d, qoffset_x/y/z", quat)
+            if any(abs(q) > 1e-5 for q in quat[0:3]):
+                raise ValueError(
+                    f"{path}: non-axis-aligned orientation rejected")
+            origin = tuple(float(v) for v in quat[3:6])
 
     # a single-file NIfTI-1 keeps its image after the 348-byte header and
     # the 4-byte extension flag (NaN fails this test too)
@@ -99,10 +113,17 @@ def read_volume(path, kind="scalar"):
         data = data * slope + scl_inter
     # NIfTI data is x-fastest; our arrays are indexed (x, y, z) C-order
     data = data.reshape(dims[::-1]).transpose(2, 1, 0)
-    geom = GridGeometry(dims=dims, spacing=spacing, origin=origin)
     if kind == "label":
-        return LabelVolume(geom, np.round(data).astype(np.int32))
-    return ScalarVolume(geom, data)
+        lo, hi = data.min(), data.max()
+        if not -2 ** 31 <= lo <= hi < 2 ** 31 - 1:  # NaN fails this too
+            raise ValueError(f"{path}: label values outside the int32 range")
+    try:
+        geom = GridGeometry(dims=dims, spacing=spacing, origin=origin)
+        if kind == "label":
+            return LabelVolume(geom, np.round(data).astype(np.int32))
+        return ScalarVolume(geom, data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_volume(path, vol):

@@ -199,7 +199,6 @@ def load_manifest(path):
 class VertebraResult:
     vertebra_id: str
     transforms: list  # (atlas case_id, ComposedTransform)
-    fusion_probability: np.ndarray
     refined_mask: LabelVolume  # 0/1, on its band crop of the target crop
 
 
@@ -314,8 +313,7 @@ def _fold_vertebra(vert, tcrop, eligible, done, manifest):
         raise RuntimeError(
             f"[postprocess] vertebra {vert.vertebra_id}: {exc}")
 
-    return VertebraResult(vert.vertebra_id, transforms, fused.probability,
-                          refined)
+    return VertebraResult(vert.vertebra_id, transforms, refined)
 
 
 def run_pipeline(manifest):

@@ -59,29 +59,33 @@ def _on_intensity_grid(mask, intensity):
     return arr
 
 
-def _placed(mask, intensity):
-    """A LabelVolume on a crop of the intensity grid (the whole grid is
-    one) as a boolean mask on that grid: the crop starts at the mask's
-    rounded voxel offset, and `_on_intensity_grid` checks the mask on it."""
+def _placement(mask, intensity):
+    """A mask's slices on the intensity grid and its boolean data there.
+    A LabelVolume lies on a crop of the grid (the whole grid is one): the
+    crop starts at the mask's rounded voxel offset, and
+    `_on_intensity_grid` checks the mask on it. An array has the grid's
+    shape."""
+    if not isinstance(mask, LabelVolume):
+        m = _on_intensity_grid(mask, intensity) != 0
+        return tuple(slice(0, n) for n in m.shape), m
     geom = intensity.geometry
     lo = np.round(geom.world_to_voxel(mask.geometry.origin)).astype(int)
     sl = tuple(slice(a, a + n) for a, n in zip(lo, mask.geometry.dims))
     window = crop(intensity, BoundingBox.from_slices(sl))
-    out = np.zeros(geom.dims, dtype=bool)
-    out[sl] = _on_intensity_grid(mask, window) != 0
-    return out
+    return sl, _on_intensity_grid(mask, window) != 0
 
 
 def instance_from_mask(label, mask, intensity):
-    """Build a VertebraInstance (centroid + mean HU) from a binary mask."""
-    mask = _on_intensity_grid(mask, intensity).astype(bool, copy=False)
-    idx = np.argwhere(mask)
+    """Build a VertebraInstance (centroid + mean HU) from a binary mask
+    on a crop of the intensity grid (see `_placement`)."""
+    sl, m = _placement(mask, intensity)
+    idx = np.argwhere(m)
     if idx.size == 0:
         raise ValueError(f"empty mask for label {label}")
-    center_idx = idx.mean(axis=0)
+    center_idx = (idx + [s.start for s in sl]).mean(axis=0)
     center = intensity.geometry.voxel_to_world(center_idx)
-    return VertebraInstance(label=int(label), center=np.asarray(center),
-                            mean_intensity=float(intensity.data[mask].mean()))
+    return VertebraInstance(int(label), np.asarray(center),
+                            float(intensity.data[sl][m].mean()))
 
 
 def morph_cleanup(lbl, min_island_voxels=MIN_ISLAND_VOXELS):
@@ -146,37 +150,46 @@ def morph_cleanup(lbl, min_island_voxels=MIN_ISLAND_VOXELS):
 
 def resolve_collisions(per_vertebra_masks, intensity, instances, policy=None):
     """Assign voxels claimed by multiple vertebrae to the instance with the
-    best linear score over z-standardized intensity and distance features."""
+    best linear score over z-standardized intensity and distance features.
+
+    Each mask lies on a crop of the intensity grid (see `_placement`).
+    Claims are counted crop by crop in one grid of the smallest unsigned
+    type that holds the number of masks; sole claims are written from
+    their crops, and only contested voxels are scored."""
     policy = policy or CollisionPolicy()
     if len(instances) == 0:
         raise ValueError("no vertebra instances given")
     if len(per_vertebra_masks) != len(instances):
         raise ValueError("one mask per instance required")
     geom = intensity.geometry
-    masks = [_on_intensity_grid(m, intensity) != 0
-             for m in per_vertebra_masks]
+    placed = [_placement(m, intensity) for m in per_vertebra_masks]
 
-    claims = np.stack(masks, axis=-1)
-    count = claims.sum(axis=-1)
+    count = np.zeros(geom.dims, dtype=np.min_scalar_type(len(placed)))
+    for sl, m in placed:
+        count[sl] += m
     out = np.zeros(geom.dims, dtype=np.int32)
-    for mask, inst in zip(masks, instances):
-        sole = mask & (count == 1)
-        out[sole] = inst.label
+    for (sl, m), inst in zip(placed, instances):
+        out[sl][m & (count[sl] == 1)] = inst.label
 
     contested = count >= 2
     if not np.any(contested):
         return LabelVolume(geom, out)
 
     idx = np.argwhere(contested)
+    flat = np.ravel_multi_index(idx.T, geom.dims)  # ascending
     pts = geom.voxel_to_world(idx)
     ivals = intensity.data[contested]
 
+    nvox = len(idx)
     feats_int, feats_dist, pairs = [], [], []
-    claim_stack = claims[contested]  # (V, n)
-    for vi, inst in enumerate(instances):
-        sel = claim_stack[:, vi]
-        if not np.any(sel):
+    for vi, ((sl, m), inst) in enumerate(zip(placed, instances)):
+        # the instance's claims among the contested voxels, in idx order
+        own = np.argwhere(m & contested[sl]) + [s.start for s in sl]
+        if len(own) == 0:
             continue
+        sel = np.zeros(nvox, dtype=bool)
+        sel[np.searchsorted(flat, np.ravel_multi_index(own.T, geom.dims))] \
+            = True
         feats_int.append(np.abs(ivals[sel] - inst.mean_intensity))
         feats_dist.append(np.linalg.norm(pts[sel] - inst.center, axis=1))
         pairs.append((vi, sel))
@@ -188,7 +201,6 @@ def resolve_collisions(per_vertebra_masks, intensity, instances, policy=None):
         sd = pool.std()
         return (values - pool.mean()) / (sd if sd > 1e-12 else 1.0)
 
-    nvox = claim_stack.shape[0]
     best_score = np.full(nvox, -np.inf)
     winner = np.zeros(nvox, dtype=np.int64)
     for (vi, sel), fi, fd in zip(pairs, feats_int, feats_dist):
@@ -315,10 +327,10 @@ def refine_labels(lbl, intensity, min_island_voxels=MIN_ISLAND_VOXELS,
 
 def separate_labels(masks, intensity, policy=None):
     """One label volume from (label, mask) pairs, each mask a LabelVolume
-    on a crop of the intensity grid (the whole grid is one): each mask is
-    placed on the grid and becomes an instance (centroid, mean intensity),
-    and voxels claimed by several masks go to the best-scoring instance."""
-    masks = [(lv, _placed(m, intensity)) for lv, m in masks]
+    on a crop of the intensity grid (the whole grid is one): each mask
+    becomes an instance (centroid, mean intensity), and voxels claimed by
+    several masks go to the best-scoring instance."""
+    masks = list(masks)
     instances = [instance_from_mask(lv, m, intensity) for lv, m in masks]
     return resolve_collisions([m for _, m in masks], intensity, instances,
                               policy)

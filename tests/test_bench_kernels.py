@@ -15,7 +15,7 @@ KERNELS = {"ffd_basis_build", "ffd_forward_Wc", "ffd_adjoint_WTp",
            "bending_apply_Qc", "spline_sample_gradient",
            "spline_tap_contraction", "parzen_counts", "nmi_point_gradient",
            "fuse_patch_search", "refine_labels", "separate_labels",
-           "make_phantom", "evaluate_labels"}
+           "separate_labels_contested", "make_phantom", "evaluate_labels"}
 
 
 def test_bench_kernels_writes_medians_and_environment(tmp_path):
@@ -43,6 +43,8 @@ def test_bench_kernels_writes_medians_and_environment(tmp_path):
     assert record["sizes"]["levelset_dims"] == [96, 96, 160]
     assert record["sizes"]["levelset_labels"] == 5
     assert record["sizes"]["levelset_iters"] == 10
+    assert record["sizes"]["contested_dilation"] == 3
+    assert record["sizes"]["contested_voxels"] > 0
     env = record["environment"]
     assert env["nproc"] >= 1
     assert {"python", "numpy", "scipy"} <= set(env)

@@ -212,3 +212,111 @@ def test_read_rejects_nonpositive_dims(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match=re.escape(str(path)) + ".*dims"):
         read_volume(path)
+
+
+def _corrupted(tmp_path, patches, name="img.nii"):
+    """A written scalar file with (format, offset, values) packed into
+    its header."""
+    path = tmp_path / name
+    write_volume(path, _scalar())
+    raw = bytearray(path.read_bytes())
+    for fmt, offset, values in patches:
+        struct.pack_into(fmt, raw, offset, *values)
+    path.write_bytes(bytes(raw))
+    return path
+
+
+_NAN = float("nan")
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("patches, field", [
+    # an off-diagonal sform term (srow_x[1], header byte 284)
+    ([("<f", 284, (_NAN,))], "srow"),
+    ([("<f", 280, (_INF,))], "srow"),  # the sform diagonal
+    ([("<f", 292, (-_INF,))], "srow"),  # an sform origin
+    # qform only: a rotation term or an offset
+    ([("<2h", 252, (1, 0)), ("<f", 256, (_NAN,))], "quatern"),
+    ([("<2h", 252, (1, 0)), ("<f", 264, (_NAN,))], "quatern"),
+    ([("<2h", 252, (1, 0)), ("<f", 272, (_INF,))], "qoffset"),
+    # neither form: the spacing comes from pixdim
+    ([("<2h", 252, (0, 0)), ("<f", 84, (_NAN,))], "pixdim"),
+    ([("<f", 112, (_INF,))], "scl_slope"),
+    ([("<f", 116, (_NAN,))], "scl_inter"),
+])
+def test_read_rejects_nonfinite_header_floats(tmp_path, patches, field):
+    path = _corrupted(tmp_path, patches)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=re.escape(str(path))
+                           + ".*" + field + ".*must be finite"):
+            read_volume(path)
+
+
+def test_read_rejects_labels_beyond_int32(tmp_path):
+    path = tmp_path / "lbl.nii"
+    write_volume(path, _labels())
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, 112, 1e30)  # scl_slope
+    path.write_bytes(bytes(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError,
+                           match=re.escape(str(path)) + ".*int32"):
+            read_volume(path, "label")
+
+
+def test_read_names_the_file_for_a_zero_spacing(tmp_path):
+    path = _corrupted(tmp_path, [("<f", 280, (0.0,))])
+    with pytest.raises(ValueError,
+                       match=re.escape(str(path)) + ".*spacing"):
+        read_volume(path)
+
+
+def _small_file(kind):
+    """Header and payload bytes of a small volume of the given kind."""
+    geom = GridGeometry((3, 4, 2), (0.5, 0.75, 1.25), (-3.0, 2.0, 10.0))
+    rng = np.random.default_rng(2)
+    if kind == "label":
+        vol = LabelVolume(geom, rng.integers(0, 6, geom.dims))
+    else:
+        vol = ScalarVolume(geom, np.round(rng.normal(100, 300, geom.dims)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.nii")
+        write_volume(path, vol)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+_SMALL_FILES = {kind: _small_file(kind) for kind in ("scalar", "label")}
+
+
+# the header bytes the reader decodes: sizeof_hdr, dim, datatype, pixdim
+# 0-3, vox_offset, scl_slope/inter, qform/sform codes, quatern, srow
+_READ_BYTES = [b for lo, hi in ((0, 4), (40, 56), (70, 74), (76, 92),
+                                (108, 120), (252, 328)) for b in range(lo, hi)]
+# byte values that reach a float's sign and exponent bits (NaN, inf and
+# huge values) or an int16's sign
+_EDGE_BYTES = [0x00, 0x01, 0x7E, 0x7F, 0x80, 0xFE, 0xFF]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(kind=st.sampled_from(["scalar", "label"]),
+       edits=st.lists(st.tuples(
+           st.sampled_from(_READ_BYTES),
+           st.one_of(st.integers(0, 255), st.sampled_from(_EDGE_BYTES))),
+           min_size=1, max_size=3))
+def test_read_of_a_corrupted_header_reads_or_raises_value_error(kind, edits):
+    raw = bytearray(_SMALL_FILES[kind])
+    for offset, value in edits:
+        raw[offset] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.nii")
+        with open(path, "wb") as f:
+            f.write(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                read_volume(path, kind)
+            except ValueError:
+                pass

@@ -180,7 +180,6 @@ def test_run_pipeline_end_to_end(tmp_path):
     target = nifti.read_volume(m.target_image_path, "scalar")
     tcrop = crop(target, m.vertebrae[0].box,
                  _margin_voxels(target.geometry, m.crop_margin_mm))
-    assert res.fusion_probability.shape == tcrop.geometry.dims
     refined = res.refined_mask.geometry
     lo = np.round(tcrop.geometry.world_to_voxel(refined.origin)).astype(int)
     hi = lo + np.array(refined.dims) - 1

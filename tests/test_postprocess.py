@@ -1,5 +1,7 @@
 """Morphological cleanup, collision resolution, and level-set tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -569,3 +571,180 @@ def test_separate_labels_on_crops_equals_on_placed_masks():
     expect = separate_labels(placed, intensity)
     assert np.array_equal(final.data, expect.data)
     assert set(np.unique(final.data)) == {0, 3, 5, 8}
+
+
+def _full_grid_instance(label, mask, intensity):
+    """`instance_from_mask` on a full-grid boolean mask: the reference
+    its crop form must reproduce bit for bit."""
+    idx = np.argwhere(mask)
+    center = intensity.geometry.voxel_to_world(idx.mean(axis=0))
+    return VertebraInstance(int(label), np.asarray(center),
+                            float(intensity.data[mask].mean()))
+
+
+def _full_grid_collisions(masks, intensity, instances, policy):
+    """`resolve_collisions` on full-grid boolean masks, by stacking every
+    claim into one (X, Y, Z, masks) array: the reference that counting
+    claims crop by crop must reproduce bit for bit."""
+    geom = intensity.geometry
+    claims = np.stack(masks, axis=-1)
+    count = claims.sum(axis=-1)
+    out = np.zeros(geom.dims, dtype=np.int32)
+    for mask, inst in zip(masks, instances):
+        out[mask & (count == 1)] = inst.label
+    contested = count >= 2
+    if not np.any(contested):
+        return out
+    pts = geom.voxel_to_world(np.argwhere(contested))
+    ivals = intensity.data[contested]
+    claim_stack = claims[contested]
+    feats_int, feats_dist, pairs = [], [], []
+    for vi, inst in enumerate(instances):
+        sel = claim_stack[:, vi]
+        if not np.any(sel):
+            continue
+        feats_int.append(np.abs(ivals[sel] - inst.mean_intensity))
+        feats_dist.append(np.linalg.norm(pts[sel] - inst.center, axis=1))
+        pairs.append((vi, sel))
+    all_int = np.concatenate(feats_int)
+    all_dist = np.concatenate(feats_dist)
+
+    def z(values, pool):
+        sd = pool.std()
+        return (values - pool.mean()) / (sd if sd > 1e-12 else 1.0)
+
+    nvox = claim_stack.shape[0]
+    best_score = np.full(nvox, -np.inf)
+    winner = np.zeros(nvox, dtype=np.int64)
+    for (vi, sel), fi, fd in zip(pairs, feats_int, feats_dist):
+        score = (-policy.w_intensity * z(fi, all_int)
+                 - policy.w_distance * z(fd, all_dist))
+        cur = np.full(nvox, -np.inf)
+        cur[sel] = score
+        better = cur > best_score
+        best_score[better] = cur[better]
+        winner[better] = instances[vi].label
+    out[contested] = winner
+    return out
+
+
+@st.composite
+def _claims(draw):
+    """A grid, and 2-6 masks on boxes of it given as (label, form, box,
+    full-grid boolean mask). The first two boxes share a claimed voxel,
+    boxes may touch any face, and each mask comes as a crop of its box
+    grown by a margin, as a full-grid LabelVolume or as a plain array."""
+    dims = draw(st.tuples(*[st.integers(2, 12)] * 3))
+    spacing = draw(st.tuples(*[st.sampled_from([0.5, 0.8, 1.0, 1.5])] * 3))
+    origin = draw(st.tuples(*[st.sampled_from([-7.5, 0.0, 3.25])] * 3))
+    geom = GridGeometry(dims, spacing, origin)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    shared = [draw(st.integers(0, n - 1)) for n in dims]
+    labels = draw(st.lists(st.integers(1, 40), min_size=2, max_size=6,
+                           unique=True))
+    masks = []
+    for k, lv in enumerate(labels):
+        if k < 2:  # boxes holding the shared voxel
+            lo = [draw(st.integers(0, p)) for p in shared]
+            hi = [draw(st.integers(p, n - 1)) for p, n in zip(shared, dims)]
+        else:
+            lo = [draw(st.integers(0, n - 1)) for n in dims]
+            hi = [draw(st.integers(a, n - 1)) for a, n in zip(lo, dims)]
+        box = BoundingBox(lo, hi)
+        m = np.zeros(dims, dtype=bool)
+        sl = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
+        m[sl] = rng.random(m[sl].shape) < draw(st.floats(0.3, 1.0))
+        m[tuple(lo)] = True  # not empty
+        if k < 2:
+            m[tuple(shared)] = True
+        form = draw(st.sampled_from(["crop", "grid", "array"]))
+        margin = draw(st.tuples(*[st.integers(0, 2)] * 3))
+        masks.append((lv, form, box, margin, m))
+    return geom, masks
+
+
+def _as_form(form, box, margin, m, geom):
+    full = LabelVolume(geom, m.astype(np.int32))
+    if form == "crop":
+        return crop(full, box, margin)
+    return full if form == "grid" else m
+
+
+@settings(max_examples=80, deadline=None)
+@given(claims=_claims(), seed=st.integers(0, 2 ** 16),
+       weights=st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 2.0),
+                                (0.5, -1.0)]))
+def test_collisions_on_crops_equal_the_full_grid_reference(claims, seed,
+                                                           weights):
+    geom, masks = claims
+    intensity = _noise_intensity(geom, seed)
+    # plateaus of equal intensity give tied scores, which the earlier
+    # mask must win in both forms
+    intensity.data[:, :, : geom.dims[2] // 2] = 50.0
+    policy = CollisionPolicy(*weights)
+    full = [m for *_, m in masks]
+    assert (np.sum(full, axis=0) >= 2).any()
+    given_masks = [(lv, _as_form(form, box, margin, m, geom))
+                   for lv, form, box, margin, m in masks]
+    instances = []
+    for (lv, mask), m in zip(given_masks, full):
+        inst = instance_from_mask(lv, mask, intensity)
+        expect = _full_grid_instance(lv, m, intensity)
+        assert inst.label == expect.label
+        assert np.array_equal(inst.center, expect.center)
+        assert inst.mean_intensity == expect.mean_intensity
+        placed = instance_from_mask(lv, m, intensity)
+        assert np.array_equal(inst.center, placed.center)
+        assert inst.mean_intensity == placed.mean_intensity
+        instances.append(inst)
+    expect = _full_grid_collisions(full, intensity, instances, policy)
+    out = resolve_collisions([m for _, m in given_masks], intensity,
+                             instances, policy)
+    assert out.data.dtype == np.int32
+    assert np.array_equal(out.data, expect)
+    assert np.array_equal(
+        separate_labels(given_masks, intensity, policy).data, expect)
+
+
+def test_collisions_count_256_claims_on_one_voxel_without_wrapping():
+    # 256 one-voxel crops claim voxel (1, 1, 1); a uint8 count would wrap
+    # to 0 there and leave it unlabelled
+    g = _geom((3, 3, 3))
+    intensity = _noise_intensity(g, 3)
+    one = crop(LabelVolume(g, np.ones(g.dims, dtype=np.int32)),
+               BoundingBox((1, 1, 1), (1, 1, 1)))
+    masks = [(lv, one) for lv in range(1, 257)]
+    out = separate_labels(masks, intensity)
+    full = [np.zeros(g.dims, dtype=bool) for _ in masks]
+    for m in full:
+        m[1, 1, 1] = True
+    instances = [_full_grid_instance(lv, m, intensity)
+                 for (lv, _), m in zip(masks, full)]
+    expect = _full_grid_collisions(full, intensity, instances,
+                                   CollisionPolicy())
+    assert expect[1, 1, 1] != 0
+    assert np.array_equal(out.data, expect)
+
+
+def test_separate_labels_on_crops_holds_no_per_mask_grid():
+    # five overlapping small crops on a 64^3 grid: the claim count, the
+    # contested set and the output are the only full-grid arrays, about
+    # 10 bytes per voxel; a full-grid boolean per mask and their stack
+    # would add 2 bytes per voxel per mask
+    g = _geom((64, 64, 64))
+    intensity = _noise_intensity(g, 4)
+    masks = []
+    for k in range(5):
+        box = BoundingBox((10 * k, 20, 20), (10 * k + 14, 34, 34))
+        full = np.zeros(g.dims, dtype=np.int32)
+        full[tuple(slice(a, b + 1) for a, b in zip(box.min_index,
+                                                   box.max_index))] = 1
+        masks.append((k + 1, crop(LabelVolume(g, full), box, (2, 2, 2))))
+    tracemalloc.start()
+    try:
+        out = separate_labels(masks, intensity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(np.unique(out.data)) == {0, 1, 2, 3, 4, 5}
+    assert peak < 16 * 64 ** 3

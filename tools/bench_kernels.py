@@ -43,7 +43,11 @@ search radius r), which bound what its reads, its box-filter passes and
 its SSD comparisons cover. `refine_labels` is cleanup,
 then 10 iterations per label, on the default 96x96x160 phantom with its
 5 vertebra labels; `separate_labels` takes the 5 band crops that call
-returns and places them on the grid, as `vertseg refine` does next.
+returns, as `vertseg refine` does next, and counts their claims crop by
+crop. Those crops do not overlap, so `separate_labels_contested` takes
+them with each mask dilated by 3 voxels inside its crop: neighbours then
+claim common voxels (`contested_voxels` in the sizes), and the collision
+scores decide them.
 `make_phantom` builds that phantom (the default spec, noise 20 HU), and
 `evaluate_labels` scores its 5 labels, with volume and density, against
 a copy deformed by `deform_phantom`'s default smooth FFD.
@@ -68,6 +72,7 @@ BINS = 64
 LEVELSET_ITERS = 10
 FUSE_ATLASES = 6
 FUSE_MARGIN = (12, 12, 5)
+CONTESTED_DILATION = 3
 
 
 def cap_threads():
@@ -174,6 +179,16 @@ def run(n_points, repeats):
     _, deformed, _ = deform_phantom(ct, labels, seed=1)
     vertebrae = [(f"V{lv}", lv, {}) for lv in labels.labels()]
     refined = refine_labels(labels, ct, iters=LEVELSET_ITERS)
+    # each band crop's mask dilated inside its crop, so that neighbours
+    # claim common voxels and the collision scores decide them
+    dilated = [(lv, LabelVolume(m.geometry, ndimage.binary_dilation(
+        m.data != 0, iterations=CONTESTED_DILATION)))
+        for lv, m in refined.items()]
+    claims = np.zeros(ct.geometry.dims, dtype=np.uint8)
+    for _, m in dilated:
+        lo = np.round(ct.geometry.world_to_voxel(m.geometry.origin))
+        claims[tuple(slice(a, a + n) for a, n in
+                     zip(lo.astype(int), m.geometry.dims))] += m.data != 0
     kernels = {
         "ffd_basis_build": lambda: ffd_basis(lattice, pts),
         "ffd_forward_Wc": lambda: basis @ coef,
@@ -193,6 +208,7 @@ def run(n_points, repeats):
         "refine_labels": lambda: refine_labels(labels, ct,
                                                iters=LEVELSET_ITERS),
         "separate_labels": lambda: separate_labels(refined.items(), ct),
+        "separate_labels_contested": lambda: separate_labels(dilated, ct),
         "make_phantom": lambda: make_phantom(phantom_spec),
         "evaluate_labels": lambda: evaluate_labels(labels, deformed, ct,
                                                    vertebrae, "phantom"),
@@ -215,7 +231,9 @@ def run(n_points, repeats):
              "fuse_error_box_voxels": block_grown_voxels(p),
              "levelset_dims": list(ct.geometry.dims),
              "levelset_labels": len(labels.labels()),
-             "levelset_iters": LEVELSET_ITERS}
+             "levelset_iters": LEVELSET_ITERS,
+             "contested_dilation": CONTESTED_DILATION,
+             "contested_voxels": int((claims >= 2).sum())}
     return sizes, {name: measure(fn, repeats)
                    for name, fn in kernels.items()}
 
