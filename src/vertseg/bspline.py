@@ -1,18 +1,21 @@
-"""Cubic B-spline kernels shared by the deformation model and image sampling.
+"""B-spline kernels shared by the deformation model and image sampling.
 
 All evaluation is tensor-product: 1D kernel values at the fractional
-coordinate are combined across axes over a 4-point support. Every
-caller gets those values as tap-major rows from one `support_weights`.
+coordinate are combined across axes over a (degree + 1)-point support.
+Every caller gets those values as tap-major rows from one
+`support_weights`. The deformation model, its bending energy, its
+subdivision and the Parzen histogram are cubic; the spline image that
+registration samples is quadratic.
 """
 
 import numpy as np
 
 # points per block in the per-point kernels (FFD basis rows, spline image
-# sampling). The spline image gathers (4, 4, 4, block) coefficients, 2.4 MB
-# at 5000 points, about one core's L2 cache, and reads it twice, once per
-# einsum contraction of its leading tap axis. Not a power of two: blocks
-# of 4096 or 8192 points lay their arrays out 2 or 4 MiB apart, and the
-# gather then ran up to 2.5x slower.
+# sampling). The spline image gathers (3, 3, 3, block) coefficients, 27
+# taps per point, 1.1 MB at 5000 points, within one core's L2 cache, and
+# reads it twice, once per einsum contraction of its leading tap axis. Not
+# a power of two: blocks of 4096 or 8192 points lay their arrays out 2 or
+# 4 MiB apart, and the cubic gather then ran up to 2.5x slower.
 BLOCK_POINTS = 5000
 
 
@@ -51,10 +54,22 @@ def bspline3_d2(t):
     return out
 
 
-def _weight_rows(f, g, deriv):
-    """The four 1D weights at fractional parts f (g = 1 - f), one array
-    per node i0..i0+3: closed forms of the kernel (or derivative) at the
-    fixed node offsets -1-f, -f, 1-f, 2-f, with no masked evaluation."""
+def _weight_rows(f, deriv, degree):
+    """The 1D weights at fractional parts f, one array per support node.
+
+    Cubic (f = u - floor(u)): nodes i0..i0+3 at offsets -1-f, -f, 1-f,
+    2-f. Quadratic (f = u - floor(u + 0.5), in [-0.5, 0.5)): nodes
+    i0..i0+2 at offsets -1-f, -f, 1-f. Closed forms of the kernel (or
+    derivative) at those fixed offsets, with no masked evaluation.
+    """
+    if degree == 2:
+        if deriv == 0:
+            lo, hi = 0.5 - f, 0.5 + f
+            return [0.5 * lo * lo, 0.75 - f * f, 0.5 * hi * hi]
+        if deriv == 1:
+            return [0.5 - f, 2.0 * f, -0.5 - f]
+        raise ValueError(f"unsupported derivative order {deriv}")
+    g = 1.0 - f
     if deriv == 0:
         return [g * g * g / 6.0,
                 (3.0 * f * f * f - 6.0 * f * f + 4.0) / 6.0,
@@ -70,27 +85,29 @@ def _weight_rows(f, g, deriv):
     raise ValueError(f"unsupported derivative order {deriv}")
 
 
-def support_weights(u, *orders):
-    """Tap-major 1D weights over the 4-point support of coordinates u.
+def support_weights(u, *orders, degree=3):
+    """Tap-major 1D weights over the B-spline support of coordinates u.
 
-    Returns (i0, rows...): the first support index floor(u) - 1, and for
-    each derivative order asked for (the kernel alone by default) one
-    (4,) + u.shape array whose row o is the weight of node i0 + o, the
-    same bits whether the order is asked for alone or with others.
+    Returns (i0, rows...): the first support index, floor(u) - 1 for the
+    cubic (degree 3, 4 nodes) and floor(u + 0.5) - 1 for the quadratic
+    (degree 2, 3 nodes), and for each derivative order asked for (the
+    kernel alone by default) one (degree + 1,) + u.shape array whose row
+    o is the kernel (or derivative) at node i0 + o minus u, the same bits
+    whether the order is asked for alone or with others.
     """
     u = np.asarray(u, dtype=np.float64)
-    iu = np.floor(u)
+    iu = np.floor(u + 0.5) if degree == 2 else np.floor(u)
     f = u - iu
-    g = 1.0 - f
-    return (iu.astype(np.int64) - 1, *(np.array(_weight_rows(f, g, d))
+    return (iu.astype(np.int64) - 1, *(np.array(_weight_rows(f, d, degree))
                                        for d in orders or (0,)))
 
 
-def support_offsets(dims):
-    """Flat offsets, in a C-order array of shape dims, of the 64 nodes of
-    a 4x4x4 support from its first node (i0, j0, k0), in C order."""
+def support_offsets(dims, taps=4):
+    """Flat offsets, in a C-order array of shape dims, of the taps**3
+    nodes of a cubic (4) or quadratic (3) support from its first node
+    (i0, j0, k0), in C order."""
     ny, nz = dims[1:]
-    o = np.arange(4)
+    o = np.arange(taps)
     return ((o[:, None, None] * ny + o[None, :, None]) * nz
             + o[None, None, :]).ravel()
 

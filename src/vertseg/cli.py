@@ -25,7 +25,7 @@ from .pipeline import AtlasManifest, load_manifest, run_pipeline
 from .postprocess import refine_labels, separate_labels
 from .registration import RegistrationConfig, register_affine, register_ffd
 from .transform import save_transform
-from .volume import ScalarVolume
+from .volume import ScalarVolume, label_boxes
 
 
 def _add_registration_args(p):
@@ -143,11 +143,12 @@ def cmd_evaluate(args):
     if args.tags:
         with open(args.tags) as f:
             tags_by_label = {int(k): v for k, v in json.load(f).items()}
-    labels = sorted(set(gt.labels()) | set(seg.labels()))
+    boxes = (label_boxes(gt.data), label_boxes(seg.data))
+    labels = sorted(set(boxes[0]) | set(boxes[1]))
     rows = evaluate_labels(
         gt, seg, intensity,
         [(lv, lv, tags_by_label.get(lv, {})) for lv in labels],
-        args.case_id, symmetric=args.symmetric)
+        args.case_id, symmetric=args.symmetric, boxes=boxes)
     _write_report(args.output_prefix, rows, report(rows, args.group_by))
 
 

@@ -131,8 +131,10 @@ def _searched_errors(target_data, atlas_images, cfg, box=None):
     |T - A| directly.
 
     The squared differences are formed on the difference domain, box
-    grown by patch_radius, and each axis's box-filter pass keeps only
-    the rows the next pass reads, so the SSDs are compared on box alone.
+    grown by patch_radius, in one contiguous pass per shift over the flat
+    range that domain spans in the padded read, and each axis's
+    box-filter pass keeps only the rows the next pass reads, so the SSDs
+    are compared on box alone.
     The winning shift is kept as an index, and each atlas's error map is
     one gather from the atlas, edge-padded around the difference domain
     by search_radius: the same bits as |T - A| at that shift.
@@ -158,9 +160,19 @@ def _searched_errors(target_data, atlas_images, cfg, box=None):
     base = flat[tuple(slice(s.start + r, s.stop + r) for s in inner)]
     shifts = np.array(list(itertools.product(range(-r, r + 1), repeat=3)))
     offsets = shifts @ (np.array(flat.strides) // flat.itemsize)
-    target_dom = np.ascontiguousarray(target_data[dom])
+    # dom at shift 0 spans the flat range [lo, hi) of the padded frame, so
+    # each shift's differences are one contiguous pass over that range,
+    # against the target embedded in the frame; sq is dom's view of them
+    at_dom = tuple(slice(r, r + n) for n in shape)
+    lo, hi = flat[(r,) * 3], flat[tuple(r + n - 1 for n in shape)] + 1
+    frame = np.zeros(padded_shape)
+    target_dom = frame[at_dom]
+    target_dom[...] = target_data[dom]
+    target_flat = frame.ravel()[lo:hi]
+    sq_frame = np.empty(padded_shape)
+    sq_flat = sq_frame.ravel()[lo:hi]
+    sq = sq_frame[at_dom]
     target_box = target_dom[inner]
-    sq = np.empty(shape)
     ssd = sq[inner]
     best_ssd = np.empty(target_box.shape)
     better = np.empty(target_box.shape, dtype=bool)
@@ -172,13 +184,12 @@ def _searched_errors(target_data, atlas_images, cfg, box=None):
         padded = np.pad(img[reads], pad, mode="edge")
         best_ssd.fill(np.inf)
         best.fill(0)
-        for k, (dx, dy, dz) in enumerate(shifts):
-            # shifted[x] = img[clamp(x - d)] over dom, as a view
-            np.subtract(target_dom,
-                        padded[r - dx:r - dx + shape[0],
-                               r - dy:r - dy + shape[1],
-                               r - dz:r - dz + shape[2]], out=sq)
-            np.multiply(sq, sq, out=sq)
+        padded_flat = padded.ravel()
+        for k, off in enumerate(offsets):
+            # shifted[x] = img[clamp(x - d)] over dom, at flat x - off
+            np.subtract(target_flat, padded_flat[lo - off:hi - off],
+                        out=sq_flat)
+            np.multiply(sq_flat, sq_flat, out=sq_flat)
             # in place; after each pass only box's rows on that axis are
             # read again, so ssd ends up as the patch mean on box
             view = sq

@@ -139,7 +139,7 @@ class EvalRow:
 
 
 def evaluate_labels(gt, seg, intensity, vertebrae, case_id,
-                    symmetric=False):
+                    symmetric=False, boxes=None):
     """One EvalRow per (vertebra id, label value, tags) in `vertebrae`,
     in that order. Volume and density are 0 without an intensity volume
     or for an empty segmentation; ASD is NaN when either mask is empty
@@ -152,13 +152,16 @@ def evaluate_labels(gt, seg, intensity, vertebrae, case_id,
     beyond the box is background in both masks, so Dice, the voxel count
     and the density (the label's intensities, in C order) are the
     full-grid values bit for bit, and the box holds both surfaces with
-    the background ring that `asd`'s erosion reads."""
+    the background ring that `asd`'s erosion reads. A caller that has
+    already taken `(label_boxes(gt.data), label_boxes(seg.data))` passes
+    them as `boxes`."""
     for name, vol in (("segmentation", seg), ("intensity", intensity)):
         if vol is not None and not vol.geometry.same_grid(gt.geometry):
             raise ValueError(f"{name} grid {vol.geometry} is not the ground "
                              f"truth grid {gt.geometry}")
     dims = gt.geometry.dims
-    boxes = (label_boxes(gt.data), label_boxes(seg.data))
+    if boxes is None:
+        boxes = (label_boxes(gt.data), label_boxes(seg.data))
     rows = []
     for vid, lv, tags in vertebrae:
         found = [b[lv] for b in boxes if lv in b]

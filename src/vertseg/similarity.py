@@ -15,9 +15,11 @@ The objective has one evaluation path, `NmiObjective.point_gradient_at`:
 it samples the floating image at warped points with one spline gather,
 `SplineImage.sample` (value and gradient together), bins the values and
 returns the NMI with its derivative per point; `value_at(y)` is its
-value. The transform-level methods only map the samples
-(`compose_apply`/`affine_apply`, or the FFD basis on the target grid,
-`GridBasis`) before calling it.
+value. The floating image is a quadratic B-spline: C1, so that
+derivative is exact, from 27 coefficients per sample. The Parzen window
+and the FFD lattice stay cubic. The transform-level methods only map
+the samples (`compose_apply`/`affine_apply`, or the FFD basis on the
+target grid, `GridBasis`) before calling it.
 Both registration stages score every trial with one `point_gradient_at`
 call.
 """
@@ -154,35 +156,39 @@ def lncc(img1, img2, radius_voxels=3):
 
 
 def _contract_taps(t, w):
-    """Sum over the leading 4-tap axis of t weighted by w (4, V), in one
-    einsum pass: ((t0*w0 + t1*w1) + t2*w2) + t3*w3 for every output
+    """Sum over the leading tap axis of t weighted by w (taps, V), in one
+    einsum pass: ((t0*w0 + t1*w1) + t2*w2) + ... for every output
     element. For a single output element einsum may take its dot-product
     loop, which sums in another order, so that case is summed explicitly:
     a point's result does not depend on the size of its block."""
     if t[0].size == 1:
-        return ((t[0] * w[0] + t[1] * w[1]) + t[2] * w[2]) + t[3] * w[3]
+        out = t[0] * w[0]
+        for k in range(1, len(t)):
+            out = out + t[k] * w[k]
+        return out
     return np.einsum("k...v,kv->...v", t, w)
 
 
 class SplineImage:
-    """Cubic-spline interpolating view of a ScalarVolume with analytic
+    """Quadratic-spline interpolating view of a ScalarVolume with analytic
     spatial gradients (used by the differentiable similarity path).
 
-    The prefiltered coefficients are mirror-extended once, by 1 node
-    below and 2 above each axis, which covers the 4x4x4 support of every
-    in-domain coordinate. A point's support is read at its first node
-    plus the fixed `support_offsets`; value and gradient come from that
-    one gather.
+    The quadratic B-spline is C1, so the objective's analytic gradient is
+    the derivative of a smooth function, and each sample reads a 3x3x3
+    support: 27 coefficients instead of the cubic's 64. The prefiltered
+    coefficients (`spline_filter(order=2, mode="mirror")`) are
+    mirror-extended once, by 1 node on each side of each axis, which
+    covers the support of every in-domain coordinate. A point's support
+    starts at node floor(u + 0.5) - 1 and is read at that node plus the
+    fixed `support_offsets`; value and gradient come from that one gather.
 
     Its weights come from one `support_weights` call per block, over
-    all three axes, as the FFD's do at arbitrary points
-    (`transform.ffd_basis`, which writes CSR rows with the nodes in C
-    order). The warped points lie on no grid, so the weights do not
-    factor per axis as in `transform.GridBasis`: the gather is one
+    all three axes. The warped points lie on no grid, so the weights do
+    not factor per axis as in `transform.GridBasis`: the gather is one
     tap-major `take` in (z, y, x) tap order. A block of V points gathers
-    a (4, 4, 4, V) array, contracted along its leading axis, z then y
-    then x, with the (4, V) weight rows; `_contract_taps` sums each
-    axis's four taps in order, in one einsum call per contraction.
+    a (3, 3, 3, V) array, contracted along its leading axis, z then y
+    then x, with the (3, V) weight rows; `_contract_taps` sums each
+    axis's three taps in order, in one einsum call per contraction.
 
     `sample` maps the points to voxels once; `points_inside`, the number
     of points of the latest `sample` call that lie in the image domain,
@@ -193,11 +199,11 @@ class SplineImage:
     def __init__(self, vol):
         self.geometry = vol.geometry
         self._padded = np.pad(
-            ndimage.spline_filter(vol.data, order=3, mode="mirror"),
-            ((1, 2),) * 3, mode="reflect")
-        # the 64 support offsets in (z, y, x) tap order
-        self._offsets = support_offsets(self._padded.shape).reshape(
-            4, 4, 4).transpose(2, 1, 0).ravel()
+            ndimage.spline_filter(vol.data, order=2, mode="mirror"),
+            1, mode="reflect")
+        # the 27 support offsets in (z, y, x) tap order
+        self._offsets = support_offsets(self._padded.shape, 3).reshape(
+            3, 3, 3).transpose(2, 1, 0).ravel()
         self._dims = np.array(vol.geometry.dims)
         self._spacing = np.array(vol.geometry.spacing)
         self.points_inside = None
@@ -214,7 +220,7 @@ class SplineImage:
         u_raw = self.geometry.world_to_voxel(pts_world)
         u = np.clip(u_raw, 0.0, self._dims - 1.0)
         clamped = u != u_raw
-        # BLOCK_POINTS at a time: each point's (4, 4, 4) coefficient
+        # BLOCK_POINTS at a time: each point's (3, 3, 3) coefficient
         # neighborhood is gathered, so the temporaries grow with the block
         val = np.empty(u.shape[0])
         grad = np.empty(u.shape)
@@ -229,16 +235,17 @@ class SplineImage:
     def _value_and_gradient(self, u):
         """Spline value and gradient (HU/mm) at in-domain voxel
         coordinates u (V, 3)."""
-        # all three axes at once: i0 is (3, V), w and dw (4, 3, V)
-        i0, w, dw = support_weights(np.ascontiguousarray(u.T), 0, 1)
+        # all three axes at once: i0 is (3, V), w and dw (3, 3, V)
+        i0, w, dw = support_weights(np.ascontiguousarray(u.T), 0, 1,
+                                    degree=2)
         dw = -dw  # kernel argument is node - u
         first = i0 + 1  # the padding shifts node i to i + 1
         _, ny, nz = self._padded.shape
         base = (first[0] * ny + first[1]) * nz + first[2]
-        # gather the (z, y, x)-tap-major neighborhoods once, (4, 4, 4, V),
+        # gather the (z, y, x)-tap-major neighborhoods once, (3, 3, 3, V),
         # then contract one axis at a time along the leading tap axis
         c = np.take(self._padded, self._offsets[:, None] + base).reshape(
-            4, 4, 4, -1)
+            3, 3, 3, -1)
         cz = _contract_taps(c, w[:, 2])
         cy = _contract_taps(cz, w[:, 1])
         val = _contract_taps(cy, w[:, 0])

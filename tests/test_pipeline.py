@@ -260,6 +260,31 @@ def test_cli_fuse_refine_evaluate(tmp_path):
     assert os.path.exists(prefix + ".txt")
 
 
+def test_cli_evaluate_finds_each_volumes_boxes_once(tmp_path, monkeypatch):
+    from scipy import ndimage
+    _, lbl, _ = make_phantom(PhantomSpec(**SMALL))
+    seg = LabelVolume(lbl.geometry, np.where(lbl.data == 2, 0, lbl.data))
+    nifti.write_volume(tmp_path / "gt.nii", lbl)
+    nifti.write_volume(tmp_path / "seg.nii", seg)
+    calls = []
+    find_objects = ndimage.find_objects
+
+    def counted(data, *args, **kwargs):
+        calls.append(data.shape)
+        return find_objects(data, *args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "find_objects", counted)
+    prefix = str(tmp_path / "rep")
+    assert main(["evaluate", "--gt", str(tmp_path / "gt.nii"),
+                 "--seg", str(tmp_path / "seg.nii"),
+                 "--output-prefix", prefix]) == 0
+    assert calls == [lbl.geometry.dims] * 2
+    # every label of either volume is reported, the one missing from the
+    # segmentation included
+    rows = (tmp_path / "rep.csv").read_text().splitlines()
+    assert [r.split(",")[1] for r in rows[1:4]] == ["1", "2", "3"]
+
+
 def test_cli_run_subcommand(tmp_path):
     path, _ = _write_manifest(tmp_path, n_atlases=1)
     outdir = tmp_path / "out"

@@ -358,26 +358,26 @@ def _mirror_reference(i, n):
 
 
 def _mirror_gather_sample(vol, pts, point_major=False):
-    """Spline value and gradient (HU/mm) at world points, gathering each
-    point's 4x4x4 support from the unpadded coefficients through
-    per-axis mirrored indices into a (z, y, x)-tap-major (4, 4, 4, V)
-    array, contracted one axis at a time by einsum along the leading tap
-    axis; clamped like SplineImage.sample. With `point_major`, the same
-    gather is contracted point-major, (V, 4, 4, 4) in (x, y, z) order,
-    which sums the taps in another order."""
-    coef = ndimage.spline_filter(vol.data, order=3, mode="mirror")
+    """Quadratic spline value and gradient (HU/mm) at world points,
+    gathering each point's 3x3x3 support from the unpadded coefficients
+    through per-axis mirrored indices into a (z, y, x)-tap-major
+    (3, 3, 3, V) array, contracted one axis at a time by einsum along the
+    leading tap axis; clamped like SplineImage.sample. With
+    `point_major`, the same gather is contracted point-major, (V, 3, 3, 3)
+    in (x, y, z) order, which sums the taps in another order."""
+    coef = ndimage.spline_filter(vol.data, order=2, mode="mirror")
     dims = np.array(vol.geometry.dims)
     _, ny, nz = vol.geometry.dims
     u_raw = vol.geometry.world_to_voxel(pts)
     u = np.clip(u_raw, 0.0, dims - 1.0)
     w0, w1, idx = [], [], []
     for a in range(3):
-        i0, w = support_weights(u[:, a])
-        _, dw = support_weights(u[:, a], 1)
+        i0, w = support_weights(u[:, a], degree=2)
+        _, dw = support_weights(u[:, a], 1, degree=2)
         w0.append(w)
         w1.append(-dw)
         idx.append(np.stack([_mirror_reference(i0 + o, dims[a])
-                             for o in range(4)]))
+                             for o in range(3)]))
     flat = ((idx[0][None, None, :, :] * ny + idx[1][None, :, None, :]) * nz
             + idx[2][:, None, None, :])
     c = coef.ravel()[flat]
@@ -425,8 +425,54 @@ def test_padded_gather_matches_mirrored_index_gather(dims):
     # SciPy stays the reference interpolant, up to rounding
     u_in = np.clip(vol.geometry.world_to_voxel(pts), 0.0, n - 1.0)
     assert np.allclose(val, ndimage.map_coordinates(
-        coef, u_in.T, order=3, prefilter=False, mode="mirror"),
+        coef, u_in.T, order=2, prefilter=False, mode="mirror"),
         rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 3), (2, 3, 1), (3, 1, 2),
+                                  (1, 1, 1), (2, 2, 2), (3, 3, 3)])
+def test_spline_image_matches_scipy_quadratic_spline_at_every_face(dims):
+    rng = np.random.default_rng(43)
+    data = rng.normal(0, 100, dims)
+    vol = _vol(data, spacing=(0.8, 1.0, 1.3), origin=(-2.0, 1.0, 3.0))
+    n = np.array(dims, dtype=float)
+    # interior points, then points on each of the six faces, then points
+    # beyond each face, which the sampler clamps onto it
+    parts = [rng.uniform(0.0, n - 1.0, (200, 3))]
+    for a in range(3):
+        for face, beyond in ((0.0, -1.5), (n[a] - 1.0, n[a] + 0.5)):
+            for at in (face, beyond):
+                p = rng.uniform(0.0, n - 1.0, (20, 3))
+                p[:, a] = at
+                parts.append(p)
+    u = np.concatenate(parts)
+    val, _ = SplineImage(vol).sample(vol.geometry.voxel_to_world(u))
+    ref = ndimage.map_coordinates(data, np.clip(u, 0.0, n - 1.0).T,
+                                  order=2, mode="mirror")
+    assert np.allclose(val, ref, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_spline_image_is_c1_across_half_integer_coordinates(axis):
+    # the quadratic support switches at u = k + 0.5; the value and the
+    # gradient must agree from both sides there
+    rng = np.random.default_rng(44)
+    vol = _vol(rng.normal(0, 100, (7, 6, 5)), spacing=(0.8, 1.0, 1.3),
+               origin=(-2.0, 1.0, 3.0))
+    n = np.array(vol.geometry.dims)
+    u = rng.uniform(0.0, n - 1.0, (300, 3))
+    u[:, axis] = rng.integers(0, n[axis] - 1, len(u)) + 0.5
+    # a few ULPs below: u + 0.5 must still round below k + 1
+    below = u.copy()
+    below[:, axis] -= 2.0 ** -48
+    i_at = support_weights(u[:, axis], degree=2)[0]
+    i_below = support_weights(below[:, axis], degree=2)[0]
+    assert np.all(i_at == i_below + 1)
+    sp = SplineImage(vol)
+    val, grad = sp.sample(vol.geometry.voxel_to_world(u))
+    val_b, grad_b = sp.sample(vol.geometry.voxel_to_world(below))
+    assert np.allclose(val, val_b, rtol=0, atol=1e-9)
+    assert np.allclose(grad, grad_b, rtol=0, atol=1e-9)
 
 
 def test_objective_at_points_rejects_samples_all_outside():
@@ -486,7 +532,10 @@ def test_blocked_sample_matches_mirrored_index_gather_over_many_blocks():
 # ---------------------------------------------- tap sums and Parzen reuse
 
 def _sequential_taps(t, w):
-    return ((t[0] * w[0] + t[1] * w[1]) + t[2] * w[2]) + t[3] * w[3]
+    out = t[0] * w[0]
+    for k in range(1, len(t)):
+        out = out + t[k] * w[k]
+    return out
 
 
 def _same_bits(a, b):
@@ -511,6 +560,25 @@ def test_contract_taps_sums_the_taps_in_order(lead, n):
     # splitting the points into chunks, fresh arrays like the blocks of
     # SplineImage.sample, changes no bit, a last chunk of one point (at
     # 17 and BLOCK_POINTS + 1) included
+    parts = [_contract_taps(t[..., s:s + 8].copy(), w[:, s:s + 8].copy())
+             for s in range(0, n, 8)]
+    assert _same_bits(out, np.concatenate(parts, axis=-1))
+
+
+@pytest.mark.parametrize("lead", [(3, 3), (3,), ()])
+@pytest.mark.parametrize("n", [1, 17, BLOCK_POINTS + 1])
+def test_contract_taps_sums_three_taps_in_order(lead, n):
+    # the spline image's quadratic support: 3 taps per axis
+    rng = np.random.default_rng(63)
+    t = rng.normal(0, 100, (3,) + lead + (n,))
+    w = rng.uniform(-1.0, 1.0, (3, n))
+    # taps that cancel: 1 in order, 0 in any other order
+    t[..., -1] = np.array([1e16, -1e16, 1.0]).reshape(
+        (3,) + (1,) * len(lead))
+    w[:, -1] = 1.0
+    out = _contract_taps(t, w)
+    assert np.all(out[..., -1] == 1.0)
+    assert _same_bits(out, _sequential_taps(t, w))
     parts = [_contract_taps(t[..., s:s + 8].copy(), w[:, s:s + 8].copy())
              for s in range(0, n, 8)]
     assert _same_bits(out, np.concatenate(parts, axis=-1))

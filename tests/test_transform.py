@@ -55,6 +55,35 @@ def test_support_weights_match_kernel():
             assert np.allclose(w, ref, atol=1e-12)
 
 
+def _bspline2(t):
+    """Quadratic B-spline kernel, evaluated piecewise with masks."""
+    a = np.abs(t)
+    return np.where(a < 0.5, 0.75 - a * a,
+                    np.where(a < 1.5, 0.5 * (1.5 - a) ** 2, 0.0))
+
+
+def test_quadratic_support_weights_match_kernel():
+    rng = np.random.default_rng(3)
+    h = 1e-6
+    for u in (2.37, 0.5, rng.uniform(-4, 4, 300),
+              rng.uniform(-4, 4, (3, 200))):
+        i0, w, dw = support_weights(u, 0, 1, degree=2)
+        # the support starts at the node below the nearest one
+        assert np.array_equal(i0, np.floor(np.asarray(u) + 0.5) - 1)
+        assert w.shape == dw.shape == (3,) + np.shape(u)
+        assert np.array_equal(support_weights(u, 1, degree=2)[1], dw)
+        # node - u, tap-major
+        x = np.moveaxis(np.asarray(i0)[..., None] + np.arange(3)
+                        - np.asarray(u)[..., None], -1, 0)
+        assert np.allclose(w, _bspline2(x), atol=1e-12)
+        assert np.allclose(w.sum(axis=0), 1.0, atol=1e-12)
+        # rows are kernel derivatives at node - u
+        fd = (_bspline2(x + h) - _bspline2(x - h)) / (2 * h)
+        assert np.allclose(dw, fd, atol=1e-6)
+    with pytest.raises(ValueError, match="derivative order"):
+        support_weights(1.0, 2, degree=2)
+
+
 def test_kernel_derivatives_match_finite_differences():
     t = np.linspace(-1.9, 1.9, 41)
     h = 1e-6

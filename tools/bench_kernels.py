@@ -26,9 +26,12 @@ quarter of the lattice spacing, and an 82x88x32 floating image. The
 `ffd_grid_adjoint` apply the separable `GridBasis` that registration
 and the warps use, at a sorted random subset of `--points` voxel
 centers of the 82x88x32 grid (all of them if `--points` is larger).
+`spline_sample_gradient` is `SplineImage.sample`, the quadratic spline
+image that registration samples, at `--points` random points.
 `spline_tap_contraction` is one `_contract_taps` call on a
-(4, 4, 4, `BLOCK_POINTS`) block of gathered coefficients: the first of
-the contractions that `spline_sample_gradient` makes per block.
+(3, 3, 3, `BLOCK_POINTS`) block of gathered coefficients, the 27 taps of
+a quadratic support per point: the first of the contractions that
+`spline_sample_gradient` makes per block.
 `nmi_point_gradient` is `NmiObjective.point_gradient_at` at `--points`
 target samples of that image (the one objective call an affine-stage
 trial makes), with the floating image shifted by a third of a voxel.
@@ -144,8 +147,11 @@ def run(n_points, repeats):
     floating_coords = rng.uniform(0, BINS - 1, n_points)
     coef = rng.normal(0, 1, (int(np.prod(lattice.dims)), 3))
     point_grad = rng.normal(0, 1, (n_points, 3))
-    tap_block = rng.normal(0, 100, (4, 4, 4, BLOCK_POINTS))
-    tap_rows = rng.uniform(0, 1, (4, BLOCK_POINTS))
+    # the spline image's quadratic support, 3 taps per axis, from a
+    # generator of its own, so the other kernels' inputs do not move
+    tap_rng = np.random.default_rng(2)
+    tap_block = tap_rng.normal(0, 100, (3, 3, 3, BLOCK_POINTS))
+    tap_rows = tap_rng.uniform(0, 1, (3, BLOCK_POINTS))
 
     basis = ffd_basis(lattice, pts)
     n_grid = int(np.prod(IMAGE_DIMS))
