@@ -13,8 +13,8 @@ import numpy as np
 from scipy import ndimage
 
 from .checks import real
-from .volume import (BoundingBox, LabelVolume, bounding_box_of, crop,
-                     label_boxes)
+from .volume import (BoundingBox, GridGeometry, LabelVolume,
+                     bounding_box_of, crop, label_boxes)
 
 _CONN26 = np.ones((3, 3, 3), dtype=bool)
 _CURVATURE_WEIGHT = 0.2
@@ -44,34 +44,39 @@ class CollisionPolicy:
             raise ValueError("at least one collision weight must be nonzero")
 
 
-def _on_intensity_grid(mask, intensity):
+def _on_intensity_grid(mask, grid):
     """The mask's data, after checking that it lies on the intensity
-    grid: a LabelVolume by `GridGeometry.same_grid`, an array by shape."""
+    grid (a GridGeometry): a LabelVolume by `GridGeometry.same_grid`, an
+    array by shape."""
     if isinstance(mask, LabelVolume):
-        if not mask.geometry.same_grid(intensity.geometry):
+        if not mask.geometry.same_grid(grid):
             raise ValueError(f"mask grid {mask.geometry} is not the "
-                             f"intensity grid {intensity.geometry}")
+                             f"intensity grid {grid}")
         return mask.data
     arr = np.asarray(mask)
-    if arr.shape != intensity.geometry.dims:
+    if arr.shape != grid.dims:
         raise ValueError(f"mask shape {arr.shape} is not the intensity "
-                         f"dims {intensity.geometry.dims}")
+                         f"dims {grid.dims}")
     return arr
 
 
 def _placement(mask, intensity):
     """A mask's slices on the intensity grid and its boolean data there.
     A LabelVolume lies on a crop of the grid (the whole grid is one): the
-    crop starts at the mask's rounded voxel offset, and
-    `_on_intensity_grid` checks the mask on it. An array has the grid's
-    shape."""
-    if not isinstance(mask, LabelVolume):
-        m = _on_intensity_grid(mask, intensity) != 0
-        return tuple(slice(0, n) for n in m.shape), m
+    crop starts at the mask's rounded voxel offset, lies inside the grid,
+    and `_on_intensity_grid` checks the mask on the crop's geometry. An
+    array has the grid's shape."""
     geom = intensity.geometry
+    if not isinstance(mask, LabelVolume):
+        m = _on_intensity_grid(mask, geom) != 0
+        return tuple(slice(0, n) for n in m.shape), m
+    dims = mask.geometry.dims
     lo = np.round(geom.world_to_voxel(mask.geometry.origin)).astype(int)
-    sl = tuple(slice(a, a + n) for a, n in zip(lo, mask.geometry.dims))
-    window = crop(intensity, BoundingBox.from_slices(sl))
+    if np.any(lo < 0) or np.any(lo + dims > geom.dims):
+        raise ValueError(f"mask grid {mask.geometry} reaches past the "
+                         f"intensity grid {geom}")
+    window = GridGeometry(dims, geom.spacing, tuple(geom.voxel_to_world(lo)))
+    sl = tuple(slice(a, a + n) for a, n in zip(lo, dims))
     return sl, _on_intensity_grid(mask, window) != 0
 
 
@@ -288,7 +293,7 @@ def levelset_refine(mask, intensity, iters=LEVELSET_ITERS,
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     geom = mask.geometry if isinstance(mask, LabelVolume) else None
-    m = _on_intensity_grid(mask, intensity) != 0
+    m = _on_intensity_grid(mask, intensity.geometry) != 0
     out = m.astype(np.int32)
     if iters and m.any():
         sl = _band(bounding_box_of(m), iters, step, m.shape)
@@ -311,7 +316,7 @@ def refine_labels(lbl, intensity, min_island_voxels=MIN_ISLAND_VOXELS,
         raise ValueError("iters must be >= 0")
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
-    _on_intensity_grid(lbl, intensity)
+    _on_intensity_grid(lbl, intensity.geometry)
     cleaned = morph_cleanup(lbl, min_island_voxels)
     speed = _speed_field(intensity, _SMOOTH_SIGMA) if iters else None
     refined = {}

@@ -20,9 +20,12 @@ uses it: a registration level, whose samples are voxel centers of its
 target grid, forward and transposed, and the atlas warp and the phantom
 deformation forward at every voxel. `ffd_basis` builds W as a sparse
 CSR matrix at arbitrary points, for `ffd_displace` and `compose_apply`.
-`bending_operator` is the sparse symmetric Q with penalty
-P = sum_d c_d^T Q c_d and gradient 2 Q c. A registration level builds
-each operator once and reuses it on every objective evaluation.
+`bending_operator` is the symmetric Q with penalty P = sum_d c_d^T Q c_d
+and gradient 2 Q c. The penalty grid is axis-aligned too, so Q is a
+weighted sum of tensor products of small per-axis Gram matrices, and
+`BendingOperator` applies it with three matmuls per term, in the same
+pattern as `GridBasis`. A registration level builds each operator once
+and reuses it on every objective evaluation.
 """
 
 import json
@@ -251,8 +254,37 @@ class GridBasis:
         return np.moveaxis(t, 0, -1).reshape(-1, 3)
 
 
+class BendingOperator:
+    """The bending energy's symmetric (n_nodes, n_nodes) Q, applied
+    separably: Q = sum over the six `_DERIV_PAIRS` of
+    weight * (Gx kron Gy kron Gz), with G the 1-D Gram matrices of the
+    per-axis B-spline derivative weights (see `bending_operator`).
+
+    `q @ c` takes c shaped (n_nodes, k) and runs three small matmuls per
+    term, as `GridBasis.forward` does; no (n_nodes, n_nodes) matrix is
+    formed. Applied to the identity it reproduces the Kronecker sum bit
+    for bit: each entry is weight * (Gx * (Gy * Gz)), summed over the
+    terms in order.
+    """
+
+    def __init__(self, dims, terms):
+        self.dims = dims
+        self.terms = terms  # [(weight, (gx, gy, gz))]
+
+    def __matmul__(self, c):
+        k = c.shape[1]
+        c = np.ascontiguousarray(np.moveaxis(c.reshape(self.dims + (k,)),
+                                             -1, 0))
+        out = None
+        for weight, (gx, gy, gz) in self.terms:
+            t = gy @ (c @ gz.T)  # (k, nx, ny, nz)
+            t = weight * (gx @ t.reshape(k, self.dims[0], -1))
+            out = t if out is None else out + t
+        return np.moveaxis(out, 0, -1).reshape(-1, k)
+
+
 def bending_operator(control_geom, sample_geom):
-    """Sparse symmetric (n_nodes, n_nodes) Q of the bending energy.
+    """The `BendingOperator` Q of the bending energy.
 
     The energy is the mean, over the voxel centers of sample_geom, of the
     squared second derivatives of the displacement (world mm, cross terms
@@ -269,17 +301,15 @@ def bending_operator(control_geom, sample_geom):
                                                   0, 1, 2)):
         for deriv, w in enumerate(rows):
             m = _axis_weight_matrix(i0, w, dims[a])
-            gram[deriv].append(sparse.csr_matrix(m.T @ m))
+            gram[deriv].append(m.T @ m)
 
-    q = sparse.csr_matrix((int(np.prod(dims)),) * 2)
+    terms = []
     for orders, lam in _DERIV_PAIRS:
         axes = _axes_of(orders)
         scale = 1.0 / (sp[axes[0]] * sp[axes[1]])
-        q = q + (lam * scale * scale / n_samples) * sparse.kron(
-            gram[orders[0]][0],
-            sparse.kron(gram[orders[1]][1], gram[orders[2]][2]),
-            format="csr")
-    return q
+        terms.append((lam * scale * scale / n_samples,
+                      tuple(gram[o][a] for a, o in enumerate(orders))))
+    return BendingOperator(dims, terms)
 
 
 def bending_energy(ffd, sample_geom, with_gradient=True):

@@ -102,9 +102,7 @@ class LabelVolume:
         if not np.issubdtype(self.data.dtype, np.integer):
             if not np.array_equal(self.data, np.round(self.data)):
                 raise ValueError("label data must be integral")
-            self.data = self.data.astype(np.int32)
-        else:
-            self.data = self.data.astype(np.int32)
+        self.data = self.data.astype(np.int32, copy=False)
         if self.data.shape != self.geometry.dims:
             raise ValueError(
                 f"data shape {self.data.shape} != dims {self.geometry.dims}")

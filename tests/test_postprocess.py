@@ -14,7 +14,7 @@ from vertseg.postprocess import (CollisionPolicy, VertebraInstance,
                                  morph_cleanup, refine_labels,
                                  resolve_collisions, separate_labels)
 from vertseg.volume import (BoundingBox, GridGeometry, LabelVolume,
-                            ScalarVolume, crop)
+                            ScalarVolume, crop, label_boxes)
 
 
 def _geom(dims, spacing=(1.0, 1.0, 1.0)):
@@ -488,10 +488,12 @@ def test_refinement_rejects_intensity_on_another_grid():
     with pytest.raises(ValueError, match="intensity grid"):
         levelset_refine(lbl, intensity)
     # a mask whose grid is not a crop of the intensity grid: an origin
-    # half a voxel off, another spacing, a box reaching past a face
+    # half a voxel off, another spacing, a box reaching past a face, one
+    # wholly outside the grid
     for spacing, origin in (((1.0,) * 3, (2.5, 0.0, 0.0)),
                             ((0.5,) * 3, (0.0, 0.0, 0.0)),
-                            ((1.0,) * 3, (0.0, 15.0, 0.0))):
+                            ((1.0,) * 3, (0.0, 15.0, 0.0)),
+                            ((1.0,) * 3, (0.0, -25.0, 0.0))):
         mask = LabelVolume(GridGeometry(lbl.geometry.dims, spacing, origin),
                            data)
         with pytest.raises(ValueError, match="intensity grid"):
@@ -748,3 +750,26 @@ def test_separate_labels_on_crops_holds_no_per_mask_grid():
         tracemalloc.stop()
     assert set(np.unique(out.data)) == {0, 1, 2, 3, 4, 5}
     assert peak < 16 * 64 ** 3
+
+
+def test_separate_labels_places_crops_without_copying_intensity(
+        monkeypatch):
+    # placing a mask checks its grid against the intensity window's
+    # geometry; it reads no intensity voxels into a copy
+    import vertseg.postprocess as postprocess
+    g = _geom((20, 20, 20))
+    data = np.zeros(g.dims, dtype=np.int32)
+    data[4:9, 4:9, 4:9] = 1
+    data[11:16, 11:16, 11:16] = 2
+    intensity = _noise_intensity(g, 6)
+    masks = [(lv, crop(LabelVolume(g, np.where(data == lv, 1, 0)),
+                       BoundingBox.from_slices(box), (1, 1, 1)))
+             for lv, box in label_boxes(data).items()]
+    expect = separate_labels(masks, intensity)
+
+    def no_crop(*args, **kwargs):
+        raise AssertionError("crop called while placing masks")
+
+    monkeypatch.setattr(postprocess, "crop", no_crop)
+    assert np.array_equal(separate_labels(masks, intensity).data,
+                          expect.data)

@@ -588,16 +588,39 @@ def test_ffd_basis_matches_per_axis_build_bit_for_bit(n_pts):
     assert _same_csr(ffd_basis(geom, pts), _per_axis_ffd_basis(geom, pts))
 
 
-@pytest.mark.parametrize("lattice, sample_grid", [
+_BENDING_CASES = [
     (((0, 0, 0), (14, 10, 12), 4.0), ((1, 1, 1), (13, 9, 11), 6)),
     (((-3, 2, 0), (21, 15, 18), 3.0), ((-2, 3, 1), (20, 14, 17), 11)),
-])
+]
+
+
+def _dense(q, geom):
+    """The (n_nodes, n_nodes) matrix of the separable bending operator."""
+    return q @ np.eye(int(np.prod(geom.dims)))
+
+
+@pytest.mark.parametrize("lattice, sample_grid", _BENDING_CASES)
 def test_bending_operator_matches_per_order_build_bit_for_bit(lattice,
                                                                sample_grid):
     geom = lattice_covering(*lattice)
     sample_geom = _sample_grid(*sample_grid)
-    assert _same_csr(bending_operator(geom, sample_geom),
-                     _per_order_bending_operator(geom, sample_geom))
+    assert np.array_equal(
+        _dense(bending_operator(geom, sample_geom), geom),
+        _per_order_bending_operator(geom, sample_geom).toarray())
+
+
+@pytest.mark.parametrize("lattice, sample_grid", _BENDING_CASES)
+@pytest.mark.parametrize("k", [3, 1])
+def test_bending_operator_applies_like_the_kronecker_sum(lattice,
+                                                         sample_grid, k):
+    rng = np.random.default_rng(28)
+    geom = lattice_covering(*lattice)
+    sample_geom = _sample_grid(*sample_grid)
+    c = rng.normal(0.0, 1.0, (int(np.prod(geom.dims)), k))
+    qc = bending_operator(geom, sample_geom) @ c
+    ref = _per_order_bending_operator(geom, sample_geom) @ c
+    assert qc.shape == ref.shape
+    assert np.abs(qc - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def _einsum_bending(ffd, sample_geom):
@@ -624,8 +647,9 @@ def _einsum_bending(ffd, sample_geom):
 
 def test_bending_operator_symmetric_psd():
     geom = lattice_covering((0, 0, 0), (14, 10, 12), 4.0)
-    q = bending_operator(geom, _sample_grid((1, 1, 1), (13, 9, 11), 6))
-    dense = q.toarray()
+    dense = _dense(bending_operator(geom,
+                                    _sample_grid((1, 1, 1), (13, 9, 11), 6)),
+                   geom)
     assert np.allclose(dense, dense.T, rtol=0,
                        atol=1e-15 * np.abs(dense).max())
     eig = np.linalg.eigvalsh(dense)
@@ -638,7 +662,7 @@ def test_bending_operator_zero_on_affine_fields():
     q = bending_operator(geom, _sample_grid((2, 2, 2), (28, 28, 28), 9))
     nodes = geom.grid_world_points().reshape(-1, 3)
     c = nodes @ rng.normal(0.0, 0.05, (3, 3)).T + rng.normal(0.0, 2.0, 3)
-    scale = np.abs(q).sum(axis=1).max() * np.abs(c).max()
+    scale = np.abs(_dense(q, geom)).sum(axis=1).max() * np.abs(c).max()
     assert np.abs(q @ c).max() <= 1e-12 * scale
 
 

@@ -72,6 +72,14 @@ def test_label_volume_rejects_fractional_and_negative():
     assert lv.labels() == [1, 2]
 
 
+def test_label_volume_keeps_int32_data_without_a_copy():
+    g = small_geom(dims=(2, 2, 2))
+    a = np.arange(8, dtype=np.int32).reshape(2, 2, 2)
+    assert LabelVolume(g, a).data is a
+    b = np.arange(8, dtype=np.int64).reshape(2, 2, 2)
+    assert LabelVolume(g, b).data.dtype == np.int32
+
+
 def test_trilinear_exact_at_voxel_centers():
     g = small_geom()
     rng = np.random.default_rng(1)

@@ -26,6 +26,10 @@ quarter of the lattice spacing, and an 82x88x32 floating image. The
 `ffd_grid_adjoint` apply the separable `GridBasis` that registration
 and the warps use, at a sorted random subset of `--points` voxel
 centers of the 82x88x32 grid (all of them if `--points` is larger).
+`bending_operator_build` builds the separable bending operator of that
+lattice on the penalty grid (its Gram matrices are square, one per axis
+of `lattice_dims`), and `bending_apply_Qc` applies it to (n_nodes, 3)
+coefficients.
 `spline_sample_gradient` is `SplineImage.sample`, the quadratic spline
 image that registration samples, at `--points` random points.
 `spline_tap_contraction` is one `_contract_taps` call on a
@@ -228,7 +232,6 @@ def run(n_points, repeats):
              "basis_mb": (basis.data.nbytes + basis.indices.nbytes
                           + basis.indptr.nbytes) / 2 ** 20,
              "grid_points": len(grid_basis.indices),
-             "bending_nnz": int(bend.nnz),
              "nmi_points": len(objective.points),
              "fuse_atlases": FUSE_ATLASES,
              "fuse_active_voxels": int(block.sum()),
