@@ -11,11 +11,14 @@ registration samples is quadratic.
 import numpy as np
 
 # points per block in the per-point kernels (FFD basis rows, spline image
-# sampling). The spline image gathers (3, 3, 3, block) coefficients, 27
-# taps per point, 1.1 MB at 5000 points, within one core's L2 cache, and
-# reads it twice, once per einsum contraction of its leading tap axis. Not
-# a power of two: blocks of 4096 or 8192 points lay their arrays out 2 or
-# 4 MiB apart, and the cubic gather then ran up to 2.5x slower.
+# sampling, trilinear and nearest-neighbour pull-back). The spline image
+# gathers (3, 3, 3, block) coefficients, 27 taps per point, into one
+# buffer of 1.1 MB at 5000 points, within one core's L2 cache, and reads
+# it twice, once per einsum contraction of its leading tap axis; its
+# weight rows, (2, 3, 3, block), are another 0.7 MB. The pull-back's
+# per-axis rows are 40 kB each. Not a power of two: blocks of 4096 or
+# 8192 points lay their arrays out 2 or 4 MiB apart, and the cubic gather
+# then ran up to 2.5x slower.
 BLOCK_POINTS = 5000
 
 
@@ -54,35 +57,82 @@ def bspline3_d2(t):
     return out
 
 
-def _weight_rows(f, deriv, degree):
-    """The 1D weights at fractional parts f, one array per support node.
+def _fill_rows(r, f, deriv, degree):
+    """Write the 1D weights at fractional parts f into r, one row per
+    support node, with no temporaries.
 
-    Cubic (f = u - floor(u)): nodes i0..i0+3 at offsets -1-f, -f, 1-f,
-    2-f. Quadratic (f = u - floor(u + 0.5), in [-0.5, 0.5)): nodes
-    i0..i0+2 at offsets -1-f, -f, 1-f. Closed forms of the kernel (or
-    derivative) at those fixed offsets, with no masked evaluation.
+    Cubic (f = u - floor(u), g = 1 - f): nodes i0..i0+3 at offsets -1-f,
+    -f, 1-f, 2-f, with rows g^3 / 6, (3 f^3 - 6 f^2 + 4) / 6,
+    (-3 f^3 + 3 f^2 + 3 f + 1) / 6 and f^3 / 6; derivatives 0.5 g^2,
+    2 f - 1.5 f^2, -2 g + 1.5 g^2 and -0.5 f^2; second derivatives g,
+    3 f - 2, 1 - 3 f and f. Quadratic (f = u - floor(u + 0.5), in
+    [-0.5, 0.5)): nodes i0..i0+2 at offsets -1-f, -f, 1-f, with rows
+    0.5 (0.5 - f)^2, 0.75 - f^2 and 0.5 (0.5 + f)^2; derivatives 0.5 - f,
+    2 f and -0.5 - f. Each row is evaluated left to right as written
+    (3 f^3 as ((3 f) f) f), whichever rows hold intermediates on the way.
     """
-    if degree == 2:
-        if deriv == 0:
-            lo, hi = 0.5 - f, 0.5 + f
-            return [0.5 * lo * lo, 0.75 - f * f, 0.5 * hi * hi]
-        if deriv == 1:
-            return [0.5 - f, 2.0 * f, -0.5 - f]
-        raise ValueError(f"unsupported derivative order {deriv}")
-    g = 1.0 - f
-    if deriv == 0:
-        return [g * g * g / 6.0,
-                (3.0 * f * f * f - 6.0 * f * f + 4.0) / 6.0,
-                (-3.0 * f * f * f + 3.0 * f * f + 3.0 * f + 1.0) / 6.0,
-                f * f * f / 6.0]
-    if deriv == 1:
-        return [0.5 * g * g,
-                2.0 * f - 1.5 * f * f,
-                -2.0 * g + 1.5 * g * g,
-                -0.5 * f * f]
-    if deriv == 2:
-        return [g, 3.0 * f - 2.0, 1.0 - 3.0 * f, f]
-    raise ValueError(f"unsupported derivative order {deriv}")
+    if degree == 2 and deriv == 0:
+        # r[1] holds 0.5 - f, then 0.5 + f, before its own row
+        for row, half_f in ((r[0], np.subtract), (r[2], np.add)):
+            half_f(0.5, f, out=r[1])
+            np.multiply(0.5, r[1], out=row)
+            row *= r[1]
+        np.multiply(f, f, out=r[1])
+        np.subtract(0.75, r[1], out=r[1])
+    elif degree == 2 and deriv == 1:
+        np.subtract(0.5, f, out=r[0])
+        np.multiply(2.0, f, out=r[1])
+        np.subtract(-0.5, f, out=r[2])
+    elif degree == 3 and deriv == 0:
+        np.subtract(1.0, f, out=r[3])  # g
+        np.multiply(r[3], r[3], out=r[0])
+        r[0] *= r[3]
+        r[0] /= 6.0
+        np.multiply(3.0, f, out=r[1])
+        r[1] *= f
+        r[1] *= f
+        np.multiply(6.0, f, out=r[2])  # 6 f^2
+        r[2] *= f
+        r[1] -= r[2]
+        r[1] += 4.0
+        r[1] /= 6.0
+        np.multiply(-3.0, f, out=r[2])
+        r[2] *= f
+        r[2] *= f
+        np.multiply(3.0, f, out=r[3])  # 3 f^2, then 3 f
+        r[3] *= f
+        r[2] += r[3]
+        np.multiply(3.0, f, out=r[3])
+        r[2] += r[3]
+        r[2] += 1.0
+        r[2] /= 6.0
+        np.multiply(f, f, out=r[3])
+        r[3] *= f
+        r[3] /= 6.0
+    elif degree == 3 and deriv == 1:
+        np.subtract(1.0, f, out=r[3])  # g
+        np.multiply(0.5, r[3], out=r[0])
+        r[0] *= r[3]
+        np.multiply(-2.0, r[3], out=r[2])
+        np.multiply(1.5, r[3], out=r[1])  # 1.5 g^2
+        r[1] *= r[3]
+        r[2] += r[1]
+        np.multiply(2.0, f, out=r[1])
+        np.multiply(1.5, f, out=r[3])  # 1.5 f^2
+        r[3] *= f
+        r[1] -= r[3]
+        np.multiply(-0.5, f, out=r[3])
+        r[3] *= f
+    elif degree == 3 and deriv == 2:
+        np.subtract(1.0, f, out=r[0])
+        np.multiply(3.0, f, out=r[1])
+        r[1] -= 2.0
+        np.multiply(3.0, f, out=r[2])
+        np.subtract(1.0, r[2], out=r[2])
+        np.copyto(r[3], f)
+    else:
+        raise ValueError(f"unsupported derivative order {deriv} for degree "
+                         f"{degree}")
 
 
 def support_weights(u, *orders, degree=3):
@@ -93,13 +143,20 @@ def support_weights(u, *orders, degree=3):
     (degree 2, 3 nodes), and for each derivative order asked for (the
     kernel alone by default) one (degree + 1,) + u.shape array whose row
     o is the kernel (or derivative) at node i0 + o minus u, the same bits
-    whether the order is asked for alone or with others.
+    whether the order is asked for alone or with others, and whatever
+    the memory layout of u. All rows are written into one C-ordered
+    (len(orders), degree + 1) + u.shape array (`_fill_rows`); the arrays
+    returned are its leading slices.
     """
     u = np.asarray(u, dtype=np.float64)
     iu = np.floor(u + 0.5) if degree == 2 else np.floor(u)
     f = u - iu
-    return (iu.astype(np.int64) - 1, *(np.array(_weight_rows(f, d, degree))
-                                       for d in orders or (0,)))
+    orders = orders or (0,)
+    rows = np.empty((len(orders), degree + 1) + u.shape)
+    for d, r in zip(orders, rows):
+        # one 0-d view per row when u is a scalar, so that out= works
+        _fill_rows([r[o, ...] for o in range(degree + 1)], f, d, degree)
+    return (iu.astype(np.int64) - 1, *rows)
 
 
 def support_offsets(dims, taps=4):

@@ -22,6 +22,13 @@ the samples (`compose_apply`/`affine_apply`, or the FFD basis on the
 target grid, `GridBasis`) before calling it.
 Both registration stages score every trial with one `point_gradient_at`
 call.
+
+The per-point kernels work on axis-major rows, in place where they can:
+`SplineImage.sample` maps the (V, 3) points to a (3, V) array of voxel
+coordinates, clamps each axis row in place and hands `support_weights`
+(3, n) slices of it block by block; `_parzen_counts` clamps the flat
+bins in place. Each element sees the arithmetic of a point-major
+evaluation in the same order, so values and gradients keep their bits.
 """
 
 from dataclasses import dataclass
@@ -95,10 +102,13 @@ def _parzen_counts(rows, c2, nb):
     flat bins of those taps and the kernel's derivative weights, both
     (4, V)."""
     i0, w, dw = support_weights(c2, 0, 1)
-    flat = rows + np.clip(i0 + np.arange(4)[:, None], 0, nb - 1)
+    flat = np.empty(w.shape, dtype=np.int64)
     counts = np.zeros(nb * nb)
-    for o in range(4):
-        counts += np.bincount(flat[o], weights=w[o], minlength=nb * nb)
+    for o, f in enumerate(flat):
+        np.add(i0, o, out=f)
+        np.clip(f, 0, nb - 1, out=f)
+        f += rows
+        counts += np.bincount(f, weights=w[o], minlength=nb * nb)
     return counts, flat, dw
 
 
@@ -182,27 +192,39 @@ class SplineImage:
     starts at node floor(u + 0.5) - 1 and is read at that node plus the
     fixed `support_offsets`; value and gradient come from that one gather.
 
-    Its weights come from one `support_weights` call per block, over
-    all three axes. The warped points lie on no grid, so the weights do
-    not factor per axis as in `transform.GridBasis`: the gather is one
-    tap-major `take` in (z, y, x) tap order. A block of V points gathers
-    a (3, 3, 3, V) array, contracted along its leading axis, z then y
-    then x, with the (3, V) weight rows; `_contract_taps` sums each
-    axis's three taps in order, in one einsum call per contraction.
+    `sample` maps the points to voxels once, into axis-major rows (3, V),
+    and clamps each row in place; a NaN or infinite point raises
+    ValueError there. `points_inside`, the number of points of the
+    latest `sample` call that lie in the image domain, comes from the
+    same clamp. It is per instance, so an instance serves one thread at
+    a time (each registration builds its own).
 
-    `sample` maps the points to voxels once; `points_inside`, the number
-    of points of the latest `sample` call that lie in the image domain,
-    comes from the same clamp. It is per instance, so an instance serves
-    one thread at a time (each registration builds its own).
+    Its weights come from one `support_weights` call per block of
+    BLOCK_POINTS, over all three axes, on a (3, n) slice of those rows
+    with no copy. The warped points lie on no grid, so the weights do
+    not factor per axis as in `transform.GridBasis`: the gather is
+    tap-major, in (z, y, x) tap order, one `take` per tap through the
+    flat coefficients shifted by the tap's offset into one buffer. A
+    block of n points gathers a (3, 3, 3, n) array, contracted along its
+    leading axis, z then y then x, with the (3, n) weight rows;
+    `_contract_taps` sums each axis's three taps in order, in one einsum
+    call per contraction. The kernel argument is node - u, so each
+    derivative changes sign: the three gradient components are divided
+    by the negated spacing instead of negating the (3, 3, n) derivative
+    rows. Negation is exact, so only a component that cancels to exactly
+    zero can differ from a negated-row evaluation, in the sign of that
+    zero.
     """
 
     def __init__(self, vol):
         self.geometry = vol.geometry
-        self._padded = np.pad(
-            ndimage.spline_filter(vol.data, order=2, mode="mirror"),
-            1, mode="reflect")
+        padded = np.pad(ndimage.spline_filter(vol.data, order=2,
+                                              mode="mirror"),
+                        1, mode="reflect")
+        self._coef = padded.ravel()
+        self._strides = padded.shape[1] * padded.shape[2], padded.shape[2]
         # the 27 support offsets in (z, y, x) tap order
-        self._offsets = support_offsets(self._padded.shape, 3).reshape(
+        self._offsets = support_offsets(padded.shape, 3).reshape(
             3, 3, 3).transpose(2, 1, 0).ravel()
         self._dims = np.array(vol.geometry.dims)
         self._spacing = np.array(vol.geometry.spacing)
@@ -216,44 +238,61 @@ class SplineImage:
         is continuous everywhere; beyond a face the value is constant along
         that axis, and the gradient component there is 0 accordingly. The
         number of points that no clamp moved is kept in `points_inside`.
+        A NaN or infinite point raises ValueError.
         """
-        u_raw = self.geometry.world_to_voxel(pts_world)
-        u = np.clip(u_raw, 0.0, self._dims - 1.0)
-        clamped = u != u_raw
-        # BLOCK_POINTS at a time: each point's (3, 3, 3) coefficient
-        # neighborhood is gathered, so the temporaries grow with the block
-        val = np.empty(u.shape[0])
-        grad = np.empty(u.shape)
-        for start in range(0, u.shape[0], BLOCK_POINTS):
+        # axis-major: u[a] is the row of axis-a voxel coordinates
+        u = self.geometry.world_to_voxel(np.asfortranarray(pts_world)).T
+        outside = np.empty(u.shape, dtype=bool)
+        for row, out, hi in zip(u, outside, self._dims - 1.0):
+            np.logical_and(row >= 0.0, row <= hi, out=out)
+            np.logical_not(out, out=out)  # NaN is not in [0, hi] either
+            if out.any() and not np.isfinite(row[out]).all():
+                raise ValueError("non-finite warped sample point")
+            np.clip(row, 0.0, hi, out=row)
+        # BLOCK_POINTS at a time, into one gather buffer: each point's
+        # (3, 3, 3) coefficient neighborhood is gathered, so the
+        # temporaries grow with the block
+        val = np.empty(u.shape[1])
+        grad = np.empty(u.shape[::-1])
+        taps = np.empty((27, min(u.shape[1], BLOCK_POINTS)))
+        for start in range(0, u.shape[1], BLOCK_POINTS):
             blk = slice(start, start + BLOCK_POINTS)
-            val[blk], grad[blk] = self._value_and_gradient(u[blk])
-        np.copyto(grad, 0.0, where=clamped)
-        self.points_inside = len(clamped) - np.count_nonzero(
-            clamped[:, 0] | clamped[:, 1] | clamped[:, 2])
+            self._value_and_gradient(u[:, blk], taps, val[blk], grad[blk])
+        grad.T[outside] = 0.0
+        self.points_inside = len(val) - np.count_nonzero(
+            outside[0] | outside[1] | outside[2])
         return val, grad
 
-    def _value_and_gradient(self, u):
-        """Spline value and gradient (HU/mm) at in-domain voxel
-        coordinates u (V, 3)."""
+    def _value_and_gradient(self, u, taps, val, grad):
+        """Write the spline value and gradient (HU/mm) at in-domain voxel
+        coordinates u (3, V) into val (V,) and grad (V, 3), gathering
+        through taps (27, >= V)."""
         # all three axes at once: i0 is (3, V), w and dw (3, 3, V)
-        i0, w, dw = support_weights(np.ascontiguousarray(u.T), 0, 1,
-                                    degree=2)
-        dw = -dw  # kernel argument is node - u
-        first = i0 + 1  # the padding shifts node i to i + 1
-        _, ny, nz = self._padded.shape
-        base = (first[0] * ny + first[1]) * nz + first[2]
-        # gather the (z, y, x)-tap-major neighborhoods once, (3, 3, 3, V),
-        # then contract one axis at a time along the leading tap axis
-        c = np.take(self._padded, self._offsets[:, None] + base).reshape(
-            3, 3, 3, -1)
+        i0, w, dw = support_weights(u, 0, 1, degree=2)
+        sy, sz = self._strides
+        # the padded flat index of each support's first node: the padding
+        # shifts node i to i + 1 on each axis
+        base = (i0[0] * sy + i0[1] * sz) + i0[2]
+        base += sy + sz + 1
+        # the (z, y, x)-tap-major neighborhoods, (3, 3, 3, V), one tap at
+        # a time through the flat coefficients shifted by its offset; the
+        # clamp keeps every index in range, so mode="clip" clips nothing
+        c = taps[:, :len(base)]
+        for tap, off in zip(c, self._offsets):
+            self._coef[off:].take(base, out=tap, mode="clip")
+        c = c.reshape(3, 3, 3, -1)
+        # contract one axis at a time along the leading tap axis
         cz = _contract_taps(c, w[:, 2])
         cy = _contract_taps(cz, w[:, 1])
-        val = _contract_taps(cy, w[:, 0])
-        gx = _contract_taps(cy, dw[:, 0])
-        gy = _contract_taps(_contract_taps(cz, dw[:, 1]), w[:, 0])
-        gz = _contract_taps(_contract_taps(_contract_taps(c, dw[:, 2]),
-                                           w[:, 1]), w[:, 0])
-        return val, np.stack([gx, gy, gz], axis=-1) / self._spacing
+        val[:] = _contract_taps(cy, w[:, 0])
+        # the kernel argument is node - u: each derivative changes sign,
+        # folded into the division by the spacing
+        for a, g in enumerate((
+                _contract_taps(cy, dw[:, 0]),
+                _contract_taps(_contract_taps(cz, dw[:, 1]), w[:, 0]),
+                _contract_taps(_contract_taps(_contract_taps(c, dw[:, 2]),
+                                              w[:, 1]), w[:, 0]))):
+            np.divide(g, -self._spacing[a], out=grad[:, a])
 
 
 class NmiObjective:
@@ -349,7 +388,8 @@ class NmiObjective:
         dnmi_dc2 = -_contract_taps(np.take(dnmi_dh, flat), dw)
         dnmi_dc2[clipped] = 0.0
 
-        return nmi_val, (dnmi_dc2 * self.window.scale)[:, None] * g
+        g *= (dnmi_dc2 * self.window.scale)[:, None]  # in place: g is ours
+        return nmi_val, g
 
     def value_and_ffd_gradient(self, comp):
         """NMI and its analytic gradient over the FFD coefficients of

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .bspline import BLOCK_POINTS
 from .checks import integers
 
 # NIfTI stores spacing and origin as float32
@@ -40,8 +41,9 @@ class GridGeometry:
 
     def world_to_voxel(self, p):
         """Continuous voxel coordinates of world point(s) p (..., 3)."""
-        p = np.asarray(p, dtype=np.float64)
-        return (p - np.array(self.origin)) / np.array(self.spacing)
+        u = np.asarray(p, dtype=np.float64) - np.array(self.origin)
+        u /= np.array(self.spacing)
+        return u
 
     def voxel_to_world(self, idx):
         """World coordinates of voxel index/indices (..., 3)."""
@@ -175,52 +177,100 @@ def union_box(boxes):
                        max(b[a].stop for b in boxes)) for a in range(3))
 
 
-def _check_points(p):
-    p = np.asarray(p, dtype=np.float64)
-    if not np.all(np.isfinite(p)):
-        raise ValueError("non-finite sample point")
-    return p
+def _voxel_blocks(geom, p):
+    """The world points p (..., 3), BLOCK_POINTS at a time: yields (blk,
+    u), the block's slice of the flattened points and its voxel
+    coordinates axis-major, (3, n). A NaN or infinite point raises
+    ValueError."""
+    pts = p.reshape(-1, 3)
+    for start in range(0, len(pts), BLOCK_POINTS):
+        blk = slice(start, start + BLOCK_POINTS)
+        if not np.isfinite(pts[blk]).all():
+            raise ValueError("non-finite sample point")
+        yield blk, geom.world_to_voxel(np.asfortranarray(pts[blk])).T
+
+
+def _flat_strides(dims):
+    """Flat C-order steps of one voxel along each axis of an array of
+    shape dims."""
+    return dims[1] * dims[2], dims[2], 1
 
 
 def trilinear_sample(vol, p, fill=0.0):
-    """Trilinear interpolation at world point(s) p (..., 3); outside -> fill."""
-    p = _check_points(p)
-    u = vol.geometry.world_to_voxel(p)
-    dims = np.array(vol.geometry.dims)
-    inside = np.all((u >= 0.0) & (u <= dims - 1.0), axis=-1)
-    uc = np.clip(u, 0.0, dims - 1.0)
-    i0 = np.minimum(np.floor(uc).astype(np.int64), dims - 2)
-    i0 = np.maximum(i0, 0)
-    f = uc - i0
-    d = vol.data
-    out = np.zeros(u.shape[:-1], dtype=np.float64)
-    for dx in (0, 1):
-        wx = f[..., 0] if dx else 1.0 - f[..., 0]
-        for dy in (0, 1):
-            wy = f[..., 1] if dy else 1.0 - f[..., 1]
-            for dz in (0, 1):
-                wz = f[..., 2] if dz else 1.0 - f[..., 2]
-                out += wx * wy * wz * d[i0[..., 0] + dx,
-                                        i0[..., 1] + dy,
-                                        i0[..., 2] + dz]
-    return np.where(inside, out, fill)
+    """Trilinear interpolation at world point(s) p (..., 3); outside -> fill.
+
+    The points are mapped to voxels axis by axis, BLOCK_POINTS at a time.
+    Each point's 8 corners are read through one flat index, of its lower
+    corner, plus a fixed offset per corner, and added to 0 in C order of
+    (dx, dy, dz), each as ((wx * wy) * wz) * value: the arithmetic of a
+    three-index evaluation, in the same order. On a 1-voxel axis the
+    upper corner is the lower one, with weight 0.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    dims = vol.geometry.dims
+    strides = _flat_strides(dims)
+    # the upper corner's offset along each axis; on a 1-voxel axis it is
+    # the lower corner again, read with weight 0
+    steps = [stride if n > 1 else 0 for stride, n in zip(strides, dims)]
+    data = vol.data.ravel()
+    out = np.empty(p.shape[:-1])
+    for blk, u in _voxel_blocks(vol.geometry, p):
+        inside = np.ones(u.shape[1], dtype=bool)
+        base = np.zeros(u.shape[1], dtype=np.int64)
+        weights = []
+        for row, n, stride in zip(u, dims, strides):
+            inside &= row >= 0.0
+            inside &= row <= n - 1.0
+            np.clip(row, 0.0, n - 1.0, out=row)
+            i0 = np.floor(row).astype(np.int64)
+            np.minimum(i0, n - 2, out=i0)
+            np.maximum(i0, 0, out=i0)
+            f = row - i0
+            weights.append((1.0 - f, f))
+            i0 *= stride
+            base += i0
+        acc = np.zeros(u.shape[1])
+        value = np.empty(u.shape[1], dtype=data.dtype)
+        wx, wy, wz = weights
+        for dx in (0, 1):
+            for dy in (0, 1):
+                wxy = wx[dx] * wy[dy]
+                for dz in (0, 1):
+                    # every index is in range, so "clip" clips nothing
+                    # and writes to value without a buffer
+                    data[dx * steps[0] + dy * steps[1] + dz * steps[2]:].take(
+                        base, out=value, mode="clip")
+                    term = wxy * wz[dz]
+                    term *= value
+                    acc += term
+        out.reshape(-1)[blk] = np.where(inside, acc, fill)
+    return out
 
 
 def nearest_sample(vol, p):
     """Nearest-voxel label at world point(s) p; outside the grid -> 0.
 
-    Half-way ties resolve to the lower index (np.floor of u + 0.5), i.e.
-    the lower linear voxel index.
+    Half-way ties resolve to the lower index (ceil of u - 0.5), i.e.
+    the lower linear voxel index. The points are mapped to voxels axis by
+    axis, BLOCK_POINTS at a time, and read through one flat index each.
     """
-    p = _check_points(p)
-    u = vol.geometry.world_to_voxel(p)
-    dims = np.array(vol.geometry.dims)
-    inside = np.all((u >= -0.5) & (u < dims - 0.5), axis=-1)
-    # ceil(u - 0.5) maps x.5 down to x: lower-index tie-break
-    idx = np.ceil(u - 0.5).astype(np.int64)
-    idx = np.clip(idx, 0, dims - 1)
-    vals = vol.data[idx[..., 0], idx[..., 1], idx[..., 2]]
-    return np.where(inside, vals, 0)
+    p = np.asarray(p, dtype=np.float64)
+    dims = vol.geometry.dims
+    data = vol.data.ravel()
+    out = np.empty(p.shape[:-1], dtype=data.dtype)
+    for blk, u in _voxel_blocks(vol.geometry, p):
+        inside = np.ones(u.shape[1], dtype=bool)
+        index = np.zeros(u.shape[1], dtype=np.int64)
+        for row, n, stride in zip(u, dims, _flat_strides(dims)):
+            inside &= row >= -0.5
+            inside &= row < n - 0.5
+            # ceil(u - 0.5) maps x.5 down to x: lower-index tie-break
+            idx = np.ceil(row - 0.5).astype(np.int64)
+            np.clip(idx, 0, n - 1, out=idx)
+            idx *= stride
+            index += idx
+        out.reshape(-1)[blk] = np.where(inside, data[index], 0)
+    return out
 
 
 def crop(vol, box, margin_voxels=(0, 0, 0)):

@@ -14,8 +14,9 @@ KERNELS = {"ffd_basis_build", "ffd_forward_Wc", "ffd_adjoint_WTp",
            "ffd_grid_forward", "ffd_grid_adjoint", "bending_operator_build",
            "bending_apply_Qc", "spline_sample_gradient",
            "spline_tap_contraction", "parzen_counts", "nmi_point_gradient",
-           "fuse_patch_search", "refine_labels", "separate_labels",
-           "separate_labels_contested", "make_phantom", "evaluate_labels"}
+           "trilinear_pull_back", "fuse_patch_search", "refine_labels",
+           "separate_labels", "separate_labels_contested", "make_phantom",
+           "evaluate_labels"}
 
 
 def test_bench_kernels_writes_medians_and_environment(tmp_path):

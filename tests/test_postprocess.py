@@ -10,9 +10,10 @@ from scipy import ndimage
 
 from vertseg.metrics import dice
 from vertseg.postprocess import (CollisionPolicy, VertebraInstance,
-                                 instance_from_mask, levelset_refine,
-                                 morph_cleanup, refine_labels,
-                                 resolve_collisions, separate_labels)
+                                 _speed_field, instance_from_mask,
+                                 levelset_refine, morph_cleanup,
+                                 refine_labels, resolve_collisions,
+                                 separate_labels)
 from vertseg.volume import (BoundingBox, GridGeometry, LabelVolume,
                             ScalarVolume, crop, label_boxes)
 
@@ -276,6 +277,29 @@ def _noise_intensity(geom, seed):
     rng = np.random.default_rng(seed)
     return ScalarVolume(geom, 100.0 * ndimage.gaussian_filter(
         rng.normal(size=geom.dims), 1.2))
+
+
+def test_speed_field_is_the_normalized_laplacian_bit_for_bit():
+    intensity = _noise_intensity(_geom((30, 26, 22)), 9)
+    lap = ndimage.laplace(ndimage.gaussian_filter(intensity.data, 1.0))
+    expect = lap / np.abs(lap).max()
+    got = _speed_field(intensity, 1.0)
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+    flat = ScalarVolume(intensity.geometry, np.full((30, 26, 22), 40.0))
+    assert np.array_equal(_speed_field(flat, 1.0), np.zeros((30, 26, 22)))
+
+
+def test_speed_field_holds_three_grid_copies():
+    # the smoothed image, the Laplacian and one second-difference buffer;
+    # ndimage.laplace holds two second differences at once
+    intensity = _noise_intensity(_geom((48, 40, 36)), 10)
+    tracemalloc.start()
+    try:
+        _speed_field(intensity, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * intensity.data.nbytes
 
 
 def _assert_matches_oracle(m, intensity, iters, step=0.25, **kw):

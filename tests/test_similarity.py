@@ -538,6 +538,47 @@ def _sequential_taps(t, w):
     return out
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dims", [(1, 2, 3), (3, 1, 2), (2, 3, 1), (9, 8, 7)])
+def test_spline_sample_matches_mirrored_gather_on_either_point_layout(
+        order, dims):
+    rng = np.random.default_rng(41)
+    vol = _vol(rng.normal(0, 100, dims), spacing=(0.8, 1.0, 1.3),
+               origin=(-2.0, 1.0, 3.0))
+    n = np.array(dims, dtype=float)
+    # per axis: both faces, half a voxel and 2 voxels beyond each, and
+    # the middle; then random points over the grown domain, in 3 blocks
+    ticks = [np.unique([-2.0, -0.5, 0.0, (k - 1.0) / 2.0, k - 1.0, k - 0.5,
+                        k + 1.0]) for k in n]
+    grid = np.stack(np.meshgrid(*ticks, indexing="ij"), -1).reshape(-1, 3)
+    u = np.concatenate([grid, rng.uniform(-2.0, n + 1.0,
+                                          (2 * BLOCK_POINTS + 1, 3))])
+    pts = np.asarray(vol.geometry.voxel_to_world(u), order=order)
+    _, ref_val, ref_grad = _mirror_gather_sample(vol, pts)
+    sp = SplineImage(vol)
+    val, grad = sp.sample(pts)
+    assert np.array_equal(val.view(np.int64), ref_val.view(np.int64))
+    assert np.array_equal(grad, ref_grad)
+    assert grad.flags.c_contiguous
+    u_back = vol.geometry.world_to_voxel(pts)
+    assert sp.points_inside == np.count_nonzero(
+        np.all((u_back >= 0.0) & (u_back <= n - 1.0), axis=1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_gradient_rejects_non_finite_warped_points(bad):
+    # one NaN used to score the pair as a perfect match (NMI 2, zero
+    # gradient) through an arbitrary gather index
+    target, floating, window, _ = _objective_fixture(43)
+    obj = NmiObjective(target, floating, window)
+    y = obj.points + np.array([0.3, -0.2, 0.1])
+    y[5, 1] = bad
+    with pytest.raises(ValueError, match="^non-finite warped sample point$"):
+        obj.point_gradient_at(y)
+    with pytest.raises(ValueError, match="^non-finite warped sample point$"):
+        obj.spline.sample(y[::-1])
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64),
                                                  b.view(np.int64))

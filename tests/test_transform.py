@@ -84,6 +84,46 @@ def test_quadratic_support_weights_match_kernel():
         support_weights(1.0, 2, degree=2)
 
 
+def _closed_form_rows(f, deriv, degree):
+    """The 1D weight rows at fractional parts f, each one NumPy
+    expression evaluated left to right."""
+    if degree == 2:
+        lo, hi = 0.5 - f, 0.5 + f
+        return {0: [0.5 * lo * lo, 0.75 - f * f, 0.5 * hi * hi],
+                1: [0.5 - f, 2.0 * f, -0.5 - f]}[deriv]
+    g = 1.0 - f
+    return {0: [g * g * g / 6.0,
+                (3.0 * f * f * f - 6.0 * f * f + 4.0) / 6.0,
+                (-3.0 * f * f * f + 3.0 * f * f + 3.0 * f + 1.0) / 6.0,
+                f * f * f / 6.0],
+            1: [0.5 * g * g, 2.0 * f - 1.5 * f * f, -2.0 * g + 1.5 * g * g,
+                -0.5 * f * f],
+            2: [g, 3.0 * f - 2.0, 1.0 - 3.0 * f, f]}[deriv]
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "transposed"])
+@pytest.mark.parametrize("degree, orders", [(3, (0, 1, 2)), (2, (0, 1))])
+def test_support_weights_rows_are_the_closed_forms_on_any_layout(
+        layout, degree, orders):
+    rng = np.random.default_rng(8)
+    u = rng.uniform(-4.0, 40.0, (3, 3001))
+    u[:, :40] = np.round(u[:, :40] * 2.0) / 2.0  # integers, half-integers
+    u = {"C": u, "F": np.asfortranarray(u), "strided": u[:, ::3],
+         "transposed": u.T}[layout]
+    iu = np.floor(u + 0.5) if degree == 2 else np.floor(u)
+    f = u - iu
+    i0, *together = support_weights(u, *orders, degree=degree)
+    assert i0.dtype == np.int64 and np.array_equal(i0, iu - 1)
+    for deriv, rows in zip(orders, together):
+        ref = np.stack(_closed_form_rows(f, deriv, degree))
+        i0_alone, alone = support_weights(u, deriv, degree=degree)
+        assert np.array_equal(i0_alone, i0)
+        for got in (rows, alone):
+            # the same bits, signed zeros included
+            assert got.shape == (degree + 1,) + u.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 def test_kernel_derivatives_match_finite_differences():
     t = np.linspace(-1.9, 1.9, 41)
     h = 1e-6

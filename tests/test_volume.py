@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vertseg.bspline import BLOCK_POINTS
 from vertseg.volume import (BoundingBox, GridGeometry, LabelVolume,
                             ScalarVolume, bounding_box_of, crop, downsample,
                             label_boxes, nearest_sample, resample,
@@ -143,6 +144,71 @@ def test_nearest_sample_tie_breaks_low():
     vol = LabelVolume(g, data)
     # exactly half way between voxels 1 and 2 on each axis -> lower index
     assert nearest_sample(vol, np.array([1.5, 1.5, 1.5])) == data[1, 1, 1]
+
+
+def _three_index_trilinear(vol, p, fill=0.0):
+    """Trilinear sampling through three index arrays, all points at
+    once, summed over dx, then dy, then dz."""
+    u = vol.geometry.world_to_voxel(p)
+    dims = np.array(vol.geometry.dims)
+    inside = np.all((u >= 0.0) & (u <= dims - 1.0), axis=-1)
+    uc = np.clip(u, 0.0, dims - 1.0)
+    i0 = np.maximum(np.minimum(np.floor(uc).astype(np.int64), dims - 2), 0)
+    f = uc - i0
+    out = np.zeros(u.shape[:-1])
+    for dx in (0, 1):
+        wx = f[..., 0] if dx else 1.0 - f[..., 0]
+        for dy in (0, 1):
+            wy = f[..., 1] if dy else 1.0 - f[..., 1]
+            for dz in (0, 1):
+                wz = f[..., 2] if dz else 1.0 - f[..., 2]
+                out += wx * wy * wz * vol.data[i0[..., 0] + dx,
+                                               i0[..., 1] + dy,
+                                               i0[..., 2] + dz]
+    return np.where(inside, out, fill)
+
+
+def _three_index_nearest(vol, p):
+    u = vol.geometry.world_to_voxel(p)
+    dims = np.array(vol.geometry.dims)
+    inside = np.all((u >= -0.5) & (u < dims - 0.5), axis=-1)
+    idx = np.clip(np.ceil(u - 0.5).astype(np.int64), 0, dims - 1)
+    return np.where(inside, vol.data[idx[..., 0], idx[..., 1], idx[..., 2]],
+                    0)
+
+
+def test_blocked_sampling_matches_three_index_reference():
+    g = small_geom()
+    rng = np.random.default_rng(6)
+    img = ScalarVolume(g, rng.normal(0, 100, g.dims))
+    lbl = LabelVolume(g, rng.integers(0, 6, g.dims))
+    n = np.array(g.dims, dtype=float)
+    # 3 blocks of points inside and outside; the first 64 on voxel
+    # centers, faces and half-way ties
+    u = rng.uniform(-1.5, n + 0.5, (2 * BLOCK_POINTS + 1, 3))
+    u[:64] = np.round(u[:64] * 2.0) / 2.0
+    pts = g.voxel_to_world(u)
+    assert len(pts) == 73 * 137
+    for p in (pts, np.asfortranarray(pts), pts.reshape(1, 73, 137, 3),
+              pts[17]):
+        for fill in (0.0, -7.5):
+            got = trilinear_sample(img, p, fill=fill)
+            ref = _three_index_trilinear(img, p, fill)
+            assert got.shape == ref.shape == p.shape[:-1]
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        got, ref = nearest_sample(lbl, p), _three_index_nearest(lbl, p)
+        assert got.shape == p.shape[:-1]
+        assert got.dtype == ref.dtype == np.int32
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("dims", [(1, 5, 4), (5, 1, 4), (5, 4, 1)])
+def test_trilinear_samples_a_one_voxel_axis(dims):
+    # the upper corner along that axis has weight 0
+    g = small_geom(dims)
+    data = np.random.default_rng(7).normal(size=dims)
+    vol = ScalarVolume(g, data)
+    assert np.array_equal(trilinear_sample(vol, g.grid_world_points()), data)
 
 
 def test_crop_preserves_world_coordinates():

@@ -31,7 +31,9 @@ lattice on the penalty grid (its Gram matrices are square, one per axis
 of `lattice_dims`), and `bending_apply_Qc` applies it to (n_nodes, 3)
 coefficients.
 `spline_sample_gradient` is `SplineImage.sample`, the quadratic spline
-image that registration samples, at `--points` random points.
+image that registration samples, at the points `nmi_point_gradient`
+samples (below): a sorted subset of the voxel centers, displaced, in the
+order registration samples them.
 `spline_tap_contraction` is one `_contract_taps` call on a
 (3, 3, 3, `BLOCK_POINTS`) block of gathered coefficients, the 27 taps of
 a quadratic support per point: the first of the contractions that
@@ -39,6 +41,9 @@ a quadratic support per point: the first of the contractions that
 `nmi_point_gradient` is `NmiObjective.point_gradient_at` at `--points`
 target samples of that image (the one objective call an affine-stage
 trial makes), with the floating image shifted by a third of a voxel.
+`trilinear_pull_back` is `volume.pull_back` of that image at all of its
+voxel centers displaced by a third of a voxel, the trilinear half of
+`registration.warp_atlas`, whatever `--points` is.
 Fusion and the level set follow the `refuse` workload, whatever
 `--points` is. `fuse_patch_search` is one `fuse` call on that image as
 the target crop: 6 noisy copies of it as atlases, patch radius 2, search
@@ -128,7 +133,7 @@ def run(n_points, repeats):
     from vertseg.transform import (GridBasis, bending_operator, ffd_basis,
                                    lattice_covering)
     from vertseg.volume import (GridGeometry, LabelVolume, ScalarVolume,
-                                grow_box)
+                                grow_box, pull_back)
 
     _keep_freed_memory()
     rng = np.random.default_rng(0)
@@ -168,6 +173,7 @@ def run(n_points, repeats):
     spline = SplineImage(image)
     objective = NmiObjective(image, image, max_points=n_points)
     warped = objective.points + np.array(IMAGE_SPACING_MM) / 3.0
+    pulled = image_geom.grid_world_points() + np.array(IMAGE_SPACING_MM) / 3.0
     block = np.zeros(IMAGE_DIMS, dtype=np.int32)
     block[tuple(slice(m, d - m) for m, d in zip(FUSE_MARGIN, IMAGE_DIMS))] = 1
     fuse_atlases = [
@@ -208,12 +214,13 @@ def run(n_points, repeats):
         "bending_operator_build": lambda: bending_operator(lattice,
                                                            pen_geom),
         "bending_apply_Qc": lambda: bend @ coef,
-        "spline_sample_gradient": lambda: spline.sample(pts),
+        "spline_sample_gradient": lambda: spline.sample(warped),
         "spline_tap_contraction": lambda: _contract_taps(tap_block,
                                                          tap_rows),
         "parzen_counts": lambda: _parzen_counts(target_rows,
                                                 floating_coords, BINS),
         "nmi_point_gradient": lambda: objective.point_gradient_at(warped),
+        "trilinear_pull_back": lambda: pull_back(image, image_geom, pulled),
         "fuse_patch_search": lambda: fuse(image, fuse_atlases, fuse_cfg),
         "refine_labels": lambda: refine_labels(labels, ct,
                                                iters=LEVELSET_ITERS),
