@@ -24,6 +24,7 @@ from .postprocess import (LEVELSET_ITERS, LEVELSET_STEP, MIN_ISLAND_VOXELS,
 from .registration import (RegistrationConfig, register_affine, register_ffd,
                            warp_atlas)
 from .similarity import IntensityWindow
+from .transform import AffineTransform
 from .volume import BoundingBox, LabelVolume, crop, label_boxes, union_box
 
 @dataclass
@@ -247,14 +248,43 @@ def _margin_voxels(geometry, margin_mm):
     return tuple(int(round(margin_mm / s)) for s in geometry.spacing)
 
 
-def _register_one(tcrop, atlas_entry, bundle_ids, center_label_value,
-                  manifest, atlas_cache):
+def _world_box(geometry, box):
+    """World (lo, hi) faces of a BoundingBox of geometry's voxels: the
+    outer faces of its end voxels, so hi - lo is voxel count x spacing."""
+    half = 0.5 * np.array(geometry.spacing)
+    return (geometry.voxel_to_world(box.min_index) - half,
+            geometry.voxel_to_world(box.max_index) + half)
+
+
+def _box_start(target_box, atlas_box):
+    """The diagonal affine x -> S x + t that sends the center of the
+    world box target_box (lo, hi) onto atlas_box's center, with S per
+    axis the ratio of their extents, atlas over target, or 1 where that
+    ratio is below 1. The target box (the manifest's) holds its vertebra,
+    maybe with a margin, while the atlas box (`label_boxes`) is tight:
+    so the ratio is at most the atlas/target size ratio, and above 1 it
+    shows the target vertebra smaller by at least that much (a
+    compression fracture's height), while below 1 a margin and a larger
+    vertebra look alike. Where every ratio is at least 1, each target
+    box corner goes onto the atlas box's."""
+    (tlo, thi), (alo, ahi) = target_box, atlas_box
+    scale = np.maximum((ahi - alo) / (thi - tlo), 1.0)
+    return AffineTransform(np.diag(scale),
+                           0.5 * (alo + ahi) - scale * (0.5 * (tlo + thi)))
+
+
+def _register_one(tcrop, target_box, atlas_entry, bundle_ids,
+                  center_label_value, manifest, atlas_cache):
     """Register one atlas onto a target crop and warp its labels there.
 
     The atlas is cropped to the union of its bundle labels' boxes
     (`label_boxes`, computed once per atlas), grown by the crop margin,
     and only the crop is searched for the bundle's labels: the same
-    crops as masking the whole atlas first."""
+    crops as masking the whole atlas first. In `single` mode the affine
+    starts from the map of the target vertebra's world box target_box
+    (from the manifest) onto the atlas vertebra's (`_box_start`); the
+    bundle modes keep `register_affine`'s centroid start, since the
+    target crop holds one vertebra and the atlas crop three."""
     img, lbl, boxes = atlas_cache[atlas_entry.case_id]
     keep = [atlas_entry.vertebra_labels[v] for v in bundle_ids]
     abox = BoundingBox.from_slices(
@@ -264,9 +294,12 @@ def _register_one(tcrop, atlas_entry, bundle_ids, center_label_value,
     bundle = crop(lbl, abox, margin)
     acrop_lbl = LabelVolume(bundle.geometry, np.where(
         np.isin(bundle.data, keep), bundle.data, 0))
+    start = (_box_start(target_box, _world_box(img.geometry, abox))
+             if manifest.mode == "single" else None)
 
     t0 = time.perf_counter()
-    affine = register_affine(tcrop, acrop_img, manifest.registration)
+    affine = register_affine(tcrop, acrop_img, manifest.registration,
+                             start=start)
     result = register_ffd(tcrop, acrop_img, affine, manifest.registration)
     elapsed = time.perf_counter() - t0
 
@@ -359,8 +392,9 @@ def run_pipeline(manifest):
     def work(pair):
         vert, tcrop, atlas_entry, ids = pair
         try:
-            return _register_one(tcrop, atlas_entry, ids, vert.label,
-                                 manifest, atlas_cache)
+            return _register_one(
+                tcrop, _world_box(target_img.geometry, vert.box),
+                atlas_entry, ids, vert.label, manifest, atlas_cache)
         except Exception as exc:
             raise RuntimeError(
                 f"[registration] vertebra {vert.vertebra_id}, atlas "

@@ -25,17 +25,27 @@ from .volume import GridGeometry, downsample, pull_back
 log = logging.getLogger(__name__)
 
 _LBFGS_MEMORY = 6  # curvature pairs kept by the affine stage
+# the affine stage's samples per pyramid level, at most: 12 parameters
+# need a few thousand points (elastix's default budget; Klein et al.,
+# IEEE TMI 2010), not the FFD's count
+_AFFINE_SAMPLE_POINTS = 5000
 
 
 @dataclass
 class RegistrationConfig:
+    """Settings of both registration stages. `max_sample_voxels` is the
+    FFD stage's count of target voxels sampled per pyramid level (0:
+    every voxel); the affine stage samples at most
+    `_AFFINE_SAMPLE_POINTS` (5000) voxels per level, and fewer only when
+    `max_sample_voxels` is smaller and not 0."""
+
     alpha: float = 0.005
     pyramid_levels: int = 3
     control_spacing_mm: float = 5.0
     max_iters_per_level: int = 100
     step_tolerance: float = 1e-3  # mm
     objective_tolerance: float = 1e-6
-    max_sample_voxels: int = 150_000  # 0 = use every target voxel
+    max_sample_voxels: int = 150_000  # the FFD's; 0 = every target voxel
     window: IntensityWindow = field(default_factory=IntensityWindow)
 
     def __post_init__(self):
@@ -70,8 +80,9 @@ def _pyramid(vol, levels):
     return out
 
 
-def _levels(target, floating, cfg):
-    """Coarse-to-fine (target level, NmiObjective) pairs for either stage:
+def _levels(target, floating, cfg, max_points):
+    """Coarse-to-fine (target level, NmiObjective) pairs for either stage,
+    each objective sampling at most max_points voxels (None: every one):
     the images are checked and both pyramids built at the call, each
     level's objective only when the caller reaches it."""
     for vol, name in ((target, "target"), (floating, "floating")):
@@ -79,8 +90,7 @@ def _levels(target, floating, cfg):
             raise ValueError(f"{name} image is constant; nothing to register")
     pairs = list(zip(_pyramid(target, cfg.pyramid_levels),
                      _pyramid(floating, cfg.pyramid_levels)))
-    return ((tgt, NmiObjective(tgt, flt, cfg.window,
-                               max_points=cfg.max_sample_voxels or None))
+    return ((tgt, NmiObjective(tgt, flt, cfg.window, max_points=max_points))
             for tgt, flt in pairs)
 
 
@@ -208,12 +218,18 @@ class _Lbfgs:
         return r
 
 
-def register_affine(target, floating, cfg=None):
+def register_affine(target, floating, cfg=None, start=None):
     """Estimate the 12-parameter affine maximizing NMI, coarse to fine.
 
-    Initialized by intensity-centroid alignment. Each level runs one
-    L-BFGS ascent over all 12 parameters: the matrix, which acts about
-    the target-domain center and is scaled by the domain radius, and the
+    Starts from `start`, an AffineTransform mapping target points to
+    floating points (the pipeline passes the map of the target
+    vertebra's box onto the atlas vertebra's), or by default from
+    intensity-centroid alignment: the identity matrix and the shift
+    between the centroids. Each level samples at most
+    `_AFFINE_SAMPLE_POINTS` (5000) target voxels, fewer if
+    `cfg.max_sample_voxels` is smaller and not 0, and runs one L-BFGS
+    ascent over all 12 parameters: the matrix, which acts about the
+    target-domain center and is scaled by the domain radius, and the
     translation, so every parameter is in mm of point motion. Each trial
     returns NMI and its gradient in one call; the first direction is the
     gradient scaled to 2 voxels, and every direction is capped at 4
@@ -221,7 +237,9 @@ def register_affine(target, floating, cfg=None):
     at DEBUG.
     """
     cfg = cfg or RegistrationConfig()
-    levels = _levels(target, floating, cfg)
+    levels = _levels(target, floating, cfg,
+                     min(cfg.max_sample_voxels or _AFFINE_SAMPLE_POINTS,
+                         _AFFINE_SAMPLE_POINTS))
     corners = _domain_corners(target.geometry)
     center = corners.mean(axis=0)
     radius = max(float(np.abs(corners - center).max()), 1.0)
@@ -230,10 +248,11 @@ def register_affine(target, floating, cfg=None):
         m = u[:9].reshape(3, 3) / radius
         return AffineTransform(m, center - m @ center + u[9:])
 
-    # identity matrix, translation seeded by the intensity centroids
-    u = np.concatenate([radius * np.eye(3).ravel(),
-                        _intensity_centroid(floating)
-                        - _intensity_centroid(target)])
+    if start is None:  # identity matrix, shift between the centroids
+        start = AffineTransform(np.eye(3), _intensity_centroid(floating)
+                                - _intensity_centroid(target))
+    u = np.concatenate([radius * start.matrix.ravel(),
+                        start.translation - (center - start.matrix @ center)])
 
     for level, (tgt, obj) in enumerate(levels):
         pts_c = obj.points - center
@@ -281,7 +300,7 @@ def register_ffd(target, floating, affine, cfg=None):
     by exact B-spline subdivision.
     """
     cfg = cfg or RegistrationConfig()
-    levels = _levels(target, floating, cfg)
+    levels = _levels(target, floating, cfg, cfg.max_sample_voxels or None)
 
     # lattice domain: the full-resolution target domain, padded by two
     # voxels so that samples on its faces keep full support whatever the

@@ -314,16 +314,21 @@ class NmiObjective:
         if max_points is not None:
             max_points = integer("max_points", max_points, 1)
         self.grid = target.geometry
-        self.points = target.geometry.grid_world_points().reshape(-1, 3)
         t = target.data.ravel()
-        self.indices = np.arange(self.points.shape[0])
-        if max_points is not None and self.points.shape[0] > max_points:
+        if max_points is not None and t.size > max_points:
             # deterministic uniform subset keeps evaluations tractable on
             # large grids while leaving the NMI estimate essentially intact
             self.indices = np.sort(np.random.default_rng(0).choice(
-                self.points.shape[0], size=max_points, replace=False))
-            self.points = self.points[self.indices]
+                t.size, size=max_points, replace=False))
             t = t[self.indices]
+            # only the sampled voxel centers are mapped: the same values
+            # as the grid's `grid_world_points` at those indices
+            self.points = np.stack(
+                [ax[i] for ax, i in zip(self.grid.axes(), np.unravel_index(
+                    self.indices, self.grid.dims))], axis=-1)
+        else:
+            self.indices = np.arange(t.size)
+            self.points = self.grid.grid_world_points().reshape(-1, 3)
         self.window = window
         # each target sample's row of the flat joint histogram
         self.target_rows = (np.round(window.bin_coord(t)).astype(np.int64)

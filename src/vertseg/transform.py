@@ -68,9 +68,12 @@ class AffineTransform:
 
 
 def affine_apply(A, x):
-    """Apply an affine transform to point(s) x (..., 3)."""
+    """Apply an affine transform to point(s) x (..., 3). The translation
+    is added in place, into the product: one (..., 3) array is made."""
     x = np.asarray(x, dtype=np.float64)
-    return x @ A.matrix.T + A.translation
+    y = x @ A.matrix.T
+    y += A.translation
+    return y
 
 
 @dataclass

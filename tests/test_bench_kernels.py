@@ -12,7 +12,7 @@ from vertseg.bspline import BLOCK_POINTS
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 KERNELS = {"ffd_basis_build", "ffd_forward_Wc", "ffd_adjoint_WTp",
            "ffd_grid_forward", "ffd_grid_adjoint", "bending_operator_build",
-           "bending_apply_Qc", "spline_sample_gradient",
+           "bending_apply_Qc", "affine_apply", "spline_sample_gradient",
            "spline_tap_contraction", "parzen_counts", "nmi_point_gradient",
            "trilinear_pull_back", "fuse_patch_search", "refine_labels",
            "separate_labels", "separate_labels_contested", "make_phantom",

@@ -22,11 +22,12 @@ from vertseg.fusion import FusionConfig, FusionOutput
 from vertseg.phantom import PhantomSpec, deform_phantom, make_phantom
 from vertseg.registration import RegistrationConfig, register_affine
 from vertseg.pipeline import (AtlasEntry, AtlasManifest, VertebraEntry,
-                              _bundle_ids, _eligible_atlases,
-                              _margin_voxels, load_manifest, run_pipeline)
+                              _box_start, _bundle_ids, _eligible_atlases,
+                              _margin_voxels, _world_box, load_manifest,
+                              run_pipeline)
 from vertseg.postprocess import (levelset_refine, morph_cleanup,
                                  refine_labels, separate_labels)
-from vertseg.transform import AffineTransform, ComposedTransform
+from vertseg.transform import AffineTransform, ComposedTransform, affine_apply
 from vertseg.volume import (BoundingBox, GridGeometry, LabelVolume,
                             ScalarVolume, bounding_box_of, crop)
 
@@ -325,7 +326,7 @@ def test_run_pipeline_names_stage_vertebra_and_atlas_on_registration_error(
         tmp_path, monkeypatch):
     path = _quick_manifest(tmp_path, n_atlases=1)
 
-    def failing_affine(target, floating, cfg):
+    def failing_affine(target, floating, cfg, start=None):
         raise ValueError("no warped sample falls inside the floating image")
 
     monkeypatch.setattr("vertseg.pipeline.register_affine", failing_affine)
@@ -376,8 +377,8 @@ def test_register_one_crops_equal_the_full_volume_construction(
     m = load_manifest(_quick_manifest(tmp_path, n_atlases=2))
     m = dataclasses.replace(m, mode=mode)
     monkeypatch.setattr("vertseg.pipeline.register_affine",
-                        lambda target, floating, cfg: AffineTransform(
-                            np.eye(3), np.zeros(3)))
+                        lambda target, floating, cfg, start=None:
+                        AffineTransform(np.eye(3), np.zeros(3)))
     monkeypatch.setattr("vertseg.pipeline.register_ffd",
                         lambda target, floating, affine, cfg:
                         registration.RegistrationResult(
@@ -425,9 +426,9 @@ def _counting_affine(monkeypatch):
     """Count `register_affine` calls made by the pipeline."""
     calls = []
 
-    def counting(target, floating, cfg):
+    def counting(target, floating, cfg, start=None):
         calls.append(1)
-        return register_affine(target, floating, cfg)
+        return register_affine(target, floating, cfg, start)
 
     monkeypatch.setattr("vertseg.pipeline.register_affine", counting)
     return calls
@@ -460,6 +461,77 @@ def test_run_pipeline_failing_vertebra_cancels_queued_pairs(
         run_pipeline(m)
     # V1's two pairs, plus at most the one already running when V1 failed
     assert 2 <= len(calls) <= 3
+
+
+# ------------------------------------------------ the affine's box start
+
+def _corners(lo, hi):
+    return np.array([[x, y, z] for x in (lo[0], hi[0])
+                     for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
+
+
+def test_box_start_sends_each_target_box_corner_to_the_atlas_corner():
+    tgeom = GridGeometry((40, 50, 60), (0.8, 0.7, 1.2), (-12.5, 3.25, 40.0))
+    ageom = GridGeometry((30, 44, 90), (0.6, 0.9, 1.0), (5.0, -7.5, -2.0))
+    tbox = BoundingBox((3, 7, 11), (20, 31, 29))
+    abox = BoundingBox((4, 2, 15), (27, 40, 52))
+    target, atlas = _world_box(tgeom, tbox), _world_box(ageom, abox)
+    # the faces of the end voxels: extent = voxel count x spacing
+    for (lo, hi), geom, box in ((target, tgeom, tbox), (atlas, ageom, abox)):
+        count = np.array(box.max_index) - box.min_index + 1
+        assert np.allclose(hi - lo, count * np.array(geom.spacing),
+                           rtol=0, atol=1e-12)
+    start = _box_start(target, atlas)
+    assert np.count_nonzero(start.matrix - np.diag(np.diag(start.matrix))) \
+        == 0
+    assert np.abs(affine_apply(start, _corners(*target))
+                  - _corners(*atlas)).max() <= 1e-12
+
+
+def test_box_start_scales_no_axis_below_one():
+    # along x and z the target box is the larger (a margin looks like a
+    # larger vertebra): those axes keep scale 1, y takes the ratio, and
+    # the centers meet
+    tlo, thi = np.array([-4.0, 2.0, 10.0]), np.array([16.0, 12.0, 40.0])
+    alo, ahi = np.array([1.0, -3.0, 5.0]), np.array([13.0, 17.0, 23.0])
+    start = _box_start((tlo, thi), (alo, ahi))
+    assert np.array_equal(start.matrix, np.diag([1.0, 2.0, 1.0]))
+    assert np.abs(affine_apply(start, 0.5 * (tlo + thi))
+                  - 0.5 * (alo + ahi)).max() <= 1e-12
+    ends = affine_apply(start, np.stack([tlo, thi]))[:, 1]
+    assert np.abs(ends - [alo[1], ahi[1]]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["single", "bundle3"])
+def test_register_one_starts_single_mode_affines_from_the_box_map(
+        tmp_path, monkeypatch, mode):
+    m = dataclasses.replace(load_manifest(_quick_manifest(tmp_path, 2)),
+                            mode=mode)
+    starts = []
+
+    def recording_affine(target, floating, cfg, start=None):
+        starts.append(start)
+        return AffineTransform(np.eye(3), np.zeros(3))
+
+    monkeypatch.setattr("vertseg.pipeline.register_affine", recording_affine)
+    run_pipeline(m)
+
+    target = nifti.read_volume(m.target_image_path, "scalar")
+    want = []
+    for vert in m.vertebrae:
+        for atlas, _ids in _eligible_atlases(m, vert):
+            lbl = nifti.read_volume(atlas.labels_path, "label")
+            abox = bounding_box_of(
+                lbl.data == atlas.vertebra_labels[vert.vertebra_id])
+            want.append(_box_start(_world_box(target.geometry, vert.box),
+                                   _world_box(lbl.geometry, abox)))
+    assert len(starts) == len(want) == 6
+    for got, ref in zip(starts, want):
+        if mode == "single":
+            assert np.array_equal(got.matrix, ref.matrix)
+            assert np.array_equal(got.translation, ref.translation)
+        else:  # the bundle modes keep the centroid start
+            assert got is None
 
 
 # ------------------------------------------------ manifest validation

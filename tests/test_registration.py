@@ -119,6 +119,46 @@ def test_register_affine_rejects_constant_images():
         register_affine(img, flat)
 
 
+def test_register_affine_starts_from_the_given_affine():
+    img = _blob_image(4)
+    moved = resample(img, img.geometry, lambda p: p + np.array([1.0, 0, 0]))
+    cfg = _quick_cfg(max_iters_per_level=0)
+    start = AffineTransform(np.diag([1.1, 0.9, 1.2]),
+                            np.array([-2.0, 0.5, 3.0]))
+    got = register_affine(moved, img, cfg, start=start)
+    assert np.allclose(got.matrix, start.matrix, rtol=0, atol=1e-12)
+    assert np.allclose(got.translation, start.translation, rtol=0,
+                       atol=1e-12)
+    # by default, the identity matrix and the centroid shift, exactly
+    got = register_affine(moved, img, cfg)
+    assert np.array_equal(got.matrix, np.eye(3))
+    assert np.array_equal(got.translation,
+                          registration._intensity_centroid(img)
+                          - registration._intensity_centroid(moved))
+
+
+@pytest.mark.parametrize("budget, affine_points", [
+    (0, 5000), (3000, 3000), (5000, 5000), (8000, 5000)])
+def test_affine_and_ffd_stages_sample_their_own_budgets(
+        monkeypatch, budget, affine_points):
+    received = []
+
+    class RecordingObjective(NmiObjective):
+        def __init__(self, target, floating, window, max_points=None):
+            received.append((max_points, target.data.size))
+            super().__init__(target, floating, window, max_points)
+
+    monkeypatch.setattr(registration, "NmiObjective", RecordingObjective)
+    img = _blob_image(14)  # 24^3 = 13824 voxels, 1728 at the coarse level
+    cfg = _quick_cfg(max_iters_per_level=1, control_spacing_mm=12.0,
+                     max_sample_voxels=budget)
+    affine = register_affine(img, img, cfg)
+    assert received == [(affine_points, 1728), (affine_points, 13824)]
+    received.clear()
+    register_ffd(img, img, affine, cfg)
+    assert received == [(budget or None, 1728), (budget or None, 13824)]
+
+
 def test_register_ffd_identity_stays_small():
     img = _blob_image(5)
     cfg = _quick_cfg(control_spacing_mm=12.0, max_iters_per_level=5)

@@ -258,14 +258,25 @@ def test_objective_subsampling_is_deterministic():
 
 
 @pytest.mark.parametrize("max_points", [None, 500])
-def test_objective_samples_are_the_grid_points_at_its_indices(max_points):
-    # the registration's grid basis reads the samples through indices
-    target, floating, window, _ = _objective_fixture(12)
-    obj = NmiObjective(target, floating, window, max_points=max_points)
+def test_objective_samples_are_the_grid_points_at_its_indices(monkeypatch,
+                                                              max_points):
+    # the registration's grid basis reads the samples through indices; a
+    # subset maps only its own voxel centers, with the same bits as the
+    # full grid's points (an anisotropic, offset grid)
+    rng = np.random.default_rng(15)
+    data = rng.normal(200, 120, (13, 9, 11))
+    target = _vol(data, spacing=(0.7, 1.3, 0.45), origin=(-3.1, 12.7, 5.05))
+    grid_points = target.geometry.grid_world_points().reshape(-1, 3)
+    if max_points is not None:
+        def full_grid(self):
+            raise AssertionError("the objective mapped the whole grid")
+
+        monkeypatch.setattr(GridGeometry, "grid_world_points", full_grid)
+    obj = NmiObjective(target, _vol(data), max_points=max_points)
     assert obj.grid == target.geometry
     assert np.all(np.diff(obj.indices) > 0)
     assert len(obj.indices) == (max_points or target.data.size)
-    grid_points = target.geometry.grid_world_points().reshape(-1, 3)
+    assert obj.points.flags.c_contiguous
     assert np.array_equal(obj.points, grid_points[obj.indices])
 
 

@@ -167,6 +167,17 @@ def test_affine_apply_and_identity():
     assert np.allclose(affine_apply(ident, p), p)
 
 
+@pytest.mark.parametrize("shape", [(3,), (7, 3), (4, 5, 3), (12000, 3)])
+def test_affine_apply_adds_the_translation_in_place_with_the_same_bits(shape):
+    rng = np.random.default_rng(41)
+    a = AffineTransform(np.eye(3) + rng.normal(0, 0.1, (3, 3)),
+                        rng.normal(0, 20.0, 3))
+    x = rng.normal(0, 50.0, shape)
+    got = affine_apply(a, x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    assert np.array_equal(got, x @ a.matrix.T + a.translation)
+
+
 def test_affine_rejects_singular_matrix():
     with pytest.raises(ValueError):
         AffineTransform(np.zeros((3, 3)), np.zeros(3))

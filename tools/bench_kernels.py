@@ -30,6 +30,9 @@ centers of the 82x88x32 grid (all of them if `--points` is larger).
 lattice on the penalty grid (its Gram matrices are square, one per axis
 of `lattice_dims`), and `bending_apply_Qc` applies it to (n_nodes, 3)
 coefficients.
+`affine_apply` maps the `--points` random points through an affine
+transform near the identity, as every affine-stage trial maps its
+samples.
 `spline_sample_gradient` is `SplineImage.sample`, the quadratic spline
 image that registration samples, at the points `nmi_point_gradient`
 samples (below): a sorted subset of the voxel centers, displaced, in the
@@ -130,8 +133,9 @@ def run(n_points, repeats):
     from vertseg.postprocess import refine_labels, separate_labels
     from vertseg.similarity import (NmiObjective, SplineImage,
                                     _contract_taps, _parzen_counts)
-    from vertseg.transform import (GridBasis, bending_operator, ffd_basis,
-                                   lattice_covering)
+    from vertseg.transform import (AffineTransform, GridBasis,
+                                   affine_apply, bending_operator,
+                                   ffd_basis, lattice_covering)
     from vertseg.volume import (GridGeometry, LabelVolume, ScalarVolume,
                                 grow_box, pull_back)
 
@@ -152,6 +156,10 @@ def run(n_points, repeats):
         (pen_spacing,) * 3, tuple(lo))
 
     pts = rng.uniform(np.zeros(3), hi, (n_points, 3))
+    # a generator of its own, so the other kernels' inputs do not move
+    affine_rng = np.random.default_rng(3)
+    affine = AffineTransform(np.eye(3) + affine_rng.normal(0, 0.05, (3, 3)),
+                             affine_rng.normal(0, 2.0, 3))
     target_rows = rng.integers(0, BINS, n_points) * BINS
     floating_coords = rng.uniform(0, BINS - 1, n_points)
     coef = rng.normal(0, 1, (int(np.prod(lattice.dims)), 3))
@@ -214,6 +222,7 @@ def run(n_points, repeats):
         "bending_operator_build": lambda: bending_operator(lattice,
                                                            pen_geom),
         "bending_apply_Qc": lambda: bend @ coef,
+        "affine_apply": lambda: affine_apply(affine, pts),
         "spline_sample_gradient": lambda: spline.sample(warped),
         "spline_tap_contraction": lambda: _contract_taps(tap_block,
                                                          tap_rows),
