@@ -10,7 +10,7 @@ registration samples is quadratic.
 
 import numpy as np
 
-# points per block in the per-point kernels (FFD basis rows, spline image
+# points per block in the per-point kernels (FFD displacement, spline image
 # sampling, trilinear and nearest-neighbour pull-back). The spline image
 # gathers (3, 3, 3, block) coefficients, 27 taps per point, into one
 # buffer of 1.1 MB at 5000 points, within one core's L2 cache, and reads

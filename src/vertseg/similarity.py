@@ -18,10 +18,12 @@ returns the NMI with its derivative per point; `value_at(y)` is its
 value. The floating image is a quadratic B-spline: C1, so that
 derivative is exact, from 27 coefficients per sample. The Parzen window
 and the FFD lattice stay cubic. The transform-level methods only map
-the samples (`compose_apply`/`affine_apply`, or the FFD basis on the
-target grid, `GridBasis`) before calling it.
-Both registration stages score every trial with one `point_gradient_at`
-call.
+the samples before calling it: `value` through `compose_apply`, whose
+FFD part is `ffd_displace`'s per-node gather, and
+`value_and_ffd_gradient` through `affine_apply` and the separable FFD
+basis on the target grid, `GridBasis`, which also pulls the point
+gradient back onto the lattice. Both registration stages score every
+trial with one `point_gradient_at` call.
 
 The per-point kernels work on axis-major rows, in place where they can:
 `SplineImage.sample` maps the (V, 3) points to a (3, V) array of voxel
@@ -137,32 +139,6 @@ def nmi_of_histogram(hist):
 def nmi(img1, img2, window=IntensityWindow()):
     """Normalized mutual information (H1 + H2) / H12 of two volumes."""
     return nmi_of_histogram(joint_histogram(img1, img2, window))
-
-
-def lncc(img1, img2, radius_voxels=3):
-    """Mean local Pearson correlation over cubic windows.
-
-    Windows with zero variance in either image contribute 0.
-    """
-    if radius_voxels < 1:
-        raise ValueError("radius must be >= 1")
-    if not img1.geometry.same_grid(img2.geometry):
-        raise ValueError(f"volumes must share geometry: {img1.geometry} "
-                         f"vs {img2.geometry}")
-    size = 2 * radius_voxels + 1
-    f1, f2 = img1.data, img2.data
-
-    def box(x):
-        return ndimage.uniform_filter(x, size=size, mode="nearest")
-
-    m1, m2 = box(f1), box(f2)
-    var1 = np.maximum(box(f1 * f1) - m1 * m1, 0.0)
-    var2 = np.maximum(box(f2 * f2) - m2 * m2, 0.0)
-    cov = box(f1 * f2) - m1 * m2
-    denom = np.sqrt(var1 * var2)
-    cc = np.where(denom > 1e-12, cov / np.maximum(denom, 1e-300), 0.0)
-    cc = np.clip(cc, -1.0, 1.0)
-    return float(cc.mean())
 
 
 def _contract_taps(t, w):
@@ -343,13 +319,6 @@ class NmiObjective:
         one per target sample: the value of `point_gradient_at`."""
         return self.point_gradient_at(y)[0]
 
-    def value_and_point_gradient(self, comp):
-        """NMI, its derivative with respect to each warped point (mm), and
-        the affinely mapped points."""
-        nmi_val, point_grad = self.point_gradient_at(
-            compose_apply(comp, self.points))
-        return nmi_val, point_grad, affine_apply(comp.affine, self.points)
-
     def point_gradient_at(self, y):
         """NMI at warped points y (V, 3) and its derivative with respect
         to each of them (mm).
@@ -405,17 +374,3 @@ class NmiObjective:
         nmi_val, point_grad = self.point_gradient_at(
             affine_apply(comp.affine, self.points) + basis.forward(coef))
         return nmi_val, basis.adjoint(point_grad).reshape(coef.shape)
-
-    def value_and_affine_gradient(self, affine):
-        """NMI and its gradient over the 12 affine parameters."""
-        nmi_val, point_grad = self.point_gradient_at(
-            affine_apply(affine, self.points))
-        return nmi_val, point_grad.T @ self.points, point_grad.sum(axis=0)
-
-
-def nmi_gradient(target, floating, comp, window=IntensityWindow()):
-    """d NMI / d FFD coefficient for a composed transform (see
-    NmiObjective for the smooth histogram convention)."""
-    obj = NmiObjective(target, floating, window)
-    _, grad = obj.value_and_ffd_gradient(comp)
-    return grad

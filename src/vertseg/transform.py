@@ -18,8 +18,10 @@ per-axis weight matrices, and `GridBasis` applies W and W^T with three
 matmuls each, with no per-point rows. Every evaluation on a voxel grid
 uses it: a registration level, whose samples are voxel centers of its
 target grid, forward and transposed, and the atlas warp and the phantom
-deformation forward at every voxel. `ffd_basis` builds W as a sparse
-CSR matrix at arbitrary points, for `ffd_displace` and `compose_apply`.
+deformation forward at every voxel. At arbitrary points (`ffd_displace`,
+and so `compose_apply`) W is never formed: each point's 64 support
+nodes are gathered from the coefficients one node at a time, weighted
+and summed, as the spline image samples its taps.
 `bending_operator` is the symmetric Q with penalty P = sum_d c_d^T Q c_d
 and gradient 2 Q c. The penalty grid is axis-aligned too, so Q is a
 weighted sum of tensor products of small per-axis Gram matrices, and
@@ -32,7 +34,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .bspline import (BLOCK_POINTS, refine_coefficients_1d, support_offsets,
                       support_weights)
@@ -116,49 +117,39 @@ def lattice_covering(domain_lo, domain_hi, spacing_mm):
                         origin=tuple(lo - s))
 
 
-def ffd_basis(control_geom, x):
-    """Sparse (V, n_nodes) matrix W of the lattice's tensor B-spline
-    weights at world points x (..., 3), nodes in C order.
-
-    Row v holds the 64 weights of point v's 4x4x4 support nodes, so the
-    displacement at the points is W @ coefficients.reshape(-1, 3). Memory
-    is 12 bytes per nonzero: 768 bytes per point.
-    """
-    u = control_geom.world_to_voxel(x).reshape(-1, 3)
-    ny, nz = control_geom.dims[1:]
-    offsets = support_offsets(control_geom.dims).astype(np.int32)
-    n_pts = u.shape[0]
-    data = np.empty((n_pts, 16, 4))
-    indices = np.empty((n_pts, 64), dtype=np.int32)
-    for start in range(0, n_pts, BLOCK_POINTS):
-        blk = slice(start, start + BLOCK_POINTS)
-        # all three axes at once: i0 is (3, B), w (4, 3, B)
-        i0, w = support_weights(u[blk].T)
-        if np.any(i0 < 0) or np.any(i0.T > np.subtract(control_geom.dims, 4)):
-            raise ValueError("point outside FFD lattice support")
-        base = ((i0[0] * ny + i0[1]) * nz + i0[2]).astype(np.int32)
-        np.add(base[:, None], offsets, out=indices[blk])
-        wxy = (w[:, 0].T[:, :, None] * w[:, 1].T[:, None, :]).reshape(-1, 16)
-        for k in range(4):  # one z node at a time: long inner loops
-            np.multiply(wxy, w[k, 2][:, None], out=data[blk, :, k])
-    indptr = 64 * np.arange(n_pts + 1, dtype=np.int64)
-    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr),
-                             shape=(n_pts, int(np.prod(control_geom.dims))))
-
-
 def ffd_displace(ffd, x):
     """Displacement (mm) of the FFD at world point(s) x (..., 3).
 
-    Evaluated BLOCK_POINTS points at a time, so the basis rows never take
-    more than one block's memory; each row's sum is independent of the
-    blocking."""
+    Evaluated BLOCK_POINTS points at a time, component-major: one
+    `support_weights` call over all three axes and one support check per
+    block, then, for each of the 64 support nodes in C order, one gather
+    of the (3, n_nodes) coefficients at that node, scaled by its weight
+    (wx * wy) * wz and added into the block's (3, n) sum, which starts
+    at zero. Each point's sum runs over its nodes in that order,
+    whatever the blocking. A point whose support leaves the lattice
+    raises ValueError."""
     x = np.asarray(x, dtype=np.float64)
     pts = x.reshape(-1, 3)
-    coef = ffd.coefficients.reshape(-1, 3)
+    geom = ffd.control_geom
+    ny, nz = geom.dims[1:]
+    coef = np.ascontiguousarray(ffd.coefficients.reshape(-1, 3).T)
+    nodes = list(zip(support_offsets(geom.dims), np.ndindex(4, 4, 4)))
     out = np.empty_like(pts)
-    for start in range(0, pts.shape[0], BLOCK_POINTS):
+    tap = np.empty((3, min(len(pts), BLOCK_POINTS)))
+    for start in range(0, len(pts), BLOCK_POINTS):
         blk = slice(start, start + BLOCK_POINTS)
-        out[blk] = ffd_basis(ffd.control_geom, pts[blk]) @ coef
+        # all three axes at once: i0 is (3, m), w (4, 3, m)
+        i0, w = support_weights(geom.world_to_voxel(pts[blk]).T)
+        if np.any(i0 < 0) or np.any(i0.T > np.subtract(geom.dims, 4)):
+            raise ValueError("point outside FFD lattice support")
+        base = (i0[0] * ny + i0[1]) * nz + i0[2]
+        t = tap[:, :len(base)]
+        total = np.zeros_like(t)
+        for off, (i, j, k) in nodes:
+            coef.take(base + off, axis=1, out=t)
+            t *= (w[i, 0] * w[j, 1]) * w[k, 2]
+            total += t
+        out[blk] = total.T
     return out.reshape(x.shape)
 
 
@@ -226,7 +217,7 @@ class GridBasis:
     the whole grid with one matmul per axis, component-major, and takes
     the indexed points; `adjoint` scatters point values into a zero grid
     and runs the three transposed matmuls. A grid point outside the
-    lattice support raises ValueError, as in `ffd_basis`.
+    lattice support raises ValueError, as in `ffd_displace`.
     """
 
     def __init__(self, control_geom, grid_geom, indices):

@@ -385,13 +385,16 @@ def test_evaluate_labels_and_asd_match_full_grid_references(seed,
                                             symmetric)) <= 1e-12
 
 
-def test_importing_the_cli_leaves_scipy_spatial_unloaded():
-    # surface distances come from ndimage's distance transform; the k-d
-    # tree module would add about 10 MB to every process's peak RSS
+@pytest.mark.parametrize("module", ["scipy.spatial", "scipy.sparse"])
+def test_importing_the_cli_leaves_scipy_module_unloaded(module):
+    # surface distances come from ndimage's distance transform, whose
+    # k-d tree module would add about 10 MB to every process's peak RSS;
+    # the FFD gathers its taps at arbitrary points with no sparse matrix,
+    # whose module would add about 1.5 MB
     src = os.path.dirname(os.path.dirname(vertseg.__file__))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, vertseg.cli; print('scipy.spatial' in sys.modules)"],
+         f"import sys, vertseg.cli; print({module!r} in sys.modules)"],
         check=True, capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.strip() == "False"

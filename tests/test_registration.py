@@ -19,7 +19,8 @@ from vertseg.transform import (AffineTransform, ComposedTransform,
                                FFDTransform, GridBasis, affine_apply,
                                bending_operator, compose_apply,
                                lattice_covering)
-from vertseg.volume import GridGeometry, LabelVolume, ScalarVolume, resample
+from vertseg.volume import (BoundingBox, GridGeometry, LabelVolume,
+                            ScalarVolume, crop, resample)
 
 
 def _blob_image(seed, dims=(24, 24, 24), spacing=(1.5, 1.5, 1.5)):
@@ -135,6 +136,40 @@ def test_register_affine_starts_from_the_given_affine():
     assert np.array_equal(got.translation,
                           registration._intensity_centroid(img)
                           - registration._intensity_centroid(moved))
+
+
+def test_register_affine_gradient_matches_finite_differences(monkeypatch):
+    # the 12-parameter gradient that each affine level ascends, from its
+    # own evaluate closure, at the level's start u (mm of point motion);
+    # checked when the level calls _ascend, while the closure still reads
+    # that level's samples
+    rng = np.random.default_rng(15)
+    eps = 1e-4
+    checked = []
+
+    def check(x, current, direction, evaluate, new_direction, cfg,
+              accepted=None):
+        value, grad = evaluate(x)
+        assert value == current[0] and grad.shape == (12,)
+        for d in rng.normal(size=(2, 12)):
+            fd = (evaluate(x + eps * d)[0]
+                  - evaluate(x - eps * d)[0]) / (2 * eps)
+            an = float(grad @ d)
+            assert abs(fd - an) / max(abs(fd), 1e-12) <= 1e-4
+        checked.append(len(x))
+        return _ascend(x, current, direction, evaluate, new_direction, cfg,
+                       accepted)
+
+    monkeypatch.setattr(registration, "_ascend", check)
+    floating = _blob_image(15, dims=(28, 28, 28))
+    noisy = ScalarVolume(floating.geometry,
+                         floating.data + rng.normal(0, 5, (28, 28, 28)))
+    target = crop(noisy, BoundingBox((4, 4, 4), (24, 24, 24)))
+    start = AffineTransform(np.eye(3) + rng.normal(0, 0.02, (3, 3)),
+                            rng.normal(0, 0.5, 3))
+    register_affine(target, floating, _quick_cfg(max_iters_per_level=0),
+                    start=start)
+    assert checked == [12, 12]  # one ascent per pyramid level
 
 
 @pytest.mark.parametrize("budget, affine_points", [
@@ -263,12 +298,12 @@ def test_warp_atlas_equals_two_resample_calls():
 
 def test_grid_warps_build_no_csr_basis(monkeypatch):
     # warping onto a voxel grid evaluates the FFD with the grid basis
-    # only: neither the atlas warp nor the phantom deformation builds
-    # the per-point CSR basis
-    def no_basis(*args):
-        raise AssertionError("ffd_basis called")
+    # only: neither the atlas warp nor the phantom deformation takes the
+    # arbitrary-point path
+    def no_points(*args):
+        raise AssertionError("ffd_displace called")
 
-    monkeypatch.setattr(transform, "ffd_basis", no_basis)
+    monkeypatch.setattr(transform, "ffd_displace", no_points)
     img = _blob_image(12, dims=(14, 12, 10), spacing=(1.2, 1.0, 1.5))
     lbl = LabelVolume(img.geometry, (img.data > 0).astype(np.int32))
     lattice = lattice_covering(np.full(3, -4.0), np.full(3, 20.0), 4.0)

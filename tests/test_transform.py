@@ -17,7 +17,7 @@ from vertseg.bspline import (BLOCK_POINTS, REFINE_MASK, bspline3, bspline3_d1,
 from vertseg.transform import (AffineTransform, ComposedTransform,
                                FFDTransform, GridBasis, affine_apply,
                                bending_energy, bending_operator, compose_apply,
-                               ffd_basis, ffd_displace, lattice_covering,
+                               ffd_displace, lattice_covering,
                                load_transform, refine_ffd, save_transform)
 from vertseg.transform import _DERIV_PAIRS, _axes_of, _axis_weight_matrix
 from vertseg.volume import GridGeometry, ScalarVolume, downsample
@@ -452,39 +452,33 @@ def _operator_fixture(seed):
 
 
 def test_ffd_basis_matches_dense_kernel_reference():
-    _, geom, pts = _operator_fixture(20)
-    w = ffd_basis(geom, pts)
-    assert w.shape == (150, int(np.prod(geom.dims)))
-    assert w.indices.dtype == np.int32
-    assert np.all(np.diff(w.indptr) == 64)
-    assert np.abs(w.toarray() - _dense_basis(geom, pts)).max() <= 1e-12
+    rng, geom, pts = _operator_fixture(20)
+    ffd = FFDTransform(geom, rng.normal(size=geom.dims + (3,)))
+    disp = ffd_displace(ffd, pts)
+    assert disp.shape == (150, 3)
+    ref = _dense_basis(geom, pts) @ ffd.coefficients.reshape(-1, 3)
+    assert np.abs(disp - ref).max() <= 1e-12
 
 
 def test_ffd_basis_rows_are_partitions_of_unity():
+    # the 64 weights of each point sum to 1: constant coefficients give
+    # that constant
     _, geom, pts = _operator_fixture(21)
-    sums = np.asarray(ffd_basis(geom, pts).sum(axis=1)).ravel()
-    assert np.allclose(sums, 1.0, rtol=0, atol=1e-12)
-
-
-def test_ffd_basis_adjoint_identity():
-    rng, geom, pts = _operator_fixture(22)
-    w = ffd_basis(geom, pts)
-    c = rng.normal(size=(w.shape[1], 3))
-    p = rng.normal(size=(len(pts), 3))
-    lhs = float(np.sum((w @ c) * p))
-    rhs = float(np.sum(c * (w.T @ p)))
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+    ffd = FFDTransform(geom, np.tile([1.5, -2.0, 0.25], geom.dims + (1,)))
+    assert np.allclose(ffd_displace(ffd, pts), [1.5, -2.0, 0.25], rtol=0,
+                       atol=1e-12)
 
 
 def test_ffd_basis_outside_support_errors():
     _, geom, pts = _operator_fixture(23)
+    ffd = FFDTransform.zeros(geom)
     # the high and low side of every axis, one bad point among good ones
     for axis in range(3):
         for far in (500.0, -50.0):
             bad = np.full((1, 3), 5.0)
             bad[0, axis] = far
             with pytest.raises(ValueError, match="outside FFD lattice support"):
-                ffd_basis(geom, np.vstack([pts, bad]))
+                ffd_displace(ffd, np.vstack([pts, bad]))
 
 
 def test_ffd_displace_across_block_boundaries():
@@ -492,8 +486,8 @@ def test_ffd_displace_across_block_boundaries():
     ffd = FFDTransform(geom, rng.normal(size=geom.dims + (3,)))
     pts = rng.uniform((0, 0, 0), (20, 14, 17), (2 * BLOCK_POINTS + 17, 3))
     disp = ffd_displace(ffd, pts)
-    # each row sums on its own, so blocking changes no bit
-    whole = ffd_basis(geom, pts) @ ffd.coefficients.reshape(-1, 3)
+    # each point sums on its own, so blocking changes no bit
+    whole = _per_axis_ffd_basis(geom, pts) @ ffd.coefficients.reshape(-1, 3)
     assert np.array_equal(disp, whole)
     edges = np.r_[0, BLOCK_POINTS - 1, BLOCK_POINTS, 2 * BLOCK_POINTS - 1,
                   2 * BLOCK_POINTS, len(pts) - 1]
@@ -530,7 +524,7 @@ def _grid_cases():
 def test_grid_basis_matches_ffd_basis_rows(lattice, grid, indices):
     rng = np.random.default_rng(26)
     pts = grid.grid_world_points().reshape(-1, 3)[indices]
-    w = ffd_basis(lattice, pts)
+    w = _per_axis_ffd_basis(lattice, pts)
     basis = GridBasis(lattice, grid, indices)
     c = rng.normal(size=lattice.dims + (3,))
     g = rng.normal(size=(len(indices), 3))
@@ -577,8 +571,10 @@ def _point_major_weights(u, deriv):
 
 
 def _per_axis_ffd_basis(geom, x):
-    """ffd_basis built axis by axis from point-major weights, with the
-    product order (wx * wy) * wz."""
+    """The sparse (V, n_nodes) CSR basis W at world points x, nodes in C
+    order, built axis by axis from point-major weights, with the product
+    order (wx * wy) * wz: W @ coefficients sums each row's 64 products in
+    node order."""
     u = geom.world_to_voxel(x).reshape(-1, 3)
     ny, nz = geom.dims[1:]
     offsets = support_offsets(geom.dims).astype(np.int32)
@@ -625,18 +621,15 @@ def _per_order_bending_operator(geom, sample_geom):
     return q
 
 
-def _same_csr(a, b):
-    return (np.array_equal(a.data, b.data)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.indptr, b.indptr))
-
-
 @pytest.mark.parametrize("n_pts", [1, BLOCK_POINTS, BLOCK_POINTS + 1,
                                    2 * BLOCK_POINTS + 17])
 def test_ffd_basis_matches_per_axis_build_bit_for_bit(n_pts):
     rng, geom, _ = _operator_fixture(27)
+    ffd = FFDTransform(geom, rng.normal(size=geom.dims + (3,)))
     pts = rng.uniform((0, 0, 0), (20, 14, 17), (n_pts, 3))
-    assert _same_csr(ffd_basis(geom, pts), _per_axis_ffd_basis(geom, pts))
+    assert np.array_equal(
+        ffd_displace(ffd, pts),
+        _per_axis_ffd_basis(geom, pts) @ ffd.coefficients.reshape(-1, 3))
 
 
 _BENDING_CASES = [

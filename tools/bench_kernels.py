@@ -19,13 +19,14 @@ what the process happened to free before it.
 
 Sizes follow the benchmark's `register_fine` workload: `--points` sample
 points on an 11x12x11 control lattice at 5 mm, a penalty grid at a
-quarter of the lattice spacing, and an 82x88x32 floating image. The
-`ffd_basis` kernels build and apply the CSR basis at random points, as
-`ffd_displace` does: they time the arbitrary-point API
-(`compose_apply`), which no command runs. `ffd_grid_forward` and
-`ffd_grid_adjoint` apply the separable `GridBasis` that registration
-and the warps use, at a sorted random subset of `--points` voxel
-centers of the 82x88x32 grid (all of them if `--points` is larger).
+quarter of the lattice spacing, and an 82x88x32 floating image.
+`ffd_displace` evaluates the FFD at the `--points` random points with
+random coefficients, one gathered support node at a time: the
+arbitrary-point API (`compose_apply`), which no command runs.
+`ffd_grid_forward` and `ffd_grid_adjoint` apply the separable
+`GridBasis` that registration and the warps use, at a sorted random
+subset of `--points` voxel centers of the 82x88x32 grid (all of them if
+`--points` is larger).
 `bending_operator_build` builds the separable bending operator of that
 lattice on the penalty grid (its Gram matrices are square, one per axis
 of `lattice_dims`), and `bending_apply_Qc` applies it to (n_nodes, 3)
@@ -133,9 +134,10 @@ def run(n_points, repeats):
     from vertseg.postprocess import refine_labels, separate_labels
     from vertseg.similarity import (NmiObjective, SplineImage,
                                     _contract_taps, _parzen_counts)
-    from vertseg.transform import (AffineTransform, GridBasis,
-                                   affine_apply, bending_operator,
-                                   ffd_basis, lattice_covering)
+    from vertseg.transform import (AffineTransform, FFDTransform,
+                                   GridBasis, affine_apply,
+                                   bending_operator, ffd_displace,
+                                   lattice_covering)
     from vertseg.volume import (GridGeometry, LabelVolume, ScalarVolume,
                                 grow_box, pull_back)
 
@@ -163,14 +165,13 @@ def run(n_points, repeats):
     target_rows = rng.integers(0, BINS, n_points) * BINS
     floating_coords = rng.uniform(0, BINS - 1, n_points)
     coef = rng.normal(0, 1, (int(np.prod(lattice.dims)), 3))
-    point_grad = rng.normal(0, 1, (n_points, 3))
+    ffd = FFDTransform(lattice, coef.reshape(lattice.dims + (3,)))
     # the spline image's quadratic support, 3 taps per axis, from a
     # generator of its own, so the other kernels' inputs do not move
     tap_rng = np.random.default_rng(2)
     tap_block = tap_rng.normal(0, 100, (3, 3, 3, BLOCK_POINTS))
     tap_rows = tap_rng.uniform(0, 1, (3, BLOCK_POINTS))
 
-    basis = ffd_basis(lattice, pts)
     n_grid = int(np.prod(IMAGE_DIMS))
     # a generator of its own, so the other kernels' inputs do not move
     grid_rng = np.random.default_rng(1)
@@ -214,9 +215,7 @@ def run(n_points, repeats):
         claims[tuple(slice(a, a + n) for a, n in
                      zip(lo.astype(int), m.geometry.dims))] += m.data != 0
     kernels = {
-        "ffd_basis_build": lambda: ffd_basis(lattice, pts),
-        "ffd_forward_Wc": lambda: basis @ coef,
-        "ffd_adjoint_WTp": lambda: basis.T @ point_grad,
+        "ffd_displace": lambda: ffd_displace(ffd, pts),
         "ffd_grid_forward": lambda: grid_basis.forward(coef),
         "ffd_grid_adjoint": lambda: grid_basis.adjoint(grid_grad),
         "bending_operator_build": lambda: bending_operator(lattice,
@@ -244,9 +243,6 @@ def run(n_points, repeats):
              "lattice_spacing_mm": LATTICE_SPACING_MM,
              "penalty_dims": list(pen_geom.dims),
              "image_dims": list(IMAGE_DIMS), "bins": BINS,
-             "basis_nnz": int(basis.nnz),
-             "basis_mb": (basis.data.nbytes + basis.indices.nbytes
-                          + basis.indptr.nbytes) / 2 ** 20,
              "grid_points": len(grid_basis.indices),
              "nmi_points": len(objective.points),
              "fuse_atlases": FUSE_ATLASES,
