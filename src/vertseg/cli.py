@@ -50,6 +50,14 @@ def _floats(text):
     return tuple(float(h) for h in text.split(","))
 
 
+def _atlas_pair(text):
+    parts = text.split(",")
+    if len(parts) != 2 or not all(parts):
+        raise argparse.ArgumentTypeError(
+            f"expected IMAGE,LABELS, got {text!r}")
+    return tuple(parts)
+
+
 def _write_report(prefix, rows, summaries):
     """Write prefix.csv and prefix.txt, and print the text report."""
     text = render_report_text(summaries)
@@ -106,8 +114,7 @@ def cmd_register(args):
 def cmd_fuse(args):
     target = nifti.read_volume(args.target, "scalar")
     atlases = []
-    for pair in args.atlas:
-        img_path, lbl_path = pair.split(",")
+    for img_path, lbl_path in args.atlas:
         atlases.append(RegisteredAtlas(
             nifti.read_volume(img_path, "scalar"),
             nifti.read_volume(lbl_path, "label"),
@@ -210,7 +217,7 @@ def build_parser():
     p = sub.add_parser("fuse", help="joint label fusion of warped atlases")
     p.add_argument("--target", required=True)
     p.add_argument("--atlas", action="append", required=True,
-                   metavar="IMAGE,LABELS")
+                   type=_atlas_pair, metavar="IMAGE,LABELS")
     p.add_argument("--output-labels", required=True)
     p.add_argument("--output-probability", default=None,
                    help="probability x1000 as int16 NIfTI")

@@ -5,9 +5,13 @@ The dependency matrix at a voxel is built from local appearance error:
 
     M(i, j) = [ mean over the patch of |I_T - I_i| * |I_T - I_j| ]^beta
 
-regularized by adding epsilon on the diagonal; fusion weights solve
-w = M^-1 1 / (1^t M^-1 1). Negative weights are allowed; the consensus
-label is the score argmax with ties broken toward the lower label value.
+regularized by adding epsilon on the diagonal (Wang et al., IEEE TPAMI
+2013). The fusion weights w = M^-1 1 / (1^t M^-1 1) come from one solve,
+`jlf_weights`, which `fuse` calls on the stack of all active voxels'
+matrices; a non-finite matrix (a large beta overflows the power) raises
+ValueError instead of voting with NaN weights. Negative weights are
+allowed; the consensus label is the score argmax with ties broken toward
+the lower label value.
 
 The vote reads weights only at active voxels, where some atlas has a
 nonzero label, so `fuse` works on boxes around their bounding box, each
@@ -91,12 +95,16 @@ def dependency_matrix(target_patch, atlas_patches, beta=2.0, epsilon=0.1):
 
 
 def jlf_weights(m):
-    """Solve w = M^-1 1 / (1^t M^-1 1); weights sum to exactly 1."""
+    """Solve w = M^-1 1 / (1^t M^-1 1) for one dependency matrix (n, n)
+    or a stack of them (..., n, n), normalizing along the last axis: each
+    matrix's weights sum to 1 up to rounding. A matrix with a non-finite
+    entry, such as an overflow of the error products' beta power, raises
+    ValueError."""
     m = np.asarray(m, dtype=np.float64)
     if not np.all(np.isfinite(m)):
         raise ValueError("dependency matrix has non-finite entries")
-    x = np.linalg.solve(m, np.ones(m.shape[0]))
-    return x / x.sum()
+    x = np.linalg.solve(m, np.ones(m.shape[-1]))
+    return x / x.sum(axis=-1, keepdims=True)
 
 
 def _check_shared_geometry(atlases):
@@ -271,8 +279,7 @@ def fuse(target_image, atlases, cfg=None):
                 m[:, i, j] = m[:, j, i] = prod[active]
         m = np.abs(m) ** cfg.beta
         m += cfg.epsilon * np.eye(n)
-        x = np.linalg.solve(m, np.ones(n))
-        return x / x.sum(axis=1, keepdims=True)
+        return jlf_weights(m)
 
     return _weighted_vote(atlases, jlf_weights_at)
 

@@ -1,10 +1,11 @@
-"""Intensity similarity: joint histograms, entropies, NMI and its gradient.
+"""Intensity similarity: NMI and its gradient.
 
-Two histogram flavors coexist:
+NMI is (H1 + H2) / H12 of a joint intensity histogram (Studholme, Hill &
+Hawkes 1999). One function, `_nmi_terms`, turns a flat count table into
+the NMI and the logs its derivative reads, for both kinds of table:
 
-* `joint_histogram` takes the nearest bin on both axes and backs the NMI
-  *value* reported to users and tests (`nmi`) — identical aligned images
-  score exactly 2;
+* `nmi`, the value reported to users and tests, takes the nearest bin on
+  both axes, so identical aligned images score exactly 2;
 * `NmiObjective`, the optimizer's differentiable objective, spreads each
   sample by a cubic B-spline Parzen kernel along the floating-intensity
   axis (`_parzen_counts`, which also returns the flat bins and kernel
@@ -13,17 +14,17 @@ Two histogram flavors coexist:
 
 The objective has one evaluation path, `NmiObjective.point_gradient_at`:
 it samples the floating image at warped points with one spline gather,
-`SplineImage.sample` (value and gradient together), bins the values and
-returns the NMI with its derivative per point; `value_at(y)` is its
-value. The floating image is a quadratic B-spline: C1, so that
-derivative is exact, from 27 coefficients per sample. The Parzen window
-and the FFD lattice stay cubic. The transform-level methods only map
-the samples before calling it: `value` through `compose_apply`, whose
-FFD part is `ffd_displace`'s per-node gather, and
-`value_and_ffd_gradient` through `affine_apply` and the separable FFD
-basis on the target grid, `GridBasis`, which also pulls the point
-gradient back onto the lattice. Both registration stages score every
-trial with one `point_gradient_at` call.
+`SplineImage.sample` (value, gradient and in-domain count together),
+bins the values and returns the NMI with its derivative per point. The
+floating image is a quadratic B-spline: C1, so that derivative is exact,
+from 27 coefficients per sample. The Parzen window and the FFD lattice
+stay cubic. The transform-level methods only map the samples before
+calling it: `value` through `compose_apply`, whose FFD part is
+`ffd_displace`'s per-node gather, and `value_and_ffd_gradient` through
+`affine_apply` and the separable FFD basis on the target grid,
+`GridBasis`, which also pulls the point gradient back onto the lattice.
+Both registration stages score every trial with one `point_gradient_at`
+call.
 
 The per-point kernels work on axis-major rows, in place where they can:
 `SplineImage.sample` maps the (V, 3) points to a (3, V) array of voxel
@@ -68,35 +69,6 @@ class IntensityWindow:
         return np.clip(c, 0.0, self.bins - 1)
 
 
-@dataclass
-class JointHistogram:
-    counts: np.ndarray  # (bins, bins), axis 0 = target, axis 1 = floating
-
-    @property
-    def total(self):
-        return float(self.counts.sum())
-
-    def marginal_target(self):
-        return self.counts.sum(axis=1)
-
-    def marginal_floating(self):
-        return self.counts.sum(axis=0)
-
-
-def joint_histogram(img1, img2, window=IntensityWindow()):
-    """Joint intensity histogram of two volumes on a shared grid, nearest
-    bin on both axes; its total mass is the number of voxels. To score a
-    region, crop both volumes to it (`volume.crop`)."""
-    if not img1.geometry.same_grid(img2.geometry):
-        raise ValueError(f"volumes must share geometry: {img1.geometry} "
-                         f"vs {img2.geometry}")
-    a = np.round(window.bin_coord(img1.data.ravel())).astype(np.int64)
-    b = np.round(window.bin_coord(img2.data.ravel())).astype(np.int64)
-    nb = window.bins
-    counts = np.bincount(a * nb + b, minlength=nb * nb).astype(np.float64)
-    return JointHistogram(counts.reshape(nb, nb))
-
-
 def _parzen_counts(rows, c2, nb):
     """Flat joint counts of samples in target rows `rows` (target bin
     times nb) at floating bin coordinates c2, each spread by the cubic
@@ -114,31 +86,35 @@ def _parzen_counts(rows, c2, nb):
     return counts, flat, dw
 
 
-def entropies(hist):
-    """Shannon entropies (nats) of target marginal, floating marginal,
-    and the joint distribution. 0 log 0 := 0."""
-    n = hist.total
-    if n <= 0:
-        raise ValueError("histogram has no mass")
-
-    def h(p):
-        p = p[p > 0] / n
-        return float(-np.sum(p * np.log(p)))
-
-    return (h(hist.marginal_target()), h(hist.marginal_floating()),
-            h(hist.counts))
-
-
-def nmi_of_histogram(hist):
-    h1, h2, h12 = entropies(hist)
-    if h12 == 0.0:
-        return 2.0
-    return (h1 + h2) / h12
+def _nmi_terms(counts, nb):
+    """NMI (H1 + H2) / H12 of flat joint counts (nb * nb, target-major),
+    with what its derivative reads: the logs of the target-marginal,
+    floating-marginal and joint probabilities (0 where a probability is
+    0), the total mass n and the joint entropy H12, in nats with
+    0 log 0 := 0. A table with one occupied bin has NMI 2."""
+    counts = counts.reshape(nb, nb)
+    n = float(counts.sum())
+    ps = (counts.sum(axis=1) / n, counts.sum(axis=0) / n, counts / n)
+    with np.errstate(divide="ignore"):
+        logs = tuple(np.where(p > 0, np.log(p), 0.0) for p in ps)
+    h1, h2, h12 = (float(-np.sum((p * lp)[p > 0]))
+                   for p, lp in zip(ps, logs))
+    return (2.0 if h12 == 0.0 else (h1 + h2) / h12), logs, n, h12
 
 
 def nmi(img1, img2, window=IntensityWindow()):
-    """Normalized mutual information (H1 + H2) / H12 of two volumes."""
-    return nmi_of_histogram(joint_histogram(img1, img2, window))
+    """Normalized mutual information (H1 + H2) / H12 of two volumes on a
+    shared grid, from their joint histogram with the nearest bin on both
+    axes: identical volumes score exactly 2. To score a region, crop both
+    volumes to it (`volume.crop`)."""
+    if not img1.geometry.same_grid(img2.geometry):
+        raise ValueError(f"volumes must share geometry: {img1.geometry} "
+                         f"vs {img2.geometry}")
+    a = np.round(window.bin_coord(img1.data.ravel())).astype(np.int64)
+    b = np.round(window.bin_coord(img2.data.ravel())).astype(np.int64)
+    nb = window.bins
+    counts = np.bincount(a * nb + b, minlength=nb * nb).astype(np.float64)
+    return _nmi_terms(counts, nb)[0]
 
 
 def _contract_taps(t, w):
@@ -170,10 +146,8 @@ class SplineImage:
 
     `sample` maps the points to voxels once, into axis-major rows (3, V),
     and clamps each row in place; a NaN or infinite point raises
-    ValueError there. `points_inside`, the number of points of the
-    latest `sample` call that lie in the image domain, comes from the
-    same clamp. It is per instance, so an instance serves one thread at
-    a time (each registration builds its own).
+    ValueError there, and the number of points that lie in the image
+    domain comes from the same clamp.
 
     Its weights come from one `support_weights` call per block of
     BLOCK_POINTS, over all three axes, on a (3, n) slice of those rows
@@ -204,17 +178,15 @@ class SplineImage:
             3, 3, 3).transpose(2, 1, 0).ravel()
         self._dims = np.array(vol.geometry.dims)
         self._spacing = np.array(vol.geometry.spacing)
-        self.points_inside = None
 
     def sample(self, pts_world):
         """Spline value and gradient (HU/mm) at world points (V, 3), from
-        one padded gather.
+        one padded gather, and the number of points that no clamp moved.
 
         Coordinates are clamped to the image domain, so the sampled value
         is continuous everywhere; beyond a face the value is constant along
-        that axis, and the gradient component there is 0 accordingly. The
-        number of points that no clamp moved is kept in `points_inside`.
-        A NaN or infinite point raises ValueError.
+        that axis, and the gradient component there is 0 accordingly. A
+        NaN or infinite point raises ValueError.
         """
         # axis-major: u[a] is the row of axis-a voxel coordinates
         u = self.geometry.world_to_voxel(np.asfortranarray(pts_world)).T
@@ -235,9 +207,8 @@ class SplineImage:
             blk = slice(start, start + BLOCK_POINTS)
             self._value_and_gradient(u[:, blk], taps, val[blk], grad[blk])
         grad.T[outside] = 0.0
-        self.points_inside = len(val) - np.count_nonzero(
+        return val, grad, len(val) - np.count_nonzero(
             outside[0] | outside[1] | outside[2])
-        return val, grad
 
     def _value_and_gradient(self, u, taps, val, grad):
         """Write the spline value and gradient (HU/mm) at in-domain voxel
@@ -290,21 +261,20 @@ class NmiObjective:
         if max_points is not None:
             max_points = integer("max_points", max_points, 1)
         self.grid = target.geometry
-        t = target.data.ravel()
-        if max_points is not None and t.size > max_points:
+        size = target.data.size
+        if max_points is None or size <= max_points:
+            self.indices = np.arange(size)
+        else:
             # deterministic uniform subset keeps evaluations tractable on
             # large grids while leaving the NMI estimate essentially intact
             self.indices = np.sort(np.random.default_rng(0).choice(
-                t.size, size=max_points, replace=False))
-            t = t[self.indices]
-            # only the sampled voxel centers are mapped: the same values
-            # as the grid's `grid_world_points` at those indices
-            self.points = np.stack(
-                [ax[i] for ax, i in zip(self.grid.axes(), np.unravel_index(
-                    self.indices, self.grid.dims))], axis=-1)
-        else:
-            self.indices = np.arange(t.size)
-            self.points = self.grid.grid_world_points().reshape(-1, 3)
+                size, size=max_points, replace=False))
+        t = target.data.ravel()[self.indices]
+        # only the sampled voxel centers are mapped: the same values as the
+        # grid's `grid_world_points` at those indices
+        self.points = np.stack(
+            [ax[i] for ax, i in zip(self.grid.axes(), np.unravel_index(
+                self.indices, self.grid.dims))], axis=-1)
         self.window = window
         # each target sample's row of the flat joint histogram
         self.target_rows = (np.round(window.bin_coord(t)).astype(np.int64)
@@ -312,12 +282,9 @@ class NmiObjective:
         self.spline = SplineImage(floating)
 
     def value(self, comp):
-        return self.value_at(compose_apply(comp, self.points))
-
-    def value_at(self, y):
-        """NMI with the floating image sampled at warped points y (V, 3),
-        one per target sample: the value of `point_gradient_at`."""
-        return self.point_gradient_at(y)[0]
+        """NMI with the floating image sampled at the samples mapped
+        through comp: the value of `point_gradient_at`."""
+        return self.point_gradient_at(compose_apply(comp, self.points))[0]
 
     def point_gradient_at(self, y):
         """NMI at warped points y (V, 3) and its derivative with respect
@@ -326,37 +293,27 @@ class NmiObjective:
         The points are mapped to voxels once, in `SplineImage.sample`. The
         flat bins and kernel derivative rows of the Parzen histogram are
         reused for the derivative, which gathers d NMI / d counts from the
-        raveled table with one 1-D take. The probabilities and their logs
-        are formed once and give both the entropies, summed as `entropies`
-        sums them, and d NMI / d counts.
+        raveled table with one 1-D take. The NMI and the logs of the
+        probabilities that d NMI / d counts reads come from `_nmi_terms`,
+        as `nmi`'s value does.
         """
-        v, g = self.spline.sample(y)
+        v, g, inside = self.spline.sample(y)
         # all warped points contribute (clamped sampling keeps the value
         # continuous as points cross the floating-image boundary), but the
         # overlap must not vanish entirely
-        if not self.spline.points_inside:
+        if not inside:
             raise ValueError("no warped sample falls inside the floating image")
         nb = self.window.bins
         c2 = self.window.bin_coord(v)
         # where the window clamps, the bin coordinate does not move with v
         clipped = (c2 <= 0.0) | (c2 >= nb - 1)
         counts, flat, dw = _parzen_counts(self.target_rows, c2, nb)
-        hist = JointHistogram(counts.reshape(nb, nb))
-        n = hist.total
-        p1 = hist.marginal_target() / n
-        p2 = hist.marginal_floating() / n
-        p12 = hist.counts / n
-        with np.errstate(divide="ignore"):
-            l1, l2, l12 = (np.where(p > 0, np.log(p), 0.0)
-                           for p in (p1, p2, p12))
-        h1v, h2v, h12v = (float(-np.sum((p * lp)[p > 0]))
-                          for p, lp in ((p1, l1), (p2, l2), (p12, l12)))
-        if h12v == 0.0:
-            return 2.0, np.zeros_like(self.points)
-        nmi_val = (h1v + h2v) / h12v
+        nmi_val, (l1, l2, l12), n, h12 = _nmi_terms(counts, nb)
+        if h12 == 0.0:
+            return nmi_val, np.zeros_like(self.points)
         # d NMI / d counts(a, b)
         dnmi_dh = (-(l1[:, None] + 1.0) - (l2[None, :] + 1.0)
-                   + nmi_val * (l12 + 1.0)) / (n * h12v)
+                   + nmi_val * (l12 + 1.0)) / (n * h12)
 
         # the kernel argument is bin - c2, hence the sign
         dnmi_dc2 = -_contract_taps(np.take(dnmi_dh, flat), dw)

@@ -115,6 +115,36 @@ def test_jlf_weights_rejects_nonfinite():
         jlf_weights(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+def test_jlf_weights_of_a_stack_match_one_matrix_at_a_time():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(2, 5, 4, 4))
+    m = a @ a.transpose(0, 1, 3, 2) + 0.5 * np.eye(4)
+    w = jlf_weights(m)
+    assert w.shape == (2, 5, 4)
+    for idx in np.ndindex(2, 5):
+        assert np.allclose(w[idx], jlf_weights(m[idx]), rtol=0, atol=1e-12)
+    m[1, 3, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        jlf_weights(m)
+
+
+def test_fuse_rejects_overflowing_dependency_matrices():
+    # errors of ~400 HU: the patch-mean products (~1.6e5) overflow at
+    # beta 60, which would leave NaN weights that drop their voxels
+    rng = np.random.default_rng(4)
+    dims = (16, 16, 16)
+    geom = _geom(dims)
+    target = ScalarVolume(geom, rng.normal(100, 40, dims))
+    labels = np.zeros(dims, dtype=np.int64)
+    labels[4:12, 4:12, 4:12] = 1
+    atlases = [RegisteredAtlas(
+        ScalarVolume(geom, target.data + rng.uniform(-800, 800, dims)),
+        LabelVolume(geom, labels), atlas_id=f"a{k}") for k in range(3)]
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="non-finite entries"):
+        fuse(target, atlases, FusionConfig(beta=60.0))
+
+
 def test_fuse_matches_oracle_randomized():
     rng = np.random.default_rng(1)
     cfg = FusionConfig(patch_radius=1, beta=2.0, epsilon=0.1)

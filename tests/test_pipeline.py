@@ -312,6 +312,16 @@ def test_cli_usage_error_exit_code():
         main([])  # no subcommand
 
 
+@pytest.mark.parametrize("value", ["a.nii", "a.nii,b.nii,c.nii"])
+def test_cli_fuse_rejects_malformed_atlas_as_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuse", "--target", "t.nii", "--atlas", value,
+              "--output-labels", "out.nii"])
+    assert exc.value.code == 2
+    assert (f"argument --atlas: expected IMAGE,LABELS, got {value!r}"
+            in capsys.readouterr().err)
+
+
 # ------------------------------------------------ registration failures
 
 def _quick_manifest(tmp_path, n_atlases):

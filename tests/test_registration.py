@@ -556,13 +556,13 @@ def test_register_ffd_matches_normalised_gradient_oracle(alpha):
 
 
 def test_register_ffd_evaluates_each_trial_once(monkeypatch):
-    calls = {"value_at": 0, "point_gradient_at": 0}
+    calls = {"value": 0, "point_gradient_at": 0}
     for name in calls:
         method = getattr(NmiObjective, name)
 
-        def counting(self, y, _method=method, _name=name):
+        def counting(self, arg, _method=method, _name=name):
             calls[_name] += 1
-            return _method(self, y)
+            return _method(self, arg)
 
         monkeypatch.setattr(NmiObjective, name, counting)
     img = _blob_image(14, dims=(16, 16, 16))
@@ -572,7 +572,7 @@ def test_register_ffd_evaluates_each_trial_once(monkeypatch):
                      max_iters_per_level=4, max_sample_voxels=3000)
     res = register_ffd(warped, img, AffineTransform.identity(), cfg)
     assert len(res.stops) == 2
-    assert calls["value_at"] == 0
+    assert calls["value"] == 0
     # one call per trial, plus each level's starting point
     assert calls["point_gradient_at"] == (
         sum(s.evaluations for s in res.stops) + len(res.stops))

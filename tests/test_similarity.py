@@ -13,10 +13,9 @@ from vertseg import similarity
 from vertseg.bspline import BLOCK_POINTS, support_weights
 from vertseg.registration import (RegistrationConfig, _penalty_grid,
                                   register_ffd)
-from vertseg.similarity import (IntensityWindow, JointHistogram, NmiObjective,
-                                SplineImage, _contract_taps, _parzen_counts,
-                                entropies, joint_histogram, nmi,
-                                nmi_of_histogram)
+from vertseg.similarity import (IntensityWindow, NmiObjective, SplineImage,
+                                _contract_taps, _nmi_terms, _parzen_counts,
+                                nmi)
 from vertseg.transform import (AffineTransform, ComposedTransform,
                                FFDTransform, bending_energy, compose_apply,
                                lattice_covering)
@@ -40,17 +39,6 @@ def test_window_validation_and_binning():
     assert w.bin_coord(1000.0) == 63.0
 
 
-def test_joint_histogram_mass_and_marginals():
-    rng = np.random.default_rng(0)
-    a = _vol(rng.normal(100, 50, (6, 6, 6)))
-    b = _vol(rng.normal(100, 50, (6, 6, 6)))
-    w = IntensityWindow(lo=-100, hi=300, bins=16)
-    h = joint_histogram(a, b, w)
-    assert h.total == 216
-    assert np.allclose(h.marginal_target().sum(), 216)
-    assert np.allclose(h.marginal_floating().sum(), 216)
-
-
 def test_joint_histogram_parzen_mass():
     rng = np.random.default_rng(1)
     a = _vol(rng.normal(100, 50, (6, 6, 6)))
@@ -63,19 +51,23 @@ def test_joint_histogram_parzen_mass():
 
 
 def test_joint_histogram_known_placement():
+    # every voxel pair lands in bin (0, 63): one occupied bin scores 2
     a = _vol(np.full((2, 2, 2), 0.0))
     b = _vol(np.full((2, 2, 2), 63.0))
     w = IntensityWindow(lo=0.0, hi=63.0, bins=64)
-    h = joint_histogram(a, b, w)
-    assert h.counts[0, 63] == 8
-    assert h.counts.sum() == 8
+    assert nmi(a, b, w) == 2.0
 
 
-def test_joint_histogram_geometry_mismatch():
-    a = _vol(np.zeros((4, 4, 4)))
-    b = _vol(np.zeros((4, 4, 5)))
-    with pytest.raises(ValueError):
-        joint_histogram(a, b)
+def _entropies(counts):
+    """H1, H2 and H12 (nats) of a count table, from the H12 and the logs
+    `_nmi_terms` returns."""
+    nb = len(counts)
+    nmi_val, logs, n, h12 = _nmi_terms(counts.ravel(), nb)
+    p1, p2 = counts.sum(axis=1) / n, counts.sum(axis=0) / n
+    h1, h2 = (float(-np.sum((p * lp)[p > 0]))
+              for p, lp in zip((p1, p2), logs))
+    assert nmi_val == (h1 + h2) / h12
+    return h1, h2, h12
 
 
 def test_entropies_hand_computed():
@@ -83,17 +75,19 @@ def test_entropies_hand_computed():
     counts = np.zeros((8, 8))
     counts[0, 0] = 4
     counts[5, 5] = 4
-    h1, h2, h12 = entropies(JointHistogram(counts))
+    h1, h2, h12 = _entropies(counts)
     assert h1 == pytest.approx(np.log(2))
     assert h2 == pytest.approx(np.log(2))
     assert h12 == pytest.approx(np.log(2))
-    assert nmi_of_histogram(JointHistogram(counts)) == pytest.approx(2.0)
+    assert _nmi_terms(counts.ravel(), 8)[0] == pytest.approx(2.0)
 
 
 def test_entropy_of_independent_histogram():
     # uniform product histogram: H12 = H1 + H2, NMI = 1
     counts = np.ones((8, 8))
-    assert nmi_of_histogram(JointHistogram(counts)) == pytest.approx(1.0)
+    h1, h2, h12 = _entropies(counts)
+    assert h12 == pytest.approx(h1 + h2)
+    assert _nmi_terms(counts.ravel(), 8)[0] == pytest.approx(1.0)
 
 
 def test_nmi_identical_images_is_two():
@@ -131,7 +125,7 @@ def test_spline_image_interpolates_grid_values():
     vol = _vol(rng.normal(0, 100, (9, 9, 9)), spacing=(0.7, 1.0, 1.3))
     sp = SplineImage(vol)
     pts = vol.geometry.grid_world_points().reshape(-1, 3)
-    vals, _ = sp.sample(pts)
+    vals, _, _ = sp.sample(pts)
     assert np.allclose(vals, vol.data.ravel(), atol=1e-9)
 
 
@@ -140,7 +134,7 @@ def test_spline_image_gradient_matches_finite_differences():
     vol = _vol(rng.normal(0, 100, (12, 12, 12)), spacing=(0.8, 1.0, 1.2))
     sp = SplineImage(vol)
     pts = vol.geometry.voxel_to_world(rng.uniform(2.0, 9.0, (200, 3)))
-    _, grad = sp.sample(pts)
+    _, grad, _ = sp.sample(pts)
     h = 1e-5
     for a in range(3):
         e = np.zeros(3)
@@ -153,8 +147,9 @@ def test_spline_image_gradient_matches_finite_differences():
 def test_spline_image_clamps_and_zeroes_outside_gradient():
     vol = _vol(np.arange(64, dtype=float).reshape(4, 4, 4))
     sp = SplineImage(vol)
-    inside_val, _ = sp.sample(np.array([[3.0, 0.0, 0.0]]))
-    out_val, out_grad = sp.sample(np.array([[10.0, 0.0, 0.0]]))
+    inside_val, _, inside = sp.sample(np.array([[3.0, 0.0, 0.0]]))
+    out_val, out_grad, outside = sp.sample(np.array([[10.0, 0.0, 0.0]]))
+    assert (inside, outside) == (1, 0)
     assert out_val[0] == pytest.approx(inside_val[0])
     assert out_grad[0, 0] == 0.0
 
@@ -271,12 +266,13 @@ def test_spline_image_blocked_sample_is_bit_identical():
     # a few points beyond the faces exercise the clamped gradient
     pts = vol.geometry.voxel_to_world(
         rng.uniform(-1.0, 13.0, (2 * BLOCK_POINTS + 17, 3)))
-    val, grad = sp.sample(pts)
+    val, grad, inside = sp.sample(pts)
     for chunk in (BLOCK_POINTS, 1000):
         parts = [sp.sample(pts[s:s + chunk])
                  for s in range(0, len(pts), chunk)]
-        assert np.array_equal(val, np.concatenate([v for v, _ in parts]))
-        assert np.array_equal(grad, np.concatenate([g for _, g in parts]))
+        assert np.array_equal(val, np.concatenate([v for v, _, _ in parts]))
+        assert np.array_equal(grad, np.concatenate([g for _, g, _ in parts]))
+        assert inside == sum(k for _, _, k in parts)
 
 
 def test_objective_at_points_matches_transform_entry_points():
@@ -287,7 +283,7 @@ def test_objective_at_points_matches_transform_entry_points():
         AffineTransform(np.eye(3) * 1.01, np.array([0.2, -0.1, 0.3])),
         FFDTransform(geom, rng.normal(0, 0.3, geom.dims + (3,))))
     y = compose_apply(comp, obj.points)
-    assert obj.value_at(y) == obj.value(comp)
+    assert obj.point_gradient_at(y)[0] == obj.value(comp)
 
 
 def test_register_ffd_final_objective_matches_public_wrappers():
@@ -381,7 +377,7 @@ def test_padded_gather_matches_mirrored_index_gather(dims):
     pts = vol.geometry.voxel_to_world(np.concatenate([u, grid]))
     sp = SplineImage(vol)
     coef, ref_val, ref_grad = _mirror_gather_sample(vol, pts)
-    val, grad = sp.sample(pts)
+    val, grad, _ = sp.sample(pts)
     assert np.array_equal(val, ref_val)
     assert np.array_equal(grad, ref_grad)
     # the point-major contraction sums the taps in another order
@@ -412,7 +408,7 @@ def test_spline_image_matches_scipy_quadratic_spline_at_every_face(dims):
                 p[:, a] = at
                 parts.append(p)
     u = np.concatenate(parts)
-    val, _ = SplineImage(vol).sample(vol.geometry.voxel_to_world(u))
+    val, _, _ = SplineImage(vol).sample(vol.geometry.voxel_to_world(u))
     ref = ndimage.map_coordinates(data, np.clip(u, 0.0, n - 1.0).T,
                                   order=2, mode="mirror")
     assert np.allclose(val, ref, rtol=0, atol=1e-9)
@@ -435,8 +431,8 @@ def test_spline_image_is_c1_across_half_integer_coordinates(axis):
     i_below = support_weights(below[:, axis], degree=2)[0]
     assert np.all(i_at == i_below + 1)
     sp = SplineImage(vol)
-    val, grad = sp.sample(vol.geometry.voxel_to_world(u))
-    val_b, grad_b = sp.sample(vol.geometry.voxel_to_world(below))
+    val, grad, _ = sp.sample(vol.geometry.voxel_to_world(u))
+    val_b, grad_b, _ = sp.sample(vol.geometry.voxel_to_world(below))
     assert np.allclose(val, val_b, rtol=0, atol=1e-9)
     assert np.allclose(grad, grad_b, rtol=0, atol=1e-9)
 
@@ -446,7 +442,8 @@ def test_objective_at_points_rejects_samples_all_outside():
     obj = NmiObjective(target, floating, window)
     y = obj.points + np.array([1000.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="no warped sample falls inside"):
-        obj.value_at(y)
+        obj.value(ComposedTransform(
+            AffineTransform(np.eye(3), np.array([1000.0, 0.0, 0.0])), None))
     with pytest.raises(ValueError, match="no warped sample falls inside"):
         obj.point_gradient_at(y)
 
@@ -461,7 +458,7 @@ def test_value_at_equals_point_gradient_value(seed):
         AffineTransform(np.eye(3) * 1.01, np.array([0.2, -0.1, 0.3])),
         FFDTransform(geom, rng.normal(0, 0.3, geom.dims + (3,))))
     y = compose_apply(comp, obj.points)
-    assert obj.value_at(y) == obj.point_gradient_at(y)[0]
+    assert obj.value(comp) == obj.point_gradient_at(y)[0]
 
 
 def test_nmi_rejects_volumes_on_another_grid_with_same_dims():
@@ -488,7 +485,7 @@ def test_blocked_sample_matches_mirrored_index_gather_over_many_blocks():
     assert np.all((u < 0.0).any(axis=0)) and np.all((u > n - 1.0).any(axis=0))
     pts = vol.geometry.voxel_to_world(u)
     _, ref_val, ref_grad = _mirror_gather_sample(vol, pts)
-    val, grad = SplineImage(vol).sample(pts)
+    val, grad, _ = SplineImage(vol).sample(pts)
     assert np.array_equal(val, ref_val)
     assert np.array_equal(grad, ref_grad)
 
@@ -520,12 +517,12 @@ def test_spline_sample_matches_mirrored_gather_on_either_point_layout(
     pts = np.asarray(vol.geometry.voxel_to_world(u), order=order)
     _, ref_val, ref_grad = _mirror_gather_sample(vol, pts)
     sp = SplineImage(vol)
-    val, grad = sp.sample(pts)
+    val, grad, inside = sp.sample(pts)
     assert np.array_equal(val.view(np.int64), ref_val.view(np.int64))
     assert np.array_equal(grad, ref_grad)
     assert grad.flags.c_contiguous
     u_back = vol.geometry.world_to_voxel(pts)
-    assert sp.points_inside == np.count_nonzero(
+    assert inside == np.count_nonzero(
         np.all((u_back >= 0.0) & (u_back <= n - 1.0), axis=1))
 
 
@@ -603,9 +600,9 @@ def test_spline_image_samples_a_lone_point_as_in_a_block():
     vol = _vol(rng.normal(0, 100, (9, 8, 7)), spacing=(0.8, 1.0, 1.3))
     sp = SplineImage(vol)
     pts = vol.geometry.voxel_to_world(rng.uniform(-1.0, 8.0, (40, 3)))
-    val, grad = sp.sample(pts)
+    val, grad, _ = sp.sample(pts)
     for k in range(len(pts)):
-        v, g = sp.sample(pts[k:k + 1])
+        v, g, _ = sp.sample(pts[k:k + 1])
         assert _same_bits(v, val[k:k + 1]) and np.array_equal(g, grad[k:k + 1])
 
 
@@ -624,13 +621,15 @@ def _parent_parzen_gradient(obj, v, g):
     for o in range(4):
         counts += np.bincount(bin1 * nb + bcols[:, o], weights=w[o],
                               minlength=nb * nb)
-    hist = JointHistogram(counts.reshape(nb, nb))
-    n = hist.total
-    h1v, h2v, h12v = entropies(hist)
+    counts = counts.reshape(nb, nb)
+    n = float(counts.sum())
+    h1v, h2v, h12v = (float(-np.sum(p * np.log(p)))
+                      for p in (q[q > 0] / n for q in (
+                          counts.sum(axis=1), counts.sum(axis=0), counts)))
     nmi_val = (h1v + h2v) / h12v
-    p1 = hist.marginal_target() / n
-    p2 = hist.marginal_floating() / n
-    p12 = hist.counts / n
+    p1 = counts.sum(axis=1) / n
+    p2 = counts.sum(axis=0) / n
+    p12 = counts / n
     with np.errstate(divide="ignore"):
         l1 = np.where(p1 > 0, np.log(np.maximum(p1, 1e-300)), 0.0)
         l2 = np.where(p2 > 0, np.log(np.maximum(p2, 1e-300)), 0.0)
@@ -654,7 +653,8 @@ def test_point_gradient_matches_two_dimensional_parzen_gather(seed):
         AffineTransform(np.eye(3) * 1.01, np.array([0.2, -0.1, 0.3])),
         FFDTransform(geom, rng.normal(0, 0.3, geom.dims + (3,))))
     y = compose_apply(comp, obj.points)
-    ref_val, ref_grad = _parent_parzen_gradient(obj, *obj.spline.sample(y))
+    ref_val, ref_grad = _parent_parzen_gradient(obj,
+                                                *obj.spline.sample(y)[:2])
     nmi_val, point_grad = obj.point_gradient_at(y)
     assert nmi_val == ref_val
     assert np.array_equal(point_grad, ref_grad)
@@ -681,4 +681,4 @@ def test_point_gradient_maps_the_points_to_voxels_once(monkeypatch):
     # one point left inside is enough
     outside[7] = y[7]
     obj.point_gradient_at(outside)
-    assert obj.spline.points_inside == 1
+    assert obj.spline.sample(outside)[2] == 1
