@@ -21,19 +21,23 @@ grown and clamped to the volume:
   its patch, so the error maps and the error-product filters live here;
 - the difference domain, grown by 2 * patch_radius: an error's search
   compares patch SSDs, which read squared differences within
-  patch_radius more, so those are formed here, and each box-filter pass
+  patch_radius more, so those are formed here, and each patch-sum pass
   keeps only the rows the next pass (and finally the error box) reads;
 - the work box, grown by 2 * patch_radius + search_radius: the shifted
   atlas reads reach search_radius past the difference domain.
 
 Inside each box every read sees the values it sees on the full grid;
 where a box face is a volume face, the zero padding and the edge clamp
-are the same too. The search keeps each voxel's winning shift as an
-index and gathers the error at that shift once per atlas, the same bits
-as the full-grid error at that shift. The result is not bit-identical
-to a full-grid run: the box filter is a running sum whose rounding
-depends on where each line starts, so search shifts whose patch SSDs
-tie to within that rounding can flip.
+are the same too. The search sums each patch SSD in float32, in patch
+order, so a voxel's SSD has the same bits whatever the box, and the
+search on a box is the full-grid search cropped to it. Exact SSD ties
+keep the first shift wherever the float32 sums are exact (integer HU
+patches whose partial sums stay below 2^24). The search keeps each
+voxel's winning shift as an index and gathers the error at that shift
+once per atlas from the float64 atlas, the same bits as the full-grid
+error at that shift. The result is still not bit-identical to a
+full-grid run: the error-product filters are running sums whose
+rounding depends on where each line starts.
 """
 
 import itertools
@@ -122,6 +126,16 @@ def _check_shared_geometry(atlases):
     return geom
 
 
+def _box_sum(src, out, lo, hi, step, p):
+    """out[lo:hi] = the in-order sum over t = -p..p of src[lo + t * step :
+    hi + t * step], for flat arrays: one axis's patch sum, in 2p adds."""
+    o = out[lo:hi]
+    np.add(src[lo - p * step:hi - p * step],
+           src[lo - (p - 1) * step:hi - (p - 1) * step], out=o)
+    for t in range(2 - p, p + 1):
+        np.add(o, src[lo + t * step:hi + t * step], out=o)
+
+
 def _searched_errors(target_data, atlas_images, cfg, box=None):
     """Per-atlas absolute error maps on box (slices of the volumes; None:
     the whole volume), optionally after a local patch search that
@@ -138,78 +152,106 @@ def _searched_errors(target_data, atlas_images, cfg, box=None):
     (search_radius 0) the one shift always wins, so the error map is
     |T - A| directly.
 
-    The squared differences are formed on the difference domain, box
-    grown by patch_radius, in one contiguous pass per shift over the flat
-    range that domain spans in the padded read, and each axis's
-    box-filter pass keeps only the rows the next pass reads, so the SSDs
-    are compared on box alone.
-    The winning shift is kept as an index, and each atlas's error map is
-    one gather from the atlas, edge-padded around the difference domain
-    by search_radius: the same bits as |T - A| at that shift.
+    The SSDs are float32 sums of float32 squared differences, added in
+    patch order along axis 0, then 1, then 2, with no running sum, so a
+    voxel's SSD has the same bits whatever the box, and exact ties keep
+    the first shift (a strict float32 compare) wherever the float32 sums
+    are exact: integer HU patches whose partial sums stay below 2^24.
+    Only fuse's error-product filters, after the search, keep a running
+    sum and its start-dependent rounding.
+
+    All of it runs in a frame around the difference domain (box grown by
+    patch_radius) with a margin of max(search_radius, patch_radius), in
+    contiguous passes over flat ranges of the frame: per shift, one
+    difference and one square pass over the difference domain, then
+    2 * patch_radius adds per axis, each axis's range dropping the rows
+    no later pass reads. Where the difference domain meets a volume
+    face, the margin slab the sums read there is zeroed after each
+    square pass. The winning shift is kept as an index, and each atlas's
+    error map is one gather from the float64 atlas, edge-padded into the
+    frame: the same bits as |T - A| at that shift.
     """
     dims = target_data.shape
     box = box or tuple(slice(0, d) for d in dims)
-    r = cfg.search_radius
+    r, p = cfg.search_radius, cfg.patch_radius
     if r == 0:
         return [np.abs(target_data[box] - img[box]) for img in atlas_images]
-    size = 2 * cfg.patch_radius + 1
-    dom = grow_box(box, cfg.patch_radius, dims)
+    dom = grow_box(box, p, dims)
     reads = grow_box(dom, r, dims)
-    # edge padding that makes the atlas read cover dom grown by r
-    pad = [(rs.start - (ds.start - r), (ds.stop + r) - rs.stop)
+    m = max(r, p)
+    frame_shape = tuple(d.stop - d.start + 2 * m for d in dom)
+    # edge padding that makes the atlas read fill the frame
+    pad = [(rs.start - (ds.start - m), (ds.stop + m) - rs.stop)
            for rs, ds in zip(reads, dom)]
-    shape = tuple(s.stop - s.start for s in dom)
-    inner = tuple(slice(b.start - d.start, b.stop - d.start)
-                  for b, d in zip(box, dom))
-    # box's voxels as flat indices of the padded read at shift 0; shift d
-    # reads d . strides elements earlier
-    padded_shape = tuple(n + 2 * r for n in shape)
-    flat = np.arange(np.prod(padded_shape)).reshape(padded_shape)
-    base = flat[tuple(slice(s.start + r, s.stop + r) for s in inner)]
+    # regions of the frame as (start, stop) per axis
+    at_dom = [(m, d.stop - d.start + m) for d in dom]
+    at_box = [(b.start - d.start + m, b.stop - d.start + m)
+              for b, d in zip(box, dom)]
+    # box grown by patch_radius, unclamped: what the patch sums read
+    at_patch = [(a - p, b + p) for a, b in at_box]
+
+    def window(region):
+        return tuple(slice(*s) for s in region)
+
+    def flat_range(region):
+        lo = np.ravel_multi_index([a for a, _ in region], frame_shape)
+        hi = np.ravel_multi_index([b - 1 for _, b in region], frame_shape)
+        return int(lo), int(hi) + 1
+
+    strides = [int(np.prod(frame_shape[a + 1:])) for a in range(3)]
     shifts = np.array(list(itertools.product(range(-r, r + 1), repeat=3)))
-    offsets = shifts @ (np.array(flat.strides) // flat.itemsize)
-    # dom at shift 0 spans the flat range [lo, hi) of the padded frame, so
-    # each shift's differences are one contiguous pass over that range,
-    # against the target embedded in the frame; sq is dom's view of them
-    at_dom = tuple(slice(r, r + n) for n in shape)
-    lo, hi = flat[(r,) * 3], flat[tuple(r + n - 1 for n in shape)] + 1
-    frame = np.zeros(padded_shape)
-    target_dom = frame[at_dom]
-    target_dom[...] = target_data[dom]
-    target_flat = frame.ravel()[lo:hi]
-    sq_frame = np.empty(padded_shape)
-    sq_flat = sq_frame.ravel()[lo:hi]
-    sq = sq_frame[at_dom]
-    target_box = target_dom[inner]
-    ssd = sq[inner]
-    best_ssd = np.empty(target_box.shape)
-    better = np.empty(target_box.shape, dtype=bool)
-    index_type = np.min_scalar_type(len(shifts) - 1)
-    best = np.empty(target_box.shape, dtype=index_type)
-    candidate = np.empty(target_box.shape, dtype=index_type)
+    offsets = shifts @ strides
+    # each pass's output region: axis 0's sums on (box, patch, patch),
+    # axis 1's on (box, box, patch), axis 2's on box
+    passes = [(flat_range(at_box[:a + 1] + at_patch[a + 1:]), strides[a])
+              for a in range(3)] if p else []
+    # the slabs of the patch reach that lie past a volume face, which
+    # must read as zeros
+    slabs = []
+    for a in range(3):
+        for start, stop in ((at_patch[a][0], at_dom[a][0]),
+                            (at_dom[a][1], at_patch[a][1])):
+            if start < stop:
+                slabs.append(window(at_patch[:a] + [(start, stop)]
+                                    + at_patch[a + 1:]))
+    lo, hi = flat_range(at_dom)
+    target = np.zeros(frame_shape, dtype=np.float32)
+    target[window(at_dom)] = target_data[dom]
+    target_flat = target.ravel()[lo:hi]
+    sq = np.zeros(frame_shape, dtype=np.float32)
+    bufs = [sq.ravel(), np.zeros(sq.size, dtype=np.float32)]
+    diff = bufs[0][lo:hi]
+    # the SSDs are compared over box's flat range in the buffer the last
+    # pass writes; the rows' margins in between hold values nobody reads
+    box_lo, box_hi = flat_range(at_box)
+    ssd = bufs[len(passes) % 2][box_lo:box_hi]
+    # box's voxels as flat indices of the frame at shift 0; shift d reads
+    # d . strides elements earlier
+    base = np.arange(sq.size).reshape(frame_shape)[window(at_box)]
+    best_ssd = np.empty(ssd.shape, dtype=np.float32)
+    better = np.empty(ssd.shape, dtype=bool)
+    best = np.empty(ssd.shape, dtype=np.min_scalar_type(len(shifts) - 1))
+    candidate = np.empty_like(best)
+    target_box = target_data[box]
     errs = []
     for img in atlas_images:
         padded = np.pad(img[reads], pad, mode="edge")
+        padded_flat = padded.astype(np.float32).ravel()
         best_ssd.fill(np.inf)
         best.fill(0)
-        padded_flat = padded.ravel()
         for k, off in enumerate(offsets):
             # shifted[x] = img[clamp(x - d)] over dom, at flat x - off
-            np.subtract(target_flat, padded_flat[lo - off:hi - off],
-                        out=sq_flat)
-            np.multiply(sq_flat, sq_flat, out=sq_flat)
-            # in place; after each pass only box's rows on that axis are
-            # read again, so ssd ends up as the patch mean on box
-            view = sq
-            for axis in range(3):
-                ndimage.uniform_filter1d(view, size, axis=axis, output=view,
-                                         mode="constant")
-                view = view[(slice(None),) * axis + (inner[axis],)]
+            np.subtract(target_flat, padded_flat[lo - off:hi - off], out=diff)
+            np.multiply(diff, diff, out=diff)
+            for s in slabs:
+                sq[s] = 0.0
+            for i, ((a, b), step) in enumerate(passes):
+                _box_sum(bufs[i % 2], bufs[1 - i % 2], a, b, step, p)
             np.less(ssd, best_ssd, out=better)
             np.minimum(best_ssd, ssd, out=best_ssd)
-            np.multiply(better, index_type.type(k), out=candidate)
+            np.multiply(better, best.dtype.type(k), out=candidate)
             np.maximum(best, candidate, out=best)
-        err = padded.take(base - offsets[best])
+        err = padded.take(base - offsets[best[base - box_lo]])
         np.subtract(target_box, err, out=err)
         errs.append(np.abs(err, out=err))
     return errs
@@ -250,8 +292,8 @@ def fuse(target_image, atlases, cfg=None):
     the module docstring, the active voxels' bounding box grown by
     patch_radius and clamped to the volume, and the patch search reads
     no further than the work box; every weight the vote reads is
-    computed from the same values as on the full grid, up to the box
-    filter's running-sum rounding."""
+    computed from the same values as on the full grid, up to the
+    error-product filters' running-sum rounding."""
     cfg = cfg or FusionConfig()
     geom = _check_shared_geometry(atlases)
     if not target_image.geometry.same_grid(geom):

@@ -308,14 +308,33 @@ def test_patch_search_on_a_box_matches_oracle(box, patch_radius):
 
 def test_patch_search_keeps_the_first_of_tied_shifts():
     # at x = 3, shift dx = -1 reads the window (1, 4, 3) and dx = +1 the
-    # window (0, 5, 1): both SSDs are 26 / 27, below dx = 0's 42 / 27, in
-    # integer running sums that round alike. dx = -1 comes first and wins
+    # window (0, 5, 1): both SSDs are 26, below dx = 0's 42, summed
+    # exactly in float32. dx = -1 comes first and wins
     target = np.zeros((7, 1, 1))
     atlas = np.array([0.0, 0.0, 5.0, 1.0, 4.0, 3.0, 0.0]).reshape(7, 1, 1)
     (err,) = _searched_errors(target, [atlas],
                               FusionConfig(patch_radius=1, search_radius=1))
     assert err[3, 0, 0] == 4.0
     assert _oracle_searched_error(target, atlas, (3, 0, 0), 1, 1) == 4.0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("patch_radius", [1, 2])
+def test_patch_search_keeps_the_first_shift_of_exact_ties(seed,
+                                                          patch_radius):
+    # integer-valued volumes, like HU images: many shifts tie exactly,
+    # and only an exact SSD keeps the first of them everywhere
+    rng = np.random.default_rng(seed)
+    dims = (6, 7, 8)
+    target = rng.integers(0, 4, dims).astype(np.float64)
+    atlas = rng.integers(0, 4, dims).astype(np.float64)
+    (err,) = _searched_errors(target, [atlas],
+                              FusionConfig(patch_radius=patch_radius,
+                                           search_radius=1))
+    oracle = np.empty(dims)
+    for x in np.ndindex(dims):
+        oracle[x] = _oracle_searched_error(target, atlas, x, patch_radius, 1)
+    assert np.array_equal(err, oracle)
 
 
 def test_patch_search_indexes_more_shifts_than_a_byte_holds():
@@ -474,6 +493,29 @@ def test_fuse_on_work_box_matches_full_grid(case, patch_radius,
     assert np.allclose(got.probability, want_prob, rtol=0, atol=1e-9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=_block_cases(), patch_radius=st.integers(0, 2),
+       search_radius=st.integers(1, 2), seed=st.integers(0, 2 ** 16))
+def test_patch_search_on_a_box_is_the_full_grid_search_cropped(
+        case, patch_radius, search_radius, seed):
+    # each SSD is summed in patch order whatever the box, so a box's
+    # errors, on faces too, are the full-grid errors' bits. Integer
+    # values make many shifts tie, and a sum that rounded by where its
+    # line starts would break some of those ties differently
+    dims, lo, hi = case
+    rng = np.random.default_rng(seed)
+    box = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
+    target = rng.integers(0, 4, dims).astype(np.float64)
+    atlases = [rng.normal(1.5, 1.0, dims),
+               rng.integers(0, 4, dims).astype(np.float64)]
+    cfg = FusionConfig(patch_radius=patch_radius,
+                       search_radius=search_radius)
+    on_box = _searched_errors(target, atlases, cfg, box)
+    full = _searched_errors(target, atlases, cfg)
+    for got, want in zip(on_box, full):
+        assert got.tobytes() == want[box].tobytes()
+
+
 def _fuse_with_margins(target, atlases, cfg):
     """fuse's output, and at each voxel how far the winning label's score
     lies above the runner-up's (inf where no atlas has a label), from the
@@ -525,12 +567,11 @@ def test_fuse_does_not_depend_on_atlas_order(dims, patch_radius,
 
 
 def _recording_search(monkeypatch):
-    """Records each search's error box, and the input shape of every
-    one-axis box-filter pass run while fusing (the error-product filters
-    call scipy's own pass, which this does not see)."""
+    """Records each search's error box, and the flat output range and
+    step of every one-axis patch-sum pass the search runs."""
     boxes, passes = [], []
     real = fusion._searched_errors
-    real_pass = ndimage.uniform_filter1d
+    real_pass = fusion._box_sum
 
     def record(target_data, atlas_images, cfg, box):
         boxes.append(box)
@@ -539,12 +580,12 @@ def _recording_search(monkeypatch):
                    for e in errs)
         return errs
 
-    def record_pass(values, *args, **kwargs):
-        passes.append(values.shape)
-        return real_pass(values, *args, **kwargs)
+    def record_pass(src, out, lo, hi, step, p):
+        passes.append((lo, hi, step))
+        return real_pass(src, out, lo, hi, step, p)
 
     monkeypatch.setattr(fusion, "_searched_errors", record)
-    monkeypatch.setattr(fusion.ndimage, "uniform_filter1d", record_pass)
+    monkeypatch.setattr(fusion, "_box_sum", record_pass)
     return boxes, passes
 
 
@@ -555,9 +596,11 @@ def _recording_search(monkeypatch):
 ])
 def test_fuse_searches_only_the_grown_active_box(monkeypatch, lo, hi):
     # the SSDs are compared and the errors formed on the error box (the
-    # active box grown by p), and the first filter pass, the largest,
-    # covers the difference domain (grown by 2p); the two later passes
-    # drop the rows that neither the next pass nor the error box reads
+    # active box grown by p). The sums run in a frame around the
+    # difference domain (grown by 2p, clamped) with a max(p, r) margin:
+    # the pass along axis a covers the error box on axes <= a and the
+    # error box grown by p, unclamped, on the later axes, so it drops the
+    # rows that neither the next pass nor the error box reads
     dims = (20, 22, 25)
     cfg = FusionConfig(patch_radius=2, search_radius=1)
     rng = np.random.default_rng(9)
@@ -579,11 +622,23 @@ def test_fuse_searches_only_the_grown_active_box(monkeypatch, lo, hi):
 
     assert [[(s.start, s.stop) for s in box] for box in boxes] \
         == [grown(cfg.patch_radius)]
-    (ex, ey, ez) = (b - a for a, b in grown(cfg.patch_radius))
-    (dx, dy, dz) = (b - a for a, b in grown(2 * cfg.patch_radius))
+    p, margin = cfg.patch_radius, max(cfg.patch_radius, cfg.search_radius)
+    difference = grown(2 * p)
+    frame = tuple(b - a + 2 * margin for a, b in difference)
+    error = [(a - d + margin, b - d + margin)
+             for (a, b), (d, _) in zip(grown(p), difference)]
+    reach = [(a - p, b + p) for a, b in error]
+    assert all(0 <= a and b <= n for (a, b), n in zip(reach, frame))
+
+    def flat_range(region):
+        first = np.ravel_multi_index([a for a, _ in region], frame)
+        last = np.ravel_multi_index([b - 1 for _, b in region], frame)
+        return int(first), int(last) + 1
+
+    steps = (frame[1] * frame[2], frame[2], 1)
     shifts = (2 * cfg.search_radius + 1) ** 3
-    assert passes == [(dx, dy, dz), (ex, dy, dz), (ex, ey, dz)] \
-        * (shifts * len(atlases))
+    assert passes == [flat_range(error[:a + 1] + reach[a + 1:]) + (steps[a],)
+                      for a in range(3)] * (shifts * len(atlases))
 
 
 def test_fuse_without_active_voxels_runs_no_search(monkeypatch):
@@ -600,7 +655,7 @@ def test_fuse_without_active_voxels_runs_no_search(monkeypatch):
 
 def test_fuse_without_search_filters_only_the_error_products(monkeypatch):
     # with search_radius 0 the one shift always wins: the error maps are
-    # |T - A| bit for bit, and no SSD box filter runs
+    # |T - A| bit for bit, and no SSD patch sum runs
     rng = np.random.default_rng(11)
     target, atlases = _make_case(rng, (9, 8, 7), 3)
     cfg = FusionConfig(patch_radius=1, search_radius=0)

@@ -55,8 +55,11 @@ radius 1, each atlas labelling the same vertebra-sized block (the crop
 less the workload's 12x12x5-voxel margin); its sizes record the voxel
 counts of the search's work box, difference domain and error box (the
 block's bounding box grown by 2p + r, 2p and p, for patch radius p and
-search radius r), which bound what its reads, its box-filter passes and
-its SSD comparisons cover. `refine_labels` is cleanup,
+search radius r), which bound what its reads, its patch-sum passes and
+its SSD comparisons cover. `patch_search` is the search alone
+(`fusion._searched_errors` on that error box, the same 6 atlases), without
+the error-product filters and the weight solve that `fuse_patch_search`
+also times. `refine_labels` is cleanup,
 then 10 iterations per label, on the default 96x96x160 phantom with its
 5 vertebra labels; `separate_labels` takes the 5 band crops that call
 returns, as `vertseg refine` does next, and counts their claims crop by
@@ -128,7 +131,8 @@ def run(n_points, repeats):
 
     from vertseg.bspline import BLOCK_POINTS
     from vertseg.cli import _keep_freed_memory
-    from vertseg.fusion import FusionConfig, RegisteredAtlas, fuse
+    from vertseg.fusion import (FusionConfig, RegisteredAtlas,
+                                _searched_errors, fuse)
     from vertseg.metrics import evaluate_labels
     from vertseg.phantom import PhantomSpec, deform_phantom, make_phantom
     from vertseg.postprocess import refine_labels, separate_labels
@@ -199,6 +203,9 @@ def run(n_points, repeats):
         box = grow_box(block_box, margin, IMAGE_DIMS)
         return int(np.prod([s.stop - s.start for s in box]))
 
+    error_box = grow_box(block_box, p, IMAGE_DIMS)
+    fuse_images = [a.warped_image.data for a in fuse_atlases]
+
     phantom_spec = PhantomSpec(noise_sd=20.0, seed=0)
     ct, labels, _ = make_phantom(phantom_spec)
     _, deformed, _ = deform_phantom(ct, labels, seed=1)
@@ -230,6 +237,8 @@ def run(n_points, repeats):
         "nmi_point_gradient": lambda: objective.point_gradient_at(warped),
         "trilinear_pull_back": lambda: pull_back(image, image_geom, pulled),
         "fuse_patch_search": lambda: fuse(image, fuse_atlases, fuse_cfg),
+        "patch_search": lambda: _searched_errors(image.data, fuse_images,
+                                                 fuse_cfg, error_box),
         "refine_labels": lambda: refine_labels(labels, ct,
                                                iters=LEVELSET_ITERS),
         "separate_labels": lambda: separate_labels(refined.items(), ct),
