@@ -141,15 +141,36 @@ def cmd_refine(args):
     print(f"refined labels written to {args.output}")
 
 
+def _read_tags(path):
+    """The --tags file: a JSON object whose keys are integer label values
+    and whose values are tag objects, as {label: tags}; a ValueError
+    names the file and the key otherwise."""
+    with open(path) as f:
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"tags file {path}: expected a JSON object of "
+                         f"label value -> tags, got {type(doc).__name__}")
+    tags = {}
+    for key, value in doc.items():
+        try:
+            label = int(key)
+        except ValueError:
+            raise ValueError(f"tags file {path}: key {key!r} is not an "
+                             f"integer label value") from None
+        if not isinstance(value, dict):
+            raise ValueError(f"tags file {path}: key {key!r}: expected a "
+                             f"JSON object of tags, got "
+                             f"{type(value).__name__}")
+        tags[label] = value
+    return tags
+
+
 def cmd_evaluate(args):
     gt = nifti.read_volume(args.gt, "label")
     seg = nifti.read_volume(args.seg, "label")
     intensity = (nifti.read_volume(args.intensity, "scalar")
                  if args.intensity else None)
-    tags_by_label = {}
-    if args.tags:
-        with open(args.tags) as f:
-            tags_by_label = {int(k): v for k, v in json.load(f).items()}
+    tags_by_label = _read_tags(args.tags) if args.tags else {}
     boxes = (label_boxes(gt.data), label_boxes(seg.data))
     labels = sorted(set(boxes[0]) | set(boxes[1]))
     rows = evaluate_labels(

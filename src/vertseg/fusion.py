@@ -6,38 +6,24 @@ The dependency matrix at a voxel is built from local appearance error:
     M(i, j) = [ mean over the patch of |I_T - I_i| * |I_T - I_j| ]^beta
 
 regularized by adding epsilon on the diagonal (Wang et al., IEEE TPAMI
-2013). The fusion weights w = M^-1 1 / (1^t M^-1 1) come from one solve,
-`jlf_weights`, which `fuse` calls on the stack of all active voxels'
-matrices; a non-finite matrix (a large beta overflows the power) raises
-ValueError instead of voting with NaN weights. Negative weights are
-allowed; the consensus label is the score argmax with ties broken toward
-the lower label value.
+2013). `fuse` builds every active voxel's matrix with `dependency_matrix`
+and solves them at once with `jlf_weights`, w = M^-1 1 / (1^t M^-1 1); a
+non-finite matrix (a large beta overflows the power) raises ValueError
+instead of voting with NaN weights. Negative weights are allowed; the
+consensus label is the score argmax with ties broken toward the lower
+label value.
 
 The vote reads weights only at active voxels, where some atlas has a
-nonzero label, so `fuse` works on boxes around their bounding box, each
-grown and clamped to the volume:
-
-- the error box, grown by patch_radius: a weight reads the errors of
-  its patch, so the error maps and the error-product filters live here;
-- the difference domain, grown by 2 * patch_radius: an error's search
-  compares patch SSDs, which read squared differences within
-  patch_radius more, so those are formed here, and each patch-sum pass
-  keeps only the rows the next pass (and finally the error box) reads;
-- the work box, grown by 2 * patch_radius + search_radius: the shifted
-  atlas reads reach search_radius past the difference domain.
-
-Inside each box every read sees the values it sees on the full grid;
-where a box face is a volume face, the zero padding and the edge clamp
-are the same too. The search sums each patch SSD in float32, in patch
-order, so a voxel's SSD has the same bits whatever the box, and the
-search on a box is the full-grid search cropped to it. Exact SSD ties
-keep the first shift wherever the float32 sums are exact (integer HU
-patches whose partial sums stay below 2^24). The search keeps each
-voxel's winning shift as an index and gathers the error at that shift
-once per atlas from the float64 atlas, the same bits as the full-grid
-error at that shift. The result is still not bit-identical to a
-full-grid run: the error-product filters are running sums whose
-rounding depends on where each line starts.
+nonzero label, so `fuse` works on their bounding box grown by
+patch_radius and clamped to the volume, the error box; the optional
+patch search reads no more than 2 * patch_radius + search_radius voxels
+beyond it. Every patch sum, of the search's SSDs (float32) and of the
+error products (float64) alike, runs in patch order, along axis 0, then
+1, then 2, through `_patch_sum`, with zeros beyond the volume faces, so
+a voxel's sum has the same bits whatever the box: a fuse on its boxes
+gives the full-grid fuse's bits. Exact SSD ties keep the first shift
+wherever the float32 sums are exact (integer HU patches whose partial
+sums stay below 2^24).
 """
 
 import itertools
@@ -80,22 +66,80 @@ class FusionOutput:
     probability: np.ndarray  # winning-label score, clipped to [0, 1]
 
 
-def dependency_matrix(target_patch, atlas_patches, beta=2.0, epsilon=0.1):
-    """Pairwise error-product matrix for one voxel's patches."""
-    n = len(atlas_patches)
-    if n == 0:
-        raise ValueError("need at least one atlas patch")
-    t = np.asarray(target_patch, dtype=np.float64).ravel()
-    errs = [np.abs(t - np.asarray(p, dtype=np.float64).ravel())
-            for p in atlas_patches]
-    for e in errs:
-        if e.shape != t.shape:
-            raise ValueError("patches must share shape")
-    m = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            m[i, j] = m[j, i] = np.mean(errs[i] * errs[j])
-    return m ** beta + epsilon * np.eye(n)
+def _box_sum(src, out, lo, hi, step, p):
+    """out[lo:hi] = the in-order sum over t = -p..p of src[lo + t * step :
+    hi + t * step]: one axis's patch sum, in 2p adds (a copy at p = 0)."""
+    o = out[lo:hi]
+    if p == 0:
+        o[...] = src[lo:hi]
+        return
+    np.add(src[lo - p * step:hi - p * step],
+           src[lo - (p - 1) * step:hi - (p - 1) * step], out=o)
+    for t in range(2 - p, p + 1):
+        np.add(o, src[lo + t * step:hi + t * step], out=o)
+
+
+def _flat_range(region, shape):
+    """The flat range of region ((start, stop) per axis) in shape."""
+    lo = np.ravel_multi_index([a for a, _ in region], shape)
+    hi = np.ravel_multi_index([b - 1 for _, b in region], shape)
+    return int(lo), int(hi) + 1
+
+
+def _patch_passes(region, shape, p):
+    """(lo, hi, step) of the three passes summing patches on region of a
+    flat frame of shape: the pass along axis a covers region on the axes
+    <= a and region grown by p on the later axes, what the next reads.
+    No pass at p = 0, where a patch sum is its one voxel."""
+    strides = [int(np.prod(shape[a + 1:])) for a in range(3)]
+    reach = [(a - p, b + p) for a, b in region]
+    return [_flat_range(region[:a + 1] + reach[a + 1:], shape) + (strides[a],)
+            for a in range(3) if p]
+
+
+def _patch_sum(bufs, passes, p):
+    """Runs the passes from bufs[0] to bufs[1] and back: patch sums in
+    patch order, along axis 0, then 1, then 2. Returns the buffer that
+    holds them."""
+    for i, (lo, hi, step) in enumerate(passes):
+        _box_sum(bufs[i % 2], bufs[1 - i % 2], lo, hi, step, p)
+    return bufs[len(passes) % 2]
+
+
+def dependency_matrix(errs, active, patch_radius, beta, epsilon):
+    """The JLF dependency matrices at the active voxels of one box, from
+    the n atlases' error maps on it: an (n_active, n, n) stack in the C
+    order of the active voxels,
+
+        M(i, j) = (S_ij / (2p + 1)^3)^beta + epsilon * delta_ij,
+
+    where S_ij, the sum of errs[i] * errs[j] over the voxel's patch of
+    radius p = patch_radius (zero beyond the arrays' faces), is a float64
+    `_patch_sum`: a voxel's matrix has the same bits whatever the box."""
+    n, p = len(errs), patch_radius
+    if n == 0 or any(np.shape(e) != active.shape for e in errs):
+        raise ValueError("need one or more error maps of the active "
+                         "mask's shape")
+    # the frame: the box padded with p zeros per side
+    shape = tuple(d + 2 * p for d in active.shape)
+    passes = _patch_passes([(p, d + p) for d in active.shape], shape, p)
+    at = np.flatnonzero(np.pad(active, p))
+    padded = [np.pad(np.asarray(e, float), p).ravel() for e in errs]
+    bufs = [np.empty(padded[0].size) for _ in range(2)]
+    # one row of sums per pair i <= j, and each (i, j)'s row
+    upper = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=np.intp)
+    pair[upper] = pair[upper[::-1]] = np.arange(len(upper[0]))
+    rows = np.empty((len(upper[0]), len(at)))
+    for row, i, j in zip(rows, *upper):
+        np.multiply(padded[i], padded[j], out=bufs[0])
+        np.take(_patch_sum(bufs, passes, p), at, out=row)
+    rows /= (2 * p + 1) ** 3
+    np.power(rows, beta, out=rows)
+    rows[np.diag(pair)] += epsilon
+    m = np.empty((len(at), n, n))
+    np.copyto(m.transpose(1, 2, 0), rows[pair])
+    return m
 
 
 def jlf_weights(m):
@@ -126,16 +170,6 @@ def _check_shared_geometry(atlases):
     return geom
 
 
-def _box_sum(src, out, lo, hi, step, p):
-    """out[lo:hi] = the in-order sum over t = -p..p of src[lo + t * step :
-    hi + t * step], for flat arrays: one axis's patch sum, in 2p adds."""
-    o = out[lo:hi]
-    np.add(src[lo - p * step:hi - p * step],
-           src[lo - (p - 1) * step:hi - (p - 1) * step], out=o)
-    for t in range(2 - p, p + 1):
-        np.add(o, src[lo + t * step:hi + t * step], out=o)
-
-
 def _searched_errors(target_data, atlas_images, cfg, box=None):
     """Per-atlas absolute error maps on box (slices of the volumes; None:
     the whole volume), optionally after a local patch search that
@@ -143,33 +177,20 @@ def _searched_errors(target_data, atlas_images, cfg, box=None):
 
     The search picks, per voxel, the integer shift minimizing the local
     SSD within the patch window, the first shift in (dx, dy, dz) order
-    winning a tie; the error map is then taken against the shifted atlas
-    values. Patch voxels outside the volume add nothing to the SSD, and
-    shifts read the atlas edge-clamped: a shift past a face repeats the
-    face voxel and never wraps to the opposite face. Patch products are
-    still accumulated with a single box filter afterwards, so the offset
-    is treated as locally constant within a patch. With no search
-    (search_radius 0) the one shift always wins, so the error map is
-    |T - A| directly.
-
-    The SSDs are float32 sums of float32 squared differences, added in
-    patch order along axis 0, then 1, then 2, with no running sum, so a
-    voxel's SSD has the same bits whatever the box, and exact ties keep
-    the first shift (a strict float32 compare) wherever the float32 sums
-    are exact: integer HU patches whose partial sums stay below 2^24.
-    Only fuse's error-product filters, after the search, keep a running
-    sum and its start-dependent rounding.
+    winning a tie (a strict float32 compare), and takes the error
+    against the atlas at that shift. Patch voxels outside the volume add
+    nothing to the SSD, and shifts read the atlas edge-clamped, never
+    wrapping to the opposite face. The offset is treated as locally
+    constant within a patch. With no search (search_radius 0) the error
+    map is |T - A|.
 
     All of it runs in a frame around the difference domain (box grown by
-    patch_radius) with a margin of max(search_radius, patch_radius), in
-    contiguous passes over flat ranges of the frame: per shift, one
-    difference and one square pass over the difference domain, then
-    2 * patch_radius adds per axis, each axis's range dropping the rows
-    no later pass reads. Where the difference domain meets a volume
-    face, the margin slab the sums read there is zeroed after each
-    square pass. The winning shift is kept as an index, and each atlas's
-    error map is one gather from the float64 atlas, edge-padded into the
-    frame: the same bits as |T - A| at that shift.
+    patch_radius, where the squared differences are formed) with a
+    margin of max(search_radius, patch_radius): per shift, one float32
+    difference and one square pass, the margin slabs past a volume face
+    zeroed, then the `_patch_sum` passes. Each error map is then
+    one gather at the winning shifts from the float64 atlas, edge-padded
+    into the frame: the same bits as |T - A| at that shift.
     """
     dims = target_data.shape
     box = box or tuple(slice(0, d) for d in dims)
@@ -193,20 +214,11 @@ def _searched_errors(target_data, atlas_images, cfg, box=None):
     def window(region):
         return tuple(slice(*s) for s in region)
 
-    def flat_range(region):
-        lo = np.ravel_multi_index([a for a, _ in region], frame_shape)
-        hi = np.ravel_multi_index([b - 1 for _, b in region], frame_shape)
-        return int(lo), int(hi) + 1
-
+    passes = _patch_passes(at_box, frame_shape, p)
     strides = [int(np.prod(frame_shape[a + 1:])) for a in range(3)]
     shifts = np.array(list(itertools.product(range(-r, r + 1), repeat=3)))
     offsets = shifts @ strides
-    # each pass's output region: axis 0's sums on (box, patch, patch),
-    # axis 1's on (box, box, patch), axis 2's on box
-    passes = [(flat_range(at_box[:a + 1] + at_patch[a + 1:]), strides[a])
-              for a in range(3)] if p else []
-    # the slabs of the patch reach that lie past a volume face, which
-    # must read as zeros
+    # the slabs of the patch reach past a volume face: they read as zeros
     slabs = []
     for a in range(3):
         for start, stop in ((at_patch[a][0], at_dom[a][0]),
@@ -214,7 +226,7 @@ def _searched_errors(target_data, atlas_images, cfg, box=None):
             if start < stop:
                 slabs.append(window(at_patch[:a] + [(start, stop)]
                                     + at_patch[a + 1:]))
-    lo, hi = flat_range(at_dom)
+    lo, hi = _flat_range(at_dom, frame_shape)
     target = np.zeros(frame_shape, dtype=np.float32)
     target[window(at_dom)] = target_data[dom]
     target_flat = target.ravel()[lo:hi]
@@ -223,7 +235,7 @@ def _searched_errors(target_data, atlas_images, cfg, box=None):
     diff = bufs[0][lo:hi]
     # the SSDs are compared over box's flat range in the buffer the last
     # pass writes; the rows' margins in between hold values nobody reads
-    box_lo, box_hi = flat_range(at_box)
+    box_lo, box_hi = _flat_range(at_box, frame_shape)
     ssd = bufs[len(passes) % 2][box_lo:box_hi]
     # box's voxels as flat indices of the frame at shift 0; shift d reads
     # d . strides elements earlier
@@ -245,8 +257,7 @@ def _searched_errors(target_data, atlas_images, cfg, box=None):
             np.multiply(diff, diff, out=diff)
             for s in slabs:
                 sq[s] = 0.0
-            for i, ((a, b), step) in enumerate(passes):
-                _box_sum(bufs[i % 2], bufs[1 - i % 2], a, b, step, p)
+            _patch_sum(bufs, passes, p)
             np.less(ssd, best_ssd, out=better)
             np.minimum(best_ssd, ssd, out=best_ssd)
             np.multiply(better, best.dtype.type(k), out=candidate)
@@ -288,19 +299,16 @@ def _weighted_vote(atlases, weights_at):
 def fuse(target_image, atlases, cfg=None):
     """Joint label fusion of registered atlases against the target image.
 
-    The error maps and the error-product filters cover the error box of
-    the module docstring, the active voxels' bounding box grown by
-    patch_radius and clamped to the volume, and the patch search reads
-    no further than the work box; every weight the vote reads is
-    computed from the same values as on the full grid, up to the
-    error-product filters' running-sum rounding."""
+    The error maps and the dependency matrices' error-product sums cover
+    the error box of the module docstring, the active voxels' bounding
+    box grown by patch_radius and clamped to the volume, and the patch
+    search reads no further than the work box; every weight the vote
+    reads has the bits of the same weight on the full grid."""
     cfg = cfg or FusionConfig()
     geom = _check_shared_geometry(atlases)
     if not target_image.geometry.same_grid(geom):
         raise ValueError(f"target image grid {target_image.geometry} must "
                          f"share the atlas geometry {geom}")
-    n = len(atlases)
-    size = 2 * cfg.patch_radius + 1
 
     def jlf_weights_at(active):
         (bbox,) = ndimage.find_objects(active.view(np.int8))
@@ -308,20 +316,8 @@ def fuse(target_image, atlases, cfg=None):
         errs = _searched_errors(target_image.data,
                                 [a.warped_image.data for a in atlases],
                                 cfg, box)
-        active = active[box]
-        # patch-mean error products via box filtering, gathered at active
-        # voxels (C order within the box is their order on the full grid)
-        m = np.empty((int(active.sum()), n, n))
-        prod = np.empty(active.shape)
-        for i in range(n):
-            for j in range(i, n):
-                np.multiply(errs[i], errs[j], out=prod)
-                ndimage.uniform_filter(prod, size=size, output=prod,
-                                       mode="constant")
-                m[:, i, j] = m[:, j, i] = prod[active]
-        m = np.abs(m) ** cfg.beta
-        m += cfg.epsilon * np.eye(n)
-        return jlf_weights(m)
+        return jlf_weights(dependency_matrix(
+            errs, active[box], cfg.patch_radius, cfg.beta, cfg.epsilon))
 
     return _weighted_vote(atlases, jlf_weights_at)
 

@@ -126,6 +126,17 @@ def _required(section, key, where):
     return section[key]
 
 
+def _new_id(value, where, seen):
+    """value, a string id not in seen (id -> where it was first given),
+    which it joins; or a ValueError naming where it is."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: expected a string, got {value!r}")
+    if value in seen:
+        raise ValueError(f"{where}: {value!r} repeats {seen[value]}")
+    seen[value] = where
+    return value
+
+
 def load_manifest(path):
     """Parse the JSON manifest (schema documented in the README)."""
     base = os.path.dirname(os.path.abspath(path))
@@ -145,10 +156,12 @@ def load_manifest(path):
             if key not in known:
                 raise ValueError(f"unknown {where} key {key!r}")
 
-    vertebrae = []
+    vertebrae, vertebra_ids = [], {}
     for i, v in enumerate(_expect(_required(tgt, "vertebrae", "target"),
                                   list, "target vertebrae")):
-        where = f"vertebra {_required(v, 'id', f'vertebrae[{i}]')}"
+        vid = _new_id(_required(v, "id", f"vertebrae[{i}]"),
+                      f"vertebrae[{i}] id", vertebra_ids)
+        where = f"vertebra {vid}"
         box = _required(v, "box", where)
         lo, hi = (_required(box, k, f"{where} box") for k in ("min", "max"))
         try:
@@ -156,17 +169,19 @@ def load_manifest(path):
         except ValueError as e:
             raise ValueError(f"{where} box: {e}") from None
         vertebrae.append(VertebraEntry(
-            vertebra_id=v["id"], label=_required(v, "label", where), box=box,
+            vertebra_id=vid, label=_required(v, "label", where), box=box,
             tags=dict(_expect(v.get("tags", {}), dict, f"{where} tags"))))
 
-    atlases = []
+    atlases, case_ids = [], {}
     for i, a in enumerate(_expect(_required(doc, "atlases", "manifest"),
                                   list, "atlases")):
-        where = f"atlas {_required(a, 'case_id', f'atlases[{i}]')}"
+        case_id = _new_id(_required(a, "case_id", f"atlases[{i}]"),
+                          f"atlases[{i}] case_id", case_ids)
+        where = f"atlas {case_id}"
         labels = dict(_expect(_required(a, "vertebra_labels", where), dict,
                               f"{where} vertebra_labels"))
         atlases.append(AtlasEntry(
-            case_id=a["case_id"],
+            case_id=case_id,
             image_path=resolve(_required(a, "image", where)),
             labels_path=resolve(_required(a, "labels", where)),
             vertebra_labels=labels,
@@ -184,7 +199,8 @@ def load_manifest(path):
 
     return AtlasManifest(
         target_image_path=resolve(_required(tgt, "image", "target")),
-        target_case_id=tgt.get("case_id", "target"),
+        target_case_id=_new_id(tgt.get("case_id", "target"),
+                               "target case_id", {}),
         vertebrae=vertebrae,
         atlases=atlases,
         target_labels_path=(resolve(tgt["labels"])

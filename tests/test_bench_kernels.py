@@ -14,8 +14,9 @@ KERNELS = {"ffd_displace", "ffd_grid_forward", "ffd_grid_adjoint",
            "bending_operator_build", "bending_apply_Qc", "affine_apply",
            "spline_sample_gradient", "spline_tap_contraction",
            "parzen_counts", "nmi_point_gradient", "trilinear_pull_back",
-           "fuse_patch_search", "patch_search", "refine_labels", "separate_labels",
-           "separate_labels_contested", "make_phantom", "evaluate_labels"}
+           "fuse_patch_search", "patch_search", "dependency_matrix",
+           "refine_labels", "separate_labels", "separate_labels_contested",
+           "make_phantom", "evaluate_labels"}
 
 
 def test_bench_kernels_writes_medians_and_environment(tmp_path):

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import ndimage
 
 from vertseg import fusion
 from vertseg.fusion import (FusionConfig, RegisteredAtlas, _searched_errors,
                             dependency_matrix, fuse, jlf_weights,
                             majority_vote)
-from vertseg.volume import GridGeometry, LabelVolume, ScalarVolume
+from vertseg.volume import (GridGeometry, LabelVolume, ScalarVolume,
+                            grow_box)
 
 
 def _geom(dims):
@@ -80,17 +80,44 @@ def _oracle_fuse(target, atlases, cfg):
 
 def test_dependency_matrix_known_values():
     # one-voxel patches: M(i, j) = (|t - pi| * |t - pj|)^beta + eps * I
-    m = dependency_matrix([5.0], [[3.0], [8.0]], beta=1.0, epsilon=0.1)
-    assert m[0, 0] == pytest.approx(4.0 + 0.1)
-    assert m[0, 1] == pytest.approx(6.0)
-    assert m[1, 1] == pytest.approx(9.0 + 0.1)
+    errs = [np.full((1, 1, 1), abs(5.0 - a)) for a in (3.0, 8.0)]
+    m = dependency_matrix(errs, np.ones((1, 1, 1), dtype=bool), 0,
+                          beta=1.0, epsilon=0.1)
+    assert m.shape == (1, 2, 2)
+    assert m[0, 0, 0] == pytest.approx(4.0 + 0.1)
+    assert m[0, 0, 1] == m[0, 1, 0] == pytest.approx(6.0)
+    assert m[0, 1, 1] == pytest.approx(9.0 + 0.1)
 
 
 def test_dependency_matrix_validation():
-    with pytest.raises(ValueError):
-        dependency_matrix([1.0], [])
-    with pytest.raises(ValueError):
-        dependency_matrix([1.0, 2.0], [[1.0, 2.0, 3.0]])
+    active = np.ones((2, 2, 2), dtype=bool)
+    with pytest.raises(ValueError, match="one or more error maps"):
+        dependency_matrix([], active, 1, 2.0, 0.1)
+    with pytest.raises(ValueError, match="the active mask's shape"):
+        dependency_matrix([np.ones((2, 2, 3))], active, 1, 2.0, 0.1)
+
+
+def test_dependency_matrix_without_active_voxels_is_empty():
+    m = dependency_matrix([np.ones((2, 3, 4))] * 3,
+                          np.zeros((2, 3, 4), dtype=bool), 1, 2.0, 0.1)
+    assert m.shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_box_sum_is_the_in_order_sum_over_the_patch(p):
+    rng = np.random.default_rng(12 + p)
+    src = rng.normal(size=200)
+    out = np.full(200, np.nan)
+    lo, hi, step = 70, 130, 7
+    fusion._box_sum(src, out, lo, hi, step, p)
+    want = np.empty(hi - lo)
+    for k, x in enumerate(range(lo, hi)):
+        total = src[x - p * step]
+        for t in range(1 - p, p + 1):
+            total += src[x + t * step]
+        want[k] = total
+    assert out[lo:hi].tobytes() == want.tobytes()
+    assert np.isnan(out[:lo]).all() and np.isnan(out[hi:]).all()
 
 
 def test_jlf_weights_sum_to_one_and_match_inverse():
@@ -105,7 +132,9 @@ def test_jlf_weights_sum_to_one_and_match_inverse():
 
 
 def test_jlf_weights_identical_atlases_share_weight():
-    m = dependency_matrix([1.0, 2.0], [[0.5, 1.5]] * 3, beta=2.0, epsilon=0.1)
+    err = np.abs(np.array([1.0, 2.0]) - [0.5, 1.5]).reshape(2, 1, 1)
+    m = dependency_matrix([err] * 3, np.ones((2, 1, 1), dtype=bool), 1,
+                          beta=2.0, epsilon=0.1)
     w = jlf_weights(m)
     assert np.allclose(w, 1.0 / 3.0, atol=1e-12)
 
@@ -413,22 +442,16 @@ def test_fuse_accepts_float32_rounded_geometry():
 # ------------------------------------------------------------- work box
 
 def _full_grid_fuse(target, atlases, cfg):
-    """The full-grid fusion: patch search and error-product filters over
-    the whole volume, weights gathered at the active voxels, then the
-    score argmax with ties to the lower label."""
+    """The full-grid fusion: patch search and dependency matrices over
+    the whole volume, weights at the active voxels, then the score argmax
+    with ties to the lower label."""
     n = len(atlases)
-    size = 2 * cfg.patch_radius + 1
     labels = np.stack([a.warped_labels.data for a in atlases], axis=-1)
     active = np.any(labels != 0, axis=-1)
     errs = _searched_errors(target.data,
                             [a.warped_image.data for a in atlases], cfg)
-    m = np.empty((int(active.sum()), n, n))
-    for i in range(n):
-        for j in range(i, n):
-            prod = ndimage.uniform_filter(errs[i] * errs[j], size=size,
-                                          mode="constant")
-            m[:, i, j] = m[:, j, i] = prod[active]
-    m = np.abs(m) ** cfg.beta + cfg.epsilon * np.eye(n)
+    m = dependency_matrix(errs, active, cfg.patch_radius, cfg.beta,
+                          cfg.epsilon)
     x = np.linalg.solve(m, np.ones(n))
     w = x / x.sum(axis=1, keepdims=True)
     stack = labels[active]
@@ -465,6 +488,59 @@ def _block_cases(draw):
     return dims, tuple(lo), tuple(hi)
 
 
+def _oracle_dependency_matrix(errs, active, p, beta, epsilon):
+    """The matrices at the active voxels by explicit loops over each
+    patch, zero beyond the volume: the products summed along axis 0
+    innermost, then axis 1, then axis 2, each sum in order from -p to p,
+    then one division, one np.power and the epsilon add per entry."""
+    n, dims = len(errs), active.shape
+
+    def product(i, j, q):
+        if all(0 <= q[a] < dims[a] for a in range(3)):
+            return errs[i][q] * errs[j][q]
+        return 0.0
+
+    def in_order(values):
+        total = None
+        for v in values:
+            total = v if total is None else total + v
+        return total
+
+    taps = range(-p, p + 1)
+    sums = np.array([[[in_order(in_order(in_order(
+        product(i, j, (x[0] + t0, x[1] + t1, x[2] + t2)) for t0 in taps)
+        for t1 in taps) for t2 in taps)
+        for j in range(n)] for i in range(n)] for x in np.argwhere(active)])
+    m = np.power(sums.reshape(-1, n, n) / (2 * p + 1) ** 3, beta)
+    for i in range(n):
+        m[:, i, i] += epsilon
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_block_cases(), patch_radius=st.integers(0, 2),
+       n_atlases=st.integers(1, 4), beta=st.sampled_from([0.5, 1.0, 2.0,
+                                                            3.7]),
+       seed=st.integers(0, 2 ** 16))
+def test_dependency_matrix_is_the_in_order_patch_loop(case, patch_radius,
+                                                      n_atlases, beta, seed):
+    # the matrices on the active block's box grown by p (clamped at the
+    # volume faces the block may touch) against the full-volume loop,
+    # bit for bit: the patch sums do not depend on where the box starts
+    dims, lo, hi = case
+    rng = np.random.default_rng(seed)
+    errs = [np.abs(rng.normal(0, 40, dims)) for _ in range(n_atlases)]
+    active = np.zeros(dims, dtype=bool)
+    block = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
+    active[block] = rng.random(active[block].shape) < 0.7
+    box = grow_box(block, patch_radius, dims)
+    got = dependency_matrix([e[box] for e in errs], active[box],
+                            patch_radius, beta, 0.1)
+    want = _oracle_dependency_matrix(errs, active, patch_radius, beta, 0.1)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=_block_cases(), patch_radius=st.integers(0, 2),
        search_radius=st.integers(0, 1), n_atlases=st.integers(1, 4),
@@ -490,7 +566,7 @@ def test_fuse_on_work_box_matches_full_grid(case, patch_radius,
     got = fuse(target, atlases, cfg)
     want_labels, want_prob = _full_grid_fuse(target, atlases, cfg)
     assert np.array_equal(got.consensus.data, want_labels)
-    assert np.allclose(got.probability, want_prob, rtol=0, atol=1e-9)
+    assert np.array_equal(got.probability, want_prob)
 
 
 @settings(max_examples=40, deadline=None)
@@ -568,8 +644,10 @@ def test_fuse_does_not_depend_on_atlas_order(dims, patch_radius,
 
 def _recording_search(monkeypatch):
     """Records each search's error box, and the flat output range and
-    step of every one-axis patch-sum pass the search runs."""
-    boxes, passes = [], []
+    step of every one-axis patch-sum pass: the search's float32 SSD
+    passes and the dependency matrices' float64 error-product passes
+    apart."""
+    boxes, search_passes, product_passes = [], [], []
     real = fusion._searched_errors
     real_pass = fusion._box_sum
 
@@ -581,12 +659,21 @@ def _recording_search(monkeypatch):
         return errs
 
     def record_pass(src, out, lo, hi, step, p):
+        assert src.dtype == out.dtype
+        passes = {np.float32: search_passes,
+                  np.float64: product_passes}[src.dtype.type]
         passes.append((lo, hi, step))
         return real_pass(src, out, lo, hi, step, p)
 
     monkeypatch.setattr(fusion, "_searched_errors", record)
     monkeypatch.setattr(fusion, "_box_sum", record_pass)
-    return boxes, passes
+    return boxes, search_passes, product_passes
+
+
+def _flat_range(region, shape):
+    first = np.ravel_multi_index([a for a, _ in region], shape)
+    last = np.ravel_multi_index([b - 1 for _, b in region], shape)
+    return int(first), int(last) + 1
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -613,7 +700,7 @@ def test_fuse_searches_only_the_grown_active_box(monkeypatch, lo, hi):
         atlases.append(RegisteredAtlas(
             ScalarVolume(geom, target.data + rng.normal(0, 20, dims)),
             LabelVolume(geom, lbl)))
-    boxes, passes = _recording_search(monkeypatch)
+    boxes, search_passes, product_passes = _recording_search(monkeypatch)
     fuse(target, atlases, cfg)
 
     def grown(margin):
@@ -629,16 +716,21 @@ def test_fuse_searches_only_the_grown_active_box(monkeypatch, lo, hi):
              for (a, b), (d, _) in zip(grown(p), difference)]
     reach = [(a - p, b + p) for a, b in error]
     assert all(0 <= a and b <= n for (a, b), n in zip(reach, frame))
-
-    def flat_range(region):
-        first = np.ravel_multi_index([a for a, _ in region], frame)
-        last = np.ravel_multi_index([b - 1 for _, b in region], frame)
-        return int(first), int(last) + 1
-
     steps = (frame[1] * frame[2], frame[2], 1)
     shifts = (2 * cfg.search_radius + 1) ** 3
-    assert passes == [flat_range(error[:a + 1] + reach[a + 1:]) + (steps[a],)
-                      for a in range(3)] * (shifts * len(atlases))
+    assert search_passes == [
+        _flat_range(error[:a + 1] + reach[a + 1:], frame) + (steps[a],)
+        for a in range(3)] * (shifts * len(atlases))
+    # the error products sum over the error box, padded by p zeros per
+    # side, once per atlas pair i <= j
+    frame = tuple(b - a + 2 * p for a, b in grown(p))
+    error = [(p, n - p) for n in frame]
+    reach = [(a - p, b + p) for a, b in error]
+    steps = (frame[1] * frame[2], frame[2], 1)
+    pairs = len(atlases) * (len(atlases) + 1) // 2
+    assert product_passes == [
+        _flat_range(error[:a + 1] + reach[a + 1:], frame) + (steps[a],)
+        for a in range(3)] * pairs
 
 
 def test_fuse_without_active_voxels_runs_no_search(monkeypatch):
@@ -646,9 +738,9 @@ def test_fuse_without_active_voxels_runs_no_search(monkeypatch):
     target, atlases = _make_case(rng, (6, 6, 6), 3)
     for a in atlases:
         a.warped_labels.data[:] = 0
-    boxes, passes = _recording_search(monkeypatch)
+    boxes, search_passes, product_passes = _recording_search(monkeypatch)
     out = fuse(target, atlases, FusionConfig(search_radius=1))
-    assert boxes == [] and passes == []
+    assert boxes == [] and search_passes == product_passes == []
     assert not out.consensus.data.any()
     assert np.all(out.probability == 1.0)
 
@@ -664,14 +756,8 @@ def test_fuse_without_search_filters_only_the_error_products(monkeypatch):
     for err, a in zip(errs, atlases):
         assert err.tobytes() == np.abs(target.data
                                        - a.warped_image.data).tobytes()
-    calls = []
-    real = ndimage.uniform_filter
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(fusion.ndimage, "uniform_filter", counting)
+    _, search_passes, product_passes = _recording_search(monkeypatch)
     fuse(target, atlases, cfg)
     n = len(atlases)
-    assert len(calls) == n * (n + 1) // 2
+    assert search_passes == []
+    assert len(product_passes) == 3 * n * (n + 1) // 2

@@ -286,6 +286,40 @@ def test_cli_evaluate_finds_each_volumes_boxes_once(tmp_path, monkeypatch):
     assert [r.split(",")[1] for r in rows[1:4]] == ["1", "2", "3"]
 
 
+@pytest.mark.parametrize("doc, message", [
+    (["normal"], "expected a JSON object of label value -> tags, got list"),
+    ({"V1": {"state": "normal"}},
+     "key 'V1' is not an integer label value"),
+    ({"1": 5}, "key '1': expected a JSON object of tags, got int"),
+])
+def test_cli_evaluate_names_the_tags_file_and_key(tmp_path, capsys, doc,
+                                                  message):
+    _, lbl, _ = make_phantom(PhantomSpec(**SMALL))
+    nifti.write_volume(tmp_path / "gt.nii", lbl)
+    tags = tmp_path / "tags.json"
+    tags.write_text(json.dumps(doc))
+    rc = main(["evaluate", "--gt", str(tmp_path / "gt.nii"),
+               "--seg", str(tmp_path / "gt.nii"), "--tags", str(tags),
+               "--output-prefix", str(tmp_path / "rep")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() \
+        == f"error: tags file {tags}: {message}"
+    assert not (tmp_path / "rep.csv").exists()
+
+
+def test_cli_evaluate_reads_integer_keyed_tags(tmp_path):
+    _, lbl, _ = make_phantom(PhantomSpec(**SMALL))
+    nifti.write_volume(tmp_path / "gt.nii", lbl)
+    tags = tmp_path / "tags.json"
+    tags.write_text(json.dumps({"2": {"state": "compressed"}}))
+    assert main(["evaluate", "--gt", str(tmp_path / "gt.nii"),
+                 "--seg", str(tmp_path / "gt.nii"), "--tags", str(tags),
+                 "--output-prefix", str(tmp_path / "rep")]) == 0
+    rows = (tmp_path / "rep.csv").read_text().splitlines()
+    assert [r.split(",")[2] for r in rows[1:4]] == ["", "state=compressed",
+                                                    ""]
+
+
 def test_cli_run_subcommand(tmp_path):
     path, _ = _write_manifest(tmp_path, n_atlases=1)
     outdir = tmp_path / "out"
@@ -709,6 +743,51 @@ def test_load_manifest_rejects_non_integer_vertebra_label(tmp_path, where):
         doc["atlases"][0]["vertebra_labels"]["V1"] = 1.5
     with pytest.raises(ValueError, match=r"V1.*must be an integer, got 1\.5"):
         load_manifest(_write_doc(tmp_path, doc))
+
+
+def _second_atlas(doc, case_id):
+    doc["atlases"].append(dict(doc["atlases"][0], case_id=case_id,
+                               image="b.nii", labels="b_labels.nii"))
+    return doc
+
+
+def _second_vertebra(doc, vertebra_id):
+    doc["target"]["vertebrae"].append(
+        dict(doc["target"]["vertebrae"][0], id=vertebra_id, label=2))
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    # a number never equals the atlas's string id: leave_one_out would
+    # fuse the target with itself
+    (lambda doc: dict(doc, leave_one_out=True,
+                      target=dict(doc["target"], case_id=5)),
+     "target case_id: expected a string, got 5"),
+    (lambda doc: _second_atlas(doc, 5),
+     "atlases[1] case_id: expected a string, got 5"),
+    # a reused case id would read the first atlas's images from the
+    # atlas cache and write over its transform files
+    (lambda doc: _second_atlas(doc, "a0"),
+     "atlases[1] case_id: 'a0' repeats atlases[0] case_id"),
+    (lambda doc: _second_vertebra(doc, 2),
+     "vertebrae[1] id: expected a string, got 2"),
+    (lambda doc: _second_vertebra(doc, "V1"),
+     "vertebrae[1] id: 'V1' repeats vertebrae[0] id"),
+])
+def test_load_manifest_rejects_non_string_and_repeated_ids(tmp_path, edit,
+                                                           message):
+    path = _write_doc(tmp_path, edit(_minimal_doc()))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_manifest(path)
+
+
+def test_load_manifest_keeps_string_ids(tmp_path):
+    doc = _second_vertebra(_second_atlas(_minimal_doc(), "5"), "V2")
+    doc["target"]["case_id"] = "5"
+    m = load_manifest(_write_doc(tmp_path, doc))
+    assert m.target_case_id == "5"
+    assert [a.case_id for a in m.atlases] == ["a0", "5"]
+    assert [v.vertebra_id for v in m.vertebrae] == ["V1", "V2"]
 
 
 def test_run_pipeline_rejects_target_labels_on_another_grid(

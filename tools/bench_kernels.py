@@ -58,15 +58,16 @@ block's bounding box grown by 2p + r, 2p and p, for patch radius p and
 search radius r), which bound what its reads, its patch-sum passes and
 its SSD comparisons cover. `patch_search` is the search alone
 (`fusion._searched_errors` on that error box, the same 6 atlases), without
-the error-product filters and the weight solve that `fuse_patch_search`
-also times. `refine_labels` is cleanup,
-then 10 iterations per label, on the default 96x96x160 phantom with its
-5 vertebra labels; `separate_labels` takes the 5 band crops that call
-returns, as `vertseg refine` does next, and counts their claims crop by
-crop. Those crops do not overlap, so `separate_labels_contested` takes
-them with each mask dilated by 3 voxels inside its crop: neighbours then
-claim common voxels (`contested_voxels` in the sizes), and the collision
-scores decide them.
+the dependency matrices and the weight solve that `fuse_patch_search`
+also times. `dependency_matrix` builds those matrices alone, from the
+search's 6 error maps on that error box, at its active voxels.
+`refine_labels` is cleanup, then 10 iterations per label, on the
+default 96x96x160 phantom with its 5 vertebra labels; `separate_labels`
+takes the 5 band crops that call returns, as `vertseg refine` does
+next, and counts their claims crop by crop. Those crops do not overlap,
+so `separate_labels_contested` takes them with each mask dilated by 3
+voxels inside its crop: neighbours then claim common voxels
+(`contested_voxels` in the sizes), and the collision scores decide them.
 `make_phantom` builds that phantom (the default spec, noise 20 HU), and
 `evaluate_labels` scores its 5 labels, with volume and density, against
 a copy deformed by `deform_phantom`'s default smooth FFD.
@@ -132,7 +133,7 @@ def run(n_points, repeats):
     from vertseg.bspline import BLOCK_POINTS
     from vertseg.cli import _keep_freed_memory
     from vertseg.fusion import (FusionConfig, RegisteredAtlas,
-                                _searched_errors, fuse)
+                                _searched_errors, dependency_matrix, fuse)
     from vertseg.metrics import evaluate_labels
     from vertseg.phantom import PhantomSpec, deform_phantom, make_phantom
     from vertseg.postprocess import refine_labels, separate_labels
@@ -205,6 +206,9 @@ def run(n_points, repeats):
 
     error_box = grow_box(block_box, p, IMAGE_DIMS)
     fuse_images = [a.warped_image.data for a in fuse_atlases]
+    fuse_errors = _searched_errors(image.data, fuse_images, fuse_cfg,
+                                   error_box)
+    fuse_active = block[error_box] != 0
 
     phantom_spec = PhantomSpec(noise_sd=20.0, seed=0)
     ct, labels, _ = make_phantom(phantom_spec)
@@ -239,6 +243,8 @@ def run(n_points, repeats):
         "fuse_patch_search": lambda: fuse(image, fuse_atlases, fuse_cfg),
         "patch_search": lambda: _searched_errors(image.data, fuse_images,
                                                  fuse_cfg, error_box),
+        "dependency_matrix": lambda: dependency_matrix(
+            fuse_errors, fuse_active, p, fuse_cfg.beta, fuse_cfg.epsilon),
         "refine_labels": lambda: refine_labels(labels, ct,
                                                iters=LEVELSET_ITERS),
         "separate_labels": lambda: separate_labels(refined.items(), ct),
