@@ -180,13 +180,17 @@ def load_manifest(path):
         where = f"atlas {case_id}"
         labels = dict(_expect(_required(a, "vertebra_labels", where), dict,
                               f"{where} vertebra_labels"))
+        order = _expect(a.get("order", list(labels)), list, f"{where} order")
+        # a non-string id would match no vertebra id, and the atlas would
+        # silently take part in no vertebra's fusion
+        order_ids = {}
         atlases.append(AtlasEntry(
             case_id=case_id,
             image_path=resolve(_required(a, "image", where)),
             labels_path=resolve(_required(a, "labels", where)),
             vertebra_labels=labels,
-            order=list(_expect(a.get("order", list(labels)), list,
-                               f"{where} order"))))
+            order=[_new_id(vid, f"{where} order[{j}]", order_ids)
+                   for j, vid in enumerate(order)]))
 
     reg_kwargs = dict(reg)
     if "window" in reg_kwargs:

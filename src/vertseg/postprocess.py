@@ -220,21 +220,6 @@ def resolve_collisions(per_vertebra_masks, intensity, instances, policy=None):
     return LabelVolume(geom, out)
 
 
-def _curvature(phi):
-    gx, gy, gz = np.gradient(phi)
-    gxx = np.gradient(gx, axis=0)
-    gyy = np.gradient(gy, axis=1)
-    gzz = np.gradient(gz, axis=2)
-    gxy = np.gradient(gx, axis=1)
-    gxz = np.gradient(gx, axis=2)
-    gyz = np.gradient(gy, axis=2)
-    num = (gx * gx * (gyy + gzz) + gy * gy * (gxx + gzz)
-           + gz * gz * (gxx + gyy)
-           - 2.0 * (gx * gy * gxy + gy * gz * gyz + gx * gz * gxz))
-    mag = np.sqrt(gx * gx + gy * gy + gz * gz)
-    return np.clip(num / (mag ** 3 + 1e-8), -1.0, 1.0), mag
-
-
 def _speed_field(intensity, smooth_sigma):
     """Laplacian of the smoothed intensity, divided by its largest
     magnitude: zero at edges, in [-1, 1]."""
@@ -262,17 +247,72 @@ def _band(box, iters, step, dims):
                  for lo, hi, n in zip(box.min_index, box.max_index, dims))
 
 
+def _gradient_taps(flat, shape):
+    """np.gradient's rule at unit spacing and edge_order=1 at the flat
+    indices flat of a C-order array of shape: per axis the (forward
+    index, backward index, divisor) for which (f[fwd] - f[bwd]) / div is
+    np.gradient(f, axis=axis) there, bit for bit. Inside, a central
+    difference over 2.0; on the first and last plane of an axis, a
+    one-sided difference over 1.0."""
+    taps = []
+    for axis, (i, n) in enumerate(zip(np.unravel_index(flat, shape),
+                                      shape)):
+        stride = int(np.prod(shape[axis + 1:]))
+        after, before = i < n - 1, i > 0
+        taps.append((flat + after * stride, flat - before * stride,
+                     np.where(after & before, 2.0, 1.0)))
+    return taps
+
+
+def _difference(f, taps):
+    """(f[fwd] - f[bwd]) / div for one axis's taps (`_gradient_taps`)."""
+    fwd, bwd, div = taps
+    return (f[fwd] - f[bwd]) / div
+
+
+def _initial_level_set(m, iters, step):
+    """The signed distance phi of the boolean crop m (positive outside)
+    and the band that the level set evolves: |phi| <= iters*step + 1."""
+    phi = ndimage.distance_transform_edt(~m)
+    phi -= ndimage.distance_transform_edt(m)
+    return phi, np.abs(phi) <= iters * step + 1.0
+
+
 def _evolve(m, speed, iters, step, curvature_weight):
     """Level set of the boolean band crop m (see `_band`) under speed,
-    the speed field on the same crop; returns the evolved boolean crop."""
-    inside = ndimage.distance_transform_edt(m)
-    outside = ndimage.distance_transform_edt(~m)
-    phi = outside - inside  # positive outside
-    band = np.abs(phi) <= iters * step + 1.0
+    the speed field on the same crop; returns the evolved boolean crop.
+
+    Only the band's voxels are evolved, and only they are read from
+    speed. Each iteration takes the first derivatives at the band grown
+    by one voxel (6-connected, inside the crop), the second derivatives
+    and the curvature at the band, all by `np.gradient`'s rule
+    (`_gradient_taps`), so the band gets the bits that nested
+    `np.gradient` calls on the whole crop give it, at crop faces too."""
+    for axis, n in enumerate(m.shape):
+        if n < 2:
+            raise ValueError(f"the level set needs at least 2 voxels along "
+                             f"each axis; its crop has {n} along axis "
+                             f"{axis}")
+    phi, band = _initial_level_set(m, iters, step)
+    b = np.flatnonzero(band)
+    grown = np.flatnonzero(ndimage.binary_dilation(band))
+    first, second = (_gradient_taps(idx, m.shape) for idx in (grown, b))
+    speed = speed[band]
+    flat = phi.ravel()
+    g = np.empty((3, m.size))  # gx, gy, gz, valid on grown
     for _ in range(iters):
-        kappa, mag = _curvature(phi)
-        dphi = step * (speed + curvature_weight * kappa) * mag
-        phi[band] += dphi[band]
+        for ga, taps in zip(g, first):
+            ga[grown] = _difference(flat, taps)
+        gxx, gxy, gxz = (_difference(g[0], taps) for taps in second)
+        gyy, gyz = (_difference(g[1], taps) for taps in second[1:])
+        gzz = _difference(g[2], second[2])
+        gx, gy, gz = (ga[b] for ga in g)
+        num = (gx * gx * (gyy + gzz) + gy * gy * (gxx + gzz)
+               + gz * gz * (gxx + gyy)
+               - 2.0 * (gx * gy * gxy + gy * gz * gyz + gx * gz * gxz))
+        mag = np.sqrt(gx * gx + gy * gy + gz * gz)
+        kappa = np.clip(num / (mag ** 3 + 1e-8), -1.0, 1.0)
+        flat[b] += step * (speed + curvature_weight * kappa) * mag
     return np.where(band, phi < 0.0, m)
 
 
@@ -292,11 +332,14 @@ def levelset_refine(mask, intensity, iters=LEVELSET_ITERS,
     box, which is written into a copy of the mask. The result equals the
     full-grid evolution exactly. The crop holds the whole mask and a
     background layer around it (unless at a volume face), so both
-    distance transforms match the full-grid ones inside it; every band
-    voxel lies at least 2 voxels from a crop face that is not a volume
-    face, so the nested central differences of the curvature read the
-    same values as on the full grid; and outside the crop, as outside
-    the band, the mask is kept.
+    distance transforms match the full-grid ones inside it. The
+    curvature is evaluated only at band voxels (`_evolve`), by
+    `np.gradient`'s rule: central differences inside, one-sided ones at
+    volume faces. Every band voxel lies at least 2 voxels from a crop
+    face that is not a volume face, so those nested differences read the
+    same values as on the full grid, and give the same bits. Outside the
+    crop, as outside the band, the mask is kept. A crop thinner than 2
+    voxels along an axis is refused with a ValueError.
     """
     if iters < 0:
         raise ValueError("iters must be >= 0")

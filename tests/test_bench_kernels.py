@@ -43,6 +43,8 @@ def test_bench_kernels_writes_medians_and_environment(tmp_path):
     assert record["sizes"]["levelset_dims"] == [96, 96, 160]
     assert record["sizes"]["levelset_labels"] == 5
     assert record["sizes"]["levelset_iters"] == 10
+    assert 0 < record["sizes"]["levelset_band_voxels"] \
+        < record["sizes"]["levelset_crop_voxels"]
     assert record["sizes"]["contested_dilation"] == 3
     assert record["sizes"]["contested_voxels"] > 0
     env = record["environment"]

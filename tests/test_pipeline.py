@@ -757,6 +757,11 @@ def _second_vertebra(doc, vertebra_id):
     return doc
 
 
+def _with_order(doc, order):
+    doc["atlases"][-1] = dict(doc["atlases"][-1], order=order)
+    return doc
+
+
 @pytest.mark.parametrize("edit, message", [
     # a number never equals the atlas's string id: leave_one_out would
     # fuse the target with itself
@@ -773,6 +778,12 @@ def _second_vertebra(doc, vertebra_id):
      "vertebrae[1] id: expected a string, got 2"),
     (lambda doc: _second_vertebra(doc, "V1"),
      "vertebrae[1] id: 'V1' repeats vertebrae[0] id"),
+    # a numeric order id matches no vertebra id: the atlas would take
+    # part in no vertebra's fusion
+    (lambda doc: _with_order(_second_atlas(doc, "a1"), [1]),
+     "atlas a1 order[0]: expected a string, got 1"),
+    (lambda doc: _with_order(_second_atlas(doc, "a1"), ["V1", "V1"]),
+     "atlas a1 order[1]: 'V1' repeats atlas a1 order[0]"),
 ])
 def test_load_manifest_rejects_non_string_and_repeated_ids(tmp_path, edit,
                                                            message):
@@ -788,6 +799,9 @@ def test_load_manifest_keeps_string_ids(tmp_path):
     assert m.target_case_id == "5"
     assert [a.case_id for a in m.atlases] == ["a0", "5"]
     assert [v.vertebra_id for v in m.vertebrae] == ["V1", "V2"]
+    doc = _with_order(_minimal_doc(), ["V0", "V1", "V2"])
+    m = load_manifest(_write_doc(tmp_path, doc))
+    assert m.atlases[0].order == ["V0", "V1", "V2"]
 
 
 def test_run_pipeline_rejects_target_labels_on_another_grid(

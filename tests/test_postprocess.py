@@ -10,7 +10,8 @@ from scipy import ndimage
 
 from vertseg.metrics import dice
 from vertseg.postprocess import (CollisionPolicy, VertebraInstance,
-                                 _speed_field, instance_from_mask,
+                                 _evolve, _initial_level_set, _speed_field,
+                                 instance_from_mask,
                                  levelset_refine, morph_cleanup,
                                  refine_labels, resolve_collisions,
                                  separate_labels)
@@ -368,6 +369,84 @@ def test_levelset_crop_matches_full_grid_on_random_boxes(
     assume(m.any())  # an empty mask stays empty; the oracle grows one
     _assert_matches_oracle(m, _noise_intensity(_geom(dims), seed), iters,
                            step=step, curvature_weight=curvature_weight)
+
+
+_FACES = [(axis, side) for axis in range(3) for side in (0, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(*[st.integers(2, 16)] * 3),
+       center=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+       radii=st.tuples(*[st.floats(0.6, 8.0)] * 3),
+       faces=st.lists(st.sampled_from(_FACES), max_size=3, unique=True),
+       fill=st.floats(0.6, 1.0),
+       iters=st.integers(1, 12),
+       step=st.sampled_from([0.1, 0.25, 0.5, 0.9]),
+       seed=st.integers(0, 2 ** 16))
+def test_levelset_matches_full_grid_on_random_blobs(
+        dims, center, radii, faces, fill, iters, step, seed):
+    # an ellipsoid, roughened, whose centre voxel lies on the volume faces
+    # drawn (down to 2 voxels thick, where np.gradient is one-sided
+    # across the axis)
+    c = [round(x * (n - 1)) for x, n in zip(center, dims)]
+    for axis, side in faces:
+        c[axis] = side * (dims[axis] - 1)
+    grid = np.indices(dims)
+    m = sum(((grid[a] - c[a]) / radii[a]) ** 2 for a in range(3)) <= 1.0
+    m &= np.random.default_rng(seed).random(dims) < fill
+    m[tuple(c)] = True
+    _assert_matches_oracle(m, _noise_intensity(_geom(dims), seed), iters,
+                           step=step)
+
+
+def _blob(dims):
+    grid = np.indices(dims)
+    return sum(((grid[a] - (n - 1) / 2) / (0.35 * n)) ** 2
+               for a, n in enumerate(dims)) <= 1.0
+
+
+def test_evolve_reads_speed_only_in_the_band():
+    dims = (30, 26, 22)
+    m = _blob(dims)
+    speed = _speed_field(_noise_intensity(_geom(dims), 4), 1.0)
+    _, band = _initial_level_set(m, 10, 0.25)
+    assert band.any() and not band.all()
+    poisoned = np.where(band, speed, np.nan)
+    expect = _evolve(m, speed, 10, 0.25, 0.2)
+    assert np.array_equal(_evolve(m, poisoned, 10, 0.25, 0.2), expect)
+
+
+def test_evolve_holds_fewer_than_16_crop_copies():
+    # phi, the band's index and tap vectors and three derivative buffers;
+    # full-crop curvature temporaries (first and second derivatives, the
+    # products) would hold about 19 crop-sized float64 copies
+    dims = (66, 72, 30)
+    m = _blob(dims)
+    speed = _speed_field(_noise_intensity(_geom(dims), 5), 1.0)
+    tracemalloc.start()
+    try:
+        _evolve(m, speed, 10, 0.25, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * speed.nbytes
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_levelset_rejects_a_crop_thinner_than_2_voxels(axis):
+    dims = [12, 12, 12]
+    dims[axis] = 1
+    g = _geom(tuple(dims))
+    intensity = _noise_intensity(g, 6)
+    mask = LabelVolume(g, np.ones(g.dims, dtype=np.int32))
+    message = f"level set .* 1 along axis {axis}"
+    with pytest.raises(ValueError, match=message):
+        levelset_refine(mask, intensity, iters=1)
+    with pytest.raises(ValueError, match=message):
+        refine_labels(mask, intensity, min_island_voxels=0, iters=1)
+    # without iterations there is no level set to evolve
+    assert np.array_equal(levelset_refine(mask, intensity, iters=0).data,
+                          mask.data)
 
 
 def test_levelset_empty_mask_stays_empty():

@@ -62,10 +62,12 @@ the dependency matrices and the weight solve that `fuse_patch_search`
 also times. `dependency_matrix` builds those matrices alone, from the
 search's 6 error maps on that error box, at its active voxels.
 `refine_labels` is cleanup, then 10 iterations per label, on the
-default 96x96x160 phantom with its 5 vertebra labels; `separate_labels`
-takes the 5 band crops that call returns, as `vertseg refine` does
-next, and counts their claims crop by crop. Those crops do not overlap,
-so `separate_labels_contested` takes them with each mask dilated by 3
+default 96x96x160 phantom with its 5 vertebra labels; the sizes record
+the voxels of its 5 band crops (`levelset_crop_voxels`) and of the bands
+that the level set evolves in them (`levelset_band_voxels`).
+`separate_labels` takes those 5 crops, as `vertseg refine` does next,
+and counts their claims crop by crop. Those crops do not overlap, so
+`separate_labels_contested` takes them with each mask dilated by 3
 voxels inside its crop: neighbours then claim common voxels
 (`contested_voxels` in the sizes), and the collision scores decide them.
 `make_phantom` builds that phantom (the default spec, noise 20 HU), and
@@ -136,7 +138,9 @@ def run(n_points, repeats):
                                 _searched_errors, dependency_matrix, fuse)
     from vertseg.metrics import evaluate_labels
     from vertseg.phantom import PhantomSpec, deform_phantom, make_phantom
-    from vertseg.postprocess import refine_labels, separate_labels
+    from vertseg.postprocess import (LEVELSET_STEP, _initial_level_set,
+                                     _placement, morph_cleanup,
+                                     refine_labels, separate_labels)
     from vertseg.similarity import (NmiObjective, SplineImage,
                                     _contract_taps, _parzen_counts)
     from vertseg.transform import (AffineTransform, FFDTransform,
@@ -215,6 +219,13 @@ def run(n_points, repeats):
     _, deformed, _ = deform_phantom(ct, labels, seed=1)
     vertebrae = [(f"V{lv}", lv, {}) for lv in labels.labels()]
     refined = refine_labels(labels, ct, iters=LEVELSET_ITERS)
+    # each label's band crop, and the band that its level set evolves
+    cleaned = morph_cleanup(labels)
+    band_voxels = 0
+    for lv, m in refined.items():
+        sl, _ = _placement(m, ct)
+        band_voxels += int(_initial_level_set(
+            cleaned.data[sl] == lv, LEVELSET_ITERS, LEVELSET_STEP)[1].sum())
     # each band crop's mask dilated inside its crop, so that neighbours
     # claim common voxels and the collision scores decide them
     dilated = [(lv, LabelVolume(m.geometry, ndimage.binary_dilation(
@@ -268,6 +279,9 @@ def run(n_points, repeats):
              "levelset_dims": list(ct.geometry.dims),
              "levelset_labels": len(labels.labels()),
              "levelset_iters": LEVELSET_ITERS,
+             "levelset_crop_voxels": sum(m.data.size
+                                         for m in refined.values()),
+             "levelset_band_voxels": band_voxels,
              "contested_dilation": CONTESTED_DILATION,
              "contested_voxels": int((claims >= 2).sum())}
     return sizes, {name: measure(fn, repeats)
