@@ -141,9 +141,10 @@ class EvalRow:
 def evaluate_labels(gt, seg, intensity, vertebrae, case_id,
                     symmetric=False, boxes=None):
     """One EvalRow per (vertebra id, label value, tags) in `vertebrae`,
-    in that order. Volume and density are 0 without an intensity volume
-    or for an empty segmentation; ASD is NaN when either mask is empty
-    or fills the grid. The segmentation and the intensity volume must lie
+    in that order. Without an intensity volume the volume comes from the
+    voxel count and the density is NaN; with one, both are 0 for an
+    empty segmentation. ASD is NaN when either mask is empty or fills
+    the grid. The segmentation and the intensity volume must lie
     on the ground truth's grid (`GridGeometry.same_grid`).
 
     Each label is scored on its box: the union of its ground-truth and
@@ -174,7 +175,11 @@ def evaluate_labels(gt, seg, intensity, vertebrae, case_id,
         g = gt.data[box] == lv
         s = seg.data[box] == lv
         vol_cm3, den = 0.0, 0.0
-        if intensity is not None and s.any():
+        if intensity is None:
+            count = np.count_nonzero(s)
+            vol_cm3 = count * gt.geometry.voxel_volume_mm3 / 1000.0
+            den = float("nan")
+        elif s.any():
             vol_cm3, den = volume_and_density(
                 s, crop(intensity, BoundingBox.from_slices(box)))
         rows.append(EvalRow(

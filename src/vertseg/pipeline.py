@@ -2,15 +2,16 @@
 atlas, fuse labels, clean up and refine each vertebra, resolve collisions
 across vertebrae, and (optionally) evaluate against ground truth.
 
-Every (vertebra, atlas) registration of a run goes through one thread
-pool, and each vertebra is fused as soon as its own pairs are done (see
-`run_pipeline`).
+Each (vertebra, atlas) registration is one pair job, and each vertebra
+is fused as soon as its own pairs are done (see `run_pipeline`).
 """
 
+import itertools
 import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,44 +294,41 @@ def _box_start(target_box, atlas_box):
                            0.5 * (alo + ahi) - scale * (0.5 * (tlo + thi)))
 
 
-def _register_one(tcrop, target_box, atlas_entry, bundle_ids,
-                  center_label_value, manifest, atlas_cache):
-    """Register one atlas onto a target crop and warp its labels there.
-
-    The atlas is cropped to the union of its bundle labels' boxes
-    (`label_boxes`, computed once per atlas), grown by the crop margin,
-    and only the crop is searched for the bundle's labels: the same
-    crops as masking the whole atlas first. In `single` mode the affine
-    starts from the map of the target vertebra's world box target_box
-    (from the manifest) onto the atlas vertebra's (`_box_start`); the
-    bundle modes keep `register_affine`'s centroid start, since the
-    target crop holds one vertebra and the atlas crop three."""
+def _pair_job(target_geometry, vert, tcrop, atlas_entry, bundle_ids,
+              manifest, atlas_cache):
+    """The pair's job, a tuple of `_register_one`'s arguments: the atlas
+    cropped to the union of its bundle labels' boxes (`label_boxes`)
+    grown by the crop margin, with the other labels cleared (the crops
+    of masking the whole atlas first), and in `single` mode the affine
+    start `_box_start` from the target vertebra's manifest box onto the
+    atlas vertebra's box. The bundle modes keep `register_affine`'s
+    centroid start: the target crop holds one vertebra, the atlas three."""
     img, lbl, boxes = atlas_cache[atlas_entry.case_id]
     keep = [atlas_entry.vertebra_labels[v] for v in bundle_ids]
     abox = BoundingBox.from_slices(
         union_box([boxes[lv] for lv in keep if lv in boxes]))
     margin = _margin_voxels(img.geometry, manifest.crop_margin_mm)
-    acrop_img = crop(img, abox, margin)
     bundle = crop(lbl, abox, margin)
     acrop_lbl = LabelVolume(bundle.geometry, np.where(
         np.isin(bundle.data, keep), bundle.data, 0))
-    start = (_box_start(target_box, _world_box(img.geometry, abox))
+    start = (_box_start(_world_box(target_geometry, vert.box),
+                        _world_box(img.geometry, abox))
              if manifest.mode == "single" else None)
+    return (tcrop, crop(img, abox, margin), acrop_lbl, start,
+            manifest.registration)
 
+
+def _register_one(tcrop, acrop_img, acrop_lbl, start, cfg):
+    """Register an atlas crop onto a target crop (affine from `start`,
+    then FFD) and warp both atlas crops there: (transform, warped image,
+    warped labels, registration seconds). It reads only its arguments."""
     t0 = time.perf_counter()
-    affine = register_affine(tcrop, acrop_img, manifest.registration,
-                             start=start)
-    result = register_ffd(tcrop, acrop_img, affine, manifest.registration)
+    affine = register_affine(tcrop, acrop_img, cfg, start=start)
+    result = register_ffd(tcrop, acrop_img, affine, cfg)
     elapsed = time.perf_counter() - t0
-
     warped_img, warped_lbl = warp_atlas(acrop_img, acrop_lbl,
                                         result.transform, tcrop.geometry)
-    center = (warped_lbl.data
-              == atlas_entry.vertebra_labels[bundle_ids_center(bundle_ids)])
-    center_lbl = LabelVolume(tcrop.geometry,
-                             np.where(center, center_label_value, 0))
-    registered = RegisteredAtlas(warped_img, center_lbl, atlas_entry.case_id)
-    return registered, result.transform, elapsed
+    return result.transform, warped_img, warped_lbl, elapsed
 
 
 def bundle_ids_center(ids):
@@ -345,41 +343,29 @@ def bundle_ids_center(ids):
     return ids[len(ids) // 2] if len(ids) == 3 else ids[0]
 
 
-def _fold_vertebra(vert, tcrop, eligible, done, manifest):
-    """Fuse and refine one vertebra from its registered pairs; its
-    refined mask is the band crop `refine_labels` returns."""
-    transforms = [(entry.case_id, r[1])
-                  for (entry, _ids), r in zip(eligible, done)]
+@contextmanager
+def _stage(stage, vert, atlas=None):
+    """Re-raise an exception of the block as RuntimeError("[stage]
+    vertebra <id>[, atlas <case id>]: <message>")."""
     try:
-        fused = fuse(tcrop, [r[0] for r in done], manifest.fusion)
+        yield
     except Exception as exc:
-        raise RuntimeError(f"[fusion] vertebra {vert.vertebra_id}: {exc}")
-
-    try:
-        refined = refine_labels(
-            fused.consensus, tcrop, manifest.min_island_voxels,
-            iters=manifest.levelset_iters,
-            step=manifest.levelset_step).get(vert.label)
-        if refined is None or not refined.data.any():
-            raise ValueError("empty mask after cleanup and level set")
-    except Exception as exc:
-        raise RuntimeError(
-            f"[postprocess] vertebra {vert.vertebra_id}: {exc}")
-
-    return VertebraResult(vert.vertebra_id, transforms, refined)
+        pair = f", atlas {atlas.case_id}" if atlas is not None else ""
+        raise RuntimeError(f"[{stage}] vertebra {vert.vertebra_id}{pair}: "
+                           f"{exc}") from exc
 
 
 def run_pipeline(manifest):
     """Execute the full pipeline described by a manifest.
 
-    Plan: every (vertebra, atlas) pair, vertebra-major in manifest order.
-    A vertebra without an eligible atlas fails here, before any
-    registration. Pool: one executor of `manifest.workers` threads
-    registers the pairs. Fold: results come back in plan order, and each
-    vertebra is fused and refined as soon as its last pair is in, while
-    the pool registers the next vertebra's pairs. The plan fixes the
-    order of every result, so outputs do not depend on the worker
-    count."""
+    Plan: every (vertebra, atlas) pair, vertebra-major in manifest order,
+    and its pair job. A vertebra without an eligible atlas, or a pair
+    without its bundle labels, fails here, before any registration.
+    Register: at one worker each job runs in this thread when its result
+    is read; with more, a pool of `manifest.workers` threads runs them.
+    Fold: results are read in plan order, and each vertebra is fused and
+    refined (its mask: the band crop `refine_labels` returns) as soon as
+    its last pair is in. So outputs do not depend on the worker count."""
     target_img = nifti.read_volume(manifest.target_image_path, "scalar")
     target_lbl = None
     if manifest.target_labels_path:
@@ -399,44 +385,57 @@ def run_pipeline(manifest):
 
     margin = _margin_voxels(target_img.geometry, manifest.crop_margin_mm)
     plan = []  # (vertebra, target crop, [(atlas entry, bundle ids)])
+    jobs = []  # one per pair, in plan order
     for vert in manifest.vertebrae:
         eligible = _eligible_atlases(manifest, vert)
         if not eligible:
             raise RuntimeError(
                 f"[registration] no eligible atlas for vertebra "
                 f"{vert.vertebra_id}")
-        plan.append((vert, crop(target_img, vert.box, margin), eligible))
-    pairs = [(vert, tcrop, entry, ids)
-             for vert, tcrop, eligible in plan for entry, ids in eligible]
-
-    def work(pair):
-        vert, tcrop, atlas_entry, ids = pair
-        try:
-            return _register_one(
-                tcrop, _world_box(target_img.geometry, vert.box),
-                atlas_entry, ids, vert.label, manifest, atlas_cache)
-        except Exception as exc:
-            raise RuntimeError(
-                f"[registration] vertebra {vert.vertebra_id}, atlas "
-                f"{atlas_entry.case_id}: {exc}") from exc
+        tcrop = crop(target_img, vert.box, margin)
+        for entry, ids in eligible:
+            with _stage("registration", vert, entry):
+                jobs.append(_pair_job(target_img.geometry, vert, tcrop,
+                                      entry, ids, manifest, atlas_cache))
+        plan.append((vert, tcrop, eligible))
 
     timing = []
     per_vertebra = {}
     masks = []
-    pool = ThreadPoolExecutor(max_workers=manifest.workers)
+    pool = (ThreadPoolExecutor(max_workers=manifest.workers)
+            if manifest.workers > 1 else None)
     try:
-        results = pool.map(work, pairs)
+        results = (pool.map(_register_one, *zip(*jobs)) if pool is not None
+                   else itertools.starmap(_register_one, jobs))
         for vert, tcrop, eligible in plan:
-            done = [next(results) for _ in eligible]
-            timing.extend((vert.vertebra_id, entry.case_id, r[2])
-                          for (entry, _ids), r in zip(eligible, done))
-            result = _fold_vertebra(vert, tcrop, eligible, done, manifest)
-            per_vertebra[vert.vertebra_id] = result
-            masks.append((vert.label, result.refined_mask))
+            registered, transforms = [], []
+            for entry, ids in eligible:
+                with _stage("registration", vert, entry):
+                    transform, img, lbl, seconds = next(results)
+                center = (lbl.data
+                          == entry.vertebra_labels[bundle_ids_center(ids)])
+                registered.append(RegisteredAtlas(img, LabelVolume(
+                    tcrop.geometry, np.where(center, vert.label, 0)),
+                    entry.case_id))
+                transforms.append((entry.case_id, transform))
+                timing.append((vert.vertebra_id, entry.case_id, seconds))
+            with _stage("fusion", vert):
+                fused = fuse(tcrop, registered, manifest.fusion)
+            with _stage("postprocess", vert):
+                refined = refine_labels(
+                    fused.consensus, tcrop, manifest.min_island_voxels,
+                    iters=manifest.levelset_iters,
+                    step=manifest.levelset_step).get(vert.label)
+                if refined is None or not refined.data.any():
+                    raise ValueError("empty mask after cleanup and level set")
+            per_vertebra[vert.vertebra_id] = VertebraResult(
+                vert.vertebra_id, transforms, refined)
+            masks.append((vert.label, refined))
     finally:
         # After a failure, drop the pairs that have not started instead
         # of registering the rest of the run. On success none are left.
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     final = separate_labels(masks, target_img, manifest.collision)
 

@@ -276,11 +276,16 @@ def test_evaluate_labels_rows_follow_request_order():
 
 
 def test_evaluate_labels_without_intensity():
-    gt, seg, _ = _two_label_case()
-    (row,) = evaluate_labels(gt, seg, None, [(1, 1, {})], "c0")
-    assert row.vertebra_id == "1"
-    assert row.volume_cm3 == 0.0 and row.density_hu == 0.0
-    assert row.dice_pct == 100.0
+    # the volume needs only the voxel count; the density is not measured
+    gt, seg, intensity = _two_label_case()
+    rows = evaluate_labels(gt, seg, None, [(1, 1, {}), (2, 2, {})], "c0")
+    assert [r.vertebra_id for r in rows] == ["1", "2"]
+    (with_intensity,) = evaluate_labels(gt, seg, intensity, [(1, 1, {})],
+                                        "c0")
+    assert rows[0].volume_cm3 == with_intensity.volume_cm3 == 8 * 2.0 / 1000
+    assert rows[1].volume_cm3 == 0.0  # label 2 is not in the segmentation
+    assert all(np.isnan(r.density_hu) for r in rows)
+    assert rows[0].dice_pct == 100.0
 
 
 def test_asd_rejects_masks_on_another_grid_or_of_another_shape():

@@ -1,14 +1,18 @@
 """Manifest parsing, atlas-eligibility rules, a small end-to-end pipeline
 run, and CLI subcommand smoke tests."""
 
+import cProfile
 import ctypes
 import dataclasses
 import inspect
 import json
 import os
+import pickle
+import pstats
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vertseg
-from vertseg import nifti, registration
+from vertseg import nifti, pipeline, registration
 from vertseg.cli import _config, build_parser, main
 from vertseg.fusion import FusionConfig, FusionOutput
 from vertseg.phantom import PhantomSpec, deform_phantom, make_phantom
@@ -411,7 +415,7 @@ def test_load_manifest_ignores_atlas_cohort_tag(tmp_path):
     assert [a.case_id for a in m.atlases] == ["atlas0"]
 
 
-# ------------------------------------------------ one pool per run
+# ------------------------------------------------ pair jobs
 
 @pytest.mark.parametrize("mode", ["single", "bundle3"])
 def test_register_one_crops_equal_the_full_volume_construction(
@@ -503,8 +507,78 @@ def test_run_pipeline_failing_vertebra_cancels_queued_pairs(
     with pytest.raises(RuntimeError, match=r"^\[fusion\] vertebra V1: "
                                            r"fusion broke"):
         run_pipeline(m)
-    # V1's two pairs, plus at most the one already running when V1 failed
-    assert 2 <= len(calls) <= 3
+    # at one worker the pairs run as their results are read: V1's two
+    assert len(calls) == 2
+
+
+def test_run_pipeline_builds_every_pair_job_before_registering(
+        tmp_path, monkeypatch):
+    m = load_manifest(_quick_manifest(tmp_path, n_atlases=1))
+    m.atlases[0].vertebra_labels["V3"] = 7  # no voxel carries label 7
+    calls = _counting_affine(monkeypatch)
+    with pytest.raises(RuntimeError,
+                       match=r"^\[registration\] vertebra V3, atlas atlas0: "
+                             r"mask is empty$"):
+        run_pipeline(m)
+    assert len(calls) == 0
+
+
+def test_run_pipeline_registers_in_the_calling_thread_at_one_worker(
+        tmp_path, monkeypatch):
+    # cProfile sees only the thread it runs in
+    m = load_manifest(_quick_manifest(tmp_path, n_atlases=1))
+    assert m.workers == 1
+    threads = []
+
+    def recording_affine(target, floating, cfg, start=None):
+        threads.append(threading.get_ident())
+        return register_affine(target, floating, cfg, start)
+
+    monkeypatch.setattr("vertseg.pipeline.register_affine", recording_affine)
+    profile = cProfile.Profile()
+    profile.runcall(run_pipeline, m)
+    assert "register_ffd" in {name for _file, _line, name
+                              in pstats.Stats(profile).stats}
+    assert threads == [threading.get_ident()] * 3
+
+
+def _same_value(a, b):
+    """a and b are equal values: dataclasses field by field, arrays by
+    dtype and elements."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same_value(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and np.array_equal(a, b))
+    if isinstance(a, tuple):
+        return (isinstance(b, tuple) and len(a) == len(b)
+                and all(_same_value(x, y) for x, y in zip(a, b)))
+    return a == b
+
+
+@pytest.mark.parametrize("mode", ["single", "bundle3"])
+def test_pair_jobs_survive_pickling(tmp_path, monkeypatch, mode):
+    # what a worker process needs: the function by reference, the jobs
+    # as plain values
+    register_one = pipeline._register_one
+    assert pickle.loads(pickle.dumps(register_one)) is register_one
+    m = dataclasses.replace(load_manifest(_quick_manifest(tmp_path, 2)),
+                            mode=mode)
+    jobs = []
+
+    def recording(*job):
+        jobs.append(job)
+        return register_one(*job)
+
+    monkeypatch.setattr("vertseg.pipeline._register_one", recording)
+    run_pipeline(m)
+    assert len(jobs) == 6
+    for job in jobs:
+        assert [type(v) for v in job[:3]] == [ScalarVolume, ScalarVolume,
+                                             LabelVolume]
+        assert _same_value(pickle.loads(pickle.dumps(job)), job)
 
 
 # ------------------------------------------------ the affine's box start
