@@ -21,8 +21,8 @@ from .metrics import (evaluate_labels, render_report_csv,
                       render_report_text, report)
 from .phantom import (DEFORM_MAGNITUDE_MM, PhantomSpec, deform_phantom,
                       make_phantom)
-from .pipeline import AtlasManifest, load_manifest, run_pipeline
-from .postprocess import refine_labels, separate_labels
+from .pipeline import load_manifest, run_pipeline
+from .postprocess import PostprocessConfig, refine_labels, separate_labels
 from .registration import RegistrationConfig, register_affine, register_ffd
 from .transform import save_transform
 from .volume import ScalarVolume, label_boxes
@@ -134,8 +134,7 @@ def cmd_fuse(args):
 def cmd_refine(args):
     lbl = nifti.read_volume(args.labels, "label")
     intensity = nifti.read_volume(args.intensity, "scalar")
-    masks = refine_labels(lbl, intensity, args.min_island_voxels,
-                          iters=args.levelset_iters, step=args.levelset_step)
+    masks = refine_labels(lbl, intensity, _config(PostprocessConfig, args))
     final = separate_labels(masks.items(), intensity)
     nifti.write_volume(args.output, final)
     print(f"refined labels written to {args.output}")
@@ -256,11 +255,11 @@ def build_parser():
     p.add_argument("--intensity", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--min-island-voxels", type=int,
-                   default=AtlasManifest.min_island_voxels)
+                   default=PostprocessConfig.min_island_voxels)
     p.add_argument("--iters", type=int, dest="levelset_iters",
-                   default=AtlasManifest.levelset_iters)
+                   default=PostprocessConfig.levelset_iters)
     p.add_argument("--step", type=float, dest="levelset_step",
-                   default=AtlasManifest.levelset_step)
+                   default=PostprocessConfig.levelset_step)
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("evaluate", help="Dice/ASD report against ground truth")

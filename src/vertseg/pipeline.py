@@ -2,6 +2,7 @@
 atlas, fuse labels, clean up and refine each vertebra, resolve collisions
 across vertebrae, and (optionally) evaluate against ground truth.
 
+Each stage's settings are one checked config, its manifest section.
 Each (vertebra, atlas) registration is one pair job, and each vertebra
 is fused as soon as its own pairs are done (see `run_pipeline`).
 """
@@ -12,7 +13,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -20,11 +21,10 @@ from . import nifti
 from .checks import integer, real
 from .fusion import FusionConfig, RegisteredAtlas, fuse
 from .metrics import evaluate_labels, report
-from .postprocess import (LEVELSET_ITERS, LEVELSET_STEP, MIN_ISLAND_VOXELS,
-                          CollisionPolicy, refine_labels, separate_labels)
+from .postprocess import (CollisionPolicy, PostprocessConfig, refine_labels,
+                          separate_labels)
 from .registration import (RegistrationConfig, register_affine, register_ffd,
                            warp_atlas)
-from .similarity import IntensityWindow
 from .transform import AffineTransform
 from .volume import BoundingBox, LabelVolume, crop, label_boxes, union_box
 
@@ -67,9 +67,7 @@ class AtlasManifest:
     registration: RegistrationConfig = field(default_factory=RegistrationConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     collision: CollisionPolicy = field(default_factory=CollisionPolicy)
-    min_island_voxels: int = MIN_ISLAND_VOXELS
-    levelset_iters: int = LEVELSET_ITERS
-    levelset_step: float = LEVELSET_STEP
+    postprocess: PostprocessConfig = field(default_factory=PostprocessConfig)
     group_by: str = None
     workers: int = 1
     output_dir: str = None
@@ -84,30 +82,24 @@ class AtlasManifest:
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise ValueError(f"{name} must be a string, got {value!r}")
-        for name, minimum in (("workers", 1), ("min_island_voxels", 0),
-                              ("levelset_iters", 0)):
-            setattr(self, name, integer(name, getattr(self, name), minimum))
-        for name in ("crop_margin_mm", "levelset_step"):
-            setattr(self, name, real(name, getattr(self, name)))
+        self.workers = integer("workers", self.workers, 1)
+        self.crop_margin_mm = real("crop_margin_mm", self.crop_margin_mm)
         if self.crop_margin_mm < 0:
             raise ValueError(
                 f"crop_margin_mm must be >= 0, got {self.crop_margin_mm}")
-        if self.levelset_step <= 0:
-            raise ValueError(
-                f"levelset_step must be > 0, got {self.levelset_step}")
         for v in self.vertebrae:
             if self.group_by is not None and self.group_by not in v.tags:
                 raise ValueError(f"group_by tag {self.group_by!r} missing "
                                  f"on vertebra {v.vertebra_id}")
 
 
-# optional manifest keys, each an AtlasManifest field of the same name;
-# the dataclasses check the values
+# optional manifest keys, each an AtlasManifest field of the same name
+# (a stage's section: its config); the dataclasses check the values
 _TOP_LEVEL_KEYS = {"mode", "leave_one_out", "crop_margin_mm", "group_by",
                    "workers", "output_dir"}
-_DOC_KEYS = {"target", "atlases", "registration", "fusion", "collision",
-             "postprocess", *_TOP_LEVEL_KEYS}
-_POSTPROCESS_KEYS = {"min_island_voxels", "levelset_iters", "levelset_step"}
+_SECTIONS = {"registration": RegistrationConfig, "fusion": FusionConfig,
+             "collision": CollisionPolicy, "postprocess": PostprocessConfig}
+_DOC_KEYS = {"target", "atlases", *_SECTIONS, *_TOP_LEVEL_KEYS}
 
 
 def _expect(value, kind, where):
@@ -125,6 +117,22 @@ def _required(section, key, where):
     if key not in _expect(section, dict, where):
         raise ValueError(f"{where}: missing key {key!r}")
     return section[key]
+
+
+def _known(section, keys, where):
+    """section, a JSON object whose keys are all in keys, or a ValueError."""
+    for key in _expect(section, dict, where):
+        if key not in keys:
+            raise ValueError(f"unknown {where} key {key!r}")
+    return section
+
+
+def _section(cls, section, where):
+    """The config cls from its manifest section, and a nested one likewise."""
+    types = {f.name: f.type for f in fields(cls)}
+    return cls(**{key: _section(types[key], value, f"{where} {key}")
+                  if is_dataclass(types[key]) else value
+                  for key, value in _known(section, types, where).items()})
 
 
 def _new_id(value, where, seen):
@@ -148,14 +156,11 @@ def load_manifest(path):
     with open(path) as f:
         doc = json.load(f)
     tgt = _required(doc, "target", "manifest")
-    reg, fusion, collision, post = (
-        _expect(doc.get(key, {}), dict, key)
-        for key in ("registration", "fusion", "collision", "postprocess"))
-    for where, section, known in (("top-level", doc, _DOC_KEYS),
-                                  ("postprocess", post, _POSTPROCESS_KEYS)):
-        for key in section:
-            if key not in known:
-                raise ValueError(f"unknown {where} key {key!r}")
+    _known(doc, _DOC_KEYS, "top-level")
+    # only the keys the document has: the dataclasses hold every default
+    optional = {key: doc[key] for key in _TOP_LEVEL_KEYS if key in doc}
+    optional.update((key, _section(cls, doc.get(key, {}), key))
+                    for key, cls in _SECTIONS.items())
 
     vertebrae, vertebra_ids = [], {}
     for i, v in enumerate(_expect(_required(tgt, "vertebrae", "target"),
@@ -193,15 +198,6 @@ def load_manifest(path):
             order=[_new_id(vid, f"{where} order[{j}]", order_ids)
                    for j, vid in enumerate(order)]))
 
-    reg_kwargs = dict(reg)
-    if "window" in reg_kwargs:
-        reg_kwargs["window"] = IntensityWindow(**_expect(
-            reg_kwargs["window"], dict, "registration window"))
-
-    # only the keys the document has: every default lives on AtlasManifest
-    optional = {key: doc[key] for key in _TOP_LEVEL_KEYS if key in doc}
-    optional.update(post)
-
     return AtlasManifest(
         target_image_path=resolve(_required(tgt, "image", "target")),
         target_case_id=_new_id(tgt.get("case_id", "target"),
@@ -210,9 +206,6 @@ def load_manifest(path):
         atlases=atlases,
         target_labels_path=(resolve(tgt["labels"])
                             if tgt.get("labels") else None),
-        registration=RegistrationConfig(**reg_kwargs),
-        fusion=FusionConfig(**fusion),
-        collision=CollisionPolicy(**collision),
         **optional,
     )
 
@@ -292,6 +285,13 @@ def _box_start(target_box, atlas_box):
     scale = np.maximum((ahi - alo) / (thi - tlo), 1.0)
     return AffineTransform(np.diag(scale),
                            0.5 * (alo + ahi) - scale * (0.5 * (tlo + thi)))
+
+
+def _read_atlas(entry):
+    """(image, labels, label_boxes of labels) of an atlas entry."""
+    image = nifti.read_volume(entry.image_path, "scalar")
+    labels = nifti.read_volume(entry.labels_path, "label")
+    return image, labels, label_boxes(labels.data)
 
 
 def _pair_job(target_geometry, vert, tcrop, atlas_entry, bundle_ids,
@@ -375,13 +375,7 @@ def run_pipeline(manifest):
                              f"not the target image grid "
                              f"{target_img.geometry}")
 
-    atlas_cache = {}  # case id -> (image, labels, label_boxes of labels)
-    for a in manifest.atlases:
-        if a.case_id not in atlas_cache:
-            image = nifti.read_volume(a.image_path, "scalar")
-            labels = nifti.read_volume(a.labels_path, "label")
-            atlas_cache[a.case_id] = (image, labels,
-                                      label_boxes(labels.data))
+    atlas_cache = {a.case_id: _read_atlas(a) for a in manifest.atlases}
 
     margin = _margin_voxels(target_img.geometry, manifest.crop_margin_mm)
     plan = []  # (vertebra, target crop, [(atlas entry, bundle ids)])
@@ -398,6 +392,7 @@ def run_pipeline(manifest):
                 jobs.append(_pair_job(target_img.geometry, vert, tcrop,
                                       entry, ids, manifest, atlas_cache))
         plan.append((vert, tcrop, eligible))
+    del atlas_cache  # the jobs hold the crops they need
 
     timing = []
     per_vertebra = {}
@@ -422,10 +417,8 @@ def run_pipeline(manifest):
             with _stage("fusion", vert):
                 fused = fuse(tcrop, registered, manifest.fusion)
             with _stage("postprocess", vert):
-                refined = refine_labels(
-                    fused.consensus, tcrop, manifest.min_island_voxels,
-                    iters=manifest.levelset_iters,
-                    step=manifest.levelset_step).get(vert.label)
+                refined = refine_labels(fused.consensus, tcrop,
+                                        manifest.postprocess).get(vert.label)
                 if refined is None or not refined.data.any():
                     raise ValueError("empty mask after cleanup and level set")
             per_vertebra[vert.vertebra_id] = VertebraResult(

@@ -2,9 +2,9 @@
 collision resolution between vertebrae by a linear score, and level-set
 boundary refinement driven by the intensity Laplacian.
 
-`refine_labels` and `separate_labels` chain these steps; `vertseg
-refine` and the pipeline both post-process through them, and hand on
-each label's mask as its band crop.
+`refine_labels` (settings: `PostprocessConfig`) and `separate_labels`
+(`CollisionPolicy`) chain these steps; `vertseg refine` and the pipeline
+both post-process through them, and hand on each mask as its band crop.
 """
 
 from dataclasses import dataclass
@@ -12,17 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .checks import real
+from .checks import integer, real
 from .volume import (BoundingBox, GridGeometry, LabelVolume,
                      bounding_box_of, crop, label_boxes)
 
 _CONN26 = np.ones((3, 3, 3), dtype=bool)
 _CURVATURE_WEIGHT = 0.2
 _SMOOTH_SIGMA = 1.0
-# post-processing defaults, also the manifest's (`AtlasManifest`)
-MIN_ISLAND_VOXELS = 50
-LEVELSET_ITERS = 10
-LEVELSET_STEP = 0.25
 
 
 @dataclass
@@ -42,6 +38,23 @@ class CollisionPolicy:
             setattr(self, name, real(name, getattr(self, name)))
         if self.w_intensity == 0.0 and self.w_distance == 0.0:
             raise ValueError("at least one collision weight must be nonzero")
+
+
+@dataclass
+class PostprocessConfig:
+    """Settings of `refine_labels`, and the one check of each value; its
+    defaults are also `morph_cleanup`'s and `levelset_refine`'s."""
+
+    min_island_voxels: int = 50
+    levelset_iters: int = 10
+    levelset_step: float = 0.25  # voxels per iteration
+
+    def __post_init__(self):
+        for name in ("min_island_voxels", "levelset_iters"):
+            setattr(self, name, integer(name, getattr(self, name), 0))
+        step = self.levelset_step = real("levelset_step", self.levelset_step)
+        if step <= 0:
+            raise ValueError(f"levelset_step must be > 0, got {step}")
 
 
 def _on_intensity_grid(mask, grid):
@@ -93,7 +106,7 @@ def instance_from_mask(label, mask, intensity):
                             float(intensity.data[sl][m].mean()))
 
 
-def morph_cleanup(lbl, min_island_voxels=MIN_ISLAND_VOXELS):
+def morph_cleanup(lbl, min_island_voxels=PostprocessConfig.min_island_voxels):
     """Remove small 26-connected islands (keeping only each label's
     largest component) and fill 6-connected cavities fully enclosed by a
     single label. Idempotent.
@@ -105,8 +118,7 @@ def morph_cleanup(lbl, min_island_voxels=MIN_ISLAND_VOXELS):
     in any box holding it, and every cavity lies inside the union box (a
     background voxel beyond it on some axis reaches the volume face along
     that axis through background)."""
-    if min_island_voxels < 0:
-        raise ValueError("min_island_voxels must be >= 0")
+    PostprocessConfig(min_island_voxels=min_island_voxels)  # the check
     data = lbl.data.copy()
     boxes = list(label_boxes(data).items())
     for lv, sl in boxes:
@@ -316,8 +328,9 @@ def _evolve(m, speed, iters, step, curvature_weight):
     return np.where(band, phi < 0.0, m)
 
 
-def levelset_refine(mask, intensity, iters=LEVELSET_ITERS,
-                    step=LEVELSET_STEP, curvature_weight=_CURVATURE_WEIGHT,
+def levelset_refine(mask, intensity, iters=PostprocessConfig.levelset_iters,
+                    step=PostprocessConfig.levelset_step,
+                    curvature_weight=_CURVATURE_WEIGHT,
                     smooth_sigma=_SMOOTH_SIGMA):
     """Evolve the mask boundary toward intensity edges.
 
@@ -341,10 +354,7 @@ def levelset_refine(mask, intensity, iters=LEVELSET_ITERS,
     crop, as outside the band, the mask is kept. A crop thinner than 2
     voxels along an axis is refused with a ValueError.
     """
-    if iters < 0:
-        raise ValueError("iters must be >= 0")
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
+    PostprocessConfig(levelset_iters=iters, levelset_step=step)  # the checks
     geom = mask.geometry if isinstance(mask, LabelVolume) else None
     m = _on_intensity_grid(mask, intensity.geometry) != 0
     out = m.astype(np.int32)
@@ -355,22 +365,20 @@ def levelset_refine(mask, intensity, iters=LEVELSET_ITERS,
     return LabelVolume(geom, out) if geom is not None else out
 
 
-def refine_labels(lbl, intensity, min_island_voxels=MIN_ISLAND_VOXELS,
-                  iters=LEVELSET_ITERS, step=LEVELSET_STEP):
+def refine_labels(lbl, intensity, cfg=None):
     """Clean up a label volume, then refine each label's binary mask by
-    the level set. Returns {label: 0/1 LabelVolume on the label's band
-    crop}, in label order; a label that cleanup removes entirely is absent.
-    Placed on the grid, each equals `levelset_refine` of the cleaned label
-    at its default curvature weight and smoothing; the speed field is
-    computed once, not per label. The labels must lie on the intensity
-    grid.
+    the level set, with cfg's settings (None: `PostprocessConfig()`).
+    Returns {label: 0/1 LabelVolume on the label's band crop}, in label
+    order; a label that cleanup removes entirely is absent. Placed on the
+    grid, each equals `levelset_refine` of the cleaned label at cfg's
+    iterations and step and the default curvature weight and smoothing;
+    the speed field is computed once, not per label. The labels must lie
+    on the intensity grid.
     """
-    if iters < 0:
-        raise ValueError("iters must be >= 0")
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
+    cfg = cfg or PostprocessConfig()
+    iters, step = cfg.levelset_iters, cfg.levelset_step
     _on_intensity_grid(lbl, intensity.geometry)
-    cleaned = morph_cleanup(lbl, min_island_voxels)
+    cleaned = morph_cleanup(lbl, cfg.min_island_voxels)
     speed = _speed_field(intensity, _SMOOTH_SIGMA) if iters else None
     refined = {}
     for lv, box in label_boxes(cleaned.data).items():

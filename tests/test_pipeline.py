@@ -29,8 +29,10 @@ from vertseg.pipeline import (AtlasEntry, AtlasManifest, VertebraEntry,
                               _box_start, _bundle_ids, _eligible_atlases,
                               _margin_voxels, _world_box, load_manifest,
                               run_pipeline)
-from vertseg.postprocess import (levelset_refine, morph_cleanup,
-                                 refine_labels, separate_labels)
+from vertseg.postprocess import (CollisionPolicy, PostprocessConfig,
+                                 levelset_refine, morph_cleanup,
+                                 separate_labels)
+from vertseg.similarity import IntensityWindow
 from vertseg.transform import AffineTransform, ComposedTransform, affine_apply
 from vertseg.volume import (BoundingBox, GridGeometry, LabelVolume,
                             ScalarVolume, bounding_box_of, crop)
@@ -100,8 +102,8 @@ def test_load_manifest_parses_fields(tmp_path):
     assert m.atlases[0].vertebra_labels == {"V1": 1, "V2": 2, "V3": 3}
     assert m.registration.control_spacing_mm == 8.0
     assert m.fusion.patch_radius == 1
-    assert m.min_island_voxels == 20
-    assert m.levelset_iters == 3
+    assert m.postprocess == PostprocessConfig(min_island_voxels=20,
+                                              levelset_iters=3)
     assert m.group_by == "state"
 
 
@@ -677,6 +679,7 @@ def test_load_manifest_minimal_document_takes_dataclass_defaults(tmp_path):
     m = load_manifest(_write_doc(tmp_path, _minimal_doc()))
     assert m.target_case_id == "target"
     assert m.target_labels_path is None
+    assert m.postprocess == PostprocessConfig()
     for f in dataclasses.fields(AtlasManifest):
         if f.default is not dataclasses.MISSING:
             assert getattr(m, f.name) == f.default, f.name
@@ -689,10 +692,65 @@ def test_load_manifest_minimal_document_takes_dataclass_defaults(tmp_path):
     assert load_manifest(_write_doc(tmp_path, empty)) == m
 
 
-def test_load_manifest_rejects_unknown_postprocess_key(tmp_path):
-    doc = dict(_minimal_doc(), postprocess={"levelset_iter": 0})
-    with pytest.raises(ValueError, match="levelset_iter"):
+@pytest.mark.parametrize("section, key, message", [
+    ("", "crop_margin", "unknown top-level key 'crop_margin'"),
+    ("registration", "alpha_", "unknown registration key 'alpha_'"),
+    ("registration.window", "bin",
+     "unknown registration window key 'bin'"),
+    ("fusion", "patch_radiuss", "unknown fusion key 'patch_radiuss'"),
+    ("collision", "w_intensities",
+     "unknown collision key 'w_intensities'"),
+    ("postprocess", "levelset_iter",
+     "unknown postprocess key 'levelset_iter'"),
+], ids=["top-level", "registration", "registration.window", "fusion",
+        "collision", "postprocess"])
+def test_load_manifest_rejects_unknown_section_key(
+        tmp_path, section, key, message):
+    doc = _minimal_doc()
+    node = doc
+    for name in filter(None, section.split(".")):
+        node = node.setdefault(name, {})
+    node[key] = 0
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_manifest(_write_doc(tmp_path, doc))
+
+
+# a value other than the default for every field of every stage config
+_SECTION_VALUES = {
+    "registration": {"alpha": 0.01, "pyramid_levels": 2,
+                     "control_spacing_mm": 6.0, "max_iters_per_level": 7,
+                     "step_tolerance": 0.002, "objective_tolerance": 1e-5,
+                     "max_sample_voxels": 1000,
+                     "window": {"lo": -500.0, "hi": 900.0, "bins": 32}},
+    "fusion": {"patch_radius": 1, "search_radius": 2, "beta": 1.5,
+               "epsilon": 0.2},
+    "collision": {"w_intensity": 0.5, "w_distance": 2.0},
+    "postprocess": {"min_island_voxels": 7, "levelset_iters": 4,
+                    "levelset_step": 0.5},
+}
+
+
+def _non_default(cls, values):
+    """cls(**values), after checking that values sets every field of cls
+    to a value other than its default."""
+    assert set(values) == {f.name for f in dataclasses.fields(cls)}, cls
+    for name, value in values.items():
+        assert getattr(cls(), name) != value, (cls, name)
+    return cls(**values)
+
+
+def test_load_manifest_hands_every_config_field_to_its_stage(tmp_path):
+    m = load_manifest(_write_doc(tmp_path,
+                                 dict(_minimal_doc(), **_SECTION_VALUES)))
+    window = _non_default(IntensityWindow,
+                          _SECTION_VALUES["registration"]["window"])
+    assert m.registration == _non_default(RegistrationConfig, dict(
+        _SECTION_VALUES["registration"], window=window))
+    for section, cls in (("fusion", FusionConfig),
+                         ("collision", CollisionPolicy),
+                         ("postprocess", PostprocessConfig)):
+        assert getattr(m, section) == _non_default(
+            cls, _SECTION_VALUES[section]), section
 
 
 def _drop(path):
@@ -901,9 +959,7 @@ def test_cli_defaults_are_the_config_defaults():
     assert _config(FusionConfig, args) == FusionConfig()
     args = parser.parse_args(["refine", "--labels", "l.nii", "--intensity",
                               "t.nii", "--output", "o.nii"])
-    defaults = {f.name: f.default for f in dataclasses.fields(AtlasManifest)}
-    for name in ("min_island_voxels", "levelset_iters", "levelset_step"):
-        assert getattr(args, name) == defaults[name], name
+    assert _config(PostprocessConfig, args) == PostprocessConfig()
     args = parser.parse_args(["phantom", "--output", "ph"])
     assert _config(PhantomSpec, args) == PhantomSpec()
 
@@ -989,14 +1045,11 @@ def test_postprocess_and_phantom_defaults_are_the_config_defaults():
                 for name, p in inspect.signature(fn).parameters.items()
                 if p.default is not p.empty}
 
-    manifest = {f.name: f.default for f in dataclasses.fields(AtlasManifest)}
+    config = PostprocessConfig()
     assert defaults(morph_cleanup)["min_island_voxels"] \
-        == manifest["min_island_voxels"]
-    refine = defaults(refine_labels)
-    assert refine["min_island_voxels"] == manifest["min_island_voxels"]
-    for fn in (refine_labels, levelset_refine):
-        assert defaults(fn)["iters"] == manifest["levelset_iters"]
-        assert defaults(fn)["step"] == manifest["levelset_step"]
+        == config.min_island_voxels
+    assert defaults(levelset_refine)["iters"] == config.levelset_iters
+    assert defaults(levelset_refine)["step"] == config.levelset_step
     args = build_parser().parse_args(["phantom", "--output", "ph",
                                       "--deform", "smooth_ffd"])
     assert args.magnitude == defaults(deform_phantom)["magnitude"]

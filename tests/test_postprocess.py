@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from vertseg.metrics import dice
-from vertseg.postprocess import (CollisionPolicy, VertebraInstance,
-                                 _evolve, _initial_level_set, _speed_field,
+from vertseg.postprocess import (CollisionPolicy, PostprocessConfig,
+                                 VertebraInstance, _evolve,
+                                 _initial_level_set, _speed_field,
                                  instance_from_mask,
                                  levelset_refine, morph_cleanup,
                                  refine_labels, resolve_collisions,
@@ -217,7 +218,8 @@ def test_refine_and_separate_labels_chain_the_steps():
         np.where(data > 0, 100.0 * data, 0.0)
         + rng.normal(0.0, 5.0, data.shape), 1.0))
 
-    masks = refine_labels(lbl, intensity, min_island_voxels=5, iters=3)
+    masks = refine_labels(lbl, intensity, PostprocessConfig(
+        min_island_voxels=5, levelset_iters=3))
     assert list(masks) == [1, 2]
     cleaned = morph_cleanup(lbl, 5)
     placed = {lv: _place(m, lbl.geometry) for lv, m in masks.items()}
@@ -443,7 +445,8 @@ def test_levelset_rejects_a_crop_thinner_than_2_voxels(axis):
     with pytest.raises(ValueError, match=message):
         levelset_refine(mask, intensity, iters=1)
     with pytest.raises(ValueError, match=message):
-        refine_labels(mask, intensity, min_island_voxels=0, iters=1)
+        refine_labels(mask, intensity, PostprocessConfig(
+            min_island_voxels=0, levelset_iters=1))
     # without iterations there is no level set to evolve
     assert np.array_equal(levelset_refine(mask, intensity, iters=0).data,
                           mask.data)
@@ -473,7 +476,8 @@ def test_refine_labels_equals_per_label_levelset_refine():
     lbl = LabelVolume(g, data)
     intensity = ScalarVolume(g, ndimage.gaussian_filter(
         np.where(data > 0, 80.0 * data, 0.0), 1.0))
-    masks = refine_labels(lbl, intensity, min_island_voxels=5, iters=10)
+    masks = refine_labels(lbl, intensity, PostprocessConfig(
+        min_island_voxels=5, levelset_iters=10))
     assert list(masks) == [1, 2, 3, 4]
     for lv, mask in masks.items():
         single = LabelVolume(g, (data == lv).astype(np.int32))
@@ -483,8 +487,8 @@ def test_refine_labels_equals_per_label_levelset_refine():
         assert np.array_equal(placed, expect.data)
         assert np.array_equal(
             placed, _full_grid_levelset(data == lv, intensity, 10, 0.25))
-    with pytest.raises(ValueError):
-        refine_labels(lbl, intensity, iters=-1)
+    with pytest.raises(ValueError, match="levelset_iters must be >= 0"):
+        PostprocessConfig(levelset_iters=-1)
 
 
 def _full_grid_morph_cleanup(lbl, min_island_voxels):
@@ -577,8 +581,8 @@ def test_levelset_rejects_nonpositive_step(step):
     mask = LabelVolume(g, np.ones((8, 8, 8), dtype=np.int32))
     with pytest.raises(ValueError, match="step"):
         levelset_refine(mask, intensity, iters=10, step=step)
-    with pytest.raises(ValueError, match="step"):
-        refine_labels(mask, intensity, iters=10, step=step)
+    with pytest.raises(ValueError, match="levelset_step must be > 0"):
+        PostprocessConfig(levelset_step=step)
 
 
 def test_refinement_rejects_intensity_on_another_grid():
@@ -587,7 +591,7 @@ def test_refinement_rejects_intensity_on_another_grid():
     lbl = LabelVolume(_geom((20, 20, 20)), data)
     intensity = ScalarVolume(_geom((30, 30, 30)), np.zeros((30, 30, 30)))
     with pytest.raises(ValueError, match="intensity grid"):
-        refine_labels(lbl, intensity)
+        refine_labels(lbl, intensity, PostprocessConfig())
     with pytest.raises(ValueError, match="intensity grid"):
         levelset_refine(lbl, intensity)
     # a mask whose grid is not a crop of the intensity grid: an origin
@@ -642,7 +646,8 @@ def test_refine_labels_returns_band_crops_on_random_labels(
                     0).astype(np.int32)
     lbl = _lbl(data)
     intensity = _noise_intensity(lbl.geometry, seed)
-    masks = refine_labels(lbl, intensity, min_island, iters=iters)
+    masks = refine_labels(lbl, intensity, PostprocessConfig(
+        min_island_voxels=min_island, levelset_iters=iters))
     cleaned = morph_cleanup(lbl, min_island)
     assert list(masks) == cleaned.labels()
     for lv, mask in masks.items():

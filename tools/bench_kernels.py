@@ -138,7 +138,7 @@ def run(n_points, repeats):
                                 _searched_errors, dependency_matrix, fuse)
     from vertseg.metrics import evaluate_labels
     from vertseg.phantom import PhantomSpec, deform_phantom, make_phantom
-    from vertseg.postprocess import (LEVELSET_STEP, _initial_level_set,
+    from vertseg.postprocess import (PostprocessConfig, _initial_level_set,
                                      _placement, morph_cleanup,
                                      refine_labels, separate_labels)
     from vertseg.similarity import (NmiObjective, SplineImage,
@@ -218,14 +218,16 @@ def run(n_points, repeats):
     ct, labels, _ = make_phantom(phantom_spec)
     _, deformed, _ = deform_phantom(ct, labels, seed=1)
     vertebrae = [(f"V{lv}", lv, {}) for lv in labels.labels()]
-    refined = refine_labels(labels, ct, iters=LEVELSET_ITERS)
+    post = PostprocessConfig(levelset_iters=LEVELSET_ITERS)
+    refined = refine_labels(labels, ct, post)
     # each label's band crop, and the band that its level set evolves
     cleaned = morph_cleanup(labels)
     band_voxels = 0
     for lv, m in refined.items():
         sl, _ = _placement(m, ct)
         band_voxels += int(_initial_level_set(
-            cleaned.data[sl] == lv, LEVELSET_ITERS, LEVELSET_STEP)[1].sum())
+            cleaned.data[sl] == lv, post.levelset_iters,
+            post.levelset_step)[1].sum())
     # each band crop's mask dilated inside its crop, so that neighbours
     # claim common voxels and the collision scores decide them
     dilated = [(lv, LabelVolume(m.geometry, ndimage.binary_dilation(
@@ -256,8 +258,7 @@ def run(n_points, repeats):
                                                  fuse_cfg, error_box),
         "dependency_matrix": lambda: dependency_matrix(
             fuse_errors, fuse_active, p, fuse_cfg.beta, fuse_cfg.epsilon),
-        "refine_labels": lambda: refine_labels(labels, ct,
-                                               iters=LEVELSET_ITERS),
+        "refine_labels": lambda: refine_labels(labels, ct, post),
         "separate_labels": lambda: separate_labels(refined.items(), ct),
         "separate_labels_contested": lambda: separate_labels(dilated, ct),
         "make_phantom": lambda: make_phantom(phantom_spec),
