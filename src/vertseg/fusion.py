@@ -35,6 +35,8 @@ from scipy import ndimage
 from .checks import integer, real
 from .volume import LabelVolume, grow_box
 
+_GATHER_VOXELS = 4096  # active voxels per `dependency_matrix` gather block
+
 
 @dataclass
 class RegisteredAtlas:
@@ -137,8 +139,12 @@ def dependency_matrix(errs, active, patch_radius, beta, epsilon):
     rows /= (2 * p + 1) ** 3
     np.power(rows, beta, out=rows)
     rows[np.diag(pair)] += epsilon
+    # each (i, j)'s row into m, _GATHER_VOXELS voxels at a time: the
+    # gathered (n, n, chunk) block stays small and in cache
     m = np.empty((len(at), n, n))
-    np.copyto(m.transpose(1, 2, 0), rows[pair])
+    for start in range(0, len(at), _GATHER_VOXELS):
+        chunk = slice(start, start + _GATHER_VOXELS)
+        np.copyto(m[chunk].transpose(1, 2, 0), rows[:, chunk][pair])
     return m
 
 
@@ -277,12 +283,15 @@ def _weighted_vote(atlases, weights_at):
     is 0 with probability 1. Per-label scores are accumulated in label
     order, and the strict argmax breaks ties toward the lower label."""
     geom = atlases[0].warped_labels.geometry
-    labels_data = np.stack([a.warped_labels.data for a in atlases], axis=-1)
-    active = np.any(labels_data != 0, axis=-1)
+    data = [a.warped_labels.data for a in atlases]
+    active = data[0] != 0
+    for d in data[1:]:
+        active |= d != 0
     out = np.zeros(geom.dims, dtype=np.int32)
     prob = np.ones(geom.dims)
     if np.any(active):
-        labels_stack = labels_data[active]
+        # (n_active, n_atlases), gathered atlas by atlas: no full-grid stack
+        labels_stack = np.stack([d[active] for d in data], axis=-1)
         weights = weights_at(active)
         best_label = np.zeros(weights.shape[0], dtype=np.int32)
         best_score = np.full(weights.shape[0], -np.inf)

@@ -4,6 +4,12 @@ Supports exactly what the pipeline needs: 3D int16 scalar volumes and
 uint8 label volumes, little-endian, axis-aligned geometry. Files carrying
 a rotation (non-diagonal sform/qform) or a non-finite header float that
 the reader uses are rejected.
+
+Scalar volumes are read as float64, scaled by `scl_slope`/`scl_inter`.
+Label volumes are read as int32: an integer-coded file without scaling
+goes straight from its integers to int32, with no float64 copy, and a
+float-coded or scaled one is rounded to the nearest integer first. The
+values, the dtype and the memory order are the same either way.
 """
 
 import gzip
@@ -106,9 +112,13 @@ def read_volume(path, kind="scalar"):
             f"{path}: image data truncated: {max(len(raw) - offset, 0)} "
             f"bytes after vox_offset {offset}, {count * dt.itemsize} needed "
             f"for {dims} voxels of {dt.name}")
-    data = np.frombuffer(raw, dtype=dt, count=count,
-                         offset=offset).astype(np.float64)
-    if scl_slope not in (0.0, 1.0) or scl_inter != 0.0:
+    data = np.frombuffer(raw, dtype=dt, count=count, offset=offset)
+    scaled = scl_slope not in (0.0, 1.0) or scl_inter != 0.0
+    # unscaled integer labels stay integers: no float copy, no rounding
+    exact = kind == "label" and dt.kind in "iu" and not scaled
+    if not exact:
+        data = data.astype(np.float64)
+    if scaled:
         slope = scl_slope if scl_slope != 0.0 else 1.0
         data = data * slope + scl_inter
     # NIfTI data is x-fastest; our arrays are indexed (x, y, z) C-order
@@ -117,10 +127,13 @@ def read_volume(path, kind="scalar"):
         lo, hi = data.min(), data.max()
         if not -2 ** 31 <= lo <= hi < 2 ** 31 - 1:  # NaN fails this too
             raise ValueError(f"{path}: label values outside the int32 range")
+        if not exact:
+            data = np.round(data)
     try:
         geom = GridGeometry(dims=dims, spacing=spacing, origin=origin)
         if kind == "label":
-            return LabelVolume(geom, np.round(data).astype(np.int32))
+            # astype keeps the transposed view's Fortran order
+            return LabelVolume(geom, data.astype(np.int32))
         return ScalarVolume(geom, data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

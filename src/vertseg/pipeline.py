@@ -7,6 +7,7 @@ Each (vertebra, atlas) registration is one pair job, and each vertebra
 is fused as soon as its own pairs are done (see `run_pipeline`).
 """
 
+import collections
 import itertools
 import json
 import os
@@ -363,6 +364,7 @@ def run_pipeline(manifest):
     without its bundle labels, fails here, before any registration.
     Register: at one worker each job runs in this thread when its result
     is read; with more, a pool of `manifest.workers` threads runs them.
+    A job is dropped once it has run, and its atlas crops with it.
     Fold: results are read in plan order, and each vertebra is fused and
     refined (its mask: the band crop `refine_labels` returns) as soon as
     its last pair is in. So outputs do not depend on the worker count."""
@@ -379,7 +381,7 @@ def run_pipeline(manifest):
 
     margin = _margin_voxels(target_img.geometry, manifest.crop_margin_mm)
     plan = []  # (vertebra, target crop, [(atlas entry, bundle ids)])
-    jobs = []  # one per pair, in plan order
+    jobs = collections.deque()  # one per pair, in plan order
     for vert in manifest.vertebrae:
         eligible = _eligible_atlases(manifest, vert)
         if not eligible:
@@ -393,6 +395,9 @@ def run_pipeline(manifest):
                                       entry, ids, manifest, atlas_cache))
         plan.append((vert, tcrop, eligible))
     del atlas_cache  # the jobs hold the crops they need
+    # each job leaves the queue as it is handed out, so that its atlas
+    # crops are freed once its registration has run
+    pending = (jobs.popleft() for _ in range(len(jobs)))
 
     timing = []
     per_vertebra = {}
@@ -400,8 +405,9 @@ def run_pipeline(manifest):
     pool = (ThreadPoolExecutor(max_workers=manifest.workers)
             if manifest.workers > 1 else None)
     try:
-        results = (pool.map(_register_one, *zip(*jobs)) if pool is not None
-                   else itertools.starmap(_register_one, jobs))
+        results = (pool.map(_register_one, *zip(*pending))
+                   if pool is not None
+                   else itertools.starmap(_register_one, pending))
         for vert, tcrop, eligible in plan:
             registered, transforms = [], []
             for entry, ids in eligible:

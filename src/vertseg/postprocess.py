@@ -14,11 +14,12 @@ from scipy import ndimage
 
 from .checks import integer, real
 from .volume import (BoundingBox, GridGeometry, LabelVolume,
-                     bounding_box_of, crop, label_boxes)
+                     bounding_box_of, crop, label_boxes, union_box)
 
 _CONN26 = np.ones((3, 3, 3), dtype=bool)
 _CURVATURE_WEIGHT = 0.2
 _SMOOTH_SIGMA = 1.0
+_SLAB_PLANES = 16  # axis-0 planes per slab of `_speed_field`'s Laplacian
 
 
 @dataclass
@@ -232,23 +233,48 @@ def resolve_collisions(per_vertebra_masks, intensity, instances, policy=None):
     return LabelVolume(geom, out)
 
 
-def _speed_field(intensity, smooth_sigma):
+def _speed_field(intensity, smooth_sigma, box=None):
     """Laplacian of the smoothed intensity, divided by its largest
-    magnitude: zero at edges, in [-1, 1]."""
+    magnitude over the whole grid: zero at edges, in [-1, 1]. Returned
+    on box (slices of the grid; None: the whole grid) only.
+
+    The Gaussian runs on the whole grid. The Laplacian is ndimage.laplace's
+    sum, axis 0 then 1 then 2, formed in slabs of `_SLAB_PLANES` axis-0
+    planes through two reused slab buffers; a slab reads one more plane
+    of the smoothed image on each side for its axis-0 differences.
+    correlate1d reads the same taps at every voxel, so each value has the
+    full-grid bits. Every slab is differentiated, because the scale reads
+    the whole grid's maximum, but only box's voxels are kept."""
     smoothed = ndimage.gaussian_filter(intensity.data, smooth_sigma)
-    # ndimage.laplace's sum, axis 0 then 1 then 2, through one reused
-    # buffer: three grid copies at most, where laplace takes four
-    lap = ndimage.correlate1d(smoothed, [1, -2, 1], 0, mode="reflect")
-    term = np.empty_like(lap)
-    for axis in (1, 2):
-        ndimage.correlate1d(smoothed, [1, -2, 1], axis, term, mode="reflect")
-        lap += term
-    scale = max(lap.max(), -lap.min())
+    n0, planes = smoothed.shape[0], min(_SLAB_PLANES, smoothed.shape[0])
+    box = box or tuple(slice(0, n) for n in smoothed.shape)
+    out = np.empty(tuple(s.stop - s.start for s in box))
+    lap_buf = np.empty((planes + 2,) + smoothed.shape[1:])
+    term_buf = np.empty((planes,) + smoothed.shape[1:])
+    hi, lo = -np.inf, np.inf
+    for start in range(0, n0, _SLAB_PLANES):
+        stop = min(start + _SLAB_PLANES, n0)
+        a, b = max(start - 1, 0), min(stop + 1, n0)
+        ndimage.correlate1d(smoothed[a:b], [1, -2, 1], 0, lap_buf[:b - a],
+                            mode="reflect")
+        lap = lap_buf[start - a:stop - a]
+        term = term_buf[:stop - start]
+        for axis in (1, 2):
+            ndimage.correlate1d(smoothed[start:stop], [1, -2, 1], axis, term,
+                                mode="reflect")
+            lap += term
+        # np.maximum/np.minimum carry a NaN through, as lap.max() does
+        hi, lo = np.maximum(hi, lap.max()), np.minimum(lo, lap.min())
+        keep = slice(max(start, box[0].start), min(stop, box[0].stop))
+        if keep.start < keep.stop:
+            out[keep.start - box[0].start:keep.stop - box[0].start] = \
+                lap[keep.start - start:keep.stop - start, box[1], box[2]]
+    scale = max(hi, -lo)
     if scale > 0:
-        lap /= scale
+        out /= scale
     else:
-        lap.fill(0.0)
-    return lap
+        out.fill(0.0)
+    return out
 
 
 def _band(box, iters, step, dims):
@@ -342,7 +368,8 @@ def levelset_refine(mask, intensity, iters=PostprocessConfig.levelset_iters,
     intensity grid.
 
     The work is done on the band crop (`_band`) of the mask's bounding
-    box, which is written into a copy of the mask. The result equals the
+    box, which is written into a copy of the mask; the speed field is
+    kept on that crop only (`_speed_field`). The result equals the
     full-grid evolution exactly. The crop holds the whole mask and a
     background layer around it (unless at a volume face), so both
     distance transforms match the full-grid ones inside it. The
@@ -360,7 +387,7 @@ def levelset_refine(mask, intensity, iters=PostprocessConfig.levelset_iters,
     out = m.astype(np.int32)
     if iters and m.any():
         sl = _band(bounding_box_of(m), iters, step, m.shape)
-        out[sl] = _evolve(m[sl], _speed_field(intensity, smooth_sigma)[sl],
+        out[sl] = _evolve(m[sl], _speed_field(intensity, smooth_sigma, sl),
                           iters, step, curvature_weight)
     return LabelVolume(geom, out) if geom is not None else out
 
@@ -371,22 +398,30 @@ def refine_labels(lbl, intensity, cfg=None):
     Returns {label: 0/1 LabelVolume on the label's band crop}, in label
     order; a label that cleanup removes entirely is absent. Placed on the
     grid, each equals `levelset_refine` of the cleaned label at cfg's
-    iterations and step and the default curvature weight and smoothing;
-    the speed field is computed once, not per label. The labels must lie
-    on the intensity grid.
+    iterations and step and the default curvature weight and smoothing.
+    The speed field is computed once, not per label, and kept only on the
+    union of the labels' band crops (`_speed_field`); each label's level
+    set reads its own crop of it. The labels must lie on the intensity
+    grid.
     """
     cfg = cfg or PostprocessConfig()
     iters, step = cfg.levelset_iters, cfg.levelset_step
     _on_intensity_grid(lbl, intensity.geometry)
     cleaned = morph_cleanup(lbl, cfg.min_island_voxels)
-    speed = _speed_field(intensity, _SMOOTH_SIGMA) if iters else None
+    bands = {lv: _band(BoundingBox.from_slices(box), iters, step,
+                       lbl.data.shape)
+             for lv, box in label_boxes(cleaned.data).items()}
+    if iters and bands:
+        union = union_box(list(bands.values()))
+        speed = _speed_field(intensity, _SMOOTH_SIGMA, union)
     refined = {}
-    for lv, box in label_boxes(cleaned.data).items():
-        sl = _band(BoundingBox.from_slices(box), iters, step, lbl.data.shape)
+    for lv, sl in bands.items():
         band = crop(cleaned, BoundingBox.from_slices(sl))
         m = band.data == lv
         if iters:
-            m = _evolve(m, speed[sl], iters, step, _CURVATURE_WEIGHT)
+            in_union = tuple(slice(s.start - u.start, s.stop - u.start)
+                             for s, u in zip(sl, union))
+            m = _evolve(m, speed[in_union], iters, step, _CURVATURE_WEIGHT)
         refined[lv] = LabelVolume(band.geometry, m.astype(np.int32))
     return refined
 

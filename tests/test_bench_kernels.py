@@ -30,6 +30,8 @@ def test_bench_kernels_writes_medians_and_environment(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == record
     assert set(record["median_s"]) == KERNELS
     assert all(t >= 0.0 for t in record["median_s"].values())
+    assert set(record["peak_mb_per_call"]) == KERNELS
+    assert all(mb > 0.0 for mb in record["peak_mb_per_call"].values())
     assert record["sizes"]["points"] == 300
     assert record["sizes"]["block_points"] == BLOCK_POINTS
     assert record["sizes"]["lattice_dims"] == [11, 12, 11]

@@ -6,6 +6,7 @@ patch loops and solves the weight system with an independent formula
 """
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -245,6 +246,28 @@ def test_fuse_config_rejects_negative_search_radius():
     # np.pad would fail on it only after every pair was registered
     with pytest.raises(ValueError, match="search_radius"):
         FusionConfig(search_radius=-1)
+
+
+def test_majority_vote_holds_less_than_an_atlas_label_stack():
+    # six atlases labelling a small block of a large grid: the vote holds
+    # its output grids, the active mask and the labels at active voxels,
+    # never the atlases' labels stacked on the whole grid
+    geom = GridGeometry((60, 60, 50), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    rng = np.random.default_rng(6)
+    atlases = []
+    for k in range(6):
+        data = np.zeros(geom.dims, dtype=np.int32)
+        data[20:32, 22:34, 15:27] = rng.integers(0, 3, (12, 12, 12))
+        atlases.append(RegisteredAtlas(ScalarVolume(geom, np.zeros(
+            geom.dims)), LabelVolume(geom, data), f"a{k}"))
+    stack_bytes = 6 * 4 * int(np.prod(geom.dims))
+    tracemalloc.start()
+    try:
+        majority_vote(atlases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes
 
 
 def test_majority_vote_counts_and_ties():

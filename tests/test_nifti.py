@@ -5,6 +5,7 @@ import os
 import re
 import struct
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertseg.nifti import read_volume, write_volume
+from vertseg.nifti import _DTYPES, HDR_SIZE, read_volume, write_volume
 from vertseg.volume import GridGeometry, LabelVolume, ScalarVolume
 
 
@@ -320,3 +321,109 @@ def test_read_of_a_corrupted_header_reads_or_raises_value_error(kind, edits):
                 read_volume(path, kind)
             except ValueError:
                 pass
+
+
+# the integer codes of `nifti._DTYPES`, and each type's largest label the
+# reader takes (int32's 2^31 - 1 is refused, as out of range)
+_INTEGER_CODES = {2: (np.uint8, 255), 256: (np.int8, 127),
+                  4: (np.int16, 32767), 512: (np.uint16, 65535),
+                  8: (np.int32, 2 ** 31 - 2)}
+
+
+def _coded_label_file(path, data, code, slope=1.0, inter=0.0):
+    """A label file of data (x, y, z) stored with NIfTI datatype code and
+    scl_slope/scl_inter, header otherwise as `write_volume` writes it."""
+    dtype = np.dtype(_DTYPES[code]).newbyteorder("<")
+    write_volume(path, LabelVolume(
+        GridGeometry(data.shape, (0.5, 0.75, 1.25), (-3.0, 2.0, 10.0)),
+        np.zeros(data.shape, dtype=np.int32)))
+    raw = bytearray(path.read_bytes()[:HDR_SIZE + 4])
+    struct.pack_into("<2h", raw, 70, code, dtype.itemsize * 8)
+    struct.pack_into("<2f", raw, 112, slope, inter)
+    path.write_bytes(bytes(raw)
+                     + data.astype(dtype).transpose(2, 1, 0).tobytes())
+
+
+def _float_and_round(path):
+    """The label data a file held when every label read went through
+    float64: scaled, rounded, then cast to int32."""
+    raw = path.read_bytes()
+    code = struct.unpack_from("<h", raw, 70)[0]
+    slope, inter = struct.unpack_from("<2f", raw, 112)
+    dims = struct.unpack_from("<3h", raw, 42)
+    data = np.frombuffer(raw, dtype=np.dtype(_DTYPES[code]).newbyteorder(
+        "<"), count=int(np.prod(dims)), offset=HDR_SIZE + 4)
+    data = data.astype(np.float64)
+    if slope not in (0.0, 1.0) or inter != 0.0:
+        data = data * (slope if slope != 0.0 else 1.0) + inter
+    data = data.reshape(dims[::-1]).transpose(2, 1, 0)
+    return np.round(data).astype(np.int32)
+
+
+def _assert_same_array(got, want):
+    assert got.dtype == want.dtype == np.int32
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("code", sorted(_INTEGER_CODES))
+def test_integer_label_read_is_the_float_and_round_read(tmp_path, code):
+    dtype, top = _INTEGER_CODES[code]
+    rng = np.random.default_rng(code)
+    data = rng.integers(0, top, (7, 6, 5), endpoint=True).astype(dtype)
+    data[0, 0, 0], data[-1, -1, -1] = 0, top
+    path = tmp_path / "lbl.nii"
+    _coded_label_file(path, data, code)
+    back = read_volume(path, "label")
+    _assert_same_array(back.data, _float_and_round(path))
+    assert np.array_equal(back.data, data)
+
+
+def test_int32_label_read_refuses_the_largest_int32(tmp_path):
+    path = tmp_path / "lbl.nii"
+    _coded_label_file(path, np.full((3, 4, 2), 2 ** 31 - 1), 8)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*int32"):
+        read_volume(path, "label")
+
+
+@pytest.mark.parametrize("code", [16, 64])
+def test_float_coded_label_files_are_rounded(tmp_path, code):
+    data = np.array([0.0, 0.4, 0.5, 0.6, 1.5, 2.5, 6.49, 6.51]
+                    ).reshape(2, 2, 2)
+    path = tmp_path / "lbl.nii"
+    _coded_label_file(path, data, code)
+    back = read_volume(path, "label")
+    _assert_same_array(back.data, _float_and_round(path))
+    # round half to even, as np.round does
+    assert back.data.ravel().tolist() == [0, 0, 0, 1, 2, 2, 6, 7]
+
+
+@pytest.mark.parametrize("slope, inter", [(0.5, 0.0), (1.0, 0.5),
+                                          (0.0, 1.0)])
+def test_scaled_integer_label_files_are_rounded(tmp_path, slope, inter):
+    data = np.arange(24, dtype=np.uint8).reshape(3, 4, 2)
+    path = tmp_path / "lbl.nii"
+    _coded_label_file(path, data, 2, slope, inter)
+    back = read_volume(path, "label")
+    _assert_same_array(back.data, _float_and_round(path))
+    assert np.array_equal(back.data, np.round(
+        data * (slope or 1.0) + inter).astype(np.int32))
+
+
+def test_uint8_label_read_holds_under_two_results(tmp_path):
+    # the file's bytes and the int32 result; a float64 copy, its rounded
+    # copy and the int32 cast held about five results' bytes
+    rng = np.random.default_rng(4)
+    data = rng.integers(0, 6, (64, 64, 48)).astype(np.uint8)
+    path = tmp_path / "lbl.nii"
+    _coded_label_file(path, data, 2)
+    tracemalloc.start()
+    try:
+        back = read_volume(path, "label")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.data.dtype == np.int32
+    assert peak < 2 * back.data.nbytes

@@ -4,6 +4,7 @@ run, and CLI subcommand smoke tests."""
 import cProfile
 import ctypes
 import dataclasses
+import gc
 import inspect
 import json
 import os
@@ -13,6 +14,7 @@ import re
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -542,6 +544,27 @@ def test_run_pipeline_registers_in_the_calling_thread_at_one_worker(
     assert "register_ffd" in {name for _file, _line, name
                               in pstats.Stats(profile).stats}
     assert threads == [threading.get_ident()] * 3
+
+
+def test_run_pipeline_frees_each_pair_jobs_crops_once_it_has_run(
+        tmp_path, monkeypatch):
+    # at one worker, when a pair registers, the atlas crops of every pair
+    # before it are gone
+    m = load_manifest(_quick_manifest(tmp_path, n_atlases=2))
+    assert m.workers == 1
+    register_one = pipeline._register_one
+    crops = []
+    held = []
+
+    def recording(*job):
+        gc.collect()
+        held.append(sum(ref() is not None for ref in crops))
+        crops.extend(weakref.ref(v) for v in job[1:3])
+        return register_one(*job)
+
+    monkeypatch.setattr("vertseg.pipeline._register_one", recording)
+    run_pipeline(m)
+    assert held == [0] * 6
 
 
 def _same_value(a, b):

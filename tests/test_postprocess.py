@@ -305,6 +305,55 @@ def test_speed_field_holds_three_grid_copies():
     assert peak < 3.25 * intensity.data.nbytes
 
 
+@settings(max_examples=80, deadline=None)
+@given(dims=st.tuples(st.integers(1, 40), st.integers(1, 9),
+                      st.integers(1, 9)),
+       corners=st.tuples(*[st.floats(0.0, 1.0)] * 6),
+       faces=st.lists(st.sampled_from([(axis, side) for axis in range(3)
+                                       for side in (0, 1)]),
+                      max_size=3, unique=True),
+       sigma=st.sampled_from([0.7, 1.0, 2.0]),
+       seed=st.integers(0, 2 ** 16))
+def test_speed_field_on_a_box_is_the_full_field_there_bit_for_bit(
+        dims, corners, faces, sigma, seed):
+    # axis 0 up to 40 planes crosses the Laplacian's 16-plane slab edges
+    lo = [int(c * (n - 1)) for c, n in zip(corners[:3], dims)]
+    hi = [lo[a] + 1 + int(c * (n - lo[a] - 1))
+          for a, (c, n) in enumerate(zip(corners[3:], dims))]
+    for axis, side in faces:
+        if side == 0:
+            lo[axis] = 0
+        else:
+            hi[axis] = dims[axis]
+    box = tuple(slice(a, b) for a, b in zip(lo, hi))
+    intensity = _noise_intensity(_geom(dims), seed)
+    lap = ndimage.laplace(ndimage.gaussian_filter(intensity.data, sigma))
+    scale = np.abs(lap).max()
+    full = _speed_field(intensity, sigma)
+    expect = lap / scale if scale > 0 else np.zeros(dims)
+    assert np.array_equal(full.view(np.int64), expect.view(np.int64))
+    got = _speed_field(intensity, sigma, box)
+    assert got.dtype == np.float64 and got.shape == full[box].shape
+    assert np.array_equal(got.view(np.int64), full[box].view(np.int64))
+    flat = ScalarVolume(intensity.geometry, np.full(dims, -310.0))
+    assert np.array_equal(_speed_field(flat, sigma, box),
+                          np.zeros(got.shape))
+
+
+def test_speed_field_on_an_eighth_holds_under_one_and_a_half_grids():
+    # the smoothed image, two 16-plane slab buffers of the Laplacian
+    # (0.21 of a grid at the refuse workload's 160 planes) and the box
+    intensity = _noise_intensity(_geom((160, 36, 30)), 11)
+    box = (slice(40, 120), slice(0, 18), slice(15, 30))  # 1/8 of the grid
+    tracemalloc.start()
+    try:
+        _speed_field(intensity, 1.0, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * intensity.data.nbytes
+
+
 def _assert_matches_oracle(m, intensity, iters, step=0.25, **kw):
     geom = intensity.geometry
     out = levelset_refine(LabelVolume(geom, m.astype(np.int32)), intensity,

@@ -6,10 +6,13 @@ at fixed sizes.
 Run from anywhere in a source checkout: the package is imported from
 `src/`. Times each kernel `--repeats` times, one call at a time, and
 writes the medians (seconds), the minor page faults and system CPU
-seconds per call (means over the repeats, from `getrusage`), the sizes
-(with `BLOCK_POINTS`, the per-point kernels' block size) and the
-environment (CPU count, Python/NumPy/SciPy versions, BLAS/OpenMP thread
-variables) to `.bench_out/BENCH_kernels.json`, or to `--out`. A kernel
+seconds per call (means over the repeats, from `getrusage`), the
+`tracemalloc` peak of one more call after the timed ones (in MB of
+2^20 bytes, as perfbench's `peak_rss_mb`; NumPy reports its arrays to
+`tracemalloc`), the sizes (with `BLOCK_POINTS`, the per-point
+kernels' block size) and the environment (CPU count, Python/NumPy/SciPy
+versions, BLAS/OpenMP thread variables) to
+`.bench_out/BENCH_kernels.json`, or to `--out`. A kernel
 that frees large temporaries can hand their pages back to the system and
 fault them in again on the next call; the fault and system-time columns
 show that cost next to the median. The kernels run with the malloc
@@ -83,6 +86,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, ".bench_out", "BENCH_kernels.json")
@@ -126,6 +130,16 @@ def measure(fn, repeats):
     return (statistics.median(times),
             (after.ru_minflt - before.ru_minflt) / repeats,
             (after.ru_stime - before.ru_stime) / repeats)
+
+
+def peak_mb(fn):
+    """tracemalloc's peak over one call of fn, in MB of 2^20 bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def run(n_points, repeats):
@@ -285,7 +299,7 @@ def run(n_points, repeats):
              "levelset_band_voxels": band_voxels,
              "contested_dilation": CONTESTED_DILATION,
              "contested_voxels": int((claims >= 2).sum())}
-    return sizes, {name: measure(fn, repeats)
+    return sizes, {name: measure(fn, repeats) + (peak_mb(fn),)
                    for name, fn in kernels.items()}
 
 
@@ -303,7 +317,7 @@ def main(argv=None):
     record = {"environment": environment(), "repeats": args.repeats,
               "sizes": sizes}
     for k, key in enumerate(("median_s", "minor_faults_per_call",
-                             "system_s_per_call")):
+                             "system_s_per_call", "peak_mb_per_call")):
         record[key] = {name: m[k] for name, m in measured.items()}
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w") as f:
