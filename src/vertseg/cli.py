@@ -189,17 +189,16 @@ def cmd_run(args):
     run = run_pipeline(manifest)
     nifti.write_volume(os.path.join(outdir, "final_labels.nii"),
                        run.final_labels)
-    for vid, res in run.per_vertebra.items():
-        for case_id, comp in res.transforms:
-            save_transform(os.path.join(
-                outdir, f"transform_{vid}_{case_id}.json"), comp)
-        nifti.write_volume(os.path.join(outdir, f"refined_{vid}.nii"),
-                           res.refined_mask)
     with open(os.path.join(outdir, "timing.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["vertebra", "atlas", "seconds"])
-        for vid, case_id, sec in run.timing:
-            w.writerow([vid, case_id, f"{sec:.2f}"])
+        for vid, res in run.per_vertebra.items():
+            for case_id, comp, sec in res.pairs:
+                save_transform(os.path.join(
+                    outdir, f"transform_{vid}_{case_id}.json"), comp)
+                w.writerow([vid, case_id, f"{sec:.2f}"])
+            nifti.write_volume(os.path.join(outdir, f"refined_{vid}.nii"),
+                               res.refined_mask)
     if run.rows is not None:
         _write_report(os.path.join(outdir, "report"), run.rows,
                       run.summaries)

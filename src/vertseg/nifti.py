@@ -96,6 +96,11 @@ def read_volume(path, kind="scalar"):
             if any(abs(q) > 1e-5 for q in quat[0:3]):
                 raise ValueError(
                     f"{path}: non-axis-aligned orientation rejected")
+            # qfac (pixdim[0]) -1 flips z; NIfTI-1 reads 0 as +1
+            _check_finite(path, "qfac (pixdim[0])", pixdim[:1])
+            if pixdim[0] < 0:
+                raise ValueError(f"{path}: flipped axes rejected (qfac "
+                                 f"{pixdim[0]:g})")
             origin = tuple(float(v) for v in quat[3:6])
 
     # a single-file NIfTI-1 keeps its image after the 348-byte header and

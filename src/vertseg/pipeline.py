@@ -213,18 +213,17 @@ def load_manifest(path):
 
 @dataclass
 class VertebraResult:
-    vertebra_id: str
-    transforms: list  # (atlas case_id, ComposedTransform)
+    label: int  # the vertebra's output label
+    pairs: list  # (atlas case_id, ComposedTransform, seconds), plan order
     refined_mask: LabelVolume  # 0/1, on its band crop of the target crop
 
 
 @dataclass
 class PipelineRun:
     final_labels: LabelVolume
-    per_vertebra: dict  # vertebra id -> VertebraResult
+    per_vertebra: dict  # vertebra id -> VertebraResult, in manifest order
     rows: list = None
     summaries: list = None
-    timing: list = field(default_factory=list)  # (vertebra, atlas, seconds)
 
 
 def _bundle_ids(vertebra_id, order, mode):
@@ -299,19 +298,22 @@ def _pair_job(target_geometry, vert, tcrop, atlas_entry, bundle_ids,
               manifest, atlas_cache):
     """The pair's job, a tuple of `_register_one`'s arguments: the atlas
     cropped to the union of its bundle labels' boxes (`label_boxes`)
-    grown by the crop margin, with the other labels cleared (the crops
-    of masking the whole atlas first), and in `single` mode the affine
-    start `_box_start` from the target vertebra's manifest box onto the
-    atlas vertebra's box. The bundle modes keep `register_affine`'s
-    centroid start: the target crop holds one vertebra, the atlas three."""
+    grown by the crop margin, the label crop `vert.label` where the
+    atlas has the label that votes (`bundle_ids_center`), else 0, and in
+    `single` mode the affine start `_box_start` from the target
+    vertebra's manifest box onto the atlas vertebra's box. The bundle
+    modes keep `register_affine`'s centroid start: the target crop holds
+    one vertebra, the atlas three. Nearest-neighbour warping commutes
+    with this relabel, which keeps 0, so the warped crop votes as is."""
     img, lbl, boxes = atlas_cache[atlas_entry.case_id]
     keep = [atlas_entry.vertebra_labels[v] for v in bundle_ids]
     abox = BoundingBox.from_slices(
         union_box([boxes[lv] for lv in keep if lv in boxes]))
     margin = _margin_voxels(img.geometry, manifest.crop_margin_mm)
     bundle = crop(lbl, abox, margin)
-    acrop_lbl = LabelVolume(bundle.geometry, np.where(
-        np.isin(bundle.data, keep), bundle.data, 0))
+    vote = atlas_entry.vertebra_labels[bundle_ids_center(bundle_ids)]
+    acrop_lbl = LabelVolume(bundle.geometry,
+                            np.where(bundle.data == vote, vert.label, 0))
     start = (_box_start(_world_box(target_geometry, vert.box),
                         _world_box(img.geometry, abox))
              if manifest.mode == "single" else None)
@@ -333,7 +335,7 @@ def _register_one(tcrop, acrop_img, acrop_lbl, start, cfg):
 
 
 def bundle_ids_center(ids):
-    """Bundle vertebra whose warped label is kept: the middle one.
+    """Bundle vertebra whose atlas label votes: the middle one.
 
     The atlas crop spans the whole bundle and registration starts from
     intensity-centroid alignment, so the bundle's middle vertebra is the
@@ -367,7 +369,8 @@ def run_pipeline(manifest):
     A job is dropped once it has run, and its atlas crops with it.
     Fold: results are read in plan order, and each vertebra is fused and
     refined (its mask: the band crop `refine_labels` returns) as soon as
-    its last pair is in. So outputs do not depend on the worker count."""
+    its last pair is in, into its one `VertebraResult`. So outputs do
+    not depend on the worker count."""
     target_img = nifti.read_volume(manifest.target_image_path, "scalar")
     target_lbl = None
     if manifest.target_labels_path:
@@ -399,9 +402,7 @@ def run_pipeline(manifest):
     # crops are freed once its registration has run
     pending = (jobs.popleft() for _ in range(len(jobs)))
 
-    timing = []
     per_vertebra = {}
-    masks = []
     pool = (ThreadPoolExecutor(max_workers=manifest.workers)
             if manifest.workers > 1 else None)
     try:
@@ -409,17 +410,12 @@ def run_pipeline(manifest):
                    if pool is not None
                    else itertools.starmap(_register_one, pending))
         for vert, tcrop, eligible in plan:
-            registered, transforms = [], []
-            for entry, ids in eligible:
+            registered, pairs = [], []
+            for entry, _ in eligible:
                 with _stage("registration", vert, entry):
                     transform, img, lbl, seconds = next(results)
-                center = (lbl.data
-                          == entry.vertebra_labels[bundle_ids_center(ids)])
-                registered.append(RegisteredAtlas(img, LabelVolume(
-                    tcrop.geometry, np.where(center, vert.label, 0)),
-                    entry.case_id))
-                transforms.append((entry.case_id, transform))
-                timing.append((vert.vertebra_id, entry.case_id, seconds))
+                registered.append(RegisteredAtlas(img, lbl, entry.case_id))
+                pairs.append((entry.case_id, transform, seconds))
             with _stage("fusion", vert):
                 fused = fuse(tcrop, registered, manifest.fusion)
             with _stage("postprocess", vert):
@@ -428,15 +424,16 @@ def run_pipeline(manifest):
                 if refined is None or not refined.data.any():
                     raise ValueError("empty mask after cleanup and level set")
             per_vertebra[vert.vertebra_id] = VertebraResult(
-                vert.vertebra_id, transforms, refined)
-            masks.append((vert.label, refined))
+                vert.label, pairs, refined)
     finally:
         # After a failure, drop the pairs that have not started instead
         # of registering the rest of the run. On success none are left.
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    final = separate_labels(masks, target_img, manifest.collision)
+    final = separate_labels(
+        ((res.label, res.refined_mask) for res in per_vertebra.values()),
+        target_img, manifest.collision)
 
     rows = summaries = None
     if target_lbl is not None:
@@ -447,4 +444,4 @@ def run_pipeline(manifest):
         summaries = report(rows, manifest.group_by)
 
     return PipelineRun(final_labels=final, per_vertebra=per_vertebra,
-                       rows=rows, summaries=summaries, timing=timing)
+                       rows=rows, summaries=summaries)

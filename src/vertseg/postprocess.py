@@ -13,8 +13,8 @@ import numpy as np
 from scipy import ndimage
 
 from .checks import integer, real
-from .volume import (BoundingBox, GridGeometry, LabelVolume,
-                     bounding_box_of, crop, label_boxes, union_box)
+from .volume import (BoundingBox, GridGeometry, LabelVolume, bounding_box_of,
+                     crop, grow_box, label_boxes, union_box)
 
 _CONN26 = np.ones((3, 3, 3), dtype=bool)
 _CURVATURE_WEIGHT = 0.2
@@ -139,10 +139,8 @@ def morph_cleanup(lbl, min_island_voxels=PostprocessConfig.min_island_voxels):
 
     # cavity fill: 6-connected background components not touching the
     # border and adjacent to exactly one label
-    union = tuple(slice(max(0, min(sl[a].start for _, sl in boxes) - 1),
-                        max(sl[a].stop for _, sl in boxes) + 1)
-                  for a in range(3))
-    region = data[union]
+    region = data[grow_box(union_box([sl for _, sl in boxes]), 1,
+                           data.shape)]
     comps, ncomp = ndimage.label(region == 0)  # 6-connectivity
     if ncomp:
         border_ids = set()
@@ -155,7 +153,7 @@ def morph_cleanup(lbl, min_island_voxels=PostprocessConfig.min_island_voxels):
             if cid in border_ids:
                 continue
             sl = objects[cid - 1]
-            grown = tuple(slice(max(0, s.start - 1), s.stop + 1) for s in sl)
+            grown = grow_box(sl, 1, comps.shape)
             comp_mask = comps[grown] == cid
             shell = ndimage.binary_dilation(comp_mask) & ~comp_mask
             local = region[grown]
@@ -278,11 +276,9 @@ def _speed_field(intensity, smooth_sigma, box=None):
 
 
 def _band(box, iters, step, dims):
-    """The level set's crop, as slices, of a mask whose BoundingBox is box:
-    box padded by floor(iters*step + 1) + 2 voxels, clamped to dims."""
-    pad = 2 + int(iters * step + 1.0)
-    return tuple(slice(max(lo - pad, 0), min(hi + pad + 1, n))
-                 for lo, hi, n in zip(box.min_index, box.max_index, dims))
+    """The level set's crop of a mask whose box (one slice per axis) is
+    box: box grown by floor(iters*step + 1) + 2 voxels, clamped to dims."""
+    return grow_box(box, 2 + int(iters * step + 1.0), dims)
 
 
 def _gradient_taps(flat, shape):
@@ -386,7 +382,7 @@ def levelset_refine(mask, intensity, iters=PostprocessConfig.levelset_iters,
     m = _on_intensity_grid(mask, intensity.geometry) != 0
     out = m.astype(np.int32)
     if iters and m.any():
-        sl = _band(bounding_box_of(m), iters, step, m.shape)
+        sl = _band(bounding_box_of(m).slices(), iters, step, m.shape)
         out[sl] = _evolve(m[sl], _speed_field(intensity, smooth_sigma, sl),
                           iters, step, curvature_weight)
     return LabelVolume(geom, out) if geom is not None else out
@@ -408,8 +404,7 @@ def refine_labels(lbl, intensity, cfg=None):
     iters, step = cfg.levelset_iters, cfg.levelset_step
     _on_intensity_grid(lbl, intensity.geometry)
     cleaned = morph_cleanup(lbl, cfg.min_island_voxels)
-    bands = {lv: _band(BoundingBox.from_slices(box), iters, step,
-                       lbl.data.shape)
+    bands = {lv: _band(box, iters, step, lbl.data.shape)
              for lv, box in label_boxes(cleaned.data).items()}
     if iters and bands:
         union = union_box(list(bands.values()))

@@ -137,6 +137,11 @@ class BoundingBox:
         style: start inclusive, stop exclusive)."""
         return cls(tuple(s.start for s in box), tuple(s.stop - 1 for s in box))
 
+    def slices(self):
+        """The box as one slice per axis, as `from_slices` takes it."""
+        return tuple(slice(lo, hi + 1)
+                     for lo, hi in zip(self.min_index, self.max_index))
+
 
 # `ndimage.find_objects` allocates a slot per label value up to the
 # largest; above this, `label_boxes` ranks the labels first
@@ -162,10 +167,11 @@ def label_boxes(data):
 
 
 def grow_box(box, margin, dims):
-    """The box (one slice per axis) grown by margin voxels on every side
-    and clamped to dims."""
-    return tuple(slice(max(s.start - margin, 0), min(s.stop + margin, dim))
-                 for s, dim in zip(box, dims))
+    """The box (one slice per axis) grown by margin voxels, one number or
+    one per axis, on every side and clamped to dims."""
+    margins = np.broadcast_to(margin, len(dims))
+    return tuple(slice(max(s.start - int(m), 0), min(s.stop + int(m), dim))
+                 for s, m, dim in zip(box, margins, dims))
 
 
 def union_box(boxes):
@@ -280,17 +286,14 @@ def crop(vol, box, margin_voxels=(0, 0, 0)):
     unchanged.
     """
     dims = vol.geometry.dims
-    lo = [box.min_index[a] - int(margin_voxels[a]) for a in range(3)]
-    hi = [box.max_index[a] + int(margin_voxels[a]) for a in range(3)]
-    lo = [max(0, min(lo[a], dims[a] - 1)) for a in range(3)]
-    hi = [max(0, min(hi[a], dims[a] - 1)) for a in range(3)]
     if any(box.min_index[a] >= dims[a] or box.max_index[a] < 0 for a in range(3)):
         raise ValueError("bounding box does not intersect the volume")
-    sub = vol.data[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1]
+    sl = grow_box(box.slices(), margin_voxels, dims)
+    sub = vol.data[sl]
     geom = GridGeometry(
         dims=sub.shape,
         spacing=vol.geometry.spacing,
-        origin=tuple(vol.geometry.voxel_to_world(lo)),
+        origin=tuple(vol.geometry.voxel_to_world([s.start for s in sl])),
     )
     return type(vol)(geom, sub.copy())
 

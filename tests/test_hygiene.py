@@ -1,8 +1,9 @@
 """Source hygiene: every name a `vertseg` module imports at module level
 is used in that module, no function imports, every private name (a
 module-level name or a class method starting with a single underscore)
-is read somewhere in the package, and every public one is read by the
-package, the benchmark, the tools or the acceptance suite. No linter is
+is read somewhere in the package, every public one is read by the
+package, the benchmark, the tools or the acceptance suite, and so is
+every field of a dataclass or NamedTuple of the package. No linter is
 a test dependency, so the checks walk each module's syntax tree with
 the standard library's `ast`."""
 
@@ -195,3 +196,59 @@ def test_unread_public_name_is_reported():
     assert _unread_public_names({"a.py": tree_a}, [tree_a, tree_b]) == [
         ("a.py", 3, "unused"), ("a.py", 12, "unread"), ("a.py", 14, "D"),
         ("a.py", 18, "stored"), ("a.py", 21, "UNUSED")]
+
+
+def _is_record(cls):
+    """Whether a class definition is a dataclass or a NamedTuple."""
+    marks = [d.func if isinstance(d, ast.Call) else d
+             for d in cls.decorator_list] + cls.bases
+    return bool({"dataclass", "NamedTuple"}
+                & {getattr(m, "id", getattr(m, "attr", None)) for m in marks})
+
+
+def _unread_fields(defined_in, readers):
+    """(module, line, class, field) of every field of the dataclasses and
+    NamedTuples of the modules {module: tree} `defined_in` that no tree
+    in `readers` reads as an attribute or names in a string constant."""
+    read = set()
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                read.add(node.value)
+    return sorted((module, item.lineno, cls.name, item.target.id)
+                  for module, tree in defined_in.items()
+                  for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and _is_record(cls)
+                  for item in cls.body
+                  if isinstance(item, ast.AnnAssign)
+                  and isinstance(item.target, ast.Name)
+                  and item.target.id not in read)
+
+
+def test_record_fields_are_read():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    unread = _unread_fields(
+        trees, [ast.parse(path.read_text()) for path in READERS])
+    assert not unread, f"fields nothing reads (module, line, class, " \
+                       f"field) {unread}"
+
+
+def test_unread_field_is_reported():
+    a = ("from dataclasses import dataclass\n"
+         "import typing\n"
+         "@dataclass\nclass A:\n    used: int\n    unread: int = 0\n"
+         "@dataclass(frozen=True)\nclass B:\n    named: str\n    lost: str\n"
+         "class C(typing.NamedTuple):\n    kept: int\n    gone: int\n"
+         "class D:\n    plain: int\n")
+    b = ("def f(a, c):\n"
+         "    a.unread = 1\n"  # a write is no read
+         "    return a.used, c.kept, getattr(a, 'named')\n")
+    tree_a, tree_b = ast.parse(a), ast.parse(b)
+    assert _unread_fields({"a.py": tree_a}, [tree_a, tree_b]) == [
+        ("a.py", 6, "A", "unread"), ("a.py", 10, "B", "lost"),
+        ("a.py", 13, "C", "gone")]

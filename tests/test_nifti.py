@@ -244,6 +244,8 @@ _INF = float("inf")
     ([("<2h", 252, (0, 0)), ("<f", 84, (_NAN,))], "pixdim"),
     ([("<f", 112, (_INF,))], "scl_slope"),
     ([("<f", 116, (_NAN,))], "scl_inter"),
+    # qform only: qfac
+    ([("<2h", 252, (1, 0)), ("<f", 76, (_NAN,))], "qfac"),
 ])
 def test_read_rejects_nonfinite_header_floats(tmp_path, patches, field):
     path = _corrupted(tmp_path, patches)
@@ -272,6 +274,30 @@ def test_read_names_the_file_for_a_zero_spacing(tmp_path):
     with pytest.raises(ValueError,
                        match=re.escape(str(path)) + ".*spacing"):
         read_volume(path)
+
+
+def _qform_only(tmp_path, qfac):
+    """A written scalar file made qform-only: zero quaternion, qoffset
+    (1, 2, 3) and pixdim[0] = qfac."""
+    return _corrupted(tmp_path, [("<2h", 252, (1, 0)),
+                                 ("<6f", 256, (0.0, 0.0, 0.0, 1.0, 2.0, 3.0)),
+                                 ("<f", 76, (qfac,))])
+
+
+def test_read_rejects_a_qform_with_qfac_minus_one(tmp_path):
+    # qfac -1 says z decreases from qoffset_z
+    path = _qform_only(tmp_path, -1.0)
+    with pytest.raises(ValueError, match=re.escape(str(path))
+                       + r": flipped axes rejected \(qfac -1\)"):
+        read_volume(path)
+
+
+@pytest.mark.parametrize("qfac", [0.0, 1.0])
+def test_read_takes_a_qform_with_qfac_zero_or_one(tmp_path, qfac):
+    back = read_volume(_qform_only(tmp_path, qfac))
+    assert back.geometry.origin == (1.0, 2.0, 3.0)
+    assert back.geometry.spacing == _scalar().geometry.spacing
+    assert np.array_equal(back.data, _scalar().data)
 
 
 def _small_file(kind):

@@ -172,9 +172,11 @@ def test_run_pipeline_end_to_end(tmp_path):
     m = load_manifest(path)
     run = run_pipeline(m)
 
-    assert set(run.per_vertebra) == {"V1", "V2", "V3"}
+    assert list(run.per_vertebra) == ["V1", "V2", "V3"]
+    assert [res.label for res in run.per_vertebra.values()] == [1, 2, 3]
+    # 3 vertebrae x 2 atlases
+    assert [len(res.pairs) for res in run.per_vertebra.values()] == [2] * 3
     assert run.final_labels.geometry.dims == gt.geometry.dims
-    assert len(run.timing) == 6  # 3 vertebrae x 2 atlases
 
     # ground truth present -> rows and grouped summaries
     assert len(run.rows) == 3
@@ -184,7 +186,10 @@ def test_run_pipeline_end_to_end(tmp_path):
     assert run.summaries[0]["group"] == "normal"
 
     res = run.per_vertebra["V1"]
-    assert len(res.transforms) == 2
+    # one (atlas, transform, seconds) per pair, in manifest order
+    assert [case_id for case_id, _, _ in res.pairs] == ["atlas0", "atlas1"]
+    assert all(isinstance(t, ComposedTransform) and seconds > 0
+               for _, t, seconds in res.pairs)
     # the refined mask is a crop (its band) of the target crop
     target = nifti.read_volume(m.target_image_path, "scalar")
     tcrop = crop(target, m.vertebrae[0].box,
@@ -399,12 +404,13 @@ def test_run_pipeline_results_do_not_depend_on_worker_count(tmp_path,
         runs.append(run_pipeline(m))
     one, two = runs
     assert np.array_equal(one.final_labels.data, two.final_labels.data)
-    assert [t[:2] for t in one.timing] == [t[:2] for t in two.timing]
     assert list(one.per_vertebra) == list(two.per_vertebra)
     for vid, res in one.per_vertebra.items():
-        other = two.per_vertebra[vid].transforms
-        assert [c for c, _ in res.transforms] == [c for c, _ in other]
-        for (_, a), (_, b) in zip(res.transforms, other):
+        other = two.per_vertebra[vid]
+        assert res.label == other.label
+        assert _same_value(res.refined_mask, other.refined_mask)
+        assert [c for c, _, _ in res.pairs] == [c for c, _, _ in other.pairs]
+        for (_, a, _), (_, b, _) in zip(res.pairs, other.pairs):
             assert np.array_equal(a.affine.matrix, b.affine.matrix)
             assert np.array_equal(a.affine.translation, b.affine.translation)
             assert np.array_equal(a.ffd.coefficients, b.ffd.coefficients)
@@ -450,8 +456,11 @@ def test_register_one_crops_equal_the_full_volume_construction(
             img = nifti.read_volume(atlas.image_path, "scalar")
             lbl = nifti.read_volume(atlas.labels_path, "label")
             keep = [atlas.vertebra_labels[v] for v in ids]
-            sub = np.where(np.isin(lbl.data, keep), lbl.data, 0)
-            box = bounding_box_of(sub)
+            box = bounding_box_of(np.isin(lbl.data, keep))
+            # the label that votes: the 3-vertebra bundle's middle one,
+            # or the vertebra itself, as the target vertebra's label
+            vote = atlas.vertebra_labels[ids[len(ids) // 2]]
+            sub = np.where(lbl.data == vote, vert.label, 0)
             margin = [round(m.crop_margin_mm / s)
                       for s in img.geometry.spacing]
             want.append((crop(img, box, margin),
@@ -604,6 +613,54 @@ def test_pair_jobs_survive_pickling(tmp_path, monkeypatch, mode):
         assert [type(v) for v in job[:3]] == [ScalarVolume, ScalarVolume,
                                              LabelVolume]
         assert _same_value(pickle.loads(pickle.dumps(job)), job)
+
+
+@pytest.mark.parametrize("mode, vid", [("bundle3", "V1"), ("bundle3", "V3"),
+                                       ("single", "V2")])
+def test_pair_job_label_crop_holds_only_the_voting_label(tmp_path, mode,
+                                                         vid):
+    # the atlas label that votes (the bundle's middle one, V2's label 2)
+    # becomes the target vertebra's label, 9 here; the other bundle
+    # labels in the crop are cleared
+    m = dataclasses.replace(load_manifest(_quick_manifest(tmp_path, 1)),
+                            mode=mode)
+    vert = next(v for v in m.vertebrae if v.vertebra_id == vid)
+    vert.label = 9
+    entry = m.atlases[0]
+    cache = {entry.case_id: pipeline._read_atlas(entry)}
+    target = nifti.read_volume(m.target_image_path, "scalar")
+    tcrop = crop(target, vert.box,
+                 _margin_voxels(target.geometry, m.crop_margin_mm))
+    [(_, ids)] = _eligible_atlases(m, vert)
+    job = pipeline._pair_job(target.geometry, vert, tcrop, entry, ids, m,
+                             cache)
+    acrop_img, acrop_lbl = job[1:3]
+    assert acrop_lbl.geometry == acrop_img.geometry
+    assert set(np.unique(acrop_lbl.data)) == {0, 9}
+    # the same crop of the atlas labels: label 2 there, and in bundle3
+    # all three bundle labels
+    lbl = cache[entry.case_id][1]
+    lo = np.round(lbl.geometry.world_to_voxel(
+        acrop_lbl.geometry.origin)).astype(int)
+    atlas = crop(lbl, BoundingBox(lo, lo + acrop_lbl.geometry.dims - 1))
+    assert set(np.unique(atlas.data)) >= ({1, 2, 3} if mode == "bundle3"
+                                          else {2})
+    assert np.array_equal(acrop_lbl.data, np.where(atlas.data == 2, 9, 0))
+
+
+def test_cli_run_writes_one_timing_row_per_pair_in_plan_order(tmp_path):
+    path = _quick_manifest(tmp_path, n_atlases=2)
+    pairs = [(v, a) for v in ("V1", "V2", "V3") for a in ("atlas0", "atlas1")]
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        assert main(["run", "--manifest", str(path), "--output", str(out),
+                     "--workers", str(workers)]) == 0
+        rows = (out / "timing.csv").read_text().splitlines()
+        assert rows[0] == "vertebra,atlas,seconds"
+        assert [tuple(r.split(",")[:2]) for r in rows[1:]] == pairs
+        assert all(float(r.split(",")[2]) >= 0 for r in rows[1:])
+        assert all((out / f"transform_{v}_{a}.json").exists()
+                   for v, a in pairs)
 
 
 # ------------------------------------------------ the affine's box start
