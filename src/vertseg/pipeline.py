@@ -137,10 +137,14 @@ def _section(cls, section, where):
 
 
 def _new_id(value, where, seen):
-    """value, a string id not in seen (id -> where it was first given),
-    which it joins; or a ValueError naming where it is."""
+    """value, a string id not in seen (id -> where it was first given)
+    that can be part of an output file's name, which it joins; or a
+    ValueError naming where it is."""
     if not isinstance(value, str):
         raise ValueError(f"{where}: expected a string, got {value!r}")
+    if value in ("", ".", "..") or set(value) & {"/", os.sep, os.altsep,
+                                                 "\0"}:
+        raise ValueError(f"{where}: {value!r} cannot be part of a file name")
     if value in seen:
         raise ValueError(f"{where}: {value!r} repeats {seen[value]}")
     seen[value] = where
@@ -160,6 +164,8 @@ def load_manifest(path):
     _known(doc, _DOC_KEYS, "top-level")
     # only the keys the document has: the dataclasses hold every default
     optional = {key: doc[key] for key in _TOP_LEVEL_KEYS if key in doc}
+    if isinstance(doc.get("output_dir"), str):
+        optional["output_dir"] = resolve(doc["output_dir"])
     optional.update((key, _section(cls, doc.get(key, {}), key))
                     for key, cls in _SECTIONS.items())
 

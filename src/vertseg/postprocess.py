@@ -1,6 +1,7 @@
 """Morphological label correction: island removal and hole closing,
-collision resolution between vertebrae by a linear score, and level-set
-boundary refinement driven by the intensity Laplacian.
+level-set boundary refinement driven by the intensity Laplacian, and the
+merge of per-vertebra masks into one label volume, where a voxel that
+several vertebrae claim goes to the best-scoring one.
 
 `refine_labels` (settings: `PostprocessConfig`) and `separate_labels`
 (`CollisionPolicy`) chain these steps; `vertseg refine` and the pipeline
@@ -20,13 +21,6 @@ _CONN26 = np.ones((3, 3, 3), dtype=bool)
 _CURVATURE_WEIGHT = 0.2
 _SMOOTH_SIGMA = 1.0
 _SLAB_PLANES = 16  # axis-0 planes per slab of `_speed_field`'s Laplacian
-
-
-@dataclass
-class VertebraInstance:
-    label: int
-    center: np.ndarray  # world mm
-    mean_intensity: float
 
 
 @dataclass
@@ -59,31 +53,21 @@ class PostprocessConfig:
 
 
 def _on_intensity_grid(mask, grid):
-    """The mask's data, after checking that it lies on the intensity
-    grid (a GridGeometry): a LabelVolume by `GridGeometry.same_grid`, an
-    array by shape."""
-    if isinstance(mask, LabelVolume):
-        if not mask.geometry.same_grid(grid):
-            raise ValueError(f"mask grid {mask.geometry} is not the "
-                             f"intensity grid {grid}")
-        return mask.data
-    arr = np.asarray(mask)
-    if arr.shape != grid.dims:
-        raise ValueError(f"mask shape {arr.shape} is not the intensity "
-                         f"dims {grid.dims}")
-    return arr
+    """The data of mask, a LabelVolume, after checking by
+    `GridGeometry.same_grid` that it lies on grid, the intensity grid."""
+    if not mask.geometry.same_grid(grid):
+        raise ValueError(f"mask grid {mask.geometry} is not the "
+                         f"intensity grid {grid}")
+    return mask.data
 
 
 def _placement(mask, intensity):
     """A mask's slices on the intensity grid and its boolean data there.
-    A LabelVolume lies on a crop of the grid (the whole grid is one): the
-    crop starts at the mask's rounded voxel offset, lies inside the grid,
-    and `_on_intensity_grid` checks the mask on the crop's geometry. An
-    array has the grid's shape."""
+    The mask, a LabelVolume, lies on a crop of the grid (the whole grid is
+    one): the crop starts at the mask's rounded voxel offset, lies inside
+    the grid, and `_on_intensity_grid` checks the mask on the crop's
+    geometry."""
     geom = intensity.geometry
-    if not isinstance(mask, LabelVolume):
-        m = _on_intensity_grid(mask, geom) != 0
-        return tuple(slice(0, n) for n in m.shape), m
     dims = mask.geometry.dims
     lo = np.round(geom.world_to_voxel(mask.geometry.origin)).astype(int)
     if np.any(lo < 0) or np.any(lo + dims > geom.dims):
@@ -92,19 +76,6 @@ def _placement(mask, intensity):
     window = GridGeometry(dims, geom.spacing, tuple(geom.voxel_to_world(lo)))
     sl = tuple(slice(a, a + n) for a, n in zip(lo, dims))
     return sl, _on_intensity_grid(mask, window) != 0
-
-
-def instance_from_mask(label, mask, intensity):
-    """Build a VertebraInstance (centroid + mean HU) from a binary mask
-    on a crop of the intensity grid (see `_placement`)."""
-    sl, m = _placement(mask, intensity)
-    idx = np.argwhere(m)
-    if idx.size == 0:
-        raise ValueError(f"empty mask for label {label}")
-    center_idx = (idx + [s.start for s in sl]).mean(axis=0)
-    center = intensity.geometry.voxel_to_world(center_idx)
-    return VertebraInstance(int(label), np.asarray(center),
-                            float(intensity.data[sl][m].mean()))
 
 
 def morph_cleanup(lbl, min_island_voxels=PostprocessConfig.min_island_voxels):
@@ -162,73 +133,6 @@ def morph_cleanup(lbl, min_island_voxels=PostprocessConfig.min_island_voxels):
             if len(neighbors) == 1:
                 local[comp_mask] = neighbors[0]
     return LabelVolume(lbl.geometry, data)
-
-
-def resolve_collisions(per_vertebra_masks, intensity, instances, policy=None):
-    """Assign voxels claimed by multiple vertebrae to the instance with the
-    best linear score over z-standardized intensity and distance features.
-
-    Each mask lies on a crop of the intensity grid (see `_placement`).
-    Claims are counted crop by crop in one grid of the smallest unsigned
-    type that holds the number of masks; sole claims are written from
-    their crops, and only contested voxels are scored."""
-    policy = policy or CollisionPolicy()
-    if len(instances) == 0:
-        raise ValueError("no vertebra instances given")
-    if len(per_vertebra_masks) != len(instances):
-        raise ValueError("one mask per instance required")
-    geom = intensity.geometry
-    placed = [_placement(m, intensity) for m in per_vertebra_masks]
-
-    count = np.zeros(geom.dims, dtype=np.min_scalar_type(len(placed)))
-    for sl, m in placed:
-        count[sl] += m
-    out = np.zeros(geom.dims, dtype=np.int32)
-    for (sl, m), inst in zip(placed, instances):
-        out[sl][m & (count[sl] == 1)] = inst.label
-
-    contested = count >= 2
-    if not np.any(contested):
-        return LabelVolume(geom, out)
-
-    idx = np.argwhere(contested)
-    flat = np.ravel_multi_index(idx.T, geom.dims)  # ascending
-    pts = geom.voxel_to_world(idx)
-    ivals = intensity.data[contested]
-
-    nvox = len(idx)
-    feats_int, feats_dist, pairs = [], [], []
-    for vi, ((sl, m), inst) in enumerate(zip(placed, instances)):
-        # the instance's claims among the contested voxels, in idx order
-        own = np.argwhere(m & contested[sl]) + [s.start for s in sl]
-        if len(own) == 0:
-            continue
-        sel = np.zeros(nvox, dtype=bool)
-        sel[np.searchsorted(flat, np.ravel_multi_index(own.T, geom.dims))] \
-            = True
-        feats_int.append(np.abs(ivals[sel] - inst.mean_intensity))
-        feats_dist.append(np.linalg.norm(pts[sel] - inst.center, axis=1))
-        pairs.append((vi, sel))
-
-    all_int = np.concatenate(feats_int)
-    all_dist = np.concatenate(feats_dist)
-
-    def z(values, pool):
-        sd = pool.std()
-        return (values - pool.mean()) / (sd if sd > 1e-12 else 1.0)
-
-    best_score = np.full(nvox, -np.inf)
-    winner = np.zeros(nvox, dtype=np.int64)
-    for (vi, sel), fi, fd in zip(pairs, feats_int, feats_dist):
-        score = (-policy.w_intensity * z(fi, all_int)
-                 - policy.w_distance * z(fd, all_dist))
-        cur = np.full(nvox, -np.inf)
-        cur[sel] = score
-        better = cur > best_score  # ties keep the earlier (lower) label
-        best_score[better] = cur[better]
-        winner[better] = instances[vi].label
-    out[contested] = winner
-    return LabelVolume(geom, out)
 
 
 def _speed_field(intensity, smooth_sigma, box=None):
@@ -360,8 +264,8 @@ def levelset_refine(mask, intensity, iters=PostprocessConfig.levelset_iters,
     edges, attracting from both sides) plus a small curvature term. The
     level set lives in voxel units; voxels farther than
     r = iters*step + 1 voxels from the initial boundary are never
-    touched, and an empty mask stays empty. The mask must lie on the
-    intensity grid.
+    touched, and an empty mask stays empty. The mask is a LabelVolume on
+    the intensity grid, and so is the 0/1 result.
 
     The work is done on the band crop (`_band`) of the mask's bounding
     box, which is written into a copy of the mask; the speed field is
@@ -378,14 +282,13 @@ def levelset_refine(mask, intensity, iters=PostprocessConfig.levelset_iters,
     voxels along an axis is refused with a ValueError.
     """
     PostprocessConfig(levelset_iters=iters, levelset_step=step)  # the checks
-    geom = mask.geometry if isinstance(mask, LabelVolume) else None
     m = _on_intensity_grid(mask, intensity.geometry) != 0
     out = m.astype(np.int32)
     if iters and m.any():
         sl = _band(bounding_box_of(m).slices(), iters, step, m.shape)
         out[sl] = _evolve(m[sl], _speed_field(intensity, smooth_sigma, sl),
                           iters, step, curvature_weight)
-    return LabelVolume(geom, out) if geom is not None else out
+    return LabelVolume(mask.geometry, out)
 
 
 def refine_labels(lbl, intensity, cfg=None):
@@ -422,11 +325,76 @@ def refine_labels(lbl, intensity, cfg=None):
 
 
 def separate_labels(masks, intensity, policy=None):
-    """One label volume from (label, mask) pairs, each mask a LabelVolume
-    on a crop of the intensity grid (the whole grid is one): each mask
-    becomes an instance (centroid, mean intensity), and voxels claimed by
-    several masks go to the best-scoring instance."""
-    masks = list(masks)
-    instances = [instance_from_mask(lv, m, intensity) for lv, m in masks]
-    return resolve_collisions([m for _, m in masks], intensity, instances,
-                              policy)
+    """One label volume from (label, mask) pairs, each mask a nonempty
+    LabelVolume on a crop of the intensity grid (see `_placement`).
+
+    Claims are counted crop by crop in one grid of the smallest unsigned
+    type that holds the number of masks; sole claims are written from
+    their crops. A voxel that several masks claim goes to the best score,
+    -w_intensity * z(|intensity - the mask's mean intensity|)
+    - w_distance * z(distance in mm from the mask's centroid), each
+    z-score pooled over all contested claims, with policy's weights
+    (None: `CollisionPolicy()`); a tie goes to the earlier mask. Only a
+    mask that claims a contested voxel is measured."""
+    policy = policy or CollisionPolicy()
+    geom = intensity.geometry
+    placed = []
+    for lv, mask in masks:
+        sl, m = _placement(mask, intensity)
+        if not m.any():
+            raise ValueError(f"empty mask for label {lv}")
+        placed.append((int(lv), sl, m))
+    if not placed:
+        raise ValueError("no vertebra masks given")
+
+    count = np.zeros(geom.dims, dtype=np.min_scalar_type(len(placed)))
+    for _, sl, m in placed:
+        count[sl] += m
+    out = np.zeros(geom.dims, dtype=np.int32)
+    for lv, sl, m in placed:
+        out[sl][m & (count[sl] == 1)] = lv
+
+    contested = count >= 2
+    if not np.any(contested):
+        return LabelVolume(geom, out)
+
+    idx = np.argwhere(contested)
+    flat = np.ravel_multi_index(idx.T, geom.dims)  # ascending
+    pts = geom.voxel_to_world(idx)
+    ivals = intensity.data[contested]
+
+    nvox = len(idx)
+    feats_int, feats_dist, claimants = [], [], []
+    for lv, sl, m in placed:
+        start = [s.start for s in sl]
+        # the mask's claims among the contested voxels, in idx order
+        own = np.argwhere(m & contested[sl]) + start
+        if len(own) == 0:
+            continue
+        sel = np.zeros(nvox, dtype=bool)
+        sel[np.searchsorted(flat, np.ravel_multi_index(own.T, geom.dims))] \
+            = True
+        center = geom.voxel_to_world((np.argwhere(m) + start).mean(axis=0))
+        feats_int.append(np.abs(ivals[sel] - intensity.data[sl][m].mean()))
+        feats_dist.append(np.linalg.norm(pts[sel] - center, axis=1))
+        claimants.append((lv, sel))
+
+    all_int = np.concatenate(feats_int)
+    all_dist = np.concatenate(feats_dist)
+
+    def z(values, pool):
+        sd = pool.std()
+        return (values - pool.mean()) / (sd if sd > 1e-12 else 1.0)
+
+    best_score = np.full(nvox, -np.inf)
+    winner = np.zeros(nvox, dtype=np.int64)
+    for (lv, sel), fi, fd in zip(claimants, feats_int, feats_dist):
+        score = (-policy.w_intensity * z(fi, all_int)
+                 - policy.w_distance * z(fd, all_dist))
+        cur = np.full(nvox, -np.inf)
+        cur[sel] = score
+        better = cur > best_score  # ties keep the earlier mask
+        best_score[better] = cur[better]
+        winner[better] = lv
+    out[contested] = winner
+    return LabelVolume(geom, out)

@@ -1016,6 +1016,44 @@ def test_load_manifest_keeps_string_ids(tmp_path):
     assert m.atlases[0].order == ["V0", "V1", "V2"]
 
 
+@pytest.mark.parametrize("vertebra_id", [
+    "", ".", "..", "sub/V1", "../V1", "V\x001", "sub\\V1"], ids=[
+    "empty", "dot", "dot-dot", "slash", "parent", "nul", "altsep"])
+def test_load_manifest_rejects_ids_that_cannot_be_file_name_parts(
+        tmp_path, monkeypatch, vertebra_id):
+    # `vertseg run` writes transform_<vertebra id>_<case id>.json and
+    # refined_<vertebra id>.nii: a separator would name a missing
+    # directory, or one outside the output directory; a backslash is
+    # one where os.altsep is
+    monkeypatch.setattr(os, "altsep", "\\")
+    doc = _minimal_doc()
+    doc["target"]["vertebrae"][0]["id"] = vertebra_id
+    message = (f"vertebrae[0] id: {vertebra_id!r} cannot be part of a "
+               f"file name")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_manifest(_write_doc(tmp_path, doc))
+    doc = _minimal_doc()
+    doc["atlases"][0]["case_id"] = vertebra_id
+    with pytest.raises(ValueError, match=r"^atlases\[0\] case_id: "):
+        load_manifest(_write_doc(tmp_path, doc))
+
+
+def test_load_manifest_resolves_output_dir_against_its_directory(
+        tmp_path, monkeypatch):
+    (tmp_path / "cases").mkdir()
+    monkeypatch.chdir(tmp_path)
+    doc = _minimal_doc()
+    path = tmp_path / "cases" / "manifest.json"
+    for given, expect in (("out", str(tmp_path / "cases" / "out")),
+                          (str(tmp_path / "abs"), str(tmp_path / "abs"))):
+        path.write_text(json.dumps(dict(doc, output_dir=given)))
+        assert load_manifest(path).output_dir == expect
+        # a relative path to the manifest resolves the same way
+        assert load_manifest("cases/manifest.json").output_dir == expect
+    path.write_text(json.dumps(doc))
+    assert load_manifest(path).output_dir is None
+
+
 def test_run_pipeline_rejects_target_labels_on_another_grid(
         tmp_path, monkeypatch):
     path = _quick_manifest(tmp_path, n_atlases=1)

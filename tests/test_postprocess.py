@@ -10,12 +10,9 @@ from scipy import ndimage
 
 from vertseg.metrics import dice
 from vertseg.postprocess import (CollisionPolicy, PostprocessConfig,
-                                 VertebraInstance, _evolve,
-                                 _initial_level_set, _speed_field,
-                                 instance_from_mask,
+                                 _evolve, _initial_level_set, _speed_field,
                                  levelset_refine, morph_cleanup,
-                                 refine_labels, resolve_collisions,
-                                 separate_labels)
+                                 refine_labels, separate_labels)
 from vertseg.volume import (BoundingBox, GridGeometry, LabelVolume,
                             ScalarVolume, crop, label_boxes)
 
@@ -50,18 +47,32 @@ def _band_geometry(m, geom, iters, step=0.25):
 
 
 def test_instance_from_mask_centroid_and_intensity():
+    # masks 4 and 9 each claim voxel (2, 2, 2) and one voxel of their
+    # own; the contested voxel goes to the mask whose centroid is nearer
+    # in mm, and, by intensity alone, to the one whose mean intensity is
+    # nearer its own
     g = _geom((5, 5, 5), spacing=(2.0, 1.0, 1.0))
-    data = np.zeros((5, 5, 5))
-    mask = np.zeros((5, 5, 5), dtype=bool)
-    mask[1, 2, 3] = mask[3, 2, 3] = True
-    data[mask] = 150.0
-    inst = instance_from_mask(4, mask, ScalarVolume(g, data))
-    assert inst.label == 4
-    assert np.allclose(inst.center, [4.0, 2.0, 3.0])  # voxel (2,2,3) in mm
-    assert inst.mean_intensity == pytest.approx(150.0)
-    with pytest.raises(ValueError):
-        instance_from_mask(1, np.zeros((5, 5, 5), dtype=bool),
-                           ScalarVolume(g, data))
+    masks = []
+    for lv, own in ((4, (4, 2, 2)), (9, (2, 4, 2))):
+        m = np.zeros(g.dims, dtype=np.int32)
+        m[2, 2, 2] = m[own] = 1
+        masks.append((lv, LabelVolume(g, m)))
+    # centroids: voxel (3, 2, 2) at 2 mm, voxel (2, 3, 2) at 1 mm; one
+    # voxel each, so a centroid in voxel units would tie (to label 4)
+    out = separate_labels(masks, ScalarVolume(g, np.zeros(g.dims)),
+                          CollisionPolicy(w_intensity=0.0))
+    assert out.data[2, 2, 2] == 9
+    assert out.data[4, 2, 2] == 4 and out.data[2, 4, 2] == 9
+    distance_off = CollisionPolicy(w_distance=0.0)
+    for own4, own9, winner in ((300.0, 0.0, 9),    # means 200 and 50
+                               (120.0, 180.0, 4)):  # means 110 and 140
+        data = np.zeros(g.dims)
+        data[2, 2, 2], data[4, 2, 2], data[2, 4, 2] = 100.0, own4, own9
+        out = separate_labels(masks, ScalarVolume(g, data), distance_off)
+        assert out.data[2, 2, 2] == winner
+    with pytest.raises(ValueError, match="empty mask for label 1"):
+        separate_labels([(1, LabelVolume(g, np.zeros(g.dims, np.int32)))],
+                        ScalarVolume(g, np.zeros(g.dims)))
 
 
 def test_morph_cleanup_removes_small_islands():
@@ -129,9 +140,9 @@ def test_resolve_collisions_two_instances():
     m2 = np.zeros((10, 10, 10), dtype=bool)
     m1[:6] = True          # claims rows 0..5
     m2[4:] = True          # claims rows 4..9; rows 4-5 contested
-    i1 = VertebraInstance(1, np.array([2.0, 4.5, 4.5]), 200.0)
-    i2 = VertebraInstance(2, np.array([7.0, 4.5, 4.5]), 50.0)
-    out = resolve_collisions([m1, m2], intensity, [i1, i2])
+    # centroids at rows 2.5 and 6.5; mean intensities 175 and 75
+    out = separate_labels([(1, LabelVolume(g, m1)), (2, LabelVolume(g, m2))],
+                          intensity)
 
     assert np.all(out.data[:4] == 1)
     assert np.all(out.data[6:] == 2)
@@ -148,9 +159,8 @@ def test_resolve_collisions_no_overlap_is_union():
     m2 = np.zeros((6, 6, 6), dtype=bool)
     m1[:3] = True
     m2[3:] = True
-    i1 = VertebraInstance(5, np.array([1.0, 2.5, 2.5]), 0.0)
-    i2 = VertebraInstance(7, np.array([4.0, 2.5, 2.5]), 0.0)
-    out = resolve_collisions([m1, m2], intensity, [i1, i2])
+    out = separate_labels([(5, LabelVolume(g, m1)), (7, LabelVolume(g, m2))],
+                          intensity)
     assert np.all(out.data[:3] == 5)
     assert np.all(out.data[3:] == 7)
 
@@ -158,12 +168,8 @@ def test_resolve_collisions_no_overlap_is_union():
 def test_resolve_collisions_validation():
     g = _geom((4, 4, 4))
     intensity = ScalarVolume(g, np.zeros((4, 4, 4)))
-    with pytest.raises(ValueError):
-        resolve_collisions([], intensity, [])
-    m = np.ones((4, 4, 4), dtype=bool)
-    inst = VertebraInstance(1, np.zeros(3), 0.0)
-    with pytest.raises(ValueError):
-        resolve_collisions([m, m], intensity, [inst])
+    with pytest.raises(ValueError, match="no vertebra masks"):
+        separate_labels([], intensity)
 
 
 def test_levelset_zero_iters_is_identity():
@@ -230,10 +236,12 @@ def test_refine_and_separate_labels_chain_the_steps():
         assert np.array_equal(mask, expect.data)
 
     final = separate_labels(masks.items(), intensity)
-    instances = [instance_from_mask(lv, m != 0, intensity)
-                 for lv, m in placed.items()]
-    expect = resolve_collisions(list(placed.values()), intensity, instances)
-    assert np.array_equal(final.data, expect.data)
+    full = [m != 0 for m in placed.values()]
+    instances = [_full_grid_instance(lv, m, intensity)
+                 for lv, m in zip(placed, full)]
+    expect = _full_grid_collisions(full, intensity, instances,
+                                   CollisionPolicy())
+    assert np.array_equal(final.data, expect)
 
 
 def test_separate_labels_rejects_empty_mask():
@@ -510,9 +518,6 @@ def test_levelset_empty_mask_stays_empty():
         out = levelset_refine(empty, intensity, iters=iters)
         assert out.data.dtype == np.int32
         assert not out.data.any()
-    out = levelset_refine(np.zeros(g.dims, dtype=np.int32), intensity,
-                          iters=20)
-    assert isinstance(out, np.ndarray) and not out.any()
 
 
 def test_refine_labels_equals_per_label_levelset_refine():
@@ -663,9 +668,8 @@ def test_resolve_collisions_rejects_mask_on_another_grid_with_same_dims():
     data[1:3, 1:3, 1:3] = 1
     shifted = LabelVolume(GridGeometry(g.dims, g.spacing, (0.0, 0.0, 3.0)),
                           data)
-    inst = instance_from_mask(1, data != 0, intensity)
     with pytest.raises(ValueError, match="intensity grid"):
-        resolve_collisions([shifted], intensity, [inst])
+        separate_labels([(1, LabelVolume(g, data)), (2, shifted)], intensity)
 
 
 def test_instance_from_mask_rejects_a_mask_off_the_intensity_grid():
@@ -674,9 +678,11 @@ def test_instance_from_mask_rejects_a_mask_off_the_intensity_grid():
     shifted = LabelVolume(GridGeometry(g.dims, g.spacing, (2.0, 0.0, 0.0)),
                           np.ones(g.dims, dtype=np.int32))
     with pytest.raises(ValueError, match="intensity grid"):
-        instance_from_mask(1, shifted, intensity)
-    with pytest.raises(ValueError, match="intensity dims"):
-        instance_from_mask(1, np.ones((6, 6, 5), dtype=bool), intensity)
+        separate_labels([(1, shifted)], intensity)
+    # a mask one voxel longer than the grid along z reaches past it
+    longer = LabelVolume(_geom((6, 6, 7)), np.ones((6, 6, 7), dtype=np.int32))
+    with pytest.raises(ValueError, match="intensity grid"):
+        separate_labels([(1, longer)], intensity)
 
 
 @settings(max_examples=60, deadline=None)
@@ -733,24 +739,25 @@ def test_separate_labels_on_crops_equals_on_placed_masks():
 
 
 def _full_grid_instance(label, mask, intensity):
-    """`instance_from_mask` on a full-grid boolean mask: the reference
-    its crop form must reproduce bit for bit."""
+    """(label, centroid in mm, mean intensity) of a full-grid boolean
+    mask: the reference for what `separate_labels` measures of a mask on
+    its crop, bit for bit."""
     idx = np.argwhere(mask)
     center = intensity.geometry.voxel_to_world(idx.mean(axis=0))
-    return VertebraInstance(int(label), np.asarray(center),
-                            float(intensity.data[mask].mean()))
+    return int(label), center, float(intensity.data[mask].mean())
 
 
 def _full_grid_collisions(masks, intensity, instances, policy):
-    """`resolve_collisions` on full-grid boolean masks, by stacking every
-    claim into one (X, Y, Z, masks) array: the reference that counting
-    claims crop by crop must reproduce bit for bit."""
+    """The collision rule of `separate_labels` on full-grid boolean masks
+    and their `_full_grid_instance`s, by stacking every claim into one
+    (X, Y, Z, masks) array: the reference that counting claims crop by
+    crop must reproduce bit for bit."""
     geom = intensity.geometry
     claims = np.stack(masks, axis=-1)
     count = claims.sum(axis=-1)
     out = np.zeros(geom.dims, dtype=np.int32)
-    for mask, inst in zip(masks, instances):
-        out[mask & (count == 1)] = inst.label
+    for mask, (label, _, _) in zip(masks, instances):
+        out[mask & (count == 1)] = label
     contested = count >= 2
     if not np.any(contested):
         return out
@@ -758,13 +765,13 @@ def _full_grid_collisions(masks, intensity, instances, policy):
     ivals = intensity.data[contested]
     claim_stack = claims[contested]
     feats_int, feats_dist, pairs = [], [], []
-    for vi, inst in enumerate(instances):
+    for vi, (label, center, mean_intensity) in enumerate(instances):
         sel = claim_stack[:, vi]
         if not np.any(sel):
             continue
-        feats_int.append(np.abs(ivals[sel] - inst.mean_intensity))
-        feats_dist.append(np.linalg.norm(pts[sel] - inst.center, axis=1))
-        pairs.append((vi, sel))
+        feats_int.append(np.abs(ivals[sel] - mean_intensity))
+        feats_dist.append(np.linalg.norm(pts[sel] - center, axis=1))
+        pairs.append((label, sel))
     all_int = np.concatenate(feats_int)
     all_dist = np.concatenate(feats_dist)
 
@@ -775,14 +782,14 @@ def _full_grid_collisions(masks, intensity, instances, policy):
     nvox = claim_stack.shape[0]
     best_score = np.full(nvox, -np.inf)
     winner = np.zeros(nvox, dtype=np.int64)
-    for (vi, sel), fi, fd in zip(pairs, feats_int, feats_dist):
+    for (label, sel), fi, fd in zip(pairs, feats_int, feats_dist):
         score = (-policy.w_intensity * z(fi, all_int)
                  - policy.w_distance * z(fd, all_dist))
         cur = np.full(nvox, -np.inf)
         cur[sel] = score
         better = cur > best_score
         best_score[better] = cur[better]
-        winner[better] = instances[vi].label
+        winner[better] = label
     out[contested] = winner
     return out
 
@@ -792,7 +799,7 @@ def _claims(draw):
     """A grid, and 2-6 masks on boxes of it given as (label, form, box,
     full-grid boolean mask). The first two boxes share a claimed voxel,
     boxes may touch any face, and each mask comes as a crop of its box
-    grown by a margin, as a full-grid LabelVolume or as a plain array."""
+    grown by a margin or as a full-grid LabelVolume."""
     dims = draw(st.tuples(*[st.integers(2, 12)] * 3))
     spacing = draw(st.tuples(*[st.sampled_from([0.5, 0.8, 1.0, 1.5])] * 3))
     origin = draw(st.tuples(*[st.sampled_from([-7.5, 0.0, 3.25])] * 3))
@@ -816,7 +823,7 @@ def _claims(draw):
         m[tuple(lo)] = True  # not empty
         if k < 2:
             m[tuple(shared)] = True
-        form = draw(st.sampled_from(["crop", "grid", "array"]))
+        form = draw(st.sampled_from(["crop", "grid"]))
         margin = draw(st.tuples(*[st.integers(0, 2)] * 3))
         masks.append((lv, form, box, margin, m))
     return geom, masks
@@ -824,9 +831,7 @@ def _claims(draw):
 
 def _as_form(form, box, margin, m, geom):
     full = LabelVolume(geom, m.astype(np.int32))
-    if form == "crop":
-        return crop(full, box, margin)
-    return full if form == "grid" else m
+    return crop(full, box, margin) if form == "crop" else full
 
 
 @settings(max_examples=80, deadline=None)
@@ -845,24 +850,12 @@ def test_collisions_on_crops_equal_the_full_grid_reference(claims, seed,
     assert (np.sum(full, axis=0) >= 2).any()
     given_masks = [(lv, _as_form(form, box, margin, m, geom))
                    for lv, form, box, margin, m in masks]
-    instances = []
-    for (lv, mask), m in zip(given_masks, full):
-        inst = instance_from_mask(lv, mask, intensity)
-        expect = _full_grid_instance(lv, m, intensity)
-        assert inst.label == expect.label
-        assert np.array_equal(inst.center, expect.center)
-        assert inst.mean_intensity == expect.mean_intensity
-        placed = instance_from_mask(lv, m, intensity)
-        assert np.array_equal(inst.center, placed.center)
-        assert inst.mean_intensity == placed.mean_intensity
-        instances.append(inst)
+    instances = [_full_grid_instance(lv, m, intensity)
+                 for (lv, _), m in zip(given_masks, full)]
     expect = _full_grid_collisions(full, intensity, instances, policy)
-    out = resolve_collisions([m for _, m in given_masks], intensity,
-                             instances, policy)
+    out = separate_labels(given_masks, intensity, policy)
     assert out.data.dtype == np.int32
     assert np.array_equal(out.data, expect)
-    assert np.array_equal(
-        separate_labels(given_masks, intensity, policy).data, expect)
 
 
 def test_collisions_count_256_claims_on_one_voxel_without_wrapping():
